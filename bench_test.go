@@ -163,7 +163,7 @@ func BenchmarkStrictEndGame(b *testing.B) {
 // bin at 0 and one hole a graph distance away, run to perfection. The
 // excess ball must diffuse to the hole along the graph; with k = 1 bins
 // below average the direct engine burns ~Δ·n/W_G ≈ n activations per
-// move while the jump engine pays O(Δ² + Δ·log n) — this is the regime
+// move while the jump engine pays O(Δ + flips·log n) — this is the regime
 // where graph runs used to fall back to the direct engine and end-games
 // dominated wall-clock. The jump/direct wall-clock ratio per topology is
 // a PR 6 headline number tracked in BENCH_PR6.json.
@@ -220,15 +220,14 @@ func BenchmarkGraphEndGame(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphDense measures the dense-degree graph end-game the
-// hybrid sampler exists for: n = m = 4096 on a random 16-regular
-// multigraph (degree above the auto threshold of 13), one excess ball
-// diffusing to one hole. Per move the direct engine burns ~m·Δ/W_G
-// activations, the exact index pays O(Δ² + Δ·log n) bookkeeping, and the
-// rejection hybrid O(Δ·log n) with an O(1) expected retry factor once
-// its lazy bounds tighten — so the ordering direct ≪ jump-exact <
-// jump-hybrid is the PR 10 headline tracked in BENCH_PR10.json, and CI
-// gates hybrid ≥ 5× direct via scripts/check_graphdense.sh.
+// BenchmarkGraphDense measures the dense-degree graph end-game: n = 4096
+// bins at base load 4 on a random 16-regular multigraph, with excess
+// balls diffusing to holes. Per move the direct engine burns ~m·Δ/W_G
+// activations, the exact index pays O(Δ + flips·log n) bookkeeping and
+// never rejects, and the rejection hybrid pays O(Δ·log n) with an O(1)
+// expected retry factor once its lazy bounds tighten — so the ordering
+// direct ≪ jump-hybrid < jump-exact holds, and CI gates both jump arms
+// ≥ 5× direct via scripts/check_graphdense.sh.
 func BenchmarkGraphDense(b *testing.B) {
 	// 64 excess/hole pairs instead of one: the run length is a sum of ~64
 	// annihilation walks, concentrated enough for a single-iteration CI

@@ -39,25 +39,22 @@
 //     Two protocol variants ride the same machinery: the strict (>) tie
 //     rule swaps in the shifted move weight W′ = Σ_v v·count[v]·C(v−2)
 //     (same index, eligible destinations two levels down; gate A7), and
-//     regular graph topologies run a hybrid sampler chosen by degree.
-//     Below the threshold max(8, log₂ n) — ring, torus, hypercube, the
-//     8-regular expander — an exact per-source admissible-neighbor
-//     count makes the eventful probability W_G/(m·Δ_G) and pair
-//     sampling walks a bin-indexed Fenwick tree plus one neighborhood
-//     scan, O(Δ_G² + Δ_G·log n) per move. Above it (random d-regular
-//     with large d) that quadratic neighborhood maintenance dominates,
-//     so the engine switches to rejection-within-blocks against the
-//     lazy upper bound Ŵ_G = Σ_i load(i)·admUB(i) ≥ W_G: block
-//     skipping runs Geometric/Erlang draws at rate Ŵ_G/(m·Δ_G) off a
-//     load-only Fenwick tree, each eventful activation samples a
-//     source ∝ load·bound plus a uniform neighbor slot and accepts iff
-//     the move is admissible, and a rejection refreshes that source's
-//     cached bound to its exact admissible count — retries tighten the
-//     bound, so the expected retries per event stay O(Ŵ_G/W_G). A
-//     flag-thinning coupling makes the two paths the same
+//     regular graph topologies run an exact per-source
+//     admissible-neighbor count at every degree: it makes the eventful
+//     probability W_G/(m·Δ_G), pair sampling walks a bin-indexed
+//     Fenwick tree plus one neighborhood scan, and a move updates the
+//     index incrementally — each changed bin is recounted, and each
+//     neighbor whose one slot back at that bin flipped admissibility
+//     takes ±1 — so a move costs O(Δ_G + flips·log n). The
+//     alternative, rejection-within-blocks against the lazy upper bound
+//     Ŵ_G = Σ_i load(i)·admUB(i) ≥ W_G, runs Geometric/Erlang block
+//     skipping at rate Ŵ_G/(m·Δ_G) off a load-only Fenwick tree,
+//     accepts an eventful activation iff the sampled slot is
+//     admissible, and tightens a source's cached bound on each
+//     rejection. A flag-thinning coupling makes the two paths the same
 //     per-activation move law (gate A8, including dense KS rows);
-//     WithGraphSampler forces either path, and the default auto choice
-//     is a pure function of (Δ_G, n) so runs stay reproducible.
+//     WithGraphSampler(GraphSamplerRejection) selects the hybrid, and
+//     the default auto choice is exact so runs stay reproducible.
 //     Strict + topology together is rejected: the graph processes in
 //     the literature use the plain rule.
 //   - ShardedEngine partitions the bins into WithShards contiguous

@@ -73,8 +73,8 @@ func testEnginePairByteIdentical(t *testing.T, ref, cand []Option) {
 
 // TestGraphSamplerRunnerByteIdentical pins auto ≡ exact at the Runner
 // level on a bounded-degree graph (the ring adapts to every grid shape):
-// below the degree threshold the auto choice must be the very same
-// sampler, draw for draw, across every placement and target kind.
+// the auto choice must be the very same sampler, draw for draw, across
+// every placement and target kind.
 func TestGraphSamplerRunnerByteIdentical(t *testing.T) {
 	testEnginePairByteIdentical(t,
 		[]Option{WithEngineMode(JumpEngine), WithTopology(RingTopology())},

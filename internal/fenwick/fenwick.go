@@ -22,11 +22,26 @@ type Tree struct {
 
 // New returns a zeroed tree over n leaves (n >= 0).
 func New(n int) *Tree {
-	t := &Tree{tree: make([]int64, n+1), n: n, top: 1}
+	t := &Tree{}
+	t.Reset(n)
+	return t
+}
+
+// Reset zeroes the tree and resizes it to n leaves (n >= 0), reusing the
+// backing array when its capacity allows, so an index that rebuilds its
+// trees as its range grows and shrinks allocates only on growth past the
+// largest size it has held.
+func (t *Tree) Reset(n int) {
+	if cap(t.tree) < n+1 {
+		t.tree = make([]int64, n+1)
+	} else {
+		t.tree = t.tree[:n+1]
+		clear(t.tree)
+	}
+	t.n, t.top = n, 1
 	for t.top<<1 <= n {
 		t.top <<= 1
 	}
-	return t
 }
 
 // From builds a tree holding the given leaf values in O(n): each node

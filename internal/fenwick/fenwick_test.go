@@ -99,3 +99,47 @@ func TestFindDiff(t *testing.T) {
 		}
 	}
 }
+
+// TestReset checks that a reset tree, shrunk or grown, behaves exactly
+// like a fresh one of the new size, and that shrinking reuses the backing
+// array instead of allocating.
+func TestReset(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	tr := New(64)
+	for i := 0; i < 64; i++ {
+		tr.Add(i, int64(r.Intn(9)))
+	}
+	for _, n := range []int{5, 1, 0, 33, 64, 100} {
+		tr.Reset(n)
+		if tr.N() != n {
+			t.Fatalf("Reset(%d): N() = %d", n, tr.N())
+		}
+		vals := make(naive, n)
+		for i := range vals {
+			vals[i] = int64(r.Intn(5))
+			tr.Add(i, vals[i])
+		}
+		fresh := From(vals)
+		for i := 0; i < n; i++ {
+			if got, want := tr.Prefix(i), vals.prefix(i); got != want {
+				t.Fatalf("Reset(%d): Prefix(%d) = %d, want %d", n, i, got, want)
+			}
+		}
+		if total := vals.prefix(n - 1); total > 0 {
+			for target := int64(0); target < total; target++ {
+				gi, grem := tr.Find(target)
+				wi, wrem := fresh.Find(target)
+				if gi != wi || grem != wrem {
+					t.Fatalf("Reset(%d): Find(%d) = (%d,%d), fresh tree gives (%d,%d)", n, target, gi, grem, wi, wrem)
+				}
+			}
+		}
+	}
+	big := New(1024)
+	if allocs := testing.AllocsPerRun(10, func() {
+		big.Reset(16)
+		big.Reset(1024)
+	}); allocs != 0 {
+		t.Fatalf("Reset within capacity allocated %v times", allocs)
+	}
+}

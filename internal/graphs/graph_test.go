@@ -35,6 +35,52 @@ func checkSymmetric(t *testing.T, g Graph) {
 	}
 }
 
+// TestSlotMultisetsSymmetric checks the property the graph jump engines
+// rely on: for every catalogue topology, vertex v lists w among its slots
+// exactly as often as w lists v (self-slots included). The exact index's
+// O(Δ) update enumerates the slots j→b by walking b's own slots, and the
+// hybrid's neighbor bump credits j once per slot j→b, so an asymmetric
+// multiset would silently corrupt both. Small sizes are included on
+// purpose: they are where wraparound produces parallel edges and
+// self-loops.
+func TestSlotMultisetsSymmetric(t *testing.T) {
+	var topos []Graph
+	for n := 1; n <= 6; n++ {
+		topos = append(topos, Complete{Vertices: n}, Ring{Vertices: n})
+	}
+	for side := 1; side <= 6; side++ {
+		topos = append(topos, Torus2D{Side: side}, Expander{Side: side})
+	}
+	for dim := 1; dim <= 6; dim++ {
+		topos = append(topos, Hypercube{Dim: dim})
+	}
+	for _, c := range []struct{ n, d int }{{2, 1}, {4, 3}, {16, 3}, {16, 6}, {64, 16}, {128, 32}} {
+		g, err := NewRandomRegularSeed(c.n, c.d, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, g)
+	}
+	for _, g := range topos {
+		n := g.N()
+		count := make(map[[2]int]int)
+		for v := 0; v < n; v++ {
+			for k := 0; k < g.Degree(v); k++ {
+				w := g.Neighbor(v, k)
+				if w < 0 || w >= n {
+					t.Fatalf("%s (n=%d): slot %d of %d points at %d", g.Name(), n, k, v, w)
+				}
+				count[[2]int{v, w}]++
+			}
+		}
+		for e, c := range count {
+			if back := count[[2]int{e[1], e[0]}]; back != c {
+				t.Fatalf("%s (n=%d): %d lists %d %d times, reverse %d times", g.Name(), n, e[0], e[1], c, back)
+			}
+		}
+	}
+}
+
 func TestCompleteGraph(t *testing.T) {
 	g := Complete{Vertices: 5}
 	if g.N() != 5 || g.Degree(0) != 5 {

@@ -135,9 +135,9 @@ func init() {
 					jumpActs/directActs, jumpMoves/directMoves,
 					d, stats.KSCritical(reps, reps, 0.01), fmt.Sprintf("%v", same))
 			}
-			// PR 10 extension: the dense families where the auto sampler
-			// switches to rejection-within-blocks. Direct simulation at the
-			// Full sizes is out of reach, so these rows hold the hybrid to
+			// The dense families, with rejection-within-blocks forced (auto
+			// builds the exact index at every degree). Direct simulation at
+			// the Full sizes is out of reach, so these rows hold the hybrid to
 			// the exact jump engine — whose law the rows above pin to the
 			// direct engine — closing the chain direct ≡ exact ≡ hybrid.
 			// The one-choice start keeps the Full size (n = 65536) feasible.

@@ -60,13 +60,21 @@ type levelIndex struct {
 	xTotal int64             // X = Σ_v x[v]
 }
 
+// levelSize is the construction rule for the indexed level range: the
+// smallest power of two ≥ 4 above max+1, so the top level has headroom
+// before the first grow.
+func levelSize(max int) int {
+	size := 4
+	for size <= max+1 {
+		size *= 2
+	}
+	return size
+}
+
 // newLevelIndex builds the index for the configuration's current state
 // with the given tie gap (1 = plain, 2 = strict).
 func newLevelIndex(c *Config, gap int) *levelIndex {
-	size := 4
-	for size <= c.max+1 {
-		size *= 2
-	}
+	size := levelSize(c.max)
 	x := &levelIndex{
 		gap:    gap,
 		binsAt: make([][]int32, size),
@@ -83,11 +91,15 @@ func newLevelIndex(c *Config, gap int) *levelIndex {
 }
 
 // rebuildTrees derives all three Fenwick trees (and sval/wTotal) from the
-// binsAt lists alone. Used on construction and when the level range grows.
+// binsAt lists alone. Used on construction and when the level range grows
+// or shrinks; existing trees are reset in place.
 func (x *levelIndex) rebuildTrees() {
-	x.cnt = fenwick.New(x.size)
-	x.bal = fenwick.New(x.size)
-	x.mvw = fenwick.New(x.size)
+	if x.cnt == nil {
+		x.cnt, x.bal, x.mvw = new(fenwick.Tree), new(fenwick.Tree), new(fenwick.Tree)
+	}
+	x.cnt.Reset(x.size)
+	x.bal.Reset(x.size)
+	x.mvw.Reset(x.size)
 	x.wTotal = 0
 	for v, lst := range x.binsAt {
 		if len(lst) == 0 {
@@ -117,9 +129,12 @@ func (x *levelIndex) rebuildTrees() {
 
 // rebuildExternal rederives the external-weight tree from the binsAt lists
 // and the installed prefix; called when the prefix changes (every shard
-// barrier) and when the level range grows.
+// barrier) and when the level range grows or shrinks.
 func (x *levelIndex) rebuildExternal() {
-	x.xw = fenwick.New(x.size)
+	if x.xw == nil {
+		x.xw = new(fenwick.Tree)
+	}
+	x.xw.Reset(x.size)
 	if len(x.xval) < x.size {
 		x.xval = make([]int64, x.size)
 	} else {
@@ -147,11 +162,44 @@ func (x *levelIndex) grow(need int) {
 	for size <= need {
 		size *= 2
 	}
-	ext := make([][]int32, size-len(x.binsAt))
-	x.binsAt = append(x.binsAt, ext...)
-	x.sval = append(x.sval, make([]int64, size-len(x.sval))...)
+	x.resize(size)
+}
+
+// shrink cuts the indexed level range back to the construction-rule size
+// once the top occupied level has fallen to a quarter of it, so Fenwick
+// walks cost O(log max) rather than O(log of the largest max ever seen) —
+// an all-in-one start otherwise leaves an end-game with max ≤ 2 walking
+// every tree over ~2m levels. Shrinking at a quarter while grow doubles on
+// overflow leaves a factor-4 hysteresis band: after a grow to 2S at
+// max = S, the next shrink needs max < S/2, so the O(size) rebuilds stay
+// amortized O(1) per transition.
+func (x *levelIndex) shrink(max int) {
+	if (max+1)*4 > x.size {
+		return
+	}
+	if size := levelSize(max); size < x.size {
+		x.resize(size)
+	}
+}
+
+// resize sets the indexed level range to size levels and rebuilds the
+// trees in place. Levels cut off hold no bins, and binsAt/sval past their
+// length keep only empty lists and zero weights, so a later grow within
+// capacity reslices instead of allocating.
+func (x *levelIndex) resize(size int) {
+	x.binsAt = resized(x.binsAt, size)
+	x.sval = resized(x.sval, size)
 	x.size = size
 	x.rebuildTrees()
+}
+
+// resized returns s with length n, reslicing within capacity and
+// zero-extending past it.
+func resized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // transition records that bin moved from level `from` to level `to`

@@ -12,9 +12,9 @@ import (
 // The differential harness instantiated at the sim layer for the graph
 // sampler pair. The claims, per testutil's taxonomy:
 //
-//   - auto ≡ exact below the degree threshold, byte for byte — the two
+//   - auto ≡ exact at every degree, byte for byte — the two
 //     constructions are the same sampler, so every draw, move, and clock
-//     must coincide (this doubles as the threshold regression at engine
+//     must coincide (this doubles as the resolution regression at engine
 //     granularity: if auto ever resolved differently, move sequences
 //     would diverge on the first event);
 //   - exact vs forced-rejection agree in law — the hybrid consumes
@@ -65,7 +65,11 @@ func topoName(g Topology) string {
 }
 
 func TestGraphSamplerAutoByteIdenticalToExact(t *testing.T) {
-	for _, g := range catalogueTopologies() {
+	dense, err := graphs.NewRandomRegularSeed(64, 16, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range append(catalogueTopologies(), dense) {
 		testutil.ByteIdentical(t, "auto-vs-exact/"+topoName(g),
 			[]uint64{1, 42, 0xA11CE},
 			graphArm(g, 4*g.N(), GraphSamplerAuto),
@@ -88,8 +92,7 @@ func TestGraphSamplerExactVsRejectionSameLaw(t *testing.T) {
 			graphArm(g, 2*g.N(), GraphSamplerExact),
 			graphArm(g, 2*g.N(), GraphSamplerRejection))
 	}
-	// The dense-degree family the hybrid actually serves (auto resolves to
-	// rejection here): degree above the threshold, m = 4n as in
+	// The dense-degree family the hybrid was built for, m = 4n as in
 	// BenchmarkGraphDense.
 	rr, err := graphs.NewRandomRegularSeed(64, 16, 7)
 	if err != nil {

@@ -32,8 +32,9 @@ type Engine struct {
 	gaps    GapSampler        // non-nil when the sampler owns event timing
 	mover   Mover
 	r       *rng.RNG
-	jump    bool         // rejection-free jump-chain mode (see jump.go)
-	gidx    graphSampler // jump mode on a graph topology: exact index or rejection hybrid (jumpgraph.go, jumpgraphhybrid.go)
+	jump    bool             // rejection-free jump-chain mode (see jump.go)
+	gidx    graphSampler     // jump mode on a graph topology: exact index or rejection hybrid (jumpgraph.go, jumpgraphhybrid.go)
+	gmode   GraphSamplerMode // the requested graph sampler mode; auto lets a snapshot's tag pick on restore
 
 	time        float64
 	activations int64
@@ -147,7 +148,7 @@ func (e *Engine) AddBall(bin int) {
 		e.sampler.AddBall(bin)
 	}
 	if e.gidx != nil {
-		e.gidx.update(e.cfg, bin)
+		e.gidx.update(e.cfg, bin, -1)
 	}
 }
 
@@ -160,7 +161,7 @@ func (e *Engine) RemoveBall(bin int) {
 		e.sampler.RemoveBall(bin)
 	}
 	if e.gidx != nil {
-		e.gidx.update(e.cfg, bin)
+		e.gidx.update(e.cfg, bin, -1)
 	}
 }
 

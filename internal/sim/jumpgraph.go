@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/fenwick"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -40,25 +42,28 @@ type Topology interface {
 // destination's probability in both) and makes self-loops harmless (a
 // self-slot is never admissible).
 //
-// A load change at bin b can flip the admissibility of b's own slots and
-// of the slot pointing back at b from each neighbor, so an update
-// recomputes the (≤ 1+Δ)-bin neighborhood by scan: O(Δ²) comparisons
-// plus O(Δ·log n) tree updates per move or churn event. That is the
-// bounded-degree trade: exact weights and zero rejections for ring,
-// torus, hypercube, and friends; dense graphs (Δ ~ n) want the
-// level-bound rejection scheme instead (see ROADMAP).
+// A load change at bin b flips the admissibility of b's own slots and of
+// the slots j→b pointing back at b. The catalogue's slot lists are
+// symmetric as multisets (b lists j as often as j lists b), so walking
+// b's Δ slots enumerates every slot j→b; when load(b) steps from old to
+// new, slot j→b flips only if load(j) sits at the one turning level
+// max(old, new), and adm[j] moves by ±1 without a rescan of j. Only the
+// changed bins themselves are recounted, in the same pass. An update
+// therefore costs O(Δ) comparisons plus one Fenwick update per flipped
+// neighbor and per changed bin — O(Δ + flips·log n) — against O(Δ·log n)
+// for the rejection hybrid, which bumps every neighbor of a vacated bin,
+// and it never rejects; so the exact index serves every degree by
+// default. The previous loads live in a mirror (derived state, rebuilt
+// on restore, never serialized), which the slot scans also read for
+// locality.
 type graphIndex struct {
 	g     Topology
 	deg   int           // uniform degree Δ
+	loads []int32       // mirror of cfg loads as of the last update
 	adm   []int32       // admissible slot count per bin
 	wval  []int64       // current w_i = load(i)·adm[i]
 	wt    *fenwick.Tree // Fenwick over wval
 	total int64         // W_G
-
-	// Scratch for update's neighborhood dedup (epoch stamping, no alloc).
-	stamp   []int64
-	epoch   int64
-	touched []int32
 }
 
 // newGraphIndex builds the structure for the configuration's current
@@ -67,34 +72,40 @@ type graphIndex struct {
 // per-activation move probability a single ratio W_G/(m·Δ).
 func newGraphIndex(cfg *loadvec.Config, g Topology) *graphIndex {
 	n := cfg.N()
-	deg := regularTopologyDegree(cfg, g)
 	gx := &graphIndex{
-		g:       g,
-		deg:     deg,
-		adm:     make([]int32, n),
-		wval:    make([]int64, n),
-		wt:      fenwick.New(n),
-		stamp:   make([]int64, n),
-		touched: make([]int32, 0, 2*(deg+1)),
+		g:     g,
+		deg:   regularTopologyDegree(cfg, g),
+		loads: make([]int32, n),
+		adm:   make([]int32, n),
+		wval:  make([]int64, n),
+		wt:    fenwick.New(n),
 	}
-	for i := 0; i < n; i++ {
-		gx.recompute(cfg, i)
+	for i := range gx.loads {
+		gx.loads[i] = int32(cfg.Load(i))
+	}
+	for i := range gx.adm {
+		gx.setAdm(i, gx.countAdm(i))
 	}
 	return gx
 }
 
-// recompute rescans bin i's slots against the live loads and applies the
-// weight difference as a point update.
-func (gx *graphIndex) recompute(cfg *loadvec.Config, i int) {
-	li := cfg.Load(i)
-	a := 0
+// countAdm rescans bin i's slots against the mirrored loads.
+func (gx *graphIndex) countAdm(i int) int32 {
+	li := gx.loads[i]
+	a := int32(0)
 	for k := 0; k < gx.deg; k++ {
-		if cfg.Load(gx.g.Neighbor(i, k)) <= li-1 {
+		if gx.loads[gx.g.Neighbor(i, k)] < li {
 			a++
 		}
 	}
-	gx.adm[i] = int32(a)
-	w := int64(li) * int64(a)
+	return a
+}
+
+// setAdm installs bin i's admissible count and applies the weight
+// difference as a Fenwick point update.
+func (gx *graphIndex) setAdm(i int, a int32) {
+	gx.adm[i] = a
+	w := int64(gx.loads[i]) * int64(a)
 	if d := w - gx.wval[i]; d != 0 {
 		gx.wt.Add(i, d)
 		gx.wval[i] = w
@@ -102,28 +113,78 @@ func (gx *graphIndex) recompute(cfg *loadvec.Config, i int) {
 	}
 }
 
-// update refreshes the structure after the loads of the given bins
-// changed (a move's endpoints, or one churn bin): each changed bin and
-// its full neighborhood are recomputed once, deduplicated by epoch stamp.
-func (gx *graphIndex) update(cfg *loadvec.Config, bins ...int) {
-	gx.epoch++
-	touched := gx.touched[:0]
-	add := func(i int) {
-		if gx.stamp[i] != gx.epoch {
-			gx.stamp[i] = gx.epoch
-			touched = append(touched, int32(i))
+// update refreshes the structure after the loads of bins a and b changed
+// (a move's endpoints, or one churn bin with b = -1). Both mirror entries
+// are refreshed first, so each changed bin's recount sees the other's
+// final load; a neighbor that is itself a changed bin is left to its own
+// recount, so adjacent endpoints are counted once.
+func (gx *graphIndex) update(cfg *loadvec.Config, a, b int) {
+	oldA := gx.loads[a]
+	gx.loads[a] = int32(cfg.Load(a))
+	oldB := int32(0)
+	if b >= 0 {
+		oldB = gx.loads[b]
+		gx.loads[b] = int32(cfg.Load(b))
+	}
+	gx.refresh(a, b, oldA)
+	if b >= 0 {
+		gx.refresh(b, a, oldB)
+	}
+}
+
+// refresh applies bin c's load change old → loads[c] to the slots
+// pointing back at c, then recounts c itself; other (the second changed
+// bin, or -1) is skipped as a neighbor because it recounts itself.
+func (gx *graphIndex) refresh(c, other int, old int32) {
+	lc := gx.loads[c]
+	a := int32(0)
+	for k := 0; k < gx.deg; k++ {
+		j := gx.g.Neighbor(c, k)
+		lj := gx.loads[j]
+		if lj < lc {
+			a++
+		}
+		if j == c || j == other {
+			continue
+		}
+		// Slot j→c is admissible iff load(c) < load(j): it turns on when
+		// c drops from lj to below, off when c climbs to lj.
+		var d int32
+		if lc < lj {
+			d++
+		}
+		if old < lj {
+			d--
+		}
+		if d != 0 {
+			gx.setAdm(j, gx.adm[j]+d)
 		}
 	}
-	for _, b := range bins {
-		add(b)
-		for k := 0; k < gx.deg; k++ {
-			add(gx.g.Neighbor(b, k))
+	gx.setAdm(c, a)
+}
+
+// validate cross-checks the incrementally maintained state — the loads
+// mirror, adm, wval, the Fenwick leaves and W_G — against a fresh build
+// over the configuration's live loads.
+func (gx *graphIndex) validate(cfg *loadvec.Config) error {
+	fresh := newGraphIndex(cfg, gx.g)
+	leaves := gx.wt.Leaves()
+	for i := range fresh.adm {
+		switch {
+		case gx.loads[i] != fresh.loads[i]:
+			return fmt.Errorf("sim: graph index load mirror[%d] = %d, config has %d", i, gx.loads[i], fresh.loads[i])
+		case gx.adm[i] != fresh.adm[i]:
+			return fmt.Errorf("sim: graph index adm[%d] = %d, fresh %d", i, gx.adm[i], fresh.adm[i])
+		case gx.wval[i] != fresh.wval[i]:
+			return fmt.Errorf("sim: graph index w[%d] = %d, fresh %d", i, gx.wval[i], fresh.wval[i])
+		case leaves[i] != fresh.wval[i]:
+			return fmt.Errorf("sim: graph index Fenwick leaf %d = %d, fresh %d", i, leaves[i], fresh.wval[i])
 		}
 	}
-	for _, i := range touched {
-		gx.recompute(cfg, int(i))
+	if gx.total != fresh.total {
+		return fmt.Errorf("sim: graph index W_G = %d, fresh %d", gx.total, fresh.total)
 	}
-	gx.touched = touched[:0]
+	return nil
 }
 
 func (gx *graphIndex) topology() Topology { return gx.g }
@@ -133,22 +194,22 @@ func (gx *graphIndex) degree() int        { return gx.deg }
 // event implements graphSampler: the exact index never rejects, so every
 // eventful activation is the move sample itself.
 func (gx *graphIndex) event(cfg *loadvec.Config, r *rng.RNG) (src, dst int, ok bool) {
-	src, dst = gx.sample(cfg, r)
+	src, dst = gx.sample(r)
 	return src, dst, true
 }
 
 // sample draws one jump-chain move: src with probability ∝
 // load(src)·adm[src], then a uniform admissible slot of src. The caller
 // guarantees total > 0.
-func (gx *graphIndex) sample(cfg *loadvec.Config, r *rng.RNG) (src, dst int) {
+func (gx *graphIndex) sample(r *rng.RNG) (src, dst int) {
 	i, rem := gx.wt.Find(r.Int63n(gx.total))
 	// rem is uniform over [0, load(i)·adm[i]); folding out the ball
 	// multiplicity leaves a uniform admissible-slot index.
 	j := int(rem % int64(gx.adm[i]))
-	li := cfg.Load(i)
+	li := gx.loads[i]
 	for k := 0; k < gx.deg; k++ {
 		nb := gx.g.Neighbor(i, k)
-		if cfg.Load(nb) <= li-1 {
+		if gx.loads[nb] < li {
 			if j == 0 {
 				return i, nb
 			}
@@ -162,22 +223,20 @@ func (gx *graphIndex) sample(cfg *loadvec.Config, r *rng.RNG) (src, dst int) {
 // restricted to a regular graph topology (the §7 extension simulated by
 // graphs.GraphRLS): a ball in bin i samples a uniform neighbor slot and
 // moves iff the neighbor's load is lower. Like NewJumpEngine it simulates
-// only the embedded jump chain — Geometric(w/(m·Δ)) null blocks, Erlang
-// time gaps — where w is either the exact move weight
-// W_G = Σ_i load(i)·adm[i] maintained by per-source admissible-slot
-// counts (graphIndex: O(Δ²+Δ·log n) per move, every event a real move)
-// or, above the auto degree threshold, the lazy bound Ŵ_G ≥ W_G of the
-// rejection-within-blocks sampler (graphHybrid: O(Δ·log n) per move,
-// expected Ŵ_G/W_G events per move). SetHorizon's thinned-Poisson clamp
-// conditions on the same w, so time-targeted runs stay exact in both.
+// only the embedded jump chain — Geometric(W_G/(m·Δ)) null blocks, Erlang
+// time gaps — with the exact move weight W_G = Σ_i load(i)·adm[i]
+// maintained by per-source admissible-slot counts (graphIndex:
+// O(Δ + flips·log n) per move, every event a real move). SetHorizon's
+// thinned-Poisson clamp conditions on the same weight, so time-targeted
+// runs stay exact.
 //
-// This constructor is NewGraphJumpEngineMode with GraphSamplerAuto: ring,
-// torus, hypercube, and the expander keep the exact index (and their
-// byte-identical goldens); random d-regular graphs with
-// d > GraphSamplerThreshold(n) get the hybrid. The balancing-time law is
-// identical to the direct engine's either way (experiment A8 KS-tests
-// it). The topology must be regular; multigraph slots (parallel edges,
-// self-loops) are handled exactly.
+// This constructor is NewGraphJumpEngineMode with GraphSamplerAuto, which
+// builds the exact index at every degree; the rejection-within-blocks
+// hybrid (graphHybrid) is reachable through GraphSamplerRejection. The
+// balancing-time law is identical to the direct engine's either way
+// (experiment A8 KS-tests it). The topology must be regular and its slot
+// lists symmetric as multisets, as every catalogue topology's are;
+// multigraph slots (parallel edges, self-loops) are handled exactly.
 func NewGraphJumpEngine(initial loadvec.Vector, g Topology, r *rng.RNG) *Engine {
 	return NewGraphJumpEngineMode(initial, g, GraphSamplerAuto, r)
 }

@@ -26,20 +26,49 @@ func scratchGraphWeight(v loadvec.Vector, g Topology) int64 {
 }
 
 // TestGraphIndexMatchesScratch drives the index through random moves and
-// churn on several regular topologies, validating the total and each
-// per-bin admissible count against a from-scratch recompute.
+// churn on every catalogue family, running validate (a fresh-build
+// cross-check of the load mirror, adm, the weights, the Fenwick leaves and
+// W_G) after every op and a from-scratch recount of the total and each
+// admissible count periodically. The small expanders carry self-loops and
+// parallel edges, and the random regular graphs keep the pairing model's
+// multi-edges — the slot multiplicities the O(Δ) update must count.
 func TestGraphIndexMatchesScratch(t *testing.T) {
 	r := rng.New(555)
 	topos := []Topology{
 		graphs.Ring{Vertices: 16},
+		graphs.Ring{Vertices: 2},
 		graphs.Torus2D{Side: 4},
+		graphs.Torus2D{Side: 2},
 		graphs.Hypercube{Dim: 4},
+		graphs.Expander{Side: 3},
+		graphs.Expander{Side: 4},
+		graphs.Expander{Side: 5},
 	}
 	rr, err := graphs.NewRandomRegular(16, 3, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	topos = append(topos, rr) // the pairing model keeps multi-edges
+	dense, err := graphs.NewRandomRegularSeed(32, 16, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos = append(topos, dense)
+	// The expander at side 3 must exercise both multigraph features.
+	selfLoop, parallel := false, false
+	e3 := graphs.Expander{Side: 3}
+	for i := 0; i < e3.N(); i++ {
+		seen := map[int]bool{}
+		for k := 0; k < e3.Degree(i); k++ {
+			j := e3.Neighbor(i, k)
+			selfLoop = selfLoop || j == i
+			parallel = parallel || (j != i && seen[j])
+			seen[j] = true
+		}
+	}
+	if !selfLoop || !parallel {
+		t.Fatalf("expander side 3: self-loop %v, parallel edge %v; want both", selfLoop, parallel)
+	}
 	for _, g := range topos {
 		n := g.N()
 		v := make(loadvec.Vector, n)
@@ -52,6 +81,12 @@ func TestGraphIndexMatchesScratch(t *testing.T) {
 		cfg := loadvec.NewConfig(v)
 		gx := newGraphIndex(cfg, g)
 		check := func(step int) {
+			if err := gx.validate(cfg); err != nil {
+				t.Fatalf("%T n=%d step %d: %v", g, n, step, err)
+			}
+			if step%23 != 0 {
+				return
+			}
 			loads := cfg.Snapshot()
 			if got, want := gx.total, scratchGraphWeight(loads, g); got != want {
 				t.Fatalf("step %d: W_G = %d, want %d (loads %v)", step, got, want, loads)
@@ -70,7 +105,7 @@ func TestGraphIndexMatchesScratch(t *testing.T) {
 		}
 		check(-1)
 		for step := 0; step < 400; step++ {
-			switch r.Intn(4) {
+			switch r.Intn(5) {
 			case 0: // graph-legal move
 				src := r.Intn(n)
 				if gx.adm[src] > 0 && cfg.Load(src) > 0 {
@@ -80,25 +115,29 @@ func TestGraphIndexMatchesScratch(t *testing.T) {
 						gx.update(cfg, src, dst)
 					}
 				}
-			case 1: // destructive move
+			case 1: // sampled jump-chain move
+				if gx.total > 0 {
+					src, dst := gx.sample(r)
+					cfg.Move(src, dst)
+					gx.update(cfg, src, dst)
+				}
+			case 2: // destructive move
 				src, dst := r.Intn(n), r.Intn(n)
 				if src != dst && cfg.Load(src) > 0 {
 					cfg.Move(src, dst)
 					gx.update(cfg, src, dst)
 				}
-			case 2:
+			case 3:
 				bin := r.Intn(n)
 				cfg.AddBall(bin)
-				gx.update(cfg, bin)
-			case 3:
+				gx.update(cfg, bin, -1)
+			case 4:
 				if bin := r.Intn(n); cfg.Load(bin) > 0 && cfg.M() > 1 {
 					cfg.RemoveBall(bin)
-					gx.update(cfg, bin)
+					gx.update(cfg, bin, -1)
 				}
 			}
-			if step%23 == 0 {
-				check(step)
-			}
+			check(step)
 		}
 		check(400)
 	}
@@ -121,7 +160,7 @@ func TestGraphIndexSampleLaw(t *testing.T) {
 	const draws = 200000
 	counts := map[[2]int]int{}
 	for i := 0; i < draws; i++ {
-		src, dst := gx.sample(cfg, r)
+		src, dst := gx.sample(r)
 		if v[dst] > v[src]-1 {
 			t.Fatalf("illegal pair (%d,%d): loads %d,%d", src, dst, v[src], v[dst])
 		}

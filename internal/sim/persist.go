@@ -328,19 +328,22 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 		return d.Err()
 	}
 	var admUB []int32
-	switch e.gidx.(type) {
-	case nil:
+	switch {
+	case e.gidx == nil:
 		if gtag != graphNone {
 			return persist.Corruptf("snapshot carries graph sampler tag %d, engine has none", gtag)
 		}
-	case *graphIndex:
-		if gtag != graphExact {
-			return persist.Corruptf("snapshot graph sampler tag %d, engine wants exact", gtag)
-		}
-	case *graphHybrid:
-		if gtag != graphRejection {
-			return persist.Corruptf("snapshot graph sampler tag %d, engine wants rejection", gtag)
-		}
+	case gtag != graphExact && gtag != graphRejection:
+		return persist.Corruptf("snapshot graph sampler tag %d on a graph engine", gtag)
+	case e.gmode == GraphSamplerExact && gtag != graphExact:
+		return persist.Corruptf("snapshot graph sampler tag %d, engine wants exact", gtag)
+	case e.gmode == GraphSamplerRejection && gtag != graphRejection:
+		return persist.Corruptf("snapshot graph sampler tag %d, engine wants rejection", gtag)
+	}
+	// Under auto the payload's tag picks the sampler: auto resolved to the
+	// hybrid above a degree threshold in older builds, and those snapshots
+	// resume onto the hybrid they recorded.
+	if e.gidx != nil && gtag == graphRejection {
 		admUB = d.I32s()
 	}
 	var st [4]uint64
@@ -358,16 +361,17 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	// Rebuild the graph sampler over the restored configuration before
 	// committing anything, so a corrupt payload leaves the engine intact.
 	var gidx graphSampler
-	switch gx := e.gidx.(type) {
-	case *graphIndex:
+	switch {
+	case e.gidx == nil:
+	case gtag == graphExact:
 		// The exact index is a deterministic function of the loads and the
 		// topology; rebuild it outright.
-		gidx = newGraphIndex(cfg, gx.g)
-	case *graphHybrid:
+		gidx = newGraphIndex(cfg, e.gidx.topology())
+	default:
 		// The loads and topology are rebuilt; the lazy bounds are the
 		// verbatim payload, validated against the invariant
 		// adm(i) ≤ admUB[i] ≤ Δ they must satisfy.
-		nh := newGraphHybrid(cfg, gx.g)
+		nh := newGraphHybrid(cfg, e.gidx.topology())
 		if len(admUB) != cfg.N() {
 			return persist.Corruptf("graph sampler bounds over %d bins, config has %d", len(admUB), cfg.N())
 		}

@@ -49,7 +49,7 @@ type Arm func(seed uint64) Fingerprint
 // for every seed: equal Time under math.Float64bits (NaN-safe, no
 // epsilon), equal counters, equal final loads, equal Extra words, equal
 // move sequences. This is the claim behind the repo's "P = 1 sharded ≡
-// direct" and "auto sampler ≡ exact sampler below threshold" pins: not
+// direct" and "auto sampler ≡ exact sampler" pins: not
 // just the same law, the same draws.
 func ByteIdentical(t *testing.T, name string, seeds []uint64, a, b Arm) {
 	t.Helper()

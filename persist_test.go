@@ -25,9 +25,9 @@ func snapshotMatrix() []snapshotCase {
 		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
 		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
 		{"jump-ring", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RingTopology())}},
-		// Both graph-sampler paths (and both new topology codes): the
-		// expander resolves to exact under auto at these sizes, the forced
-		// rejection cells serialize the hybrid's admissible bounds. Matrix
+		// Both graph-sampler paths (and both new topology codes): auto
+		// resolves to exact at every degree, the forced rejection cells
+		// serialize the hybrid's admissible bounds. Matrix
 		// sizes (16 and 64 bins) are perfect squares by design.
 		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
 		{"jump-expander-hybrid", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology()), WithSessionGraphSampler(GraphSamplerRejection)}},
@@ -125,6 +125,142 @@ func TestResumeByteIdentical(t *testing.T) {
 				t.Fatalf("final snapshots differ (%d vs %d bytes): resume is not byte-identical", len(fa), len(fb))
 			}
 		})
+	}
+}
+
+// TestResumeAcrossLevelIndexShrink snapshots jump-family sessions from an
+// all-in-one start, while the level index still spans ~2m levels, and
+// checks the resumed run continues through the index's shrink byte for
+// byte with the uninterrupted one.
+func TestResumeAcrossLevelIndexShrink(t *testing.T) {
+	const n, m, seed = 64, 512, 0x5A1
+	for _, tc := range []snapshotCase{
+		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
+		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
+		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
+		{"shardedjump-p3", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewSession(n, seed, tc.opts...)
+			for i := 0; i < m; i++ {
+				if err := a.AddBall(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.RunFor(0.01); err != nil {
+				t.Fatal(err)
+			}
+			maxAt := func(s *Session) int {
+				mx := 0
+				for _, l := range s.Loads() {
+					mx = max(mx, l)
+				}
+				return mx
+			}
+			mid := maxAt(a)
+			raw := sessionSnapshotBytes(t, a)
+			b, err := ResumeSession(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			for _, s := range []*Session{a, b} {
+				if ok, err := s.RunUntilPerfect(1 << 40); err != nil || !ok {
+					t.Fatalf("run to perfect: ok=%v err=%v", ok, err)
+				}
+			}
+			// The index covered more than mid+1 levels at the snapshot and
+			// shrinks once (max+1)·4 fits in it, so this run crossed a shrink.
+			if end := maxAt(a); (end+1)*4 > mid {
+				t.Fatalf("max load %d → %d does not force a shrink", mid, end)
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("stats diverged after resume:\n%+v\n%+v", sa, sb)
+			}
+			if fa, fb := sessionSnapshotBytes(t, a), sessionSnapshotBytes(t, b); !bytes.Equal(fa, fb) {
+				t.Fatalf("final snapshots differ (%d vs %d bytes)", len(fa), len(fb))
+			}
+		})
+	}
+}
+
+// TestResumeAutoSamplerFollowsPayload covers artifacts written when auto
+// picked the rejection hybrid on dense graphs: meta says auto, the engine
+// payload carries the hybrid's tag and bounds. Such snapshots and trace
+// seek points must resume onto the hybrid and continue byte-identically,
+// while a payload that contradicts an explicit exact or rejection choice
+// stays a typed corruption error.
+func TestResumeAutoSamplerFollowsPayload(t *testing.T) {
+	const n = 64
+	dense := WithSessionTopology(RandomRegularTopology(16, 13))
+	build := func(gs GraphSampler) *Session {
+		s := NewSession(n, 77, WithSessionEngineMode(JumpEngine), dense, WithSessionGraphSampler(gs))
+		for i := 0; i < 4*n; i++ {
+			s.AddBallRandom()
+		}
+		churnPhase(t, s, 6)
+		return s
+	}
+	// forge writes s's artifact as if it had been built with meta choice gs.
+	forge := func(s *Session, gs GraphSampler) []byte {
+		orig := s.graphSampler
+		s.graphSampler = gs
+		defer func() { s.graphSampler = orig }()
+		return sessionSnapshotBytes(t, s)
+	}
+
+	a := build(GraphSamplerRejection)
+	a.graphSampler = GraphSamplerAuto // from here on a is the legacy auto session
+	legacy := sessionSnapshotBytes(t, a)
+	b, err := ResumeSession(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("legacy auto/hybrid snapshot does not resume: %v", err)
+	}
+	if b.GraphSamplerChoice() != GraphSamplerAuto {
+		t.Fatalf("resumed choice %v, want auto", b.GraphSamplerChoice())
+	}
+	if got := sessionSnapshotBytes(t, b); !bytes.Equal(got, legacy) {
+		t.Fatal("re-snapshotting the resumed legacy session changed the artifact")
+	}
+	pa, pb := churnPhase(t, a, 8), churnPhase(t, b, 8)
+	if fmt.Sprint(pa) != fmt.Sprint(pb) || a.Stats() != b.Stats() {
+		t.Fatalf("resumed legacy session diverged:\n%v %+v\n%v %+v", pa, a.Stats(), pb, b.Stats())
+	}
+	if fa, fb := sessionSnapshotBytes(t, a), sessionSnapshotBytes(t, b); !bytes.Equal(fa, fb) {
+		t.Fatal("final snapshots differ after resuming a legacy auto/hybrid artifact")
+	}
+
+	// The same artifact as a trace archive's seek point.
+	var buf bytes.Buffer
+	tw, err := a.NewTraceWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := OpenTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	item, err := tr.Next()
+	if err != nil || item.Snapshot == nil {
+		t.Fatalf("trace seek point: %+v, %v", item, err)
+	}
+	if _, err := ResumeSession(bytes.NewReader(item.Snapshot)); err != nil {
+		t.Fatalf("legacy auto/hybrid trace seek point does not resume: %v", err)
+	}
+
+	// Explicit choices are never overridden by the payload.
+	for _, c := range []struct {
+		name string
+		art  []byte
+	}{
+		{"exact-meta-hybrid-payload", forge(build(GraphSamplerRejection), GraphSamplerExact)},
+		{"rejection-meta-exact-payload", forge(build(GraphSamplerExact), GraphSamplerRejection)},
+	} {
+		if _, err := ResumeSession(bytes.NewReader(c.art)); !errors.Is(err, persist.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
+		}
 	}
 }
 

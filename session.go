@@ -160,7 +160,7 @@ func WithSessionStrictTieRule() SessionOption {
 // graph (§7). Supported by the direct mode (any graph) and the jump mode
 // (regular graphs, plain tie rule); the sharded modes reject it. Churn
 // updates the jump mode's per-source admissible structure incrementally
-// (O(Δ²+Δ·log n) per join/leave).
+// (O(Δ + flips·log n) per join/leave).
 func WithSessionTopology(t Topology) SessionOption {
 	return func(s *Session) { s.topology = t }
 }
