@@ -22,14 +22,13 @@ race:
 # BENCH_PR<k>.json (auto-numbered from the highest tracked file):
 # balancing runs, direct-vs-jump end-game — plain, strict tie rule, and
 # graph topologies — session churn, direct-vs-sharded dense regime, the
-# sharded-jump composition benches, the allocation-free epoch-loop
-# floor, the rlsweep -scaling speedup-vs-P cells, and the rlsweep
+# allocation-free epoch-loop floor, the rlsweep -scaling speedup-vs-P cells, and the rlsweep
 # -serviceload ServiceLoad* cells (multi-tenant rlsd event→apply p50/p99
 # and throughput). compare_bench.sh diffs the two latest tracked files.
 bench:
 	./scripts/bench.sh
 
-# scaling prints the speedup-vs-P table for the parallel engines on this
+# scaling prints the speedup-vs-P table for the sharded engine on this
 # machine (see the JSON header for cores/GOMAXPROCS caveats).
 .PHONY: scaling
 scaling:

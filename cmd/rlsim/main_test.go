@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"path/filepath"
+	"testing"
+)
 
 func TestRunAllPlacements(t *testing.T) {
 	for _, p := range []string{"all-in-one", "random", "two-choice", "spread", "delta-pair"} {
@@ -127,14 +131,15 @@ func TestRunShardedEngine(t *testing.T) {
 	}
 }
 
-func TestRunShardedJumpEngine(t *testing.T) {
-	for _, p := range []int{0, 1, 2} {
-		if err := run(8, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", p, false, 0, false, false); err != nil {
-			t.Errorf("shards=%d: %v", p, err)
-		}
+// TestRunRemovedEngineMode: -engine shardedjump names the removed mode on
+// both the Runner and the session path.
+func TestRunRemovedEngineMode(t *testing.T) {
+	if err := run(8, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", 2, false, 0, false, false); !errors.Is(err, errRemovedEngine) {
+		t.Errorf("run: %v, want errRemovedEngine", err)
 	}
-	if err := run(8, 64, 1, "random", "time=1", "complete", "auto", "", "shardedjump", 2, false, 20, false, true); err != nil {
-		t.Errorf("shardedjump trace: %v", err)
+	sf := sessionFlags{snapshot: filepath.Join(t.TempDir(), "s.snap")}
+	if err := runSession(sf, 8, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", 2, false, false); !errors.Is(err, errRemovedEngine) {
+		t.Errorf("runSession: %v, want errRemovedEngine", err)
 	}
 }
 

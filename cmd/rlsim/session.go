@@ -58,7 +58,7 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 		case "sharded":
 			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
 		case "shardedjump":
-			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedJumpEngine))
+			return errRemovedEngine
 		default:
 			return fmt.Errorf("unknown engine mode %q", engine)
 		}

@@ -185,9 +185,14 @@ func writeScalingJSON(path string, points []harness.ScalingPoint) error {
 	}
 	fmt.Fprintf(f, "[\n  {\"suite\": \"scaling\", \"cores\": %d, \"gomaxprocs\": %d}",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	cores := runtime.NumCPU()
 	for _, pt := range points {
-		fmt.Fprintf(f, ",\n  {\"name\": %q, \"ns_per_op\": %.0f, \"speedup\": %.4f}",
+		fmt.Fprintf(f, ",\n  {\"name\": %q, \"ns_per_op\": %.0f, \"speedup\": %.4f",
 			pt.Name(), pt.NsPerOp, pt.Speedup)
+		if pt.Engine == "sharded" {
+			fmt.Fprintf(f, ", \"vs_best_seq\": %.4f, \"cores\": %d", pt.VsBestSeq, cores)
+		}
+		fmt.Fprintf(f, "}")
 	}
 	fmt.Fprintln(f, "\n]")
 	return f.Close()

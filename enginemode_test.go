@@ -1,6 +1,7 @@
 package rls
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -62,18 +63,8 @@ func TestOptionValidationErrorMessages(t *testing.T) {
 		{"sharded+negative epoch", New(16, 64, WithEngineMode(ShardedEngine), WithShardEpoch(-1)),
 			"rls: negative shard epoch -1"},
 
-		{"shardedjump+strict", New(16, 64, WithEngineMode(ShardedJumpEngine), WithStrictTieRule()),
-			"rls: the shardedjump engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
-		{"shardedjump+topology", New(16, 64, WithEngineMode(ShardedJumpEngine), WithTopology(RingTopology())),
-			"rls: the shardedjump engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
-		{"shardedjump+speeds", New(16, 64, WithEngineMode(ShardedJumpEngine), WithSpeeds(make([]float64, 16))),
-			"rls: the shardedjump engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
-		{"shardedjump+fenwick", New(16, 64, WithEngineMode(ShardedJumpEngine), WithFenwickEngine()),
-			"rls: the shardedjump engine owns per-shard ball lists; drop WithFenwickEngine"},
-		{"shardedjump+negative shards", New(16, 64, WithEngineMode(ShardedJumpEngine), WithShards(-2)),
-			"rls: -2 shards"},
-		{"shardedjump+negative epoch", New(16, 64, WithEngineMode(ShardedJumpEngine), WithShardEpoch(-1)),
-			"rls: negative shard epoch -1"},
+		{"unknown mode", New(16, 64, WithEngineMode(EngineMode(3))),
+			"rls: unknown engine mode 3"},
 	}
 	for _, c := range cases {
 		c := c
@@ -203,8 +194,8 @@ func TestSessionOptionPanics(t *testing.T) {
 	expectPanic("sharded+strict", "rls: sharded sessions support only plain RLS on the complete topology", func() {
 		NewSession(16, 1, WithSessionEngineMode(ShardedEngine), WithSessionStrictTieRule())
 	})
-	expectPanic("shardedjump+topology", "rls: sharded sessions support only plain RLS on the complete topology", func() {
-		NewSession(16, 1, WithSessionEngineMode(ShardedJumpEngine), WithSessionTopology(RingTopology()))
+	expectPanic("unknown mode", "rls: unknown engine mode 3", func() {
+		NewSession(16, 1, WithSessionEngineMode(EngineMode(3)))
 	})
 	expectPanic("jump+torus mismatch", "rls: torus side 3 does not match n=16", func() {
 		NewSession(16, 1, WithSessionEngineMode(JumpEngine), WithSessionTopology(TorusTopology(3)))
@@ -308,5 +299,60 @@ func TestSessionModesAgreeInLaw(t *testing.T) {
 	}
 	if same, d := stats.SameDistribution(direct, jump, 0.001); !same {
 		t.Errorf("rebalance-time KS D = %g rejects same law", d)
+	}
+}
+
+// TestJumpTimeTargetNeverOvershoots is the acceptance gate for the
+// jump-mode time-target fix: across seeds, WithTarget(UntilTime)
+// runs must never report a final time past the horizon — they land on it
+// exactly, where the direct engine documents a one-activation overshoot.
+func TestJumpTimeTargetNeverOvershoots(t *testing.T) {
+	const horizon = 2.75
+	for seed := uint64(1); seed <= 25; seed++ {
+		res, err := New(32, 320, WithSeed(seed), WithEngineMode(JumpEngine),
+			WithTarget(UntilTime(horizon))).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Reached {
+			t.Fatalf("seed %d: did not reach the horizon", seed)
+		}
+		if res.Time > horizon {
+			t.Fatalf("seed %d: time %v past the horizon %v", seed, res.Time, horizon)
+		}
+		if res.Time != horizon {
+			t.Errorf("seed %d: time %v, want exactly %v", seed, res.Time, horizon)
+		}
+	}
+}
+
+// TestJumpTimeTargetAgreesWithDirect is the public-API half of the
+// regression test: at a fixed horizon the direct and jump runners must
+// agree on mean activations and moves, while only the direct one may end
+// past the horizon.
+func TestJumpTimeTargetAgreesWithDirect(t *testing.T) {
+	const horizon, reps = 2.0, 200
+	var directActs, jumpActs float64
+	for seed := uint64(1); seed <= reps; seed++ {
+		dres, err := New(16, 64, WithSeed(seed), WithTarget(UntilTime(horizon))).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dres.Time < horizon {
+			t.Fatalf("direct seed %d stopped early at %v", seed, dres.Time)
+		}
+		directActs += float64(dres.Activations)
+		jres, err := New(16, 64, WithSeed(seed+1000), WithEngineMode(JumpEngine),
+			WithTarget(UntilTime(horizon))).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jres.Time != horizon {
+			t.Fatalf("jump seed %d: time %v, want exactly %v", seed, jres.Time, horizon)
+		}
+		jumpActs += float64(jres.Activations)
+	}
+	if ratio := jumpActs / directActs; math.Abs(ratio-1) > 0.10 {
+		t.Errorf("activation ratio jump/direct = %g, want ≈ 1", ratio)
 	}
 }

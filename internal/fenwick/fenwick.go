@@ -1,10 +1,9 @@
 // Package fenwick is the one Fenwick (binary indexed) tree shared by
 // every layer that needs prefix sums with point updates: the level
-// index's per-level count/ball/move-weight trees, the stale census's
-// global and per-part counts, the jump engine's graph move-weight
-// index, and the Fenwick activation sampler. Deduplicating the three
-// historical copies means the persist codec serializes exactly one
-// tree shape, and a tree's array form is a pure function of its leaf
+// index's per-level count/ball/move-weight trees, the jump engine's
+// graph move-weight index, and the Fenwick activation sampler.
+// Deduplicating the three historical copies means the persist codec
+// serializes exactly one tree shape, and a tree's array form is a pure function of its leaf
 // values — so encode(leaves) → From(leaves) round-trips bit-exactly
 // regardless of the Add history that produced it.
 //
@@ -103,23 +102,6 @@ func (t *Tree) Find(target int64) (int, int64) {
 		}
 	}
 	return pos, target // pos is the 1-based predecessor == 0-based answer
-}
-
-// FindDiff is Find over the pointwise difference a − b of two
-// same-shape trees, without materializing it: the smallest leaf i with
-// a.Prefix(i) − b.Prefix(i) > target, plus the residual. The stale
-// census uses this to index "global minus own" counts directly.
-func FindDiff(a, b *Tree, target int64) (int, int64) {
-	pos := 0
-	for step := a.top; step > 0; step >>= 1 {
-		if next := pos + step; next <= a.n {
-			if d := a.tree[next] - b.tree[next]; d <= target {
-				pos = next
-				target -= d
-			}
-		}
-	}
-	return pos, target
 }
 
 // Leaves returns a fresh slice of the n leaf values in O(n) by

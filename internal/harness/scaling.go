@@ -11,39 +11,40 @@ import (
 	"repro/internal/sim"
 )
 
-// The scaling study: wall-clock speedup-vs-P curves for the parallel
-// engines, the measurement ROADMAP item 2 calls for. Three workloads
-// bracket the regimes the sharded engines were built for:
+// The scaling study: wall-clock speedup-vs-P curves for the sharded
+// engine against the sequential engines it must beat. Three workloads
+// bracket the regimes:
 //
 //   - dense: n = m from a one-choice start over a fixed time horizon with
 //     coarse explicit epochs — every bin busy, a large share of
 //     activations productive, barriers amortized. The regime where
 //     parallel shards should approach linear speedup.
 //   - endgame: UntilPerfect from a one-choice start at m = 4n — dominated
-//     by the sparse tail where the jump engines skip null blocks and the
-//     sharded variant pays per-move barriers. The regime where
-//     shardedjump must hold its own against sequential jump.
+//     by the sparse tail where the jump engine skips null blocks. The
+//     regime where sequential jump is expected to win.
 //   - churnstorm: a balanced system hit by alternating churn bursts
 //     (batched arrivals/departures) and short re-balancing runs — the
 //     open-system Session pattern, exercising the churn fast path and
 //     repeated short Runs.
 //
 // Every (workload, engine, P) cell is timed as best-of-Reps full passes
-// (construction excluded, Run only); speedup is the same engine's P = 1
-// time over the cell's time, so the curves answer "does adding shards
-// help this engine" — the direct/jump baselines are reported alongside so
-// the absolute cost of sharding at P = 1 stays visible. Speedups depend
-// on hardware parallelism: interpret curves against the recorded NumCPU
-// and GOMAXPROCS (a P = 4 sweep on a 1-core box measures scheduling
-// overhead, not scaling).
+// (construction excluded, Run only). Each cell reports two ratios:
+// speedup, the sharded engine's P = 1 time over the cell's time ("does
+// adding shards help"), and vs best seq, min(direct, jump) time over the
+// cell's time ("does the parallel engine beat the best sequential one" —
+// the question that decides whether it earns its code). Both depend on
+// hardware parallelism: interpret them against the recorded NumCPU and
+// GOMAXPROCS (a P = 4 sweep on a 1-core box measures scheduling overhead,
+// not scaling).
 
 // ScalingPoint is one cell of the scaling study.
 type ScalingPoint struct {
-	Workload string  // dense | endgame | churnstorm
-	Engine   string  // direct | jump | sharded | shardedjump
-	P        int     // shard count (1 for the sequential baselines)
-	NsPerOp  float64 // best-of-reps wall time for one workload pass
-	Speedup  float64 // same engine's P=1 time / this cell's time
+	Workload  string  // dense | endgame | churnstorm
+	Engine    string  // direct | jump | sharded
+	P         int     // shard count (1 for the sequential baselines)
+	NsPerOp   float64 // best-of-reps wall time for one workload pass
+	Speedup   float64 // same engine's P=1 time / this cell's time
+	VsBestSeq float64 // min(direct, jump) time / this cell's time
 }
 
 // Name returns the cell's benchmark-style identifier as recorded in the
@@ -113,7 +114,7 @@ func sweepP(maxP int) []int {
 type scalingWorkload struct {
 	name string
 	// run executes one timed pass for the given engine ("direct", "jump",
-	// "sharded", "shardedjump") at shard count p.
+	// "sharded") at shard count p.
 	run func(engine string, p int, seed uint64)
 }
 
@@ -129,10 +130,6 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 			e.Run(sim.UntilTime(horizon), 0)
 		case "sharded":
 			s := sim.NewSharded(v, p, epoch, r)
-			s.Run(sim.ShardedUntilTime(horizon), 0)
-		case "shardedjump":
-			s := sim.NewShardedJump(v, p, epoch, r)
-			s.SetHorizon(horizon)
 			s.Run(sim.ShardedUntilTime(horizon), 0)
 		case "jump":
 			e := sim.NewJumpEngine(v, r)
@@ -160,9 +157,6 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 			e.Run(sim.UntilPerfect(), 0)
 		case "sharded":
 			s := sim.NewSharded(v, p, 0, r)
-			s.Run(sim.ShardedUntilPerfect(), 0)
-		case "shardedjump":
-			s := sim.NewShardedJump(v, p, 0, r)
 			s.Run(sim.ShardedUntilPerfect(), 0)
 		}
 	}
@@ -202,26 +196,14 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 					e.SetHorizon(0)
 				}
 			}
-		case "sharded", "shardedjump":
-			var s *sim.Sharded
-			if engine == "sharded" {
-				s = sim.NewSharded(v, p, 0, r)
-			} else {
-				s = sim.NewShardedJump(v, p, 0, r)
-			}
+		case "sharded":
+			s := sim.NewSharded(v, p, 0, r)
 			for round := 0; round < rounds; round++ {
 				for i := 0; i < burst; i++ {
 					s.AddBall(churn.Intn(cn))
 					s.RemoveBall(s.RandomBin())
 				}
-				end := s.Time() + 0.5
-				if s.Jump() {
-					s.SetHorizon(end)
-				}
-				s.Run(sim.ShardedUntilTime(end), 0)
-				if s.Jump() {
-					s.SetHorizon(0)
-				}
+				s.Run(sim.ShardedUntilTime(s.Time()+0.5), 0)
 			}
 		}
 	}
@@ -229,7 +211,7 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 }
 
 // RunScaling executes the scaling study and returns its cells in a stable
-// order (workload, then engine family, then P). Timing is wall-clock
+// order (workload, then direct, jump, and sharded by P). Timing is wall-clock
 // best-of-Reps; everything else about each cell is deterministic in
 // cfg.Seed.
 func RunScaling(cfg ScalingConfig) []ScalingPoint {
@@ -250,29 +232,28 @@ func RunScaling(cfg ScalingConfig) []ScalingPoint {
 	}
 
 	for _, w := range buildWorkloads(cfg) {
-		for _, family := range []struct {
-			baseline string
-			sharded  string
-		}{
-			{"direct", "sharded"},
-			{"jump", "shardedjump"},
-		} {
-			base := timeCell(w, family.baseline, 1)
+		direct := timeCell(w, "direct", 1)
+		jump := timeCell(w, "jump", 1)
+		best := min(direct, jump)
+		for _, seq := range []struct {
+			engine string
+			ns     float64
+		}{{"direct", direct}, {"jump", jump}} {
 			out = append(out, ScalingPoint{
-				Workload: w.name, Engine: family.baseline, P: 1,
-				NsPerOp: base, Speedup: 1,
+				Workload: w.name, Engine: seq.engine, P: 1,
+				NsPerOp: seq.ns, Speedup: 1, VsBestSeq: best / seq.ns,
 			})
-			var p1 float64
-			for _, p := range ps {
-				ns := timeCell(w, family.sharded, p)
-				if p == 1 {
-					p1 = ns
-				}
-				out = append(out, ScalingPoint{
-					Workload: w.name, Engine: family.sharded, P: p,
-					NsPerOp: ns, Speedup: p1 / ns,
-				})
+		}
+		var p1 float64
+		for _, p := range ps {
+			ns := timeCell(w, "sharded", p)
+			if p == 1 {
+				p1 = ns
 			}
+			out = append(out, ScalingPoint{
+				Workload: w.name, Engine: "sharded", P: p,
+				NsPerOp: ns, Speedup: p1 / ns, VsBestSeq: best / ns,
+			})
 		}
 	}
 	return out
@@ -281,14 +262,15 @@ func RunScaling(cfg ScalingConfig) []ScalingPoint {
 // ScalingTable renders the study as a harness table for the text output.
 func ScalingTable(points []ScalingPoint, cfg ScalingConfig) *Table {
 	cfg = cfg.withDefaults()
+	cores := runtime.NumCPU()
 	tb := NewTable("SCALE", "speedup vs shard count P",
-		"workload", "engine", "P", "ms/op", "speedup")
+		"workload", "engine", "P", "ms/op", "speedup", "vs best seq", "cores")
 	for _, pt := range points {
 		tb.Addf(pt.Workload, pt.Engine, pt.P, pt.NsPerOp/1e6,
-			fmt.Sprintf("%.2fx", pt.Speedup))
+			fmt.Sprintf("%.2fx", pt.Speedup), fmt.Sprintf("%.2fx", pt.VsBestSeq), cores)
 	}
-	tb.Note("N=%d reps=%d seed=%d; NumCPU=%d GOMAXPROCS=%d — speedup is same-engine P=1 time over the cell's time",
-		cfg.N, cfg.Reps, cfg.Seed, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	tb.Note("N=%d reps=%d seed=%d; NumCPU=%d GOMAXPROCS=%d — speedup is same-engine P=1 time over the cell's time; vs best seq is min(direct, jump) time over the cell's time",
+		cfg.N, cfg.Reps, cfg.Seed, cores, runtime.GOMAXPROCS(0))
 	tb.Note("P > NumCPU measures scheduling overhead, not scaling; record curves on multi-core hosts")
 	return tb
 }

@@ -88,34 +88,6 @@ func TestFoldStatsEmptySystem(t *testing.T) {
 	}
 }
 
-// TestFoldStatsMoveWeight pins the W fold: level-indexed shards
-// contribute their local move weight plus any installed external weight;
-// unindexed shards contribute nothing.
-func TestFoldStatsMoveWeight(t *testing.T) {
-	a := NewConfig(Vector{3, 0, 1})
-	a.EnableLevelIndex()
-	b := NewConfig(Vector{2, 2})
-	b.EnableLevelIndex()
-	plain := NewConfig(Vector{5, 5})
-
-	want := a.MoveWeight() + b.MoveWeight()
-	if want == 0 {
-		t.Fatal("degenerate fixture: zero local weight")
-	}
-	if got := FoldStats(a, b, plain).W; got != want {
-		t.Fatalf("folded W = %d, want %d", got, want)
-	}
-
-	b.SetExternalPrefix(func(w int) int64 { return int64(w + 1) })
-	want = a.MoveWeight() + b.MoveWeight() + b.ExternalMoveWeight()
-	if b.ExternalMoveWeight() == 0 {
-		t.Fatal("degenerate fixture: zero external weight")
-	}
-	if got := FoldStats(a, b, plain).W; got != want {
-		t.Fatalf("folded W with external = %d, want %d", got, want)
-	}
-}
-
 func TestPartitionEdgeCases(t *testing.T) {
 	// P > n must panic rather than hand out empty shards.
 	func() {

@@ -55,9 +55,8 @@ func scratchMoveWeightGap(v Vector, gap int) int64 {
 }
 
 // TestLevelIndexShrinksAfterDrain drains an all-in-one start by protocol
-// moves and by departures, under both tie rules and with an external
-// prefix installed, and checks the level range ends O(max) with every
-// cached structure intact.
+// moves and by departures, under both tie rules, and checks the level
+// range ends O(max) with every cached structure intact.
 func TestLevelIndexShrinksAfterDrain(t *testing.T) {
 	const n, m = 64, 1024
 	for _, gap := range []int{1, 2} {
@@ -80,28 +79,6 @@ func TestLevelIndexShrinksAfterDrain(t *testing.T) {
 		checkShrunk(t, d, "drain by departures")
 	}
 
-	// The sharded jump engine's external prefix rides on the same trees.
-	c := allInOne(n, m, 1)
-	ext := func(w int) int64 {
-		if w < 0 {
-			return 0
-		}
-		return int64(w + 1)
-	}
-	c.SetExternalPrefix(ext)
-	for i := 0; c.Load(0) > m/n; i++ {
-		c.Move(0, 1+i%(n-1))
-	}
-	checkShrunk(t, c, "drain with external prefix")
-	var want int64
-	for _, l := range c.Loads() {
-		if l > 0 {
-			want += int64(l) * ext(l-1)
-		}
-	}
-	if got := c.ExternalMoveWeight(); got != want {
-		t.Fatalf("external weight after shrink = %d, want %d", got, want)
-	}
 }
 
 // TestLevelIndexShrinkAllocFree checks that moves crossing a shrink —

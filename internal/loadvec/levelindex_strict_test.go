@@ -160,8 +160,7 @@ func TestStrictSampleMovePairLaw(t *testing.T) {
 }
 
 // TestStrictLevelIndexRestrictions pins the API edges the tie gap adds:
-// re-enabling with a different rule panics, and the external prefix (a
-// plain-rule construct: the sharded jump engine) refuses a strict index.
+// re-enabling with a different rule panics.
 func TestStrictLevelIndexRestrictions(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -175,11 +174,6 @@ func TestStrictLevelIndexRestrictions(t *testing.T) {
 		c := NewConfig(Vector{1, 0})
 		c.EnableLevelIndex()
 		c.EnableStrictLevelIndex()
-	})
-	expectPanic("external prefix on strict index", func() {
-		c := NewConfig(Vector{1, 0})
-		c.EnableStrictLevelIndex()
-		c.SetExternalPrefix(func(int) int64 { return 1 })
 	})
 	// Same-gap re-enable is an idempotent no-op, and the clone keeps the
 	// gap.

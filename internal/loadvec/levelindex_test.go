@@ -226,120 +226,3 @@ func TestLevelIndexPanics(t *testing.T) {
 		}()
 	}
 }
-
-// scratchExternalWeight recomputes X = Σ_v v·count[v]·ext(v−1) from the
-// raw load vector, the definition the external extension must track.
-func scratchExternalWeight(v Vector, ext func(int) int64) int64 {
-	var x int64
-	for _, l := range v {
-		if l > 0 {
-			x += int64(l) * ext(l-1)
-		}
-	}
-	return x
-}
-
-// TestExternalPrefixProperty drives an indexed Config with an installed
-// external prefix through random moves and churn, validating the x-tree
-// against a from-scratch recompute after every prefix swap.
-func TestExternalPrefixProperty(t *testing.T) {
-	r := rng.New(777)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + r.Intn(16)
-		c := randomCfg(r, n, 6)
-		// A fresh random external population per round, as the sharded jump
-		// engine installs per barrier.
-		var extCum []int64
-		newExt := func() func(int) int64 {
-			levels := 1 + r.Intn(12)
-			extCum = make([]int64, levels)
-			run := int64(0)
-			for u := range extCum {
-				run += int64(r.Intn(5))
-				extCum[u] = run
-			}
-			return func(w int) int64 {
-				if w < 0 {
-					return 0
-				}
-				if w >= len(extCum) {
-					w = len(extCum) - 1
-				}
-				return extCum[w]
-			}
-		}
-		for round := 0; round < 10; round++ {
-			ext := newExt()
-			c.SetExternalPrefix(ext)
-			for step := 0; step < 60; step++ {
-				switch r.Intn(3) {
-				case 0:
-					src, dst := r.Intn(n), r.Intn(n)
-					if src != dst && c.Load(src) >= c.Load(dst)+1 {
-						c.Move(src, dst)
-					}
-				case 1:
-					c.AddBall(r.Intn(n))
-				case 2:
-					if bin := r.Intn(n); c.M() > 1 && c.Load(bin) > 0 {
-						c.RemoveBall(bin)
-					}
-				}
-			}
-			if err := c.Validate(); err != nil {
-				t.Fatalf("trial %d round %d: %v", trial, round, err)
-			}
-			if got, want := c.ExternalMoveWeight(), scratchExternalWeight(c.Loads(), ext); got != want {
-				t.Fatalf("trial %d round %d: X = %d, want %d", trial, round, got, want)
-			}
-		}
-		c.SetExternalPrefix(nil)
-		if c.ExternalMoveWeight() != 0 {
-			t.Fatal("X nonzero after removing the prefix")
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSampleExternalMoveLaw checks the marginal source-level law of
-// SampleExternalMove against the exact x[v] weights, and that every
-// returned index falls below the prefix at the source's level.
-func TestSampleExternalMoveLaw(t *testing.T) {
-	c := NewConfig(Vector{0, 1, 1, 2, 3})
-	c.EnableLevelIndex()
-	extCum := []int64{2, 3, 5, 7}
-	ext := func(w int) int64 {
-		if w < 0 {
-			return 0
-		}
-		if w >= len(extCum) {
-			w = len(extCum) - 1
-		}
-		return extCum[w]
-	}
-	c.SetExternalPrefix(ext)
-	// x[1] = 1·2·ext(0) = 4, x[2] = 2·1·ext(1) = 6, x[3] = 3·1·ext(2) = 15.
-	if got := c.ExternalMoveWeight(); got != 25 {
-		t.Fatalf("X = %d, want 25", got)
-	}
-	r := rng.New(99)
-	const draws = 200000
-	byLevel := map[int]int{}
-	for i := 0; i < draws; i++ {
-		src, j := c.SampleExternalMove(r)
-		v := c.Load(src)
-		if j < 0 || j >= ext(v-1) {
-			t.Fatalf("index %d outside [0, ext(%d)=%d)", j, v-1, ext(v-1))
-		}
-		byLevel[v]++
-	}
-	want := map[int]float64{1: 4.0 / 25, 2: 6.0 / 25, 3: 15.0 / 25}
-	for v, w := range want {
-		got := float64(byLevel[v]) / draws
-		if math.Abs(got-w) > 0.01 {
-			t.Errorf("P(src level %d) = %g, want %g", v, got, w)
-		}
-	}
-}

@@ -77,16 +77,16 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOpti
 	case "sharded":
 		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
 	case "shardedjump":
-		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedJumpEngine))
+		return bad("engine shardedjump was removed; use sharded for dense workloads or jump for end-games")
 	default:
-		return bad("unknown engine %q (want direct|jump|sharded|shardedjump)", cfg.Engine)
+		return bad("unknown engine %q (want direct|jump|sharded)", cfg.Engine)
 	}
-	sharded := cfg.Engine == "sharded" || cfg.Engine == "shardedjump"
+	sharded := cfg.Engine == "sharded"
 	if cfg.Shards < 0 {
 		return bad("shards must be >= 0 (got %d)", cfg.Shards)
 	}
 	if cfg.Shards > 0 && !sharded {
-		return bad("shards requires engine sharded or shardedjump")
+		return bad("shards requires engine sharded")
 	}
 	if cfg.Shards > 0 {
 		opts = append(opts, rls.WithSessionShards(cfg.Shards))
@@ -96,7 +96,7 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOpti
 		return bad("strict tie rule on a topology is not supported")
 	}
 	if sharded && (cfg.Strict || (cfg.Topology != "" && cfg.Topology != "complete")) {
-		return bad("the %s engine supports only plain RLS on the complete topology", cfg.Engine)
+		return bad("the sharded engine supports only plain RLS on the complete topology")
 	}
 	if cfg.Strict {
 		opts = append(opts, rls.WithSessionStrictTieRule())

@@ -3,12 +3,16 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/persist"
 )
 
 // TestSaveRestoreSnapshots: a second service booted from the first one's
@@ -19,7 +23,7 @@ func TestSaveRestoreSnapshots(t *testing.T) {
 	srv, svc := newTestServer(t, Config{StateDir: dir})
 
 	id1 := createSession(t, srv, `{"bins": 16, "balls": 64, "seed": 7}`)
-	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "shardedjump", "shards": 3}`)
+	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "sharded", "shards": 3}`)
 	post(t, srv.URL+"/v1/sessions/"+id1+"/events", `{"events":[{"op":"run","for":2.5},{"op":"add"}]}`).Body.Close()
 	post(t, srv.URL+"/v1/sessions/"+id2+"/events", `{"events":[{"op":"run","for":1.0},{"op":"remove"}]}`).Body.Close()
 	before1 := waitApplied(t, srv, id1, 2)
@@ -129,6 +133,45 @@ func TestRestoreSkipsCorrupt(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("corrupt snapshot restored without error")
+	}
+}
+
+// TestRestoreSkipsRemovedEngineMode: a tenant saved in the removed
+// shardedjump mode fails to restore with a typed error naming the mode,
+// while the valid tenants beside it come back.
+func TestRestoreSkipsRemovedEngineMode(t *testing.T) {
+	dir := t.TempDir()
+	srv, svc := newTestServer(t, Config{StateDir: dir})
+	direct := createSession(t, srv, `{"bins": 8, "balls": 16}`)
+	sharded := createSession(t, srv, `{"bins": 16, "balls": 48, "engine": "sharded", "shards": 3}`)
+	if n, err := svc.SaveSnapshots(dir); n != 2 || err != nil {
+		t.Fatalf("save: %d tenants, err %v", n, err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "shardedjump-p3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s-7.snap"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, svc2 := newTestServer(t, Config{StateDir: dir})
+	n, err := svc2.RestoreSnapshots(dir)
+	if n != 2 {
+		t.Fatalf("restored %d tenants, want 2", n)
+	}
+	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "s-7.snap") || !strings.Contains(err.Error(), "shardedjump") {
+		t.Fatalf("restore error %v, want ErrCorrupt for s-7.snap naming shardedjump", err)
+	}
+	for id, want := range map[string]int{direct: 200, sharded: 200, "s-7": 404} {
+		resp, err := http.Get(srv2.URL + "/v1/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", id, resp.StatusCode, want)
+		}
 	}
 }
 

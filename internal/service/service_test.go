@@ -162,7 +162,6 @@ func TestCreateAllEngineModes(t *testing.T) {
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "torus"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "hypercube"}`,
 		`{"bins": 16, "balls": 64, "engine": "sharded", "shards": 2}`,
-		`{"bins": 16, "balls": 64, "engine": "shardedjump", "shards": 2}`,
 	} {
 		id := createSession(t, srv, body)
 		resp := post(t, srv.URL+"/v1/sessions/"+id+"/events",

@@ -38,7 +38,7 @@ import (
 // Config parameterizes RunServiceLoad.
 type Config struct {
 	// Sessions is the tenant count; engine modes round-robin over
-	// direct/jump/sharded/shardedjump. Defaults to 64.
+	// direct/jump/sharded. Defaults to 64.
 	Sessions int
 	// EventsPerSec is each tenant's target churn rate. Defaults to 50.
 	EventsPerSec float64
@@ -132,7 +132,7 @@ func Run(cfg Config) (Result, error) {
 	}}
 	defer client.CloseIdleConnections()
 
-	modes := [...]string{"direct", "jump", "sharded", "shardedjump"}
+	modes := [...]string{"direct", "jump", "sharded"}
 	ids := make([]string, cfg.Sessions)
 	for i := range ids {
 		body := fmt.Sprintf(`{"bins": %d, "balls": %d, "seed": %d, "engine": %q}`,

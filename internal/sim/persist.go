@@ -11,8 +11,8 @@ import (
 
 // This file is sim's half of the snapshot codec: the three activation
 // samplers, the sequential Engine (all four protocol shapes: direct,
-// jump, strict jump, graph jump), and the Sharded engine with its
-// cross-shard census and repartition policy state.
+// jump, strict jump, graph jump), and the Sharded engine with its stale
+// snapshot and repartition policy state.
 //
 // DecodeState methods decode *into* an engine of the matching shape —
 // the root package's ResumeSession rebuilds the shape from the snapshot
@@ -397,14 +397,18 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 
 // EncodeState appends the sharded engine's state at an epoch barrier:
 // partition cuts, every shard's private engine state, the stale
-// snapshot and (jump, P > 1) the external census, the repartition
-// policy counters, and the folded clocks. Between Runs the transient
-// machinery — outboxes, dirty journals, worker pool, epoch sizing — is
-// structurally empty, so none of it is serialized.
+// snapshot, the repartition policy counters, and the folded clocks.
+// Between Runs the transient machinery — outboxes, worker pool, epoch
+// sizing — is structurally empty, so none of it is serialized.
+//
+// The layout keeps three fields of the removed sharded jump mode so that
+// artifacts stay byte-compatible: a mode flag (always false), a run
+// horizon (always 0: plain shards never consulted it, and it was cleared
+// between runs), and a census-present flag (always false).
 func (s *Sharded) EncodeState(enc *persist.Enc) {
 	enc.Int(s.n)
 	enc.Int(s.p)
-	enc.Bool(s.jump)
+	enc.Bool(false) // jump mode
 	enc.F64(s.epoch0)
 	enc.Ints(s.cuts)
 	encodeRNG(enc, s.root)
@@ -414,15 +418,12 @@ func (s *Sharded) EncodeState(enc *persist.Enc) {
 	enc.I64(s.moves)
 	enc.I64(s.crossProposed)
 	enc.I64(s.crossApplied)
-	enc.F64(s.horizon)
+	enc.F64(0) // run horizon
 	enc.Bool(s.repartEnabled)
 	enc.Int(s.repartWait)
 	enc.Int(s.repartBackoff)
 	enc.I64(s.repartitions)
-	enc.Bool(s.ext != nil)
-	if s.ext != nil {
-		s.ext.EncodeState(enc)
-	}
+	enc.Bool(false) // external census
 	for _, sh := range s.shards {
 		enc.Int(sh.lo)
 		enc.Int(sh.hi)
@@ -433,17 +434,16 @@ func (s *Sharded) EncodeState(enc *persist.Enc) {
 		enc.I64(sh.proposed)
 		enc.I64(sh.landed)
 		sh.cfg.EncodeState(enc)
-		if !s.jump {
-			sh.smp.encodeState(enc)
-		}
+		sh.smp.encodeState(enc)
 	}
 }
 
 // DecodeState restores a snapshot into a sharded engine constructed
-// with the same n, P, and mode. The restored cuts may differ from the
-// constructor's (repartitioning moves them); shard ranges, scratch, and
-// the external prefix closures are rebuilt accordingly, exactly as
-// migrate does after a live repartition.
+// with the same n and P. The restored cuts may differ from the
+// constructor's (repartitioning moves them); shard ranges and scratch are
+// rebuilt accordingly, exactly as migrate does after a live repartition.
+// A payload of the removed sharded jump mode — its mode flag or external
+// census set — fails with persist.ErrCorrupt.
 func (s *Sharded) DecodeState(d *persist.Dec) error {
 	n := d.Int()
 	p := d.Int()
@@ -453,9 +453,11 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if n != s.n || p != s.p || jump != s.jump {
-		return persist.Corruptf("snapshot shape %d bins × %d shards (jump=%v), engine is %d × %d (jump=%v)",
-			n, p, jump, s.n, s.p, s.jump)
+	if jump {
+		return persist.Corruptf("sharded payload of the removed shardedjump engine mode")
+	}
+	if n != s.n || p != s.p {
+		return persist.Corruptf("snapshot shape %d bins × %d shards, engine is %d × %d", n, p, s.n, s.p)
 	}
 	if err := loadvec.ValidateCuts(cuts, n); err != nil {
 		return persist.Corruptf("snapshot cuts: %v", err)
@@ -470,7 +472,7 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	moves := d.I64()
 	crossProposed := d.I64()
 	crossApplied := d.I64()
-	horizon := d.F64()
+	d.F64() // run horizon: always 0 for the surviving mode, never consulted
 	repartEnabled := d.Bool()
 	repartWait := d.Int()
 	repartBackoff := d.Int()
@@ -490,24 +492,8 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	if repartBackoff < repartCheckBase || repartBackoff > repartCheckMax || repartWait < 0 {
 		return persist.Corruptf("repartition counters wait=%d backoff=%d out of range", repartWait, repartBackoff)
 	}
-	var ext *loadvec.StaleIndex
 	if hasExt {
-		if !jump || p == 1 {
-			return persist.Corruptf("external census present outside jump mode with P > 1")
-		}
-		var err error
-		if ext, err = loadvec.DecodeStaleIndex(d); err != nil {
-			return err
-		}
-		extCuts := ext.Cuts()
-		if len(extCuts) != len(cuts) {
-			return persist.Corruptf("census partition differs from the engine cuts")
-		}
-		for i := range cuts {
-			if extCuts[i] != cuts[i] {
-				return persist.Corruptf("census cut %d is %d, engine cut is %d", i, extCuts[i], cuts[i])
-			}
-		}
+		return persist.Corruptf("external census of the removed shardedjump engine mode")
 	}
 	shCfg := make([]*loadvec.Config, p)
 	type shardState struct {
@@ -540,18 +526,12 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 		if cfg.N() != hi-lo {
 			return persist.Corruptf("shard %d config over %d bins for range [%d,%d)", i, cfg.N(), lo, hi)
 		}
-		if jump {
-			if !cfg.LevelIndexed() || cfg.TieGap() != 1 {
-				return persist.Corruptf("shard %d config is not plain level-indexed in jump mode", i)
-			}
-		} else if cfg.LevelIndexed() {
-			return persist.Corruptf("shard %d config carries a level index in plain mode", i)
+		if cfg.LevelIndexed() {
+			return persist.Corruptf("shard %d config carries a level index", i)
 		}
 		shCfg[i] = cfg
-		if !jump {
-			if err := s.shards[i].smp.decodeState(d, cfg); err != nil {
-				return err
-			}
+		if err := s.shards[i].smp.decodeState(d, cfg); err != nil {
+			return err
 		}
 	}
 	if d.Err() != nil {
@@ -564,9 +544,7 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	s.stale = stale
 	s.time, s.acts, s.moves = time, acts, moves
 	s.crossProposed, s.crossApplied = crossProposed, crossApplied
-	s.horizon = horizon
 	s.repartEnabled, s.repartWait, s.repartBackoff, s.repartitions = repartEnabled, repartWait, repartBackoff, repartitions
-	s.ext = ext
 	for i, sh := range s.shards {
 		sh.lo, sh.hi = cuts[i], cuts[i+1]
 		sh.r.Restore(states[i].rngState)
@@ -576,16 +554,6 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 		sh.cfg = shCfg[i]
 		s.cfgs[i] = shCfg[i]
 		sh.out = sh.out[:0]
-		if s.jump && s.p > 1 {
-			sh.dirty = sh.dirty[:0]
-			sh.dirtyMark = make([]bool, sh.hi-sh.lo)
-		}
-	}
-	if s.ext != nil {
-		for _, sh := range s.shards {
-			id := sh.id
-			sh.cfg.SetExternalPrefix(func(w int) int64 { return s.ext.External(id, w) })
-		}
 	}
 	s.refold()
 	return nil

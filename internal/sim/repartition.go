@@ -11,41 +11,32 @@ import "repro/internal/loadvec"
 // simulation while its peers burn barriers on empty epochs. The policy
 // here re-balances the range boundaries at epoch barriers:
 //
-//   - Trigger (O(P), every barrier): fold the per-shard event weights —
-//     W_s + X_s for jump shards (the local and external eventful-move
-//     mass the level index already maintains), ball mass m_s for plain
-//     shards (every activation costs the same there). If the heaviest
-//     shard carries more than repartRatioNum/repartRatioDen (3/2) of the
-//     fair share, the partition is a candidate for re-cutting.
-//   - Placement (O(n + Δ), gated): per-bin weights are derived from the
-//     stale snapshot — which equals the live loads at every barrier — and
-//     handed to loadvec.BalancedCuts: ℓ_i + 1 for plain shards (ball mass
-//     = activation mass, plus one so empty stretches still spread), and
-//     ℓ_i·H(ℓ_i−1) + 1 for jump shards, where H(w) counts the bins at
-//     level ≤ w globally: the global eventful weight Σ_s (W_s + X_s)
-//     decomposes per source bin as exactly w_i = ℓ_i·#{j : ℓ_j ≤ ℓ_i−1},
-//     independent of where the cuts fall, so balancing these per-bin
-//     weights balances the shards' event rates under *any* cuts.
+//   - Trigger (O(P), every barrier): fold the per-shard ball masses m_s
+//     (every activation costs the same, so ball mass is work). If the
+//     heaviest shard carries more than repartRatioNum/repartRatioDen (3/2)
+//     of the fair share, the partition is a candidate for re-cutting.
+//   - Placement (O(n), gated): per-bin weights ℓ_i + 1 (ball mass =
+//     activation mass, plus one so empty stretches still spread) are
+//     derived from the stale snapshot — which equals the live loads at
+//     every barrier — and handed to loadvec.BalancedCuts.
 //   - Hysteresis: a declined scan — the cuts come back unchanged, or the
 //     new heaviest share is not materially lighter (improvement gate
-//     7/8) — means the imbalance is intrinsic (e.g. the end-game's one
-//     overloaded bin, whose weight no contiguous cut can split), so the
-//     next scan backs off exponentially, repartCheckBase doubling up to
-//     repartCheckMax barriers. End-game per-move barriers therefore pay
-//     the O(P) trigger only, not an O(n) scan per move. Any barrier that
+//     7/8) — means the imbalance is intrinsic (e.g. one overloaded bin,
+//     whose weight no contiguous cut can split), so the next scan backs
+//     off exponentially, repartCheckBase doubling up to repartCheckMax
+//     barriers. Barriers under an intrinsic imbalance therefore pay the
+//     O(P) trigger only, not an O(n) scan each. Any barrier that
 //     observes the trigger balanced again re-arms the backoff.
-//   - Migration: shards whose range changed rebuild their Config (and
-//     level index, sampler, dirty-journal mark) from the stale snapshot —
-//     legitimate precisely because stale == live at barriers — and jump
-//     mode rebuilds the external census under the new cuts
-//     (rebuildExternal), which reinstalls every shard's external prefix.
+//   - Migration: shards whose range changed rebuild their Config and
+//     sampler from the stale snapshot — legitimate precisely because
+//     stale == live at barriers.
 //
 // Determinism: the trigger reads folded barrier state, the placement is a
 // pure function of (stale snapshot, P), and migration happens on the
 // coordinator between epochs — no RNG draws, no scheduling dependence —
 // so a fixed (seed, P) reproduces a repartitioned run exactly. P = 1
 // never triggers (there is nothing to re-cut), preserving the
-// byte-identical equivalence with the direct and jump engines.
+// byte-identical equivalence with the direct engine.
 const (
 	repartCheckBase = 8    // initial decline backoff, in barriers
 	repartCheckMax  = 1024 // backoff ceiling
@@ -66,15 +57,6 @@ func (s *Sharded) SetRepartition(on bool) { s.repartEnabled = on }
 // ranges.
 func (s *Sharded) Repartitions() int64 { return s.repartitions }
 
-// shardWeight is the trigger's per-shard work estimate: eventful-move
-// weight for jump shards, ball mass (= activation mass) for plain shards.
-func (s *Sharded) shardWeight(sh *shard) int64 {
-	if s.jump {
-		return sh.cfg.MoveWeight() + sh.cfg.ExternalMoveWeight()
-	}
-	return int64(sh.cfg.M())
-}
-
 // maybeRepartition runs at the tail of every barrier: the O(P) trigger
 // always, the O(n) placement scan only when triggered and not backing
 // off. See the package comment above for the policy.
@@ -84,7 +66,7 @@ func (s *Sharded) maybeRepartition() {
 	}
 	var total, maxw int64
 	for _, sh := range s.shards {
-		w := s.shardWeight(sh)
+		w := int64(sh.cfg.M())
 		total += w
 		if w > maxw {
 			maxw = w
@@ -119,39 +101,8 @@ func (s *Sharded) repartition() bool {
 		s.binWeights = make([]int64, s.n)
 	}
 	w := s.binWeights
-	if s.jump {
-		// H(v) = #{bins at stale level ≤ v} via a level histogram turned
-		// prefix-sum in place; then w_i = ℓ_i·H(ℓ_i−1) + 1.
-		maxLevel := 0
-		for _, l := range s.stale {
-			if l > maxLevel {
-				maxLevel = l
-			}
-		}
-		if cap(s.histScratch) <= maxLevel {
-			s.histScratch = make([]int64, maxLevel+1)
-		}
-		hist := s.histScratch[:maxLevel+1]
-		for i := range hist {
-			hist[i] = 0
-		}
-		for _, l := range s.stale {
-			hist[l]++
-		}
-		for v := 1; v <= maxLevel; v++ {
-			hist[v] += hist[v-1]
-		}
-		for i, l := range s.stale {
-			if l == 0 {
-				w[i] = 1
-			} else {
-				w[i] = int64(l)*hist[l-1] + 1
-			}
-		}
-	} else {
-		for i, l := range s.stale {
-			w[i] = int64(l) + 1
-		}
+	for i, l := range s.stale {
+		w[i] = int64(l) + 1
 	}
 	cuts := loadvec.BalancedCuts(w, s.p)
 	same := true
@@ -187,10 +138,8 @@ func partMax(w []int64, cuts []int) int64 {
 }
 
 // migrate installs new cuts: every shard whose range moved rebuilds its
-// Config, sampler/level index, and dirty-journal mark from the stale
-// snapshot (== live loads at this barrier); jump mode then rebuilds the
-// external census under the new boundaries. Runs on the coordinator with
-// all journals drained (reconcileStale precedes it in the barrier), so
+// Config and sampler from the stale snapshot (== live loads at this
+// barrier). Runs on the coordinator after the barrier's phases, so
 // nothing references the old ranges afterwards.
 func (s *Sharded) migrate(cuts []int) {
 	for i, sh := range s.shards {
@@ -201,19 +150,10 @@ func (s *Sharded) migrate(cuts []int) {
 		part := loadvec.Vector(s.stale[lo:hi])
 		sh.lo, sh.hi = lo, hi
 		sh.cfg = loadvec.NewConfig(part)
-		if s.jump {
-			sh.cfg.EnableLevelIndex()
-			sh.dirtyMark = make([]bool, hi-lo)
-			sh.dirty = sh.dirty[:0]
-		} else {
-			sh.smp.Reset(part)
-		}
+		sh.smp.Reset(part)
 		s.cfgs[i] = sh.cfg
 	}
 	copy(s.cuts, cuts)
-	if s.jump {
-		s.rebuildExternal() // new boundaries → new external populations
-	}
 	s.refold()
 	s.repartitions++
 }

@@ -35,6 +35,21 @@ const (
 	sectTraceSnapshot = 5 // embedded full snapshot artifact (seek point)
 )
 
+// removedEngineMode is the header code of the removed sharded jump
+// engine mode. Its artifacts fail to decode with an error naming it.
+const removedEngineMode = 3
+
+// checkEngineMode validates a header's engine mode code.
+func checkEngineMode(mode int) error {
+	if mode == removedEngineMode {
+		return persist.Corruptf("engine mode %d is the removed shardedjump engine", mode)
+	}
+	if mode < int(DirectEngine) || mode > int(ShardedEngine) {
+		return persist.Corruptf("unknown engine mode %d", mode)
+	}
+	return nil
+}
+
 // Snapshot writes the session's complete state — loads, sampler and
 // index internals, clocks, counters, and RNG stream positions — as a
 // binary snapshot artifact. A session resumed from it (ResumeSession)
@@ -128,15 +143,14 @@ func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int
 	if n < 1 {
 		return nil, persist.Corruptf("session over %d bins", n)
 	}
-	if mode < int(DirectEngine) || mode > int(ShardedJumpEngine) {
-		return nil, persist.Corruptf("unknown engine mode %d", mode)
+	if err := checkEngineMode(mode); err != nil {
+		return nil, err
 	}
 	if shards < 0 {
 		return nil, persist.Corruptf("session with %d shards", shards)
 	}
 	m := EngineMode(mode)
-	sharded := m == ShardedEngine || m == ShardedJumpEngine
-	if sharded && (strict || topoKind != 0) {
+	if m == ShardedEngine && (strict || topoKind != 0) {
 		return nil, persist.Corruptf("sharded session with strict rule or topology")
 	}
 	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
@@ -474,8 +488,8 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode < int(DirectEngine) || mode > int(ShardedJumpEngine) {
-		return nil, persist.Corruptf("unknown engine mode %d", mode)
+	if err := checkEngineMode(mode); err != nil {
+		return nil, err
 	}
 	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
 		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)

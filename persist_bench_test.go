@@ -26,7 +26,7 @@ var persistBenchModes = []struct {
 }{
 	{"direct", nil},
 	{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
-	{"shardedjump", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(4)}},
+	{"sharded", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(4)}},
 }
 
 // BenchmarkSnapshot measures serializing a full session, with the

@@ -1,10 +1,14 @@
 package rls
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
@@ -34,8 +38,6 @@ func snapshotMatrix() []snapshotCase {
 		{"jump-rr-hybrid", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 99)), WithSessionGraphSampler(GraphSamplerRejection)}},
 		{"sharded-p1", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(1)}},
 		{"sharded-p3", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(3)}},
-		{"shardedjump-p1", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(1)}},
-		{"shardedjump-p3", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3)}},
 	}
 }
 
@@ -138,7 +140,6 @@ func TestResumeAcrossLevelIndexShrink(t *testing.T) {
 		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
 		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
 		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
-		{"shardedjump-p3", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewSession(n, seed, tc.opts...)
@@ -267,7 +268,7 @@ func TestResumeAutoSamplerFollowsPayload(t *testing.T) {
 // TestResumePreservesShape checks the restored session reports the same
 // shape the original was built with.
 func TestResumePreservesShape(t *testing.T) {
-	s := NewSession(16, 7, WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3))
+	s := NewSession(16, 7, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}
@@ -279,7 +280,7 @@ func TestResumePreservesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Mode() != ShardedJumpEngine || s2.N() != 16 || s2.M() != 64 {
+	if s2.Mode() != ShardedEngine || s2.Shards() != 3 || s2.N() != 16 || s2.M() != 64 {
 		t.Fatalf("restored shape mode=%v n=%d m=%d", s2.Mode(), s2.N(), s2.M())
 	}
 }
@@ -417,6 +418,32 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 			}
 		}
 	})
+
+	// The removed sharded jump mode: the artifact written by the last
+	// version that had it, and two hand-made variants that reach the
+	// sharded payload decoder with its mode flag or its census set.
+	legacy := readTestdata(t, "shardedjump-p3.snap")
+	var shape persist.Enc
+	shape.Int(16)
+	shape.Int(3)
+	jumpOff := len(shape.Bytes()) // the jump flag follows n and P
+	for _, c := range []struct {
+		name string
+		art  []byte
+	}{
+		{"shardedjump-meta", legacy},
+		{"shardedjump-payload", rewriteSnapshot(t, legacy, int(ShardedEngine), nil)},
+		{"shardedjump-census", rewriteSnapshot(t, legacy, int(ShardedEngine), func(p []byte) {
+			p[jumpOff] = 0 // clear the mode flag: the census flag trips next
+		})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ResumeSession(bytes.NewReader(c.art))
+			if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "shardedjump") {
+				t.Fatalf("got %v, want ErrCorrupt naming shardedjump", err)
+			}
+		})
+	}
 
 	t.Run("wrong-magic", func(t *testing.T) {
 		mut := append([]byte(nil), good...)
@@ -581,6 +608,136 @@ func TestTraceArchiveCrashTail(t *testing.T) {
 	}
 }
 
+// TestRemovedModeTrace: a trace archive recorded in the removed
+// sharded jump mode neither opens nor resumes from its embedded seek
+// points; each path fails with ErrCorrupt naming the mode.
+func TestRemovedModeTrace(t *testing.T) {
+	raw := readTestdata(t, "shardedjump-p3.trace")
+	wantCorrupt := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "shardedjump") {
+			t.Fatalf("%s: got %v, want ErrCorrupt naming shardedjump", what, err)
+		}
+	}
+	_, err := OpenTrace(bytes.NewReader(raw))
+	wantCorrupt("open", err)
+
+	br := bufio.NewReader(bytes.NewReader(raw))
+	if err := persist.ReadHeader(br, persist.MagicTrace); err != nil {
+		t.Fatal(err)
+	}
+	sr := persist.NewSectionReader(br)
+	seeks := 0
+	for {
+		kind, payload, err := sr.Next()
+		if err == io.EOF || kind == persist.KindEnd {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == sectTraceSnapshot {
+			seeks++
+			_, err := ResumeSession(bytes.NewReader(payload))
+			wantCorrupt(fmt.Sprintf("seek point %d", seeks), err)
+		}
+	}
+	if seeks < 2 {
+		t.Fatalf("archive holds %d seek points, want the initial one and more", seeks)
+	}
+}
+
+// TestResumeLegacyArtifacts resumes direct, jump, and sharded snapshots
+// written by the version that still had the sharded jump mode, replays
+// the continuation script those sessions then ran, and requires the
+// final snapshot they wrote byte for byte: the surviving modes kept
+// their layout and their draws.
+func TestResumeLegacyArtifacts(t *testing.T) {
+	for _, name := range []string{"direct", "jump", "sharded-p3"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := ResumeSession(bytes.NewReader(readTestdata(t, name+".snap")))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			for i := 0; i < 6; i++ {
+				s.AddBallRandom()
+				if i%3 == 2 {
+					if _, err := s.RemoveRandomBall(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.RunFor(0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := sessionSnapshotBytes(t, s), readTestdata(t, name+".final.snap"); !bytes.Equal(got, want) {
+				t.Fatalf("continuation diverged from the recorded run (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+func readTestdata(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// rewriteSnapshot re-frames a snapshot artifact with the meta section's
+// engine mode replaced and the engine payload passed through patch (nil
+// leaves it as is), recomputing every section checksum.
+func rewriteSnapshot(t testing.TB, art []byte, mode int, patch func([]byte)) []byte {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(art))
+	if err := persist.ReadHeader(br, persist.MagicSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := persist.WriteHeader(&out, persist.MagicSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	sr := persist.NewSectionReader(br)
+	for {
+		kind, payload, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = append([]byte(nil), payload...)
+		switch kind {
+		case sectMeta:
+			n, _, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e persist.Enc
+			e.Int(n)
+			e.Int(mode)
+			e.Int(shards)
+			e.Bool(strict)
+			e.Int(topoKind)
+			e.Int(topoArg)
+			e.U64(topoSeed)
+			e.Int(gsampler)
+			e.Bytes8(note)
+			payload = e.Bytes()
+		case sectEngine, sectSharded:
+			if patch != nil {
+				patch(payload)
+			}
+		}
+		if err := persist.WriteSection(&out, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
 // TestTraceMetaGraphFamilies pins the archive header strings for the
 // PR 10 topology codes and the graph-sampler field.
 func TestTraceMetaGraphFamilies(t *testing.T) {
@@ -638,6 +795,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// The removed sharded jump mode's artifact, and its payload behind a
+	// sharded header, seed the error paths.
+	legacy := readTestdata(f, "shardedjump-p3.snap")
+	f.Add(legacy)
+	f.Add(rewriteSnapshot(f, legacy, int(ShardedEngine), nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {

@@ -151,43 +151,28 @@ const (
 	// ShardedEngine partitions the bins into WithShards contiguous ranges
 	// simulated by concurrent goroutine workers, each with its own
 	// configuration, sampler, and deterministic RNG stream; cross-shard
-	// moves drain through bounded queues at epoch barriers and the global
-	// stop conditions read a per-barrier reconciliation of the shard
-	// histograms (see internal/sim.NewSharded). It targets the dense
-	// regime (m ≫ n, many productive moves) the other modes leave
-	// single-threaded; experiment A5 KS-validates the balancing-time law
-	// against DirectEngine. Plain RLS on the complete topology only; stop
-	// conditions and traces coarsen to epoch granularity for P > 1, while
-	// P = 1 reproduces the direct engine byte-for-byte.
+	// moves drain through per-shard outboxes at epoch barriers and the
+	// global stop conditions read a per-barrier reconciliation of the
+	// shard histograms (see internal/sim.NewSharded). It is the
+	// dense-regime tool (m ≫ n, most activations productive, several
+	// cores): in the end-game JumpEngine, which skips the null
+	// activations, is faster. Plain RLS on the complete topology only;
+	// stop conditions and traces coarsen to epoch granularity for P > 1,
+	// while P = 1 reproduces the direct engine byte-for-byte.
+	//
+	// For P > 1 the process is an approximation whose fidelity depends on
+	// the epoch length (see WithShardEpoch): experiment A5 KS-validates
+	// the balancing-time law against DirectEngine at fine epochs.
 	ShardedEngine
-	// ShardedJumpEngine composes the two accelerations: WithShards
-	// goroutine workers as in ShardedEngine, but each shard maintains a
-	// level index over its bins — its local move weight plus an external
-	// weight against the stale cross-shard snapshot — and skips its null
-	// activations in geometric blocks as in JumpEngine, classifying each
-	// eventful activation as a local move (applied immediately) or a
-	// cross-shard proposal (queued for the barrier). Epochs adapt to the
-	// folded global move weight, shrinking relative to the activation
-	// scale as the move rate drops and flooring at per-move-batch epochs,
-	// so one run covers the dense regime (parallel wins) and the end-game
-	// (jump wins) without picking a mode per regime (see
-	// internal/sim.NewShardedJump). Experiment A6 KS-validates the
-	// balancing-time law against DirectEngine; P = 1 is byte-identical to
-	// JumpEngine. Plain RLS on the complete topology only; granularity is
-	// epoch barriers for P > 1, jump steps for P = 1, and time-targeted
-	// runs stop exactly at the horizon (never past it).
-	ShardedJumpEngine
 )
 
-// String returns "direct", "jump", "sharded", or "shardedjump".
+// String returns "direct", "jump", or "sharded".
 func (m EngineMode) String() string {
 	switch m {
 	case JumpEngine:
 		return "jump"
 	case ShardedEngine:
 		return "sharded"
-	case ShardedJumpEngine:
-		return "shardedjump"
 	}
 	return "direct"
 }
@@ -235,12 +220,12 @@ func WithTarget(t Target) Option { return func(r *Runner) { r.target = t } }
 // WithStrictTieRule switches to the [12]/[11] variant that forbids
 // neutral moves (move only if the destination is smaller by ≥ 2). The
 // paper's §3 remark: same balancing-time law. Supported by DirectEngine
-// and JumpEngine (not on a topology, not by the sharded modes).
+// and JumpEngine (not on a topology, not by the sharded engine).
 func WithStrictTieRule() Option { return func(r *Runner) { r.strict = true } }
 
 // WithTopology restricts destination sampling to a graph (§7).
 // Supported by DirectEngine (any graph) and JumpEngine (regular graphs,
-// plain tie rule); the sharded modes reject it.
+// plain tie rule); the sharded engine rejects it.
 func WithTopology(t Topology) Option { return func(r *Runner) { r.topology = t } }
 
 // WithGraphSampler overrides the jump engine's graph sampler choice
@@ -269,20 +254,28 @@ func WithFenwickEngine() Option { return func(r *Runner) { r.fenwick = true } }
 // complete topology and the plain rule on regular graph topologies.
 func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.mode = m } }
 
-// WithShards sets the sharded engines' worker count P (default
+// WithShards sets the sharded engine's worker count P (default
 // sim.DefaultShards; clamped to the bin count); it composes with
-// ShardedEngine and ShardedJumpEngine. The shard count is part of the
-// random-stream layout, so fixed-seed runs reproduce only for the same P.
+// ShardedEngine. The shard count is part of the random-stream layout, so
+// fixed-seed runs reproduce only for the same P.
 func WithShards(p int) Option { return func(r *Runner) { r.shards = p } }
 
-// WithShardEpoch sets the sharded engines' epoch length in continuous
+// WithShardEpoch sets the sharded engine's epoch length in continuous
 // time. Smaller epochs track the sequential process more closely —
 // cross-shard moves and stop checks land at barriers — while larger ones
-// amortize the barrier; the A5/A6 experiments run fine epochs, the dense
-// benchmark coarse ones. The default (0 = auto) is a fixed
-// activations-per-shard epoch for ShardedEngine and the adaptive policy
-// for ShardedJumpEngine: epochs shrink with the folded global move
-// weight as the run thins out, floored at per-move-batch epochs.
+// amortize the barrier. The default (0 = auto) sizes epochs for
+// throughput, at about 256 activations per shard between barriers.
+//
+// Coarse epochs, the auto default included, are a documented
+// approximation rather than the sequential law: cross-shard moves are
+// decided against loads up to one epoch stale, land only at barriers,
+// and balancing is observed only at barriers. The auto epoch is
+// 256·P/m time units; when that is not small against the balancing time
+// (small m), the law drifts far. Experiment A5 gates the law at fine
+// epochs, dt = P/m, about one activation per shard between barriers, and
+// reports an auto-epoch row that fails the KS test against DirectEngine
+// (n = 32, m = 256, P = 4: ~75 time units to balance against ~6). Pick a
+// fine epoch when the law matters more than wall-clock time.
 func WithShardEpoch(dt float64) Option { return func(r *Runner) { r.shardEpoch = dt } }
 
 // WithActivationBudget caps the number of activations (default 10^9).
@@ -430,9 +423,9 @@ func (r *Runner) mover() (sim.Mover, error) {
 	return core.RLS{}, nil
 }
 
-// shardedEngine builds the sharded or sharded-jump engine, rejecting the
-// options neither supports (the sharded modes remain plain-rule,
-// complete-topology only; see the EngineMode docs).
+// shardedEngine builds the sharded engine, rejecting the options it does
+// not support (plain rule and complete topology only; see the EngineMode
+// docs).
 func (r *Runner) shardedEngine() (*sim.Sharded, error) {
 	if r.strict || r.topology.active() || r.speeds != nil {
 		return nil, fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", r.mode)
@@ -451,13 +444,6 @@ func (r *Runner) shardedEngine() (*sim.Sharded, error) {
 	}
 	stream := rng.New(r.seed)
 	v := r.placement.gen.Generate(r.n, r.m, stream)
-	if r.mode == ShardedJumpEngine {
-		e := sim.NewShardedJump(v, r.shards, r.shardEpoch, stream)
-		if r.target.kind == targetTime {
-			e.SetHorizon(r.target.arg)
-		}
-		return e, nil
-	}
 	return sim.NewSharded(v, r.shards, r.shardEpoch, stream), nil
 }
 
@@ -553,6 +539,9 @@ func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
 		}
 		return e, core.NewPhaseTracker(e), nil
 	}
+	if r.mode != DirectEngine {
+		return nil, nil, fmt.Errorf("rls: unknown engine mode %d", r.mode)
+	}
 	if r.graphSampler != GraphSamplerAuto {
 		return nil, nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
 	}
@@ -586,7 +575,7 @@ func (r *Runner) stop() func(e *sim.Engine) bool {
 // Run executes one run and returns its Result. Configuration errors
 // (mismatched topology or speeds) are returned, not panicked.
 func (r *Runner) Run() (Result, error) {
-	if r.mode == ShardedEngine || r.mode == ShardedJumpEngine {
+	if r.mode == ShardedEngine {
 		e, err := r.shardedEngine()
 		if err != nil {
 			return Result{}, err
@@ -605,7 +594,7 @@ func (r *Runner) Run() (Result, error) {
 // RunTraced is Run plus a trajectory sampled every `every` activations
 // (epoch-granular for the sharded engine with P > 1).
 func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
-	if r.mode == ShardedEngine || r.mode == ShardedJumpEngine {
+	if r.mode == ShardedEngine {
 		e, err := r.shardedEngine()
 		if err != nil {
 			return Result{}, nil, err

@@ -32,9 +32,7 @@ import (
 // engine burns almost all activations on rejected null moves — nearly
 // free; the ShardedEngine partitions the bins across goroutine workers
 // for the dense regime, hashing each churn event to the owning shard so
-// joins and leaves stay O(1); the ShardedJumpEngine composes both —
-// parallel shards that each skip their null activations — covering dense
-// stretches and converged stretches in one session.
+// joins and leaves stay O(1).
 //
 // # Concurrency
 //
@@ -47,7 +45,7 @@ import (
 // horizons into short RunFor slices, exactly what a serving layer's event
 // loop does anyway (cmd/rlsd drives one goroutine per tenant and lets
 // concurrent readers see a frozen-in-time snapshot between events). The
-// sharded modes' worker goroutines live entirely inside a Run call and
+// sharded engine's worker goroutines live entirely inside a Run call and
 // never touch the Session after it returns, so the mutex covers them too.
 type Session struct {
 	// mu serializes every method; see the Concurrency section above. The
@@ -123,13 +121,9 @@ func (a shardedSession) BinLoad(bin int) int           { return a.e.Load(bin) }
 func (a shardedSession) SnapshotLoads() loadvec.Vector { return a.e.Snapshot() }
 func (a shardedSession) CurrentDisc() float64          { return a.e.Disc() }
 func (a shardedSession) RunUntilTime(t float64, maxActivations int64) {
-	// As in sequentialSession: only jump shards consult the horizon.
-	a.e.SetHorizon(t)
 	a.e.Run(sim.ShardedUntilTime(t), maxActivations)
-	a.e.SetHorizon(0)
 }
 func (a shardedSession) RunToPerfect(maxActivations int64) bool {
-	a.e.SetHorizon(0)
 	return a.e.Run(sim.ShardedUntilPerfect(), maxActivations).Stopped
 }
 
@@ -144,21 +138,21 @@ func WithSessionEngineMode(m EngineMode) SessionOption {
 
 // WithSessionShards sets the sharded session's worker count (default
 // sim.DefaultShards); it only takes effect with
-// WithSessionEngineMode(ShardedEngine) or (ShardedJumpEngine).
+// WithSessionEngineMode(ShardedEngine).
 func WithSessionShards(p int) SessionOption {
 	return func(s *Session) { s.shards = p }
 }
 
 // WithSessionStrictTieRule runs the session under the strict tie rule
 // (move only if the destination is smaller by ≥ 2). Supported by the
-// direct and jump modes; not on a topology, not by the sharded modes.
+// direct and jump modes; not on a topology, not by the sharded engine.
 func WithSessionStrictTieRule() SessionOption {
 	return func(s *Session) { s.strict = true }
 }
 
 // WithSessionTopology restricts the session's destination sampling to a
 // graph (§7). Supported by the direct mode (any graph) and the jump mode
-// (regular graphs, plain tie rule); the sharded modes reject it. Churn
+// (regular graphs, plain tie rule); the sharded engine rejects it. Churn
 // updates the jump mode's per-source admissible structure incrementally
 // (O(Δ + flips·log n) per join/leave).
 func WithSessionTopology(t Topology) SessionOption {
@@ -198,16 +192,12 @@ func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 		default:
 			s.engine = sequentialSession{sim.NewJumpEngine(make(loadvec.Vector, n), s.stream)}
 		}
-	case ShardedEngine, ShardedJumpEngine:
+	case ShardedEngine:
 		if s.strict || s.topology.active() {
 			panic("rls: sharded sessions support only plain RLS on the complete topology")
 		}
-		if s.mode == ShardedEngine {
-			s.engine = shardedSession{sim.NewSharded(make(loadvec.Vector, n), s.shards, 0, s.stream)}
-		} else {
-			s.engine = shardedSession{sim.NewShardedJump(make(loadvec.Vector, n), s.shards, 0, s.stream)}
-		}
-	default:
+		s.engine = shardedSession{sim.NewSharded(make(loadvec.Vector, n), s.shards, 0, s.stream)}
+	case DirectEngine:
 		var mover sim.Mover = core.RLS{}
 		if s.topology.active() {
 			mover = graphs.GraphRLS{G: s.sessionGraph(n)}
@@ -215,6 +205,8 @@ func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 			mover = core.StrictRLS{}
 		}
 		s.engine = sequentialSession{sim.NewEngine(make(loadvec.Vector, n), mover, sim.NewBallList(), s.stream)}
+	default:
+		panic(fmt.Sprintf("rls: unknown engine mode %d", s.mode))
 	}
 	return s
 }

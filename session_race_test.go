@@ -17,7 +17,7 @@ import (
 // readers tenant model sound.
 func TestSessionConcurrentCallers(t *testing.T) {
 	modes := []rls.EngineMode{
-		rls.DirectEngine, rls.JumpEngine, rls.ShardedEngine, rls.ShardedJumpEngine,
+		rls.DirectEngine, rls.JumpEngine, rls.ShardedEngine,
 	}
 	for _, mode := range modes {
 		mode := mode
