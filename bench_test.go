@@ -222,17 +222,15 @@ func BenchmarkGraphEndGame(b *testing.B) {
 // BenchmarkGraphDense measures the dense-degree graph end-game: n = 4096
 // bins at base load 4 on a random 16-regular multigraph, with excess
 // balls diffusing to holes. Per move the direct engine burns ~m·Δ/W_G
-// activations, the exact index pays O(Δ + flips·log n) bookkeeping and
-// never rejects, and the rejection hybrid pays O(Δ·log n) with an O(1)
-// expected retry factor once its lazy bounds tighten — so the ordering
-// direct ≪ jump-hybrid < jump-exact holds, and CI gates both jump arms
-// ≥ 5× direct via scripts/check_graphdense.sh.
+// activations while the jump engine's exact index pays O(Δ + flips·log n)
+// bookkeeping and never rejects, so direct ≪ jump-exact, and CI gates
+// jump-exact ≥ 5× direct via scripts/check_graphdense.sh.
 func BenchmarkGraphDense(b *testing.B) {
 	// 64 excess/hole pairs instead of one: the run length is a sum of ~64
 	// annihilation walks, concentrated enough for a single-iteration CI
 	// smoke to gate a wall-clock ratio on. The base load of 4 (m = 4n)
 	// deepens the null-move desert the direct engine must cross —
-	// activations per move scale with m·Δ/W_G — while the jump arms' cost
+	// activations per move scale with m·Δ/W_G — while the jump arm's cost
 	// tracks moves and degree only.
 	const n, d, k, base = 4096, 16, 64, 4
 	topo := RandomRegularTopology(d, 7)
@@ -249,8 +247,7 @@ func BenchmarkGraphDense(b *testing.B) {
 		opts []Option
 	}{
 		{"direct", []Option{WithEngineMode(DirectEngine)}},
-		{"jump-exact", []Option{WithEngineMode(JumpEngine), WithGraphSampler(GraphSamplerExact)}},
-		{"jump-hybrid", []Option{WithEngineMode(JumpEngine), WithGraphSampler(GraphSamplerRejection)}},
+		{"jump-exact", []Option{WithEngineMode(JumpEngine)}},
 	}
 	for _, arm := range arms {
 		b.Run(fmt.Sprintf("random-%d-regular/%s", d, arm.name), func(b *testing.B) {

@@ -108,16 +108,18 @@ func run(svc *service.Service, cfg daemonConfig, ready chan<- string, logger *lo
 		BaseContext: func(net.Listener) context.Context { return baseCtx },
 	}
 
+	// Catch signals before announcing readiness: a SIGTERM that arrives
+	// between the two must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	logger.Printf("rlsd: listening on %s", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	// Periodic tenant snapshots bound how much history a crash (as
 	// opposed to a clean SIGTERM) can lose.

@@ -12,7 +12,7 @@
 //	rlsim -n 4096 -m 4096 -engine jump -strict
 //	rlsim -n 4096 -m 4096 -engine jump -topology torus
 //	rlsim -n 4096 -m 8192 -engine jump -topology expander
-//	rlsim -n 4096 -m 16384 -engine jump -topology random-16-regular -graphsampler rejection
+//	rlsim -n 4096 -m 16384 -engine jump -topology random-16-regular
 //	rlsim -n 65536 -m 65536 -placement random -engine sharded -shards 4 -target time=8
 //	rlsim -n 4096 -m 4096 -engine jump -cpuprofile cpu.pprof
 package main
@@ -40,7 +40,6 @@ func main() {
 		placement = flag.String("placement", "all-in-one", "initial placement: all-in-one|random|two-choice|spread|delta-pair")
 		target    = flag.String("target", "perfect", "stop target: perfect | disc=X | time=X")
 		topology  = flag.String("topology", "complete", "topology: complete|ring|torus|hypercube|expander|random-<d>-regular")
-		gsampler  = flag.String("graphsampler", "auto", "jump-engine graph sampler: auto|exact|rejection (needs -engine jump and a graph -topology)")
 		speeds    = flag.String("speeds", "", "bin speed profile: uniform|bimodal|powerlaw (empty = unit speeds)")
 		strict    = flag.Bool("strict", false, "use the strict (>) tie rule of [12]/[11]")
 		engine    = flag.String("engine", "direct", "engine mode: direct (per-activation) | jump (rejection-free) | sharded (parallel, dense regime)")
@@ -71,9 +70,9 @@ func main() {
 	}
 	err := withProfiles(*cpuprof, *memprof, func() error {
 		if sf.active() {
-			return runSession(sf, *n, *m, *seed, *placement, *target, *topology, *gsampler, *speeds, *engine, *shards, *strict, *plot && !*csv)
+			return runSession(sf, *n, *m, *seed, *placement, *target, *topology, *speeds, *engine, *shards, *strict, *plot && !*csv)
 		}
-		return run(*n, *m, *seed, *placement, *target, *topology, *gsampler, *speeds, *engine, *shards, *strict, *trace, *plot && !*csv, *csv)
+		return run(*n, *m, *seed, *placement, *target, *topology, *speeds, *engine, *shards, *strict, *trace, *plot && !*csv, *csv)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rlsim: %v\n", err)
@@ -162,24 +161,23 @@ func parseRandomRegular(s string) (int, bool) {
 	return d, true
 }
 
-// parseGraphSampler maps the -graphsampler flag onto the library enum.
-func parseGraphSampler(s string) (rls.GraphSampler, error) {
-	switch s {
-	case "auto":
-		return rls.GraphSamplerAuto, nil
-	case "exact":
-		return rls.GraphSamplerExact, nil
-	case "rejection":
-		return rls.GraphSamplerRejection, nil
+// checkSize rejects a fresh run's bin and ball counts below one, which
+// the library constructors would panic on.
+func checkSize(n, m int) error {
+	if n < 1 || m < 1 {
+		return fmt.Errorf("-n and -m must be at least 1 (got -n %d -m %d)", n, m)
 	}
-	return 0, fmt.Errorf("unknown graph sampler %q (want auto|exact|rejection)", s)
+	return nil
 }
 
 // errRemovedEngine answers -engine shardedjump, a mode that no longer
 // exists.
 var errRemovedEngine = errors.New("engine mode shardedjump was removed; use -engine sharded for dense workloads or -engine jump for end-games")
 
-func run(n, m int, seed uint64, placement, target, topology, gsampler, speeds, engine string, shards int, strict bool, trace int64, plot, csv bool) error {
+func run(n, m int, seed uint64, placement, target, topology, speeds, engine string, shards int, strict bool, trace int64, plot, csv bool) error {
+	if err := checkSize(n, m); err != nil {
+		return err
+	}
 	opts := []rls.Option{rls.WithSeed(seed)}
 
 	switch engine {
@@ -241,16 +239,6 @@ func run(n, m int, seed uint64, placement, target, topology, gsampler, speeds, e
 	if topoActive {
 		opts = append(opts, rls.WithTopology(topo))
 	}
-	gs, err := parseGraphSampler(gsampler)
-	if err != nil {
-		return err
-	}
-	if gs != rls.GraphSamplerAuto {
-		// The Runner validates the combination (jump engine + graph
-		// topology) and returns its own error otherwise.
-		opts = append(opts, rls.WithGraphSampler(gs))
-	}
-
 	switch speeds {
 	case "":
 	case "uniform":

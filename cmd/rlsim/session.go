@@ -23,12 +23,24 @@ func (sf sessionFlags) active() bool {
 	return sf.resume != "" || sf.snapshot != "" || sf.traceout != ""
 }
 
+// newSession builds a fresh session. NewSession panics on an unsupported
+// option combination by design; the recover turns that into a flag error,
+// as internal/service's buildSession does for rlsd.
+func newSession(n int, seed uint64, opts []rls.SessionOption) (sess *rls.Session, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sess, err = nil, fmt.Errorf("%v", r)
+		}
+	}()
+	return rls.NewSession(n, seed, opts...), nil
+}
+
 // runSession is the durable twin of run: it drives an rls.Session so the
 // state can be resumed from and snapshotted to disk. Placements, speed
 // profiles, and disc= targets are Runner-only features and are rejected
 // here; balls enter via AddBallRandom (the session equivalent of random
 // placement).
-func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topology, gsampler, speeds, engine string, shards int, strict bool, plot bool) error {
+func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topology, speeds, engine string, shards int, strict bool, plot bool) error {
 	if speeds != "" {
 		return fmt.Errorf("-speeds is not supported with -resume/-snapshot/-traceout (sessions have no speed-aware engine)")
 	}
@@ -50,6 +62,9 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 		fmt.Printf("resumed from %s: n=%d m=%d engine=%s topology=%s time=%.4f\n",
 			sf.resume, sess.N(), sess.M(), sess.Mode(), sess.TopologyName(), sess.Time())
 	} else {
+		if err := checkSize(n, m); err != nil {
+			return err
+		}
 		opts := []rls.SessionOption{}
 		switch engine {
 		case "direct":
@@ -75,19 +90,10 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 		if topoActive {
 			opts = append(opts, rls.WithSessionTopology(topo))
 		}
-		gs, err := parseGraphSampler(gsampler)
+		sess, err = newSession(n, seed, opts)
 		if err != nil {
 			return err
 		}
-		if gs != rls.GraphSamplerAuto {
-			// NewSession panics on an unsupported combination, so gate it
-			// here where a flag error is the right surface.
-			if engine != "jump" || !topoActive {
-				return fmt.Errorf("-graphsampler %s needs -engine jump and a graph -topology", gs)
-			}
-			opts = append(opts, rls.WithSessionGraphSampler(gs))
-		}
-		sess = rls.NewSession(n, seed, opts...)
 		for i := 0; i < m; i++ {
 			sess.AddBallRandom()
 		}

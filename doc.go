@@ -45,16 +45,8 @@
 //     Fenwick tree plus one neighborhood scan, and a move updates the
 //     index incrementally — each changed bin is recounted, and each
 //     neighbor whose one slot back at that bin flipped admissibility
-//     takes ±1 — so a move costs O(Δ_G + flips·log n). The
-//     alternative, rejection-within-blocks against the lazy upper bound
-//     Ŵ_G = Σ_i load(i)·admUB(i) ≥ W_G, runs Geometric/Erlang block
-//     skipping at rate Ŵ_G/(m·Δ_G) off a load-only Fenwick tree,
-//     accepts an eventful activation iff the sampled slot is
-//     admissible, and tightens a source's cached bound on each
-//     rejection. A flag-thinning coupling makes the two paths the same
-//     per-activation move law (gate A8, including dense KS rows);
-//     WithGraphSampler(GraphSamplerRejection) selects the hybrid, and
-//     the default auto choice is exact so runs stay reproducible.
+//     takes ±1 — so a move costs O(Δ_G + flips·log n), with no
+//     rejections (gate A8, on bounded-degree and dense families).
 //     Strict + topology together is rejected: the graph processes in
 //     the literature use the plain rule.
 //   - ShardedEngine partitions the bins into WithShards contiguous

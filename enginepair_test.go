@@ -9,8 +9,8 @@ import (
 // This file adapts the Runner to internal/testutil's differential
 // harness and hosts the shared placement × target grid every
 // byte-identical engine pair is pinned over. The P = 1 sharded pins in
-// sharded_test.go and the graph-sampler pins below all instantiate the
-// same grid instead of hand-rolling comparison loops.
+// sharded_test.go instantiate it instead of hand-rolling comparison
+// loops.
 
 // runnerArm builds a harness arm from a Runner configuration: the seed
 // becomes WithSeed, and the fingerprint carries the §6 phase-crossing
@@ -68,14 +68,4 @@ func testEnginePairByteIdentical(t *testing.T, ref, cand []Option) {
 				runnerArm(t, c.n, c.m, candOpts...))
 		})
 	}
-}
-
-// TestGraphSamplerRunnerByteIdentical pins auto ≡ exact at the Runner
-// level on a bounded-degree graph (the ring adapts to every grid shape):
-// the auto choice must be the very same sampler, draw for draw, across
-// every placement and target kind.
-func TestGraphSamplerRunnerByteIdentical(t *testing.T) {
-	testEnginePairByteIdentical(t,
-		[]Option{WithEngineMode(JumpEngine), WithTopology(RingTopology())},
-		[]Option{WithEngineMode(JumpEngine), WithTopology(RingTopology()), WithGraphSampler(GraphSamplerExact)})
 }

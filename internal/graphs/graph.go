@@ -127,8 +127,8 @@ func (g Hypercube) Name() string { return "hypercube" }
 // handle exactly (a self-slot simply never admits a move).
 //
 // The degree is constant (8) but the family is the repo's stand-in for
-// "dense mixing at scale": it is the primary beneficiary of the
-// rejection-within-blocks jump sampler and the A8 gate at large n.
+// "dense mixing at scale": A8 gates the graph jump engine on it as one
+// of its two dense families.
 type Expander struct{ Side int }
 
 // N implements Graph.

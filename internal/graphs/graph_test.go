@@ -38,9 +38,8 @@ func checkSymmetric(t *testing.T, g Graph) {
 // TestSlotMultisetsSymmetric checks the property the graph jump engines
 // rely on: for every catalogue topology, vertex v lists w among its slots
 // exactly as often as w lists v (self-slots included). The exact index's
-// O(Δ) update enumerates the slots j→b by walking b's own slots, and the
-// hybrid's neighbor bump credits j once per slot j→b, so an asymmetric
-// multiset would silently corrupt both. Small sizes are included on
+// O(Δ) update enumerates the slots j→b by walking b's own slots, so an
+// asymmetric multiset would silently corrupt it. Small sizes are included on
 // purpose: they are where wraparound produces parallel edges and
 // self-loops.
 func TestSlotMultisetsSymmetric(t *testing.T) {

@@ -211,10 +211,9 @@ func TestA7SameLaw(t *testing.T) {
 }
 
 // TestA8SameLaw gates the graph jump engine's law fidelity against the
-// direct GraphRLS engine on ring, torus, and hypercube, plus the exact
-// vs rejection-hybrid pair on the dense families (random-8-regular,
-// expander, 8 reps per arm); the builder's acceptance run checks further
-// seeds by hand via rlsweep.
+// direct GraphRLS engine on ring, torus, and hypercube, and on the dense
+// families (random-8-regular, expander, 48 reps per arm); further seeds
+// can be checked by hand with rlsweep -exp A8.
 func TestA8SameLaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")

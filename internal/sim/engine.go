@@ -32,9 +32,8 @@ type Engine struct {
 	gaps    GapSampler        // non-nil when the sampler owns event timing
 	mover   Mover
 	r       *rng.RNG
-	jump    bool             // rejection-free jump-chain mode (see jump.go)
-	gidx    graphSampler     // jump mode on a graph topology: exact index or rejection hybrid (jumpgraph.go, jumpgraphhybrid.go)
-	gmode   GraphSamplerMode // the requested graph sampler mode; auto lets a snapshot's tag pick on restore
+	jump    bool        // rejection-free jump-chain mode (see jump.go)
+	gidx    *graphIndex // jump mode on a graph topology (jumpgraph.go)
 
 	time        float64
 	activations int64

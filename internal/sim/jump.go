@@ -94,8 +94,8 @@ func (e *Engine) stepJump() bool {
 	var w int64
 	var denom float64
 	if e.gidx != nil {
-		w = e.gidx.weight()
-		denom = float64(e.gidx.degree())
+		w = e.gidx.total
+		denom = float64(e.gidx.deg)
 	} else {
 		w = e.cfg.MoveWeight()
 		denom = float64(e.cfg.N())
@@ -125,16 +125,7 @@ func (e *Engine) stepJump() bool {
 	e.activations += k
 	var src, dst int
 	if e.gidx != nil {
-		var ok bool
-		src, dst, ok = e.gidx.event(e.cfg, e.r)
-		if !ok {
-			// A rejection sampler's flagged activation drew an inadmissible
-			// slot: the block's clock and activation advance stand (the flag
-			// stream, not the move stream, has rate w/(m·Δ)), but the
-			// activation is null — no move, and the sampler has already
-			// tightened its bound for the sampled source.
-			return false
-		}
+		src, dst = e.gidx.sample(e.r)
 	} else {
 		src, dst = e.cfg.SampleMovePair(e.r)
 	}

@@ -50,12 +50,9 @@ type Topology interface {
 // max(old, new), and adm[j] moves by ±1 without a rescan of j. Only the
 // changed bins themselves are recounted, in the same pass. An update
 // therefore costs O(Δ) comparisons plus one Fenwick update per flipped
-// neighbor and per changed bin — O(Δ + flips·log n) — against O(Δ·log n)
-// for the rejection hybrid, which bumps every neighbor of a vacated bin,
-// and it never rejects; so the exact index serves every degree by
-// default. The previous loads live in a mirror (derived state, rebuilt
-// on restore, never serialized), which the slot scans also read for
-// locality.
+// neighbor and per changed bin — O(Δ + flips·log n). The previous loads
+// live in a mirror (derived state, rebuilt on restore, never
+// serialized), which the slot scans also read for locality.
 type graphIndex struct {
 	g     Topology
 	deg   int           // uniform degree Δ
@@ -187,17 +184,6 @@ func (gx *graphIndex) validate(cfg *loadvec.Config) error {
 	return nil
 }
 
-func (gx *graphIndex) topology() Topology { return gx.g }
-func (gx *graphIndex) weight() int64      { return gx.total }
-func (gx *graphIndex) degree() int        { return gx.deg }
-
-// event implements graphSampler: the exact index never rejects, so every
-// eventful activation is the move sample itself.
-func (gx *graphIndex) event(cfg *loadvec.Config, r *rng.RNG) (src, dst int, ok bool) {
-	src, dst = gx.sample(r)
-	return src, dst, true
-}
-
 // sample draws one jump-chain move: src with probability ∝
 // load(src)·adm[src], then a uniform admissible slot of src. The caller
 // guarantees total > 0.
@@ -219,6 +205,27 @@ func (gx *graphIndex) sample(r *rng.RNG) (src, dst int) {
 	panic("sim: graph index admissible count out of sync")
 }
 
+// regularTopologyDegree validates that g covers exactly the
+// configuration's bins and is regular with degree ≥ 1, panicking
+// otherwise — regularity is what makes the per-activation move
+// probability a single ratio W_G/(m·Δ).
+func regularTopologyDegree(cfg *loadvec.Config, g Topology) int {
+	n := cfg.N()
+	if g.N() != n {
+		panic("sim: graph jump engine needs a topology over exactly the configuration's bins")
+	}
+	deg := g.Degree(0)
+	if deg < 1 {
+		panic("sim: graph jump engine needs a regular topology with degree >= 1")
+	}
+	for i := 1; i < n; i++ {
+		if g.Degree(i) != deg {
+			panic("sim: graph jump engine needs a regular topology")
+		}
+	}
+	return deg
+}
+
 // NewGraphJumpEngine builds a rejection-free engine for plain RLS
 // restricted to a regular graph topology (the §7 extension simulated by
 // graphs.GraphRLS): a ball in bin i samples a uniform neighbor slot and
@@ -230,13 +237,20 @@ func (gx *graphIndex) sample(r *rng.RNG) (src, dst int) {
 // thinned-Poisson clamp conditions on the same weight, so time-targeted
 // runs stay exact.
 //
-// This constructor is NewGraphJumpEngineMode with GraphSamplerAuto, which
-// builds the exact index at every degree; the rejection-within-blocks
-// hybrid (graphHybrid) is reachable through GraphSamplerRejection. The
-// balancing-time law is identical to the direct engine's either way
-// (experiment A8 KS-tests it). The topology must be regular and its slot
-// lists symmetric as multisets, as every catalogue topology's are;
-// multigraph slots (parallel edges, self-loops) are handled exactly.
+// The balancing-time law is the direct engine's (experiment A8 KS-tests
+// it). The topology must be regular and its slot lists symmetric as
+// multisets, as every catalogue topology's are; multigraph slots
+// (parallel edges, self-loops) are handled exactly.
 func NewGraphJumpEngine(initial loadvec.Vector, g Topology, r *rng.RNG) *Engine {
-	return NewGraphJumpEngineMode(initial, g, GraphSamplerAuto, r)
+	if r == nil {
+		panic("sim: NewGraphJumpEngine with nil RNG")
+	}
+	if g == nil {
+		panic("sim: NewGraphJumpEngine with nil topology")
+	}
+	cfg := loadvec.NewConfig(initial)
+	// The level index serves RandomBin (session churn) and stays the
+	// uniform-ball sampler; the graph index owns the move weight.
+	cfg.EnableLevelIndex()
+	return &Engine{cfg: cfg, r: r, jump: true, gidx: newGraphIndex(cfg, g)}
 }

@@ -275,7 +275,7 @@ func TestGraphJumpChurn(t *testing.T) {
 			}
 		}
 		e.Step()
-		if got, want := e.gidx.weight(), scratchGraphWeight(e.Cfg().Snapshot(), g); got != want {
+		if got, want := e.gidx.total, scratchGraphWeight(e.Cfg().Snapshot(), g); got != want {
 			t.Fatalf("event %d: W_G = %d, want %d", i, got, want)
 		}
 	}

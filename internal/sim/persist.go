@@ -32,12 +32,11 @@ const (
 	samplerEventHeap
 )
 
-// Graph-sampler type tags (graph jump engines only), written ahead of
-// the graph payload for the same loud-mismatch property. The exact index
-// is a pure function of loads + topology and carries no payload; the
-// rejection hybrid's lazy bounds admUB are history-dependent (they
-// remember which sources were refreshed), so they ship verbatim — a
-// resumed run must flag the same sources the uninterrupted run would.
+// Graph-index type tags (graph jump engines only), written ahead of the
+// graph payload for the same loud-mismatch property. The exact index is
+// a pure function of loads + topology and carries no payload. Tag
+// graphRejection belonged to the removed rejection-within-blocks
+// sampler; its artifacts fail to decode with an error naming it.
 const (
 	graphNone = iota
 	graphExact
@@ -256,16 +255,10 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 	default:
 		panic(fmt.Sprintf("sim: sampler %s has no snapshot codec", e.sampler.Name()))
 	}
-	switch gx := e.gidx.(type) {
-	case nil:
+	if e.gidx == nil {
 		enc.Int(graphNone)
-	case *graphIndex:
+	} else {
 		enc.Int(graphExact)
-	case *graphHybrid:
-		enc.Int(graphRejection)
-		enc.I32s(gx.admUB)
-	default:
-		panic("sim: graph sampler has no snapshot codec")
 	}
 	encodeRNG(enc, e.r)
 	enc.F64(e.time)
@@ -327,24 +320,15 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	var admUB []int32
 	switch {
 	case e.gidx == nil:
 		if gtag != graphNone {
 			return persist.Corruptf("snapshot carries graph sampler tag %d, engine has none", gtag)
 		}
-	case gtag != graphExact && gtag != graphRejection:
+	case gtag == graphRejection:
+		return persist.Corruptf("snapshot graph sampler tag %d is the removed rejection sampler", gtag)
+	case gtag != graphExact:
 		return persist.Corruptf("snapshot graph sampler tag %d on a graph engine", gtag)
-	case e.gmode == GraphSamplerExact && gtag != graphExact:
-		return persist.Corruptf("snapshot graph sampler tag %d, engine wants exact", gtag)
-	case e.gmode == GraphSamplerRejection && gtag != graphRejection:
-		return persist.Corruptf("snapshot graph sampler tag %d, engine wants rejection", gtag)
-	}
-	// Under auto the payload's tag picks the sampler: auto resolved to the
-	// hybrid above a degree threshold in older builds, and those snapshots
-	// resume onto the hybrid they recorded.
-	if e.gidx != nil && gtag == graphRejection {
-		admUB = d.I32s()
 	}
 	var st [4]uint64
 	for i := range st {
@@ -358,35 +342,12 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	// Rebuild the graph sampler over the restored configuration before
-	// committing anything, so a corrupt payload leaves the engine intact.
-	var gidx graphSampler
-	switch {
-	case e.gidx == nil:
-	case gtag == graphExact:
-		// The exact index is a deterministic function of the loads and the
-		// topology; rebuild it outright.
-		gidx = newGraphIndex(cfg, e.gidx.topology())
-	default:
-		// The loads and topology are rebuilt; the lazy bounds are the
-		// verbatim payload, validated against the invariant
-		// adm(i) ≤ admUB[i] ≤ Δ they must satisfy.
-		nh := newGraphHybrid(cfg, e.gidx.topology())
-		if len(admUB) != cfg.N() {
-			return persist.Corruptf("graph sampler bounds over %d bins, config has %d", len(admUB), cfg.N())
-		}
-		for i, ub := range admUB {
-			if ub > int32(nh.deg) {
-				return persist.Corruptf("graph sampler bound %d at bin %d exceeds degree %d", ub, i, nh.deg)
-			}
-			if ub < nh.admUB[i] { // fresh build has admUB = exact adm
-				return persist.Corruptf("graph sampler bound %d at bin %d below the admissible count %d", ub, i, nh.admUB[i])
-			}
-		}
-		for i, ub := range admUB {
-			nh.setUB(i, ub)
-		}
-		gidx = nh
+	// The exact index is a deterministic function of the loads and the
+	// topology; rebuild it over the restored configuration before
+	// committing anything.
+	var gidx *graphIndex
+	if e.gidx != nil {
+		gidx = newGraphIndex(cfg, e.gidx.g)
 	}
 	e.cfg = cfg
 	e.gidx = gidx

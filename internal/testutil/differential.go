@@ -5,14 +5,13 @@
 // Two engines that share every random draw (same seed, same draw order)
 // must agree *byte for byte* — identical stop times to the last bit,
 // identical move counts, identical final configurations. Two engines
-// that consume randomness differently (an exact sampler against a
-// rejection sampler, a direct run against its jump chain) can only agree
-// *in law* — their balancing-time distributions must be statistically
-// indistinguishable. The harness packages both checks over a common
-// fingerprint type so every engine-equivalence test in the repo — the
-// P = 1 sharded pins, the exact-vs-hybrid graph sampler pair, future
-// engine modes — states its claim the same way instead of hand-rolling
-// comparison loops.
+// that consume randomness differently (a direct run against its jump
+// chain) can only agree *in law* — their balancing-time distributions
+// must be statistically indistinguishable. The harness packages both
+// checks over a common fingerprint type so every engine-equivalence test
+// in the repo — the P = 1 sharded pins, the graph jump-vs-direct law
+// gate, future engine modes — states its claim the same way instead of
+// hand-rolling comparison loops.
 package testutil
 
 import (
@@ -103,9 +102,8 @@ const armSeedSalt = 0x9e3779b97f4a7c15
 
 // SameLaw asserts the two arms' stop-time laws are KS-indistinguishable
 // at level alpha over reps independent runs per arm: the claim for pairs
-// that cannot share draws, like the exact admissible index against the
-// rejection-within-blocks sampler. Seeds derive from seed0 with the two
-// arms salted apart.
+// that cannot share draws, like the graph jump engine against the direct
+// engine. Seeds derive from seed0 with the two arms salted apart.
 func SameLaw(t *testing.T, name string, seed0 uint64, reps int, alpha float64, a, b Arm) {
 	t.Helper()
 	ta := make([]float64, reps)

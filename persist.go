@@ -39,6 +39,23 @@ const (
 // engine mode. Its artifacts fail to decode with an error naming it.
 const removedEngineMode = 3
 
+// rejectionSamplerCode is the meta code of the removed rejection-within-
+// blocks graph sampler. The meta section keeps its graph-sampler field:
+// 0 (auto) and 1 (exact) both name the exact admissible index, the only
+// graph sampler left, and the encoder always writes 0.
+const rejectionSamplerCode = 2
+
+// checkSamplerCode validates a header's graph-sampler code.
+func checkSamplerCode(gs int) error {
+	if gs == rejectionSamplerCode {
+		return persist.Corruptf("graph sampler %d is the removed rejection sampler", gs)
+	}
+	if gs < 0 || gs > rejectionSamplerCode {
+		return persist.Corruptf("unknown graph sampler %d", gs)
+	}
+	return nil
+}
+
 // checkEngineMode validates a header's engine mode code.
 func checkEngineMode(mode int) error {
 	if mode == removedEngineMode {
@@ -85,7 +102,7 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 	meta.Int(topoKind)
 	meta.Int(topoArg)
 	meta.U64(s.topology.rrSeed)
-	meta.Int(int(s.graphSampler))
+	meta.Int(0) // graph sampler: the exact index (see rejectionSamplerCode)
 	meta.Bytes8(note)
 	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
 		return err
@@ -153,10 +170,10 @@ func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int
 	if m == ShardedEngine && (strict || topoKind != 0) {
 		return nil, persist.Corruptf("sharded session with strict rule or topology")
 	}
-	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
-		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)
+	if err := checkSamplerCode(gsampler); err != nil {
+		return nil, err
 	}
-	if gsampler != int(GraphSamplerAuto) && (m != JumpEngine || topoKind == 0) {
+	if gsampler != 0 && (m != JumpEngine || topoKind == 0) {
 		return nil, persist.Corruptf("graph sampler override without a graph jump engine")
 	}
 	opts := []SessionOption{WithSessionEngineMode(m)}
@@ -199,9 +216,6 @@ func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int
 		opts = append(opts, WithSessionTopology(RandomRegularTopology(topoArg, topoSeed)))
 	default:
 		return nil, persist.Corruptf("unknown topology code %d", topoKind)
-	}
-	if gsampler != int(GraphSamplerAuto) {
-		opts = append(opts, WithSessionGraphSampler(GraphSampler(gsampler)))
 	}
 	return opts, nil
 }
@@ -342,7 +356,7 @@ func (s *Session) NewTraceWriter(w io.Writer, snapEvery int) (*TraceWriter, erro
 	topoKind, topoArg, err := s.topologyCode()
 	bins := s.engine.Bins()
 	mode, shards, strict := s.mode, s.shards, s.strict
-	topoSeed, gsampler := s.topology.rrSeed, s.graphSampler
+	topoSeed := s.topology.rrSeed
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -359,7 +373,7 @@ func (s *Session) NewTraceWriter(w io.Writer, snapEvery int) (*TraceWriter, erro
 	meta.Int(topoKind)
 	meta.Int(topoArg)
 	meta.U64(topoSeed)
-	meta.Int(int(gsampler))
+	meta.Int(0) // graph sampler, as in snapshotLocked
 	meta.Bytes8(nil)
 	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
 		return nil, err
@@ -446,9 +460,6 @@ type TraceMeta struct {
 	Shards   int
 	Strict   bool
 	Topology string // complete|ring|torus|hypercube|expander|random-<d>-regular
-	// Sampler is the jump engine's graph-sampler choice the archive was
-	// recorded under ("auto" when unset or not applicable).
-	Sampler string
 }
 
 // TraceItem is one archive entry: exactly one of Record (a trajectory
@@ -491,8 +502,8 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 	if err := checkEngineMode(mode); err != nil {
 		return nil, err
 	}
-	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
-		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)
+	if err := checkSamplerCode(gsampler); err != nil {
+		return nil, err
 	}
 	topo := ""
 	switch topoKind {
@@ -515,7 +526,7 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 		sr: sr,
 		meta: TraceMeta{
 			Bins: n, Mode: EngineMode(mode), Shards: shards, Strict: strict,
-			Topology: topo, Sampler: GraphSampler(gsampler).String(),
+			Topology: topo,
 		},
 	}, nil
 }

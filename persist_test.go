@@ -29,13 +29,10 @@ func snapshotMatrix() []snapshotCase {
 		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
 		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
 		{"jump-ring", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RingTopology())}},
-		// Both graph-sampler paths (and both new topology codes): auto
-		// resolves to exact at every degree, the forced rejection cells
-		// serialize the hybrid's admissible bounds. Matrix
+		// Both graph topology codes added with the dense families. Matrix
 		// sizes (16 and 64 bins) are perfect squares by design.
 		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
-		{"jump-expander-hybrid", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology()), WithSessionGraphSampler(GraphSamplerRejection)}},
-		{"jump-rr-hybrid", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 99)), WithSessionGraphSampler(GraphSamplerRejection)}},
+		{"jump-rr", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 99))}},
 		{"sharded-p1", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(1)}},
 		{"sharded-p3", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(3)}},
 	}
@@ -186,82 +183,29 @@ func TestResumeAcrossLevelIndexShrink(t *testing.T) {
 
 // TestResumeAutoSamplerFollowsPayload covers artifacts written when auto
 // picked the rejection hybrid on dense graphs: meta says auto, the engine
-// payload carries the hybrid's tag and bounds. Such snapshots and trace
-// seek points must resume onto the hybrid and continue byte-identically,
-// while a payload that contradicts an explicit exact or rejection choice
-// stays a typed corruption error.
+// payload carries the hybrid's tag and bounds. Auto used to let the
+// payload pick the sampler; with the hybrid removed, such an artifact —
+// and the same payload behind an explicit exact choice — fails with
+// ErrCorrupt naming the removed sampler.
 func TestResumeAutoSamplerFollowsPayload(t *testing.T) {
-	const n = 64
-	dense := WithSessionTopology(RandomRegularTopology(16, 13))
-	build := func(gs GraphSampler) *Session {
-		s := NewSession(n, 77, WithSessionEngineMode(JumpEngine), dense, WithSessionGraphSampler(gs))
-		for i := 0; i < 4*n; i++ {
-			s.AddBallRandom()
-		}
-		churnPhase(t, s, 6)
-		return s
-	}
-	// forge writes s's artifact as if it had been built with meta choice gs.
-	forge := func(s *Session, gs GraphSampler) []byte {
-		orig := s.graphSampler
-		s.graphSampler = gs
-		defer func() { s.graphSampler = orig }()
-		return sessionSnapshotBytes(t, s)
-	}
-
-	a := build(GraphSamplerRejection)
-	a.graphSampler = GraphSamplerAuto // from here on a is the legacy auto session
-	legacy := sessionSnapshotBytes(t, a)
-	b, err := ResumeSession(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy auto/hybrid snapshot does not resume: %v", err)
-	}
-	if b.GraphSamplerChoice() != GraphSamplerAuto {
-		t.Fatalf("resumed choice %v, want auto", b.GraphSamplerChoice())
-	}
-	if got := sessionSnapshotBytes(t, b); !bytes.Equal(got, legacy) {
-		t.Fatal("re-snapshotting the resumed legacy session changed the artifact")
-	}
-	pa, pb := churnPhase(t, a, 8), churnPhase(t, b, 8)
-	if fmt.Sprint(pa) != fmt.Sprint(pb) || a.Stats() != b.Stats() {
-		t.Fatalf("resumed legacy session diverged:\n%v %+v\n%v %+v", pa, a.Stats(), pb, b.Stats())
-	}
-	if fa, fb := sessionSnapshotBytes(t, a), sessionSnapshotBytes(t, b); !bytes.Equal(fa, fb) {
-		t.Fatal("final snapshots differ after resuming a legacy auto/hybrid artifact")
-	}
-
-	// The same artifact as a trace archive's seek point.
-	var buf bytes.Buffer
-	tw, err := a.NewTraceWriter(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := OpenTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	item, err := tr.Next()
-	if err != nil || item.Snapshot == nil {
-		t.Fatalf("trace seek point: %+v, %v", item, err)
-	}
-	if _, err := ResumeSession(bytes.NewReader(item.Snapshot)); err != nil {
-		t.Fatalf("legacy auto/hybrid trace seek point does not resume: %v", err)
-	}
-
-	// Explicit choices are never overridden by the payload.
-	for _, c := range []struct {
-		name string
-		art  []byte
-	}{
-		{"exact-meta-hybrid-payload", forge(build(GraphSamplerRejection), GraphSamplerExact)},
-		{"rejection-meta-exact-payload", forge(build(GraphSamplerExact), GraphSamplerRejection)},
+	legacy := readTestdata(t, "jump-rr16-auto-hybrid.snap")
+	for name, art := range map[string][]byte{
+		"auto-meta":  legacy,
+		"exact-meta": rewriteSnapshot(t, legacy, func(_, gs *int) { *gs = 1 }, nil),
 	} {
-		if _, err := ResumeSession(bytes.NewReader(c.art)); !errors.Is(err, persist.ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			_, err := ResumeSession(bytes.NewReader(art))
+			wantRemoved(t, err, "rejection sampler")
+		})
+	}
+}
+
+// wantRemoved requires err to be ErrCorrupt naming a removed engine mode
+// or sampler.
+func wantRemoved(t *testing.T, err error, name string) {
+	t.Helper()
+	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("got %v, want ErrCorrupt naming the %s", err, name)
 	}
 }
 
@@ -374,74 +318,33 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		}
 	})
 
-	t.Run("hybrid-section", func(t *testing.T) {
-		// The rejection sampler's persisted bounds get their own artifact:
-		// every flip and cut over it must still surface typed errors (the
-		// bounds validation behind the CRC rejects out-of-range admUB).
-		h := NewSession(16, 3, WithSessionEngineMode(JumpEngine),
-			WithSessionTopology(RandomRegularTopology(6, 21)),
-			WithSessionGraphSampler(GraphSamplerRejection))
-		for i := 0; i < 48; i++ {
-			h.AddBallRandom()
-		}
-		if err := h.RunFor(2); err != nil {
-			t.Fatal(err)
-		}
-		art := sessionSnapshotBytes(t, h)
-		if _, err := ResumeSession(bytes.NewReader(art)); err != nil {
-			t.Fatalf("hybrid control artifact does not decode: %v", err)
-		}
-		for _, cut := range []int{len(art) / 3, len(art) - 1} {
-			if _, err := ResumeSession(bytes.NewReader(art[:cut])); !errors.Is(err, persist.ErrTruncated) {
-				t.Fatalf("hybrid cut at %d: %v (want ErrTruncated)", cut, err)
-			}
-		}
-		for off := 5; off < len(art); off += 7 {
-			mut := append([]byte(nil), art...)
-			mut[off] ^= 0x41
-			s2, err := ResumeSession(bytes.NewReader(mut))
-			if err == nil {
-				if !bytes.Equal(sessionSnapshotBytes(t, s2), art) {
-					t.Fatalf("hybrid flip at %d silently decoded to different state", off)
-				}
-				continue
-			}
-			var verr *persist.VersionError
-			switch {
-			case errors.Is(err, persist.ErrChecksum),
-				errors.Is(err, persist.ErrCorrupt),
-				errors.Is(err, persist.ErrTruncated),
-				errors.Is(err, persist.ErrBadMagic),
-				errors.As(err, &verr):
-			default:
-				t.Fatalf("hybrid flip at %d: untyped error %v", off, err)
-			}
-		}
-	})
-
 	// The removed sharded jump mode: the artifact written by the last
 	// version that had it, and two hand-made variants that reach the
-	// sharded payload decoder with its mode flag or its census set.
+	// sharded payload decoder with its mode flag or its census set. The
+	// removed rejection graph sampler: a forced-rejection artifact (meta
+	// code 2), and its payload (graph tag 2) behind an auto meta.
 	legacy := readTestdata(t, "shardedjump-p3.snap")
 	var shape persist.Enc
 	shape.Int(16)
 	shape.Int(3)
 	jumpOff := len(shape.Bytes()) // the jump flag follows n and P
+	sharded := func(mode, _ *int) { *mode = int(ShardedEngine) }
+	rejection := readTestdata(t, "jump-expander-rejection.snap")
 	for _, c := range []struct {
-		name string
-		art  []byte
+		name, removed string
+		art           []byte
 	}{
-		{"shardedjump-meta", legacy},
-		{"shardedjump-payload", rewriteSnapshot(t, legacy, int(ShardedEngine), nil)},
-		{"shardedjump-census", rewriteSnapshot(t, legacy, int(ShardedEngine), func(p []byte) {
+		{"shardedjump-meta", "shardedjump", legacy},
+		{"shardedjump-payload", "shardedjump", rewriteSnapshot(t, legacy, sharded, nil)},
+		{"shardedjump-census", "shardedjump", rewriteSnapshot(t, legacy, sharded, func(p []byte) {
 			p[jumpOff] = 0 // clear the mode flag: the census flag trips next
 		})},
+		{"rejection-meta", "rejection sampler", rejection},
+		{"rejection-payload", "rejection sampler", rewriteSnapshot(t, rejection, func(_, gs *int) { *gs = 0 }, nil)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ResumeSession(bytes.NewReader(c.art))
-			if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "shardedjump") {
-				t.Fatalf("got %v, want ErrCorrupt naming shardedjump", err)
-			}
+			wantRemoved(t, err, c.removed)
 		})
 	}
 
@@ -608,54 +511,66 @@ func TestTraceArchiveCrashTail(t *testing.T) {
 	}
 }
 
-// TestRemovedModeTrace: a trace archive recorded in the removed
-// sharded jump mode neither opens nor resumes from its embedded seek
-// points; each path fails with ErrCorrupt naming the mode.
+// TestRemovedModeTrace: trace archives recorded in the removed sharded
+// jump mode or with the removed rejection graph sampler neither open nor
+// resume from their embedded seek points; each path fails with
+// ErrCorrupt naming what was removed.
 func TestRemovedModeTrace(t *testing.T) {
-	raw := readTestdata(t, "shardedjump-p3.trace")
-	wantCorrupt := func(what string, err error) {
-		t.Helper()
-		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "shardedjump") {
-			t.Fatalf("%s: got %v, want ErrCorrupt naming shardedjump", what, err)
-		}
-	}
-	_, err := OpenTrace(bytes.NewReader(raw))
-	wantCorrupt("open", err)
+	for _, c := range []struct{ file, removed string }{
+		{"shardedjump-p3.trace", "shardedjump"},
+		{"jump-expander-rejection.trace", "rejection sampler"},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			raw := readTestdata(t, c.file)
+			_, err := OpenTrace(bytes.NewReader(raw))
+			wantRemoved(t, err, c.removed)
 
-	br := bufio.NewReader(bytes.NewReader(raw))
-	if err := persist.ReadHeader(br, persist.MagicTrace); err != nil {
-		t.Fatal(err)
-	}
-	sr := persist.NewSectionReader(br)
-	seeks := 0
-	for {
-		kind, payload, err := sr.Next()
-		if err == io.EOF || kind == persist.KindEnd {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == sectTraceSnapshot {
-			seeks++
-			_, err := ResumeSession(bytes.NewReader(payload))
-			wantCorrupt(fmt.Sprintf("seek point %d", seeks), err)
-		}
-	}
-	if seeks < 2 {
-		t.Fatalf("archive holds %d seek points, want the initial one and more", seeks)
+			br := bufio.NewReader(bytes.NewReader(raw))
+			if err := persist.ReadHeader(br, persist.MagicTrace); err != nil {
+				t.Fatal(err)
+			}
+			sr := persist.NewSectionReader(br)
+			seeks := 0
+			for {
+				kind, payload, err := sr.Next()
+				if err == io.EOF || kind == persist.KindEnd {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == sectTraceSnapshot {
+					seeks++
+					_, err := ResumeSession(bytes.NewReader(payload))
+					wantRemoved(t, err, c.removed)
+				}
+			}
+			if seeks < 2 {
+				t.Fatalf("archive holds %d seek points, want the initial one and more", seeks)
+			}
+		})
 	}
 }
 
-// TestResumeLegacyArtifacts resumes direct, jump, and sharded snapshots
-// written by the version that still had the sharded jump mode, replays
-// the continuation script those sessions then ran, and requires the
-// final snapshot they wrote byte for byte: the surviving modes kept
-// their layout and their draws.
+// TestResumeLegacyArtifacts resumes direct, jump, sharded, and graph
+// jump snapshots written by earlier versions (the sharded jump mode and
+// the rejection graph sampler still existed), replays the continuation
+// script those sessions then ran, and requires the final snapshot they
+// wrote byte for byte: the surviving modes kept their layout and their
+// draws. The jump-torus artifact also resumes with its meta rewritten
+// to the forced-exact sampler code 1.
 func TestResumeLegacyArtifacts(t *testing.T) {
-	for _, name := range []string{"direct", "jump", "sharded-p3"} {
+	for _, name := range []string{"direct", "jump", "sharded-p3", "jump-torus", "jump-torus-exact-meta"} {
 		t.Run(name, func(t *testing.T) {
-			s, err := ResumeSession(bytes.NewReader(readTestdata(t, name+".snap")))
+			file := name
+			var art []byte
+			if name == "jump-torus-exact-meta" {
+				file = "jump-torus"
+				art = rewriteSnapshot(t, readTestdata(t, file+".snap"), func(_, gs *int) { *gs = 1 }, nil)
+			} else {
+				art = readTestdata(t, file+".snap")
+			}
+			s, err := ResumeSession(bytes.NewReader(art))
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -670,7 +585,7 @@ func TestResumeLegacyArtifacts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got, want := sessionSnapshotBytes(t, s), readTestdata(t, name+".final.snap"); !bytes.Equal(got, want) {
+			if got, want := sessionSnapshotBytes(t, s), readTestdata(t, file+".final.snap"); !bytes.Equal(got, want) {
 				t.Fatalf("continuation diverged from the recorded run (%d vs %d bytes)", len(got), len(want))
 			}
 		})
@@ -687,9 +602,10 @@ func readTestdata(t testing.TB, name string) []byte {
 }
 
 // rewriteSnapshot re-frames a snapshot artifact with the meta section's
-// engine mode replaced and the engine payload passed through patch (nil
-// leaves it as is), recomputing every section checksum.
-func rewriteSnapshot(t testing.TB, art []byte, mode int, patch func([]byte)) []byte {
+// engine mode and graph-sampler code passed through meta and the engine
+// payload through patch (nil leaves a section as is), recomputing every
+// section checksum.
+func rewriteSnapshot(t testing.TB, art []byte, meta func(mode, gsampler *int), patch func([]byte)) []byte {
 	t.Helper()
 	br := bufio.NewReader(bytes.NewReader(art))
 	if err := persist.ReadHeader(br, persist.MagicSnapshot); err != nil {
@@ -711,9 +627,12 @@ func rewriteSnapshot(t testing.TB, art []byte, mode int, patch func([]byte)) []b
 		payload = append([]byte(nil), payload...)
 		switch kind {
 		case sectMeta:
-			n, _, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
+			n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if meta != nil {
+				meta(&mode, &gsampler)
 			}
 			var e persist.Enc
 			e.Int(n)
@@ -739,18 +658,16 @@ func rewriteSnapshot(t testing.TB, art []byte, mode int, patch func([]byte)) []b
 }
 
 // TestTraceMetaGraphFamilies pins the archive header strings for the
-// PR 10 topology codes and the graph-sampler field.
+// expander and random-regular topology codes.
 func TestTraceMetaGraphFamilies(t *testing.T) {
 	cases := []struct {
 		opts     []SessionOption
 		topology string
-		sampler  string
 	}{
 		{[]SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())},
-			"expander", "auto"},
-		{[]SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 5)),
-			WithSessionGraphSampler(GraphSamplerRejection)},
-			"random-6-regular", "rejection"},
+			"expander"},
+		{[]SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 5))},
+			"random-6-regular"},
 	}
 	for _, c := range cases {
 		s := NewSession(16, 9, c.opts...)
@@ -773,8 +690,8 @@ func TestTraceMetaGraphFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		meta := tr.Meta()
-		if meta.Topology != c.topology || meta.Sampler != c.sampler {
-			t.Fatalf("trace meta %+v, want topology %q sampler %q", meta, c.topology, c.sampler)
+		if meta.Topology != c.topology {
+			t.Fatalf("trace meta %+v, want topology %q", meta, c.topology)
 		}
 	}
 }
@@ -795,11 +712,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// The removed sharded jump mode's artifact, and its payload behind a
-	// sharded header, seed the error paths.
+	// The removed sharded jump mode's artifact, its payload behind a
+	// sharded header, and the removed rejection sampler's artifacts seed
+	// the error paths.
 	legacy := readTestdata(f, "shardedjump-p3.snap")
 	f.Add(legacy)
-	f.Add(rewriteSnapshot(f, legacy, int(ShardedEngine), nil))
+	f.Add(rewriteSnapshot(f, legacy, func(mode, _ *int) { *mode = int(ShardedEngine) }, nil))
+	f.Add(readTestdata(f, "jump-expander-rejection.snap"))
+	f.Add(readTestdata(f, "jump-rr16-auto-hybrid.snap"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {

@@ -177,34 +177,6 @@ func (m EngineMode) String() string {
 	return "direct"
 }
 
-// GraphSampler selects how the jump engine maintains the move weight on
-// a graph topology. It never changes the balancing law — only which
-// bookkeeping pays for it (see internal/sim's GraphSamplerMode).
-type GraphSampler int
-
-const (
-	// GraphSamplerAuto (the default) picks exact at every degree, so
-	// fixed-seed runs reproduce. A snapshot written when auto picked the
-	// rejection sampler on a dense graph resumes onto that sampler.
-	GraphSamplerAuto GraphSampler = iota
-	// GraphSamplerExact forces the per-source admissible index: every
-	// simulated event is a real move, O(Δ_G + flips·log n) per move,
-	// where flips counts the neighbors whose admissibility changed.
-	GraphSamplerExact
-	// GraphSamplerRejection forces rejection-within-blocks against the
-	// lazy bound Ŵ_G ≥ W_G: expected Ŵ_G/W_G events per move at
-	// O(Δ_G·log n) each. It measured slower than exact at every degree
-	// tried; it stays as a second implementation the law gates
-	// cross-check exact against.
-	GraphSamplerRejection
-)
-
-// String returns "auto", "exact", or "rejection".
-func (gs GraphSampler) String() string { return sim.GraphSamplerMode(gs).String() }
-
-// simMode converts to the sim-layer enum (same numbering by definition).
-func (gs GraphSampler) simMode() sim.GraphSamplerMode { return sim.GraphSamplerMode(gs) }
-
 // Option configures a Runner.
 type Option func(*Runner)
 
@@ -227,15 +199,6 @@ func WithStrictTieRule() Option { return func(r *Runner) { r.strict = true } }
 // Supported by DirectEngine (any graph) and JumpEngine (regular graphs,
 // plain tie rule); the sharded engine rejects it.
 func WithTopology(t Topology) Option { return func(r *Runner) { r.topology = t } }
-
-// WithGraphSampler overrides the jump engine's graph sampler choice
-// (default GraphSamplerAuto). It composes only with WithEngineMode(
-// JumpEngine) plus a topology; every other mode rejects a non-auto
-// value. The law is unchanged either way — the differential tests and
-// the A8 gate hold both samplers to the direct engine's distribution.
-func WithGraphSampler(gs GraphSampler) Option {
-	return func(r *Runner) { r.graphSampler = gs }
-}
 
 // WithSpeeds gives bin i speed speeds[i] and switches to the §7
 // speed-aware rule (move iff the experienced load ℓ/s strictly improves).
@@ -283,19 +246,18 @@ func WithActivationBudget(k int64) Option { return func(r *Runner) { r.budget = 
 
 // Runner executes RLS runs for one (n, m, options) setting.
 type Runner struct {
-	n, m         int
-	seed         uint64
-	placement    Placement
-	target       Target
-	strict       bool
-	topology     Topology
-	graphSampler GraphSampler
-	speeds       []float64
-	fenwick      bool
-	mode         EngineMode
-	shards       int
-	shardEpoch   float64
-	budget       int64
+	n, m       int
+	seed       uint64
+	placement  Placement
+	target     Target
+	strict     bool
+	topology   Topology
+	speeds     []float64
+	fenwick    bool
+	mode       EngineMode
+	shards     int
+	shardEpoch float64
+	budget     int64
 }
 
 // New creates a Runner for n bins and m balls. It panics unless n ≥ 1 and
@@ -430,9 +392,6 @@ func (r *Runner) shardedEngine() (*sim.Sharded, error) {
 	if r.strict || r.topology.active() || r.speeds != nil {
 		return nil, fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", r.mode)
 	}
-	if r.graphSampler != GraphSamplerAuto {
-		return nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
-	}
 	if r.fenwick {
 		return nil, fmt.Errorf("rls: the %s engine owns per-shard ball lists; drop WithFenwickEngine", r.mode)
 	}
@@ -509,9 +468,6 @@ func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
 		if r.strict && r.topology.active() {
 			return nil, nil, fmt.Errorf("rls: strict tie rule on a topology is not supported")
 		}
-		if r.graphSampler != GraphSamplerAuto && !r.topology.active() {
-			return nil, nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
-		}
 		stream := rng.New(r.seed)
 		v := r.placement.gen.Generate(r.n, r.m, stream)
 		var e *sim.Engine
@@ -524,7 +480,7 @@ func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
 			if _, ok := graphs.RegularDegree(g); !ok {
 				return nil, nil, fmt.Errorf("rls: the jump engine needs a regular topology, %s is not", g.Name())
 			}
-			e = sim.NewGraphJumpEngineMode(v, g, r.graphSampler.simMode(), stream)
+			e = sim.NewGraphJumpEngine(v, g, stream)
 		case r.strict:
 			e = sim.NewStrictJumpEngine(v, stream)
 		default:
@@ -541,9 +497,6 @@ func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
 	}
 	if r.mode != DirectEngine {
 		return nil, nil, fmt.Errorf("rls: unknown engine mode %d", r.mode)
-	}
-	if r.graphSampler != GraphSamplerAuto {
-		return nil, nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
 	}
 	mover, err := r.mover()
 	if err != nil {

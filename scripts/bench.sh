@@ -4,9 +4,9 @@
 # cost (BenchmarkBalanceToPerfection), the direct-vs-jump end-game
 # comparisons — plain (BenchmarkEndGame), strict tie rule
 # (BenchmarkStrictEndGame), ring/torus/hypercube/expander topologies
-# (BenchmarkGraphEndGame), and the dense-degree graph sampler comparison
-# direct vs jump-exact vs jump-hybrid (BenchmarkGraphDense, gated ≥ 5x by
-# check_graphdense.sh) — live churn (BenchmarkSessionChurn), the
+# (BenchmarkGraphEndGame), and the dense-degree graph comparison direct
+# vs jump-exact (BenchmarkGraphDense, gated ≥ 5x by check_graphdense.sh) —
+# live churn (BenchmarkSessionChurn), the
 # direct-vs-sharded dense regime (BenchmarkShardedDense), and the parallel
 # epoch loop's
 # allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
@@ -15,7 +15,7 @@
 # ServiceLoad* cells (event→apply p50/p99 and applied throughput of the
 # multi-tenant rlsd service). The persistence layer rides along as
 # BenchmarkSnapshot/BenchmarkRestore/BenchmarkTraceAppend — ns/op plus
-# artifact compactness in bytes/ball. Shard ratios need as many hardware
+# artifact compactness in bytes/ball and bytes/record. Shard ratios need as many hardware
 # threads as shards — the JSON header records the core count and
 # GOMAXPROCS.
 #

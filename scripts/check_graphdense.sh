@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# check_graphdense.sh asserts the jump engine's dense-graph floors on a
+# check_graphdense.sh asserts the jump engine's dense-graph floor on a
 # bench JSON file (bench.sh output): on the dense random-regular end-game
-# (BenchmarkGraphDense), both graph samplers must be at least <min-ratio>
-# times faster than the direct engine by ns/op — the exact index
-# (jump-exact, the default at every degree) and the rejection-within-
-# blocks hybrid (jump-hybrid, reachable by an explicit sampler choice).
-# If a floor breaks, that sampler has stopped paying for its bookkeeping
-# and dense graph runs would be better off on the per-activation path.
+# (BenchmarkGraphDense), the jump engine's exact admissible index
+# (jump-exact) must be at least <min-ratio> times faster than the direct
+# engine by ns/op. If the floor breaks, the index has stopped paying for
+# its bookkeeping and dense graph runs would be better off on the
+# per-activation path.
 #
 # Usage: scripts/check_graphdense.sh <file.json> [min-ratio]
 #   e.g. scripts/check_graphdense.sh /tmp/bench-smoke.json 5.0
@@ -26,19 +25,14 @@ if [ -z "$direct" ]; then
   echo "check_graphdense.sh: missing BenchmarkGraphDense direct entry in $file" >&2
   exit 1
 fi
-status=0
-for arm in jump-exact jump-hybrid; do
-  ns=$(ns_of "BenchmarkGraphDense/random-16-regular/${arm}")
-  if [ -z "$ns" ]; then
-    echo "check_graphdense.sh: missing BenchmarkGraphDense ${arm} entry in $file" >&2
-    exit 1
-  fi
-  ratio=$(awk -v d="$direct" -v h="$ns" 'BEGIN { printf "%.2f", d / h }')
-  if awk -v d="$direct" -v h="$ns" -v m="$min" 'BEGIN { exit !(d / h >= m + 0) }'; then
-    echo "dense graph end-game: ${arm} is ${ratio}x faster than direct (>= ${min}x)"
-  else
-    echo "check_graphdense.sh: ${arm}/direct speedup ${ratio}x < required ${min}x in $file" >&2
-    status=1
-  fi
-done
-exit "$status"
+ns=$(ns_of 'BenchmarkGraphDense/random-16-regular/jump-exact')
+if [ -z "$ns" ]; then
+  echo "check_graphdense.sh: missing BenchmarkGraphDense jump-exact entry in $file" >&2
+  exit 1
+fi
+ratio=$(awk -v d="$direct" -v h="$ns" 'BEGIN { printf "%.2f", d / h }')
+if ! awk -v d="$direct" -v h="$ns" -v m="$min" 'BEGIN { exit !(d / h >= m + 0) }'; then
+  echo "check_graphdense.sh: jump-exact/direct speedup ${ratio}x < required ${min}x in $file" >&2
+  exit 1
+fi
+echo "dense graph end-game: jump-exact is ${ratio}x faster than direct (>= ${min}x)"

@@ -51,14 +51,13 @@ type Session struct {
 	// mu serializes every method; see the Concurrency section above. The
 	// methods below must not call each other while holding it — shared
 	// logic lives in unexported unlocked helpers.
-	mu           sync.Mutex
-	engine       sessionEngine
-	stream       *rng.RNG
-	mode         EngineMode
-	shards       int
-	strict       bool
-	topology     Topology
-	graphSampler GraphSampler
+	mu       sync.Mutex
+	engine   sessionEngine
+	stream   *rng.RNG
+	mode     EngineMode
+	shards   int
+	strict   bool
+	topology Topology
 }
 
 // sessionEngine is the churn-plus-execution surface Session drives; it is
@@ -159,14 +158,6 @@ func WithSessionTopology(t Topology) SessionOption {
 	return func(s *Session) { s.topology = t }
 }
 
-// WithSessionGraphSampler overrides the jump mode's graph sampler choice
-// (default GraphSamplerAuto; see WithGraphSampler). It composes only
-// with WithSessionEngineMode(JumpEngine) plus a topology; NewSession
-// panics on any other combination.
-func WithSessionGraphSampler(gs GraphSampler) SessionOption {
-	return func(s *Session) { s.graphSampler = gs }
-}
-
 // NewSession creates a session with n empty bins.
 func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 	if n < 1 {
@@ -179,14 +170,11 @@ func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 	if s.strict && s.topology.active() {
 		panic("rls: strict tie rule on a topology is not supported")
 	}
-	if s.graphSampler != GraphSamplerAuto && !(s.mode == JumpEngine && s.topology.active()) {
-		panic("rls: WithSessionGraphSampler needs the jump engine on a graph topology")
-	}
 	switch s.mode {
 	case JumpEngine:
 		switch {
 		case s.topology.active():
-			s.engine = sequentialSession{sim.NewGraphJumpEngineMode(make(loadvec.Vector, n), s.sessionGraph(n), s.graphSampler.simMode(), s.stream)}
+			s.engine = sequentialSession{sim.NewGraphJumpEngine(make(loadvec.Vector, n), s.sessionGraph(n), s.stream)}
 		case s.strict:
 			s.engine = sequentialSession{sim.NewStrictJumpEngine(make(loadvec.Vector, n), s.stream)}
 		default:
@@ -256,10 +244,6 @@ func (s *Session) TopologyName() string {
 	}
 	return "complete"
 }
-
-// GraphSamplerChoice returns the session's configured graph sampler mode
-// (GraphSamplerAuto unless overridden); fixed at creation.
-func (s *Session) GraphSamplerChoice() GraphSampler { return s.graphSampler }
 
 // N returns the number of bins.
 func (s *Session) N() int {
