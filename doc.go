@@ -45,8 +45,11 @@
 //     Fenwick tree plus one neighborhood scan, and a move updates the
 //     index incrementally — each changed bin is recounted, and each
 //     neighbor whose one slot back at that bin flipped admissibility
-//     takes ±1 — so a move costs O(Δ_G + flips·log n), with no
-//     rejections (gate A8, on bounded-degree and dense families).
+//     takes ±1 — so a move costs O(Δ_G) reads of a flat slot table
+//     built once per engine plus O(flips·log n) Fenwick work, with no
+//     rejections (gate A8, on bounded-degree and dense families). The
+//     configuration keeps only the ball-sampling half of the level
+//     index there, since the graph index owns the move weight.
 //     Strict + topology together is rejected: the graph processes in
 //     the literature use the plain rule.
 //   - ShardedEngine partitions the bins into WithShards contiguous

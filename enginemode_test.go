@@ -202,6 +202,48 @@ func TestSessionOptionPanics(t *testing.T) {
 	})
 }
 
+// TestInvalidTopologyParameters pins that topology parameters no graph
+// has — a torus side below 1, a negative hypercube dimension, a
+// random-regular degree below 1 — are rejected with the same error by the
+// Runner (direct and jump, Run and RunTraced) and by NewSession (its
+// panic style), instead of an index or shift panic, or a silent run on
+// the complete topology.
+func TestInvalidTopologyParameters(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		topo Topology
+		want string
+	}{
+		{"torus side -2", 4, TorusTopology(-2), "rls: torus side -2, want at least 1"},
+		{"torus side 0", 4, TorusTopology(0), "rls: torus side 0, want at least 1"},
+		{"hypercube dim -1", 4, HypercubeTopology(-1), "rls: hypercube dim -1, want at least 0"},
+		{"random-regular d 0", 16, RandomRegularTopology(0, 1), "rls: random-regular degree 0, want at least 1"},
+		{"random-regular d -3", 16, RandomRegularTopology(-3, 1), "rls: random-regular degree -3, want at least 1"},
+	}
+	for _, c := range cases {
+		for _, mode := range []EngineMode{DirectEngine, JumpEngine} {
+			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+				r := New(c.n, 4*c.n, WithEngineMode(mode), WithTopology(c.topo), WithSeed(3))
+				if _, err := r.Run(); err == nil || err.Error() != c.want {
+					t.Errorf("Run error %v, want %q", err, c.want)
+				}
+				if _, _, err := r.RunTraced(10); err == nil || err.Error() != c.want {
+					t.Errorf("RunTraced error %v, want %q", err, c.want)
+				}
+				func() {
+					defer func() {
+						if msg, ok := recover().(string); !ok || msg != c.want {
+							t.Errorf("NewSession panic %q, want %q", msg, c.want)
+						}
+					}()
+					NewSession(c.n, 1, WithSessionEngineMode(mode), WithSessionTopology(c.topo))
+				}()
+			})
+		}
+	}
+}
+
 func TestJumpRunnerTraced(t *testing.T) {
 	res, trace, err := New(16, 128, WithSeed(19), WithEngineMode(JumpEngine)).RunTraced(25)
 	if err != nil {

@@ -171,7 +171,8 @@ func (g Expander) Name() string { return "expander" }
 // re-rolled a bounded number of times. Multi-edges are kept (they only
 // reweight sampling slightly), matching standard practice.
 type RandomRegular struct {
-	adj  [][]int
+	adj  []int32 // flat slot lists: adj[v·d+k] is vertex v's k-th neighbor
+	n, d int
 	name string
 }
 
@@ -192,14 +193,16 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*RandomRegular, error) {
 	// handful of passes. A loop-free shuffle draws nothing beyond the
 	// shuffle itself, so sparse constructions (and their golden
 	// adjacency pins) are byte-identical to the old rejection scheme.
+	stubs := make([]int32, n*d)
 	for attempt := 0; attempt < 100; attempt++ {
-		stubs := make([]int, 0, n*d)
-		for v := 0; v < n; v++ {
-			for j := 0; j < d; j++ {
-				stubs = append(stubs, v)
-			}
+		for i := range stubs {
+			stubs[i] = int32(i / d)
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		// Fisher–Yates, drawing exactly as rng.Shuffle does.
+		for i := len(stubs) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			stubs[i], stubs[j] = stubs[j], stubs[i]
+		}
 		clean := false
 		for pass := 0; pass < 50 && !clean; pass++ {
 			clean = true
@@ -212,13 +215,18 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*RandomRegular, error) {
 			}
 		}
 		if clean {
-			adj := make([][]int, n)
+			// Each pair appends to both endpoints' slot lists in pair
+			// order; fill[v] is v's next free slot.
+			adj := make([]int32, n*d)
+			fill := make([]int32, n)
 			for i := 0; i < len(stubs); i += 2 {
 				a, b := stubs[i], stubs[i+1]
-				adj[a] = append(adj[a], b)
-				adj[b] = append(adj[b], a)
+				adj[int(a)*d+int(fill[a])] = b
+				fill[a]++
+				adj[int(b)*d+int(fill[b])] = a
+				fill[b]++
 			}
-			return &RandomRegular{adj: adj, name: fmt.Sprintf("random-%d-regular", d)}, nil
+			return &RandomRegular{adj: adj, n: n, d: d, name: fmt.Sprintf("random-%d-regular", d)}, nil
 		}
 	}
 	return nil, fmt.Errorf("graphs: failed to build loop-free matching")
@@ -237,13 +245,13 @@ func NewRandomRegularSeed(n, d int, seed uint64) (*RandomRegular, error) {
 }
 
 // N implements Graph.
-func (g *RandomRegular) N() int { return len(g.adj) }
+func (g *RandomRegular) N() int { return g.n }
 
 // Degree implements Graph.
-func (g *RandomRegular) Degree(i int) int { return len(g.adj[i]) }
+func (g *RandomRegular) Degree(int) int { return g.d }
 
 // Neighbor implements Graph.
-func (g *RandomRegular) Neighbor(i, k int) int { return g.adj[i][k] }
+func (g *RandomRegular) Neighbor(i, k int) int { return int(g.adj[i*g.d+k]) }
 
 // Name implements Graph.
 func (g *RandomRegular) Name() string { return g.name }

@@ -36,15 +36,20 @@ import (
 // reads only its own lists and trees, never the Config histogram
 // mid-update, so the two transitions of a Move may be applied
 // sequentially.
+//
+// The move-weight state (cnt, mvw, sval, wTotal) is nil in the
+// ball-sampling-only shape (EnableBallIndex): an engine that owns its own
+// move weight, like the graph jump engine, reads only SampleBallBin, so
+// its index keeps binsAt, pos and bal and nothing else.
 type levelIndex struct {
 	gap    int           // tie rule: eligible destinations have load ≤ v−gap
 	binsAt [][]int32     // level -> bins at that level (unordered)
 	pos    []int32       // bin -> position within binsAt[load]
-	cnt    *fenwick.Tree // count[v]
 	bal    *fenwick.Tree // v·count[v]
-	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−1)
-	sval   []int64       // current s[v] values (to derive Fenwick deltas)
-	wTotal int64         // W = Σ_v s[v]
+	cnt    *fenwick.Tree // count[v]; nil in the ball-sampling-only shape
+	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap); nil likewise
+	sval   []int64       // current s[v] values (to derive Fenwick deltas); nil likewise
+	wTotal int64         // W = Σ_v s[v]; 0 in the ball-sampling-only shape
 	size   int           // number of indexed levels (levels 0..size-1)
 }
 
@@ -59,17 +64,30 @@ func levelSize(max int) int {
 	return size
 }
 
-// newLevelIndex builds the index for the configuration's current state
-// with the given tie gap (1 = plain, 2 = strict).
-func newLevelIndex(c *Config, gap int) *levelIndex {
-	size := levelSize(c.max)
+// emptyLevelIndex allocates an index over n bins and size levels with
+// empty lists and unbuilt trees, in the full shape when weighted and the
+// ball-sampling-only shape otherwise. Callers fill binsAt and pos, then
+// call rebuildTrees.
+func emptyLevelIndex(n, size, gap int, weighted bool) *levelIndex {
 	x := &levelIndex{
 		gap:    gap,
 		binsAt: make([][]int32, size),
-		pos:    make([]int32, c.n),
-		sval:   make([]int64, size),
+		pos:    make([]int32, n),
+		bal:    new(fenwick.Tree),
 		size:   size,
 	}
+	if weighted {
+		x.cnt, x.mvw = new(fenwick.Tree), new(fenwick.Tree)
+		x.sval = make([]int64, size)
+	}
+	return x
+}
+
+// newLevelIndex builds the index for the configuration's current state
+// with the given tie gap (1 = plain, 2 = strict), with the move-weight
+// state when weighted.
+func newLevelIndex(c *Config, gap int, weighted bool) *levelIndex {
+	x := emptyLevelIndex(c.n, levelSize(c.max), gap, weighted)
 	for i, v := range c.loads {
 		x.pos[i] = int32(len(x.binsAt[v]))
 		x.binsAt[v] = append(x.binsAt[v], int32(i))
@@ -78,24 +96,25 @@ func newLevelIndex(c *Config, gap int) *levelIndex {
 	return x
 }
 
-// rebuildTrees derives all three Fenwick trees (and sval/wTotal) from the
-// binsAt lists alone. Used on construction and when the level range grows
-// or shrinks; existing trees are reset in place.
+// rebuildTrees derives the Fenwick trees (and sval/wTotal) of the index's
+// shape from the binsAt lists alone. Used on construction and when the
+// level range grows or shrinks; existing trees are reset in place.
 func (x *levelIndex) rebuildTrees() {
-	if x.cnt == nil {
-		x.cnt, x.bal, x.mvw = new(fenwick.Tree), new(fenwick.Tree), new(fenwick.Tree)
+	x.bal.Reset(x.size)
+	for v, lst := range x.binsAt {
+		if v > 0 && len(lst) > 0 {
+			x.bal.Add(v, int64(v)*int64(len(lst)))
+		}
+	}
+	if x.mvw == nil {
+		return
 	}
 	x.cnt.Reset(x.size)
-	x.bal.Reset(x.size)
 	x.mvw.Reset(x.size)
 	x.wTotal = 0
 	for v, lst := range x.binsAt {
-		if len(lst) == 0 {
-			continue
-		}
-		x.cnt.Add(v, int64(len(lst)))
-		if v > 0 {
-			x.bal.Add(v, int64(v)*int64(len(lst)))
+		if len(lst) > 0 {
+			x.cnt.Add(v, int64(len(lst)))
 		}
 	}
 	for v := range x.sval {
@@ -145,7 +164,9 @@ func (x *levelIndex) shrink(max int) {
 // capacity reslices instead of allocating.
 func (x *levelIndex) resize(size int) {
 	x.binsAt = resized(x.binsAt, size)
-	x.sval = resized(x.sval, size)
+	if x.sval != nil {
+		x.sval = resized(x.sval, size)
+	}
 	x.size = size
 	x.rebuildTrees()
 }
@@ -160,11 +181,11 @@ func resized[T any](s []T, n int) []T {
 }
 
 // transition records that bin moved from level `from` to level `to`
-// (|from−to| = 1). It updates the lists, the count and ball-weight trees,
-// and refreshes the move weight at exactly the levels whose inputs
-// changed: count at from/to, and C at min(from,to) which feeds
-// s[min+gap] — for gap = 1 that is s[max], already refreshed; for
-// gap = 2 it is the extra level max+1.
+// (|from−to| = 1). It updates the lists and the ball-weight tree and, in
+// the full shape, the count tree, refreshing the move weight at exactly
+// the levels whose inputs changed: count at from/to, and C at min(from,to)
+// which feeds s[min+gap] — for gap = 1 that is s[max], already refreshed;
+// for gap = 2 it is the extra level max+1.
 func (x *levelIndex) transition(bin, from, to int) {
 	if to >= x.size {
 		x.grow(to)
@@ -178,14 +199,17 @@ func (x *levelIndex) transition(bin, from, to int) {
 	x.pos[bin] = int32(len(x.binsAt[to]))
 	x.binsAt[to] = append(x.binsAt[to], int32(bin))
 
-	x.cnt.Add(from, -1)
-	x.cnt.Add(to, 1)
 	if from > 0 {
 		x.bal.Add(from, int64(-from))
 	}
 	if to > 0 {
 		x.bal.Add(to, int64(to))
 	}
+	if x.mvw == nil {
+		return
+	}
+	x.cnt.Add(from, -1)
+	x.cnt.Add(to, 1)
 	x.refreshWeight(from)
 	x.refreshWeight(to)
 	if x.gap > 1 {
@@ -223,12 +247,13 @@ func (x *levelIndex) clone() *levelIndex {
 		gap:    x.gap,
 		binsAt: make([][]int32, len(x.binsAt)),
 		pos:    append([]int32(nil), x.pos...),
-		cnt:    x.cnt.Clone(),
 		bal:    x.bal.Clone(),
-		mvw:    x.mvw.Clone(),
-		sval:   append([]int64(nil), x.sval...),
 		wTotal: x.wTotal,
 		size:   x.size,
+	}
+	if x.mvw != nil {
+		cp.cnt, cp.mvw = x.cnt.Clone(), x.mvw.Clone()
+		cp.sval = append([]int64(nil), x.sval...)
 	}
 	for v, lst := range x.binsAt {
 		if len(lst) > 0 {
@@ -242,27 +267,43 @@ func (x *levelIndex) clone() *levelIndex {
 // for plain RLS (tie gap 1). Subsequent Move/AddBall/RemoveBall calls
 // maintain it incrementally in O(log Δ); until enabled, Config carries no
 // index and pays nothing. Enabling twice is a no-op.
-func (c *Config) EnableLevelIndex() { c.enableLevelIndex(1) }
+func (c *Config) EnableLevelIndex() { c.enableLevelIndex(1, true) }
+
+// EnableBallIndex builds the level index in its ball-sampling-only shape:
+// it maintains the per-level bin lists and the ball-weight tree that
+// SampleBallBin reads, with the same grow and shrink, and none of the
+// move-weight state — MoveWeight and SampleMovePair panic on it. It is
+// the shape for engines that own their move weight, such as the graph
+// jump engine. Its snapshot encoding is the plain index's (tie gap 1).
+func (c *Config) EnableBallIndex() { c.enableLevelIndex(1, false) }
 
 // EnableStrictLevelIndex builds the level index for the strict tie rule
 // of [12]/[11] (tie gap 2): the move weight becomes
 // W' = Σ_v v·count[v]·C(v−2) and SampleMovePair draws destinations with
 // load ≤ v−2, matching the rule that forbids neutral moves. Everything
 // else — maintenance cost, churn updates, SampleBallBin — is unchanged.
-func (c *Config) EnableStrictLevelIndex() { c.enableLevelIndex(2) }
+func (c *Config) EnableStrictLevelIndex() { c.enableLevelIndex(2, true) }
 
-func (c *Config) enableLevelIndex(gap int) {
+func (c *Config) enableLevelIndex(gap int, weighted bool) {
 	if c.idx == nil {
-		c.idx = newLevelIndex(c, gap)
+		c.idx = newLevelIndex(c, gap, weighted)
 		return
 	}
 	if c.idx.gap != gap {
 		panic("loadvec: level index already enabled with a different tie rule")
 	}
+	if c.MoveWeightIndexed() != weighted {
+		panic("loadvec: level index already enabled with a different shape")
+	}
 }
 
 // LevelIndexed reports whether the level index is enabled.
 func (c *Config) LevelIndexed() bool { return c.idx != nil }
+
+// MoveWeightIndexed reports whether the level index is enabled and keeps
+// the move-weight state behind MoveWeight and SampleMovePair — false for
+// the ball-sampling-only shape of EnableBallIndex.
+func (c *Config) MoveWeightIndexed() bool { return c.idx != nil && c.idx.mvw != nil }
 
 // TieGap returns the enabled index's tie gap (1 = plain, 2 = strict), or
 // 0 when no level index is enabled.
@@ -279,10 +320,13 @@ func (c *Config) TieGap() int {
 // activation is a productive move under that rule; W = 0 iff no eligible
 // (src, dst) pair exists — for gap 1 iff every bin holds the same load,
 // for gap 2 iff max − min ≤ 1 (i.e. the configuration is perfect). It
-// panics unless the level index is enabled.
+// panics unless the level index is enabled with its move-weight state.
 func (c *Config) MoveWeight() int64 {
 	if c.idx == nil {
 		panic("loadvec: MoveWeight without EnableLevelIndex")
+	}
+	if c.idx.mvw == nil {
+		panic("loadvec: MoveWeight on a ball-sampling-only level index")
 	}
 	return c.idx.wTotal
 }
@@ -290,12 +334,15 @@ func (c *Config) MoveWeight() int64 {
 // SampleMovePair draws a productive move (src, dst) with the exact law
 // of the embedded jump chain under the index's tie rule: P(src at level
 // v, dst at level w) ∝ v·count[v]·count[w] for w ≤ v−gap, uniform over
-// the bins within each level. It panics if the index is disabled or no
-// productive move exists (MoveWeight 0).
+// the bins within each level. It panics if the index is disabled or
+// ball-sampling-only, or if no productive move exists (MoveWeight 0).
 func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	x := c.idx
 	if x == nil {
 		panic("loadvec: SampleMovePair without EnableLevelIndex")
+	}
+	if x.mvw == nil {
+		panic("loadvec: SampleMovePair on a ball-sampling-only level index")
 	}
 	if x.wTotal <= 0 {
 		panic("loadvec: SampleMovePair with zero move weight")
@@ -325,7 +372,9 @@ func (c *Config) SampleBallBin(r *rng.RNG) int {
 }
 
 // validateIndex cross-checks every piece of level-index state against a
-// from-scratch recompute; part of Validate.
+// from-scratch recompute; part of Validate. In the ball-sampling-only
+// shape that is the lists, pos and the bal leaves, and it checks that no
+// move-weight state is present.
 func (c *Config) validateIndex() error {
 	x := c.idx
 	if x == nil {
@@ -340,38 +389,62 @@ func (c *Config) validateIndex() error {
 			return fmt.Errorf("loadvec: bin %d (load %d) not at binsAt[%d][%d]", i, v, v, p)
 		}
 	}
-	var total int
-	var wTotal int64
-	var cum, cumPrev int64 // C(v−1) and C(v−2), tracked independently
+	if x.bal.N() != x.size {
+		return fmt.Errorf("loadvec: bal tree covers %d levels, index %d", x.bal.N(), x.size)
+	}
+	bal := x.bal.Leaves()
+	total := 0
 	for v := 0; v < x.size; v++ {
 		cn := len(x.binsAt[v])
 		total += cn
 		if cn != c.CountAt(v) {
 			return fmt.Errorf("loadvec: binsAt[%d] has %d bins, histogram says %d", v, cn, c.CountAt(v))
 		}
-		if got := x.cnt.Prefix(v) - x.cnt.Prefix(v-1); got != int64(cn) {
-			return fmt.Errorf("loadvec: cnt tree at %d = %d, want %d", v, got, cn)
+		if want := int64(v) * int64(cn); bal[v] != want {
+			return fmt.Errorf("loadvec: bal leaf %d = %d, want %d", v, bal[v], want)
 		}
-		if got := x.bal.Prefix(v) - x.bal.Prefix(v-1); got != int64(v)*int64(cn) {
-			return fmt.Errorf("loadvec: bal tree at %d = %d, want %d", v, got, int64(v)*int64(cn))
+	}
+	if total != c.n {
+		return fmt.Errorf("loadvec: index holds %d bins, want %d", total, c.n)
+	}
+	if x.mvw == nil {
+		if x.cnt != nil || x.sval != nil || x.wTotal != 0 || x.gap != 1 {
+			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cnt %v, sval %v, W %d, gap %d)",
+				x.cnt != nil, x.sval != nil, x.wTotal, x.gap)
+		}
+		return nil
+	}
+	return x.validateWeights()
+}
+
+// validateWeights checks the full shape's move-weight state — the count
+// and move-weight leaves, sval and W — against a recompute from the lists.
+func (x *levelIndex) validateWeights() error {
+	if x.cnt == nil || len(x.sval) != x.size || x.cnt.N() != x.size || x.mvw.N() != x.size {
+		return fmt.Errorf("loadvec: move-weight state does not cover the index's %d levels", x.size)
+	}
+	cnt, mvw := x.cnt.Leaves(), x.mvw.Leaves()
+	var wTotal int64
+	var cum, cumPrev int64 // C(v−1) and C(v−2), tracked independently
+	for v := 0; v < x.size; v++ {
+		cn := int64(len(x.binsAt[v]))
+		if cnt[v] != cn {
+			return fmt.Errorf("loadvec: cnt leaf %d = %d, want %d", v, cnt[v], cn)
 		}
 		elig := cum // C(v−1) for plain, C(v−2) for strict
 		if x.gap == 2 {
 			elig = cumPrev
 		}
-		want := int64(v) * int64(cn) * elig // s[v] = v·count[v]·C(v−gap)
+		want := int64(v) * cn * elig // s[v] = v·count[v]·C(v−gap)
 		if x.sval[v] != want {
 			return fmt.Errorf("loadvec: sval[%d] = %d, want %d", v, x.sval[v], want)
 		}
-		if got := x.mvw.Prefix(v) - x.mvw.Prefix(v-1); got != want {
-			return fmt.Errorf("loadvec: mvw tree at %d = %d, want %d", v, got, want)
+		if mvw[v] != want {
+			return fmt.Errorf("loadvec: mvw leaf %d = %d, want %d", v, mvw[v], want)
 		}
 		cumPrev = cum
-		cum += int64(cn)
+		cum += cn
 		wTotal += want
-	}
-	if total != c.n {
-		return fmt.Errorf("loadvec: index holds %d bins, want %d", total, c.n)
 	}
 	if x.wTotal != wTotal {
 		return fmt.Errorf("loadvec: cached W = %d, fresh %d", x.wTotal, wTotal)

@@ -15,7 +15,8 @@ import (
 // with no rebuild-from-scratch divergence.
 
 // EncodeState appends the configuration (and its level index, when
-// enabled) to the payload.
+// enabled) to the payload. Both index shapes encode alike: the shape is
+// not state, it follows from the engine that restores the payload.
 func (c *Config) EncodeState(e *persist.Enc) {
 	e.Ints(c.loads)
 	if c.idx == nil {
@@ -33,8 +34,19 @@ func (c *Config) EncodeState(e *persist.Enc) {
 
 // DecodeConfigState reads a Config written by EncodeState. The
 // histogram and all trees are rebuilt from the loads and the verbatim
-// level lists.
+// level lists; an index comes back in the full shape.
 func DecodeConfigState(d *persist.Dec) (*Config, error) {
+	return decodeConfigState(d, true)
+}
+
+// DecodeBallConfigState reads the same payload as DecodeConfigState but
+// rebuilds an index in the ball-sampling-only shape of EnableBallIndex,
+// which only a plain (tie gap 1) payload can carry.
+func DecodeBallConfigState(d *persist.Dec) (*Config, error) {
+	return decodeConfigState(d, false)
+}
+
+func decodeConfigState(d *persist.Dec, weighted bool) (*Config, error) {
 	loads := d.Ints()
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -64,19 +76,16 @@ func DecodeConfigState(d *persist.Dec) (*Config, error) {
 	if gap != 1 && gap != 2 {
 		return nil, persist.Corruptf("level index tie gap %d (want 1 or 2)", gap)
 	}
+	if gap != 1 && !weighted {
+		return nil, persist.Corruptf("level index tie gap %d where a ball-sampling-only index needs 1", gap)
+	}
 	// Every level costs at least one encoded byte (its list's length
 	// prefix), which bounds size by the remaining payload — the same
 	// guard Dec applies to slice lengths.
 	if size < 4 || size&(size-1) != 0 || size <= c.max || size > d.Remaining() {
 		return nil, persist.Corruptf("level index size %d (max level %d, %d bytes remain)", size, c.max, d.Remaining())
 	}
-	x := &levelIndex{
-		gap:    gap,
-		binsAt: make([][]int32, size),
-		pos:    make([]int32, c.n),
-		sval:   make([]int64, size),
-		size:   size,
-	}
+	x := emptyLevelIndex(c.n, size, gap, weighted)
 	seen := 0
 	for v := 0; v < size; v++ {
 		lst := d.I32s()

@@ -49,13 +49,15 @@ type Topology interface {
 // new, slot j→b flips only if load(j) sits at the one turning level
 // max(old, new), and adm[j] moves by ±1 without a rescan of j. Only the
 // changed bins themselves are recounted, in the same pass. An update
-// therefore costs O(Δ) comparisons plus one Fenwick update per flipped
-// neighbor and per changed bin — O(Δ + flips·log n). The previous loads
-// live in a mirror (derived state, rebuilt on restore, never
-// serialized), which the slot scans also read for locality.
+// therefore costs O(Δ) reads of a flat slot table plus one Fenwick update
+// per flipped neighbor and per changed bin — O(Δ + flips·log n). The slot
+// table nbr[i·Δ+k] = Neighbor(i, k) is built once, so the hot path never
+// calls through the Topology interface; it and the previous loads are
+// derived state (rebuilt on restore, never serialized).
 type graphIndex struct {
-	g     Topology
+	g     Topology      // kept so restore can rebuild nbr
 	deg   int           // uniform degree Δ
+	nbr   []int32       // flat slot table: nbr[i·Δ+k] = Neighbor(i, k)
 	loads []int32       // mirror of cfg loads as of the last update
 	adm   []int32       // admissible slot count per bin
 	wval  []int64       // current w_i = load(i)·adm[i]
@@ -64,14 +66,18 @@ type graphIndex struct {
 }
 
 // newGraphIndex builds the structure for the configuration's current
-// state. It panics unless the topology covers exactly the configuration's
-// bins and is regular with degree ≥ 1 — regularity is what makes the
-// per-activation move probability a single ratio W_G/(m·Δ).
+// state, filling the slot table in the same pass as the admissible
+// counts. It panics unless the topology covers exactly the
+// configuration's bins and is regular with degree ≥ 1 — regularity is
+// what makes the per-activation move probability a single ratio
+// W_G/(m·Δ).
 func newGraphIndex(cfg *loadvec.Config, g Topology) *graphIndex {
 	n := cfg.N()
+	deg := regularTopologyDegree(cfg, g)
 	gx := &graphIndex{
 		g:     g,
-		deg:   regularTopologyDegree(cfg, g),
+		deg:   deg,
+		nbr:   make([]int32, n*deg),
 		loads: make([]int32, n),
 		adm:   make([]int32, n),
 		wval:  make([]int64, n),
@@ -81,21 +87,24 @@ func newGraphIndex(cfg *loadvec.Config, g Topology) *graphIndex {
 		gx.loads[i] = int32(cfg.Load(i))
 	}
 	for i := range gx.adm {
-		gx.setAdm(i, gx.countAdm(i))
+		li := gx.loads[i]
+		row := gx.slots(i)
+		a := int32(0)
+		for k := range row {
+			j := g.Neighbor(i, k)
+			row[k] = int32(j)
+			if gx.loads[j] < li {
+				a++
+			}
+		}
+		gx.setAdm(i, a)
 	}
 	return gx
 }
 
-// countAdm rescans bin i's slots against the mirrored loads.
-func (gx *graphIndex) countAdm(i int) int32 {
-	li := gx.loads[i]
-	a := int32(0)
-	for k := 0; k < gx.deg; k++ {
-		if gx.loads[gx.g.Neighbor(i, k)] < li {
-			a++
-		}
-	}
-	return a
+// slots returns bin i's row of the slot table.
+func (gx *graphIndex) slots(i int) []int32 {
+	return gx.nbr[i*gx.deg : (i+1)*gx.deg]
 }
 
 // setAdm installs bin i's admissible count and applies the weight
@@ -135,8 +144,8 @@ func (gx *graphIndex) update(cfg *loadvec.Config, a, b int) {
 func (gx *graphIndex) refresh(c, other int, old int32) {
 	lc := gx.loads[c]
 	a := int32(0)
-	for k := 0; k < gx.deg; k++ {
-		j := gx.g.Neighbor(c, k)
+	for _, j32 := range gx.slots(c) {
+		j := int(j32)
 		lj := gx.loads[j]
 		if lj < lc {
 			a++
@@ -160,11 +169,19 @@ func (gx *graphIndex) refresh(c, other int, old int32) {
 	gx.setAdm(c, a)
 }
 
-// validate cross-checks the incrementally maintained state — the loads
+// validate cross-checks the maintained state — the slot table, the loads
 // mirror, adm, wval, the Fenwick leaves and W_G — against a fresh build
-// over the configuration's live loads.
+// over the topology and the configuration's live loads.
 func (gx *graphIndex) validate(cfg *loadvec.Config) error {
 	fresh := newGraphIndex(cfg, gx.g)
+	if len(gx.nbr) != len(fresh.nbr) {
+		return fmt.Errorf("sim: graph index slot table has %d slots, topology %d", len(gx.nbr), len(fresh.nbr))
+	}
+	for s, j := range fresh.nbr {
+		if gx.nbr[s] != j {
+			return fmt.Errorf("sim: graph index slot %d of bin %d = %d, topology has %d", s%gx.deg, s/gx.deg, gx.nbr[s], j)
+		}
+	}
 	leaves := gx.wt.Leaves()
 	for i := range fresh.adm {
 		switch {
@@ -193,11 +210,10 @@ func (gx *graphIndex) sample(r *rng.RNG) (src, dst int) {
 	// multiplicity leaves a uniform admissible-slot index.
 	j := int(rem % int64(gx.adm[i]))
 	li := gx.loads[i]
-	for k := 0; k < gx.deg; k++ {
-		nb := gx.g.Neighbor(i, k)
+	for _, nb := range gx.slots(i) {
 		if gx.loads[nb] < li {
 			if j == 0 {
-				return i, nb
+				return i, int(nb)
 			}
 			j--
 		}
@@ -232,10 +248,13 @@ func regularTopologyDegree(cfg *loadvec.Config, g Topology) int {
 // moves iff the neighbor's load is lower. Like NewJumpEngine it simulates
 // only the embedded jump chain — Geometric(W_G/(m·Δ)) null blocks, Erlang
 // time gaps — with the exact move weight W_G = Σ_i load(i)·adm[i]
-// maintained by per-source admissible-slot counts (graphIndex:
-// O(Δ + flips·log n) per move, every event a real move). SetHorizon's
-// thinned-Poisson clamp conditions on the same weight, so time-targeted
-// runs stay exact.
+// maintained by per-source admissible-slot counts (graphIndex: O(Δ) reads
+// of a flat slot table plus O(flips·log n) Fenwick work per move, every
+// event a real move). SetHorizon's thinned-Poisson clamp conditions on
+// the same weight, so time-targeted runs stay exact. The configuration
+// keeps only ball-sampling level-index state (loadvec's EnableBallIndex),
+// the part RandomBin reads; the complete-topology move weight is never
+// maintained.
 //
 // The balancing-time law is the direct engine's (experiment A8 KS-tests
 // it). The topology must be regular and its slot lists symmetric as
@@ -249,8 +268,8 @@ func NewGraphJumpEngine(initial loadvec.Vector, g Topology, r *rng.RNG) *Engine 
 		panic("sim: NewGraphJumpEngine with nil topology")
 	}
 	cfg := loadvec.NewConfig(initial)
-	// The level index serves RandomBin (session churn) and stays the
-	// uniform-ball sampler; the graph index owns the move weight.
-	cfg.EnableLevelIndex()
+	// The level index serves RandomBin (session churn) as the uniform-ball
+	// sampler; the graph index owns the move weight.
+	cfg.EnableBallIndex()
 	return &Engine{cfg: cfg, r: r, jump: true, gidx: newGraphIndex(cfg, g)}
 }

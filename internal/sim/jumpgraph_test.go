@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/graphs"
 	"repro/internal/loadvec"
+	"repro/internal/persist"
 	"repro/internal/rng"
 )
 
@@ -281,6 +284,88 @@ func TestGraphJumpChurn(t *testing.T) {
 	}
 }
 
+// TestGraphJumpEngineInvariants drives graph jump engines on a torus, an
+// expander small enough to carry self-loops and parallel edges, and a
+// random-regular multigraph through steps, churn (AddBall, RandomBin then
+// RemoveBall), ForceMove and snapshot → restore, checking the on-demand
+// invariants after every op: the configuration with its
+// ball-sampling-only level index (Config.Validate), the graph index
+// against a fresh build (validate), and the slot table against
+// Topology.Neighbor. A restored engine must re-encode to the same bytes
+// and carry the same index shape as a fresh one.
+func TestGraphJumpEngineInvariants(t *testing.T) {
+	rr, err := graphs.NewRandomRegularSeed(24, 6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []Topology{graphs.Torus2D{Side: 5}, graphs.Expander{Side: 3}, rr} {
+		n := g.N()
+		v := make(loadvec.Vector, n)
+		v[0] = 3 * n
+		e := NewGraphJumpEngine(v, g, rng.New(21))
+		r := rng.New(22)
+		check := func(op int, what string) {
+			t.Helper()
+			cfg := e.Cfg()
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%T op %d (%s): config: %v", g, op, what, err)
+			}
+			if !cfg.LevelIndexed() || cfg.MoveWeightIndexed() || cfg.TieGap() != 1 {
+				t.Fatalf("%T op %d (%s): index shape indexed=%v weighted=%v gap=%d, want ball-sampling-only",
+					g, op, what, cfg.LevelIndexed(), cfg.MoveWeightIndexed(), cfg.TieGap())
+			}
+			if err := e.gidx.validate(cfg); err != nil {
+				t.Fatalf("%T op %d (%s): %v", g, op, what, err)
+			}
+			for i := 0; i < n; i++ {
+				for k := 0; k < g.Degree(i); k++ {
+					if got, want := int(e.gidx.slots(i)[k]), g.Neighbor(i, k); got != want {
+						t.Fatalf("%T op %d (%s): slot (%d,%d) = %d, Neighbor %d", g, op, what, i, k, got, want)
+					}
+				}
+			}
+		}
+		check(-1, "fresh")
+		for op := 0; op < 300; op++ {
+			var what string
+			switch r.Intn(5) {
+			case 0, 1:
+				what = "step"
+				e.Step()
+			case 2:
+				what = "add"
+				e.AddBall(r.Intn(n))
+			case 3:
+				what = "remove"
+				if bin := e.RandomBin(); e.Cfg().M() > 1 {
+					e.RemoveBall(bin)
+				}
+			case 4:
+				what = "force"
+				if src, dst := r.Intn(n), r.Intn(n); src != dst && e.Cfg().Load(src) > 0 {
+					e.ForceMove(src, dst)
+				}
+			}
+			if op%25 == 24 {
+				what = "restore"
+				var enc persist.Enc
+				e.EncodeState(&enc)
+				restored := NewGraphJumpEngine(make(loadvec.Vector, n), g, rng.New(0))
+				if err := restored.DecodeState(persist.NewDec(enc.Bytes())); err != nil {
+					t.Fatalf("%T op %d: restore: %v", g, op, err)
+				}
+				var again persist.Enc
+				restored.EncodeState(&again)
+				if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+					t.Fatalf("%T op %d: restored engine re-encodes differently", g, op)
+				}
+				e = restored
+			}
+			check(op, what)
+		}
+	}
+}
+
 // TestGraphJumpEnginePanics pins the constructor's rejection branches.
 func TestGraphJumpEnginePanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
@@ -304,3 +389,94 @@ func TestGraphJumpEnginePanics(t *testing.T) {
 		NewStrictJumpEngine(make(loadvec.Vector, 4), nil)
 	})
 }
+
+// benchGraphIndex returns a graph index over a Δ-regular topology on
+// 4096 bins (Δ = 4 torus, Δ = 8 expander, Δ = 16 random regular) with
+// uniform random loads in [0, 8], so a fair share of slots is admissible.
+// The configuration carries no level index: the benchmarks below time the
+// graph index, and a Config move is O(1) bookkeeping on top.
+func benchGraphIndex(b *testing.B, deg int) (*loadvec.Config, *graphIndex) {
+	var g Topology
+	switch deg {
+	case 4:
+		g = graphs.Torus2D{Side: 64}
+	case 8:
+		g = graphs.Expander{Side: 64}
+	default:
+		rr, err := graphs.NewRandomRegularSeed(4096, deg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g = rr
+	}
+	r := rng.New(uint64(deg))
+	v := make(loadvec.Vector, g.N())
+	for i := range v {
+		v[i] = r.Intn(9)
+	}
+	cfg := loadvec.NewConfig(v)
+	return cfg, newGraphIndex(cfg, g)
+}
+
+// graphIndexBatch is the number of index operations one benchmark
+// iteration performs, so that even bench.sh's 3-iteration record times
+// thousands of operations; ns/update and ns/sample are the per-operation
+// costs.
+const graphIndexBatch = 1024
+
+// BenchmarkGraphIndexUpdate measures one graph-index update after a move
+// along a slot: each iteration moves a ball across each of
+// graphIndexBatch pre-drawn (bin, neighbor) pairs and straight back, two
+// updates per pair, so the loads stay stationary.
+func BenchmarkGraphIndexUpdate(b *testing.B) {
+	for _, deg := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
+			cfg, gx := benchGraphIndex(b, deg)
+			r := rng.New(9)
+			pairs := make([][2]int, 0, graphIndexBatch)
+			for len(pairs) < cap(pairs) {
+				src := r.Intn(cfg.N())
+				if dst := int(gx.slots(src)[r.Intn(deg)]); dst != src && cfg.Load(src) > 0 {
+					pairs = append(pairs, [2]int{src, dst})
+				}
+			}
+			pass := func() {
+				for _, p := range pairs {
+					cfg.Move(p[0], p[1])
+					gx.update(cfg, p[0], p[1])
+					cfg.Move(p[1], p[0])
+					gx.update(cfg, p[1], p[0])
+				}
+			}
+			pass() // untimed: the Config histogram grows to its steady size
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*graphIndexBatch*b.N), "ns/update")
+		})
+	}
+}
+
+// BenchmarkGraphIndexSample measures one jump-chain move draw — a
+// Fenwick descent plus a scan of the source's Δ slots — on a fixed
+// configuration, graphIndexBatch draws per iteration.
+func BenchmarkGraphIndexSample(b *testing.B) {
+	for _, deg := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
+			_, gx := benchGraphIndex(b, deg)
+			r := rng.New(10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < graphIndexBatch; k++ {
+					graphSampleSink, _ = gx.sample(r)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(graphIndexBatch*b.N), "ns/sample")
+		})
+	}
+}
+
+var graphSampleSink int

@@ -272,7 +272,13 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 // (same mover, tie rule, topology, and sampler type), built by the
 // caller. On any error the engine is left unmodified.
 func (e *Engine) DecodeState(d *persist.Dec) error {
-	cfg, err := loadvec.DecodeConfigState(d)
+	// A graph engine's level index is ball-sampling-only; the payload
+	// encodes both shapes alike, so the engine picks the decoder.
+	decode := loadvec.DecodeConfigState
+	if e.gidx != nil {
+		decode = loadvec.DecodeBallConfigState
+	}
+	cfg, err := decode(d)
 	if err != nil {
 		return err
 	}

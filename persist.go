@@ -133,7 +133,7 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 // 5 random-regular(d) — whose construction seed rides in the meta
 // section's topoSeed field so resume rebuilds the identical adjacency.
 func (s *Session) topologyCode() (kind, arg int, err error) {
-	if s.topology.rrD > 0 {
+	if s.topology.rr {
 		return 5, s.topology.rrD, nil
 	}
 	switch g := s.topology.g.(type) {

@@ -86,14 +86,16 @@ type Topology struct {
 	// Random-regular topologies are a factory, not a graph: the adjacency
 	// needs the runner's n, so resolveGraph builds it from (d, seed) at
 	// engine-construction time (deterministically — snapshots persist the
-	// pair and rebuild the same graph on resume).
+	// pair and rebuild the same graph on resume). rr marks the factory, so
+	// an invalid d is rejected rather than read as the complete topology.
+	rr     bool
 	rrD    int
 	rrSeed uint64
 }
 
 // active reports whether the topology restricts sampling at all (i.e. is
 // not the complete topology).
-func (t Topology) active() bool { return t.g != nil || t.rrD > 0 }
+func (t Topology) active() bool { return t.g != nil || t.rr }
 
 // CompleteTopology is the paper's original setting (sample any bin).
 func CompleteTopology() Topology { return Topology{} }
@@ -122,7 +124,7 @@ func ExpanderTopology() Topology { return Topology{g: graphs.Expander{}} }
 // and 1 ≤ d < n. The family exists to exercise superconstant degrees;
 // the jump engine's exact admissible index serves them at O(Δ) per move.
 func RandomRegularTopology(d int, seed uint64) Topology {
-	return Topology{rrD: d, rrSeed: seed}
+	return Topology{rr: true, rrD: d, rrSeed: seed}
 }
 
 // EngineMode selects how a run is simulated.
@@ -320,10 +322,14 @@ type TracePoint struct {
 // expander adapt their vertex count to n (the expander needs square n),
 // the torus and hypercube must match it exactly, and random-regular
 // builds its adjacency from (d, seed). Both the direct mover and the
-// graph jump engine resolve through here, so mismatches produce the same
-// errors in every mode.
+// graph jump engine resolve through here, so mismatches — and parameters
+// no graph has (torus side < 1, hypercube dim < 0, degree < 1) — produce
+// the same errors in every mode.
 func resolveGraph(t Topology, n int) (graphs.Graph, error) {
-	if t.rrD > 0 {
+	if t.rr {
+		if t.rrD < 1 {
+			return nil, fmt.Errorf("rls: random-regular degree %d, want at least 1", t.rrD)
+		}
 		if t.rrD >= n {
 			return nil, fmt.Errorf("rls: random-regular degree %d does not fit n=%d", t.rrD, n)
 		}
@@ -338,10 +344,16 @@ func resolveGraph(t Topology, n int) (graphs.Graph, error) {
 	case graphs.Ring:
 		g = graphs.Ring{Vertices: n} // the ring adapts to the runner's n
 	case graphs.Torus2D:
+		if tt.Side < 1 {
+			return nil, fmt.Errorf("rls: torus side %d, want at least 1", tt.Side)
+		}
 		if tt.Side*tt.Side != n {
 			return nil, fmt.Errorf("rls: torus side %d does not match n=%d", tt.Side, n)
 		}
 	case graphs.Hypercube:
+		if tt.Dim < 0 {
+			return nil, fmt.Errorf("rls: hypercube dim %d, want at least 0", tt.Dim)
+		}
 		if 1<<tt.Dim != n {
 			return nil, fmt.Errorf("rls: hypercube dim %d does not match n=%d", tt.Dim, n)
 		}

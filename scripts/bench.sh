@@ -5,8 +5,9 @@
 # comparisons — plain (BenchmarkEndGame), strict tie rule
 # (BenchmarkStrictEndGame), ring/torus/hypercube/expander topologies
 # (BenchmarkGraphEndGame), and the dense-degree graph comparison direct
-# vs jump-exact (BenchmarkGraphDense, gated ≥ 5x by check_graphdense.sh) —
-# live churn (BenchmarkSessionChurn), the
+# vs jump-exact (BenchmarkGraphDense, gated ≥ 5x by check_graphdense.sh),
+# the graph index's micro tier at Δ = 4, 8, 16 (BenchmarkGraphIndexUpdate,
+# BenchmarkGraphIndexSample) — live churn (BenchmarkSessionChurn), the
 # direct-vs-sharded dense regime (BenchmarkShardedDense), and the parallel
 # epoch loop's
 # allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
@@ -45,7 +46,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

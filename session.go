@@ -229,7 +229,7 @@ func (s *Session) Strict() bool { return s.strict }
 // TopologyName returns the session topology's name: "complete", "ring",
 // "torus", "hypercube", "expander", or "random-<d>-regular".
 func (s *Session) TopologyName() string {
-	if s.topology.rrD > 0 {
+	if s.topology.rr {
 		return fmt.Sprintf("random-%d-regular", s.topology.rrD)
 	}
 	switch s.topology.g.(type) {
