@@ -116,49 +116,47 @@ func withProfiles(cpuprof, memprof string, f func() error) error {
 	return nil
 }
 
-// parseTopology maps the -topology flag onto an rls.Topology. The ring,
-// torus, hypercube, and expander adapt their shape to n the way the
-// library constructors expect; "random-<d>-regular" builds its adjacency
-// deterministically from the run seed, so a fixed (seed, n, d) triple
-// reproduces the same graph. active reports whether the choice restricts
-// sampling at all (false for "complete").
-func parseTopology(topology string, n int, seed uint64) (t rls.Topology, active bool, err error) {
-	switch topology {
-	case "complete":
-		return rls.CompleteTopology(), false, nil
-	case "ring":
-		return rls.RingTopology(), true, nil
-	case "torus":
-		side := 1
-		for side*side < n {
-			side++
+// specFromFlags decodes the engine, shard, tie-rule, topology, and speed
+// flags into an rls.Spec; run and runSession share it, and the library
+// decides which combinations are legal. The torus and hypercube take
+// their shape from n; "random-<d>-regular" builds its adjacency from the
+// run seed, so a fixed (seed, n, d) triple reproduces the same graph.
+func specFromFlags(n int, seed uint64, engine string, shards int, strict bool, topology, speeds string) (rls.Spec, error) {
+	spec := rls.Spec{Shards: shards, Strict: strict}
+	switch engine {
+	case "direct":
+	case "jump":
+		spec.Mode = rls.JumpEngine
+	case "sharded":
+		spec.Mode = rls.ShardedEngine
+	case "shardedjump":
+		return spec, errRemovedEngine
+	default:
+		return spec, fmt.Errorf("unknown engine mode %q", engine)
+	}
+	topo, err := rls.NamedTopology(topology, n, seed)
+	if err != nil {
+		return spec, err
+	}
+	spec.Topology = topo
+	switch speeds {
+	case "":
+	case "uniform":
+		spec.Speeds = uniformSpeeds(n)
+	case "bimodal":
+		spec.Speeds = uniformSpeeds(n)
+		for i := 0; i < n/4; i++ {
+			spec.Speeds[i] = 4
 		}
-		return rls.TorusTopology(side), true, nil
-	case "hypercube":
-		dim := 0
-		for 1<<dim < n {
-			dim++
+	case "powerlaw":
+		spec.Speeds = make([]float64, n)
+		for i := range spec.Speeds {
+			spec.Speeds[i] = 1 / math.Sqrt(float64(i+1))
 		}
-		return rls.HypercubeTopology(dim), true, nil
-	case "expander":
-		return rls.ExpanderTopology(), true, nil
+	default:
+		return spec, fmt.Errorf("unknown speed profile %q", speeds)
 	}
-	if d, ok := parseRandomRegular(topology); ok {
-		return rls.RandomRegularTopology(d, seed), true, nil
-	}
-	return rls.Topology{}, false, fmt.Errorf("unknown topology %q", topology)
-}
-
-// parseRandomRegular recognizes "random-<d>-regular" and returns d.
-func parseRandomRegular(s string) (int, bool) {
-	if !strings.HasPrefix(s, "random-") || !strings.HasSuffix(s, "-regular") {
-		return 0, false
-	}
-	d, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(s, "random-"), "-regular"))
-	if err != nil || d < 1 {
-		return 0, false
-	}
-	return d, true
+	return spec, nil
 }
 
 // checkSize rejects a fresh run's bin and ball counts below one, which
@@ -178,24 +176,17 @@ func run(n, m int, seed uint64, placement, target, topology, speeds, engine stri
 	if err := checkSize(n, m); err != nil {
 		return err
 	}
-	opts := []rls.Option{rls.WithSeed(seed)}
-
-	switch engine {
-	case "direct":
-	case "jump":
-		opts = append(opts, rls.WithEngineMode(rls.JumpEngine))
-	case "sharded":
-		opts = append(opts, rls.WithEngineMode(rls.ShardedEngine))
-		if shards != 0 {
-			opts = append(opts, rls.WithShards(shards))
-		}
-	case "shardedjump":
-		return errRemovedEngine
-	default:
-		return fmt.Errorf("unknown engine mode %q", engine)
+	spec, err := specFromFlags(n, seed, engine, shards, strict, topology, speeds)
+	if err != nil {
+		return err
 	}
-	if shards != 0 && engine != "sharded" {
-		return fmt.Errorf("-shards requires -engine sharded")
+	if err := spec.Validate(n); err != nil {
+		return err
+	}
+	opts := []rls.Option{rls.WithSeed(seed), rls.WithEngineMode(spec.Mode), rls.WithShards(spec.Shards),
+		rls.WithTopology(spec.Topology), rls.WithSpeeds(spec.Speeds)}
+	if spec.Strict {
+		opts = append(opts, rls.WithStrictTieRule())
 	}
 
 	switch placement {
@@ -230,37 +221,6 @@ func run(n, m int, seed uint64, placement, target, topology, speeds, engine stri
 		opts = append(opts, rls.WithTarget(rls.UntilTime(x)))
 	default:
 		return fmt.Errorf("unknown target %q", target)
-	}
-
-	topo, topoActive, err := parseTopology(topology, n, seed)
-	if err != nil {
-		return err
-	}
-	if topoActive {
-		opts = append(opts, rls.WithTopology(topo))
-	}
-	switch speeds {
-	case "":
-	case "uniform":
-		opts = append(opts, rls.WithSpeeds(uniformSpeeds(n)))
-	case "bimodal":
-		s := uniformSpeeds(n)
-		for i := 0; i < n/4; i++ {
-			s[i] = 4
-		}
-		opts = append(opts, rls.WithSpeeds(s))
-	case "powerlaw":
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = 1 / math.Sqrt(float64(i+1))
-		}
-		opts = append(opts, rls.WithSpeeds(s))
-	default:
-		return fmt.Errorf("unknown speed profile %q", speeds)
-	}
-
-	if strict {
-		opts = append(opts, rls.WithStrictTieRule())
 	}
 
 	runner := rls.New(n, m, opts...)

@@ -2,8 +2,12 @@ package main
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/spectest"
 )
 
 func TestRunAllPlacements(t *testing.T) {
@@ -178,6 +182,64 @@ func TestRunShardedRejectsBadCombos(t *testing.T) {
 	for name, fn := range cases {
 		if err := fn(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestRunShardsNeedShardedEngine: -shards outside -engine sharded fails
+// with one message on the Runner path and on the session path, which
+// used to accept it and record the stray count in its snapshot.
+func TestRunShardsNeedShardedEngine(t *testing.T) {
+	const want = "rls: shards and shard epochs need the sharded engine, not the jump engine"
+	snap := filepath.Join(t.TempDir(), "s.snap")
+	for path, err := range map[string]error{
+		"run":        run(16, 64, 1, "random", "perfect", "complete", "", "jump", 4, false, 0, false, false),
+		"runSession": runSession(sessionFlags{snapshot: snap}, 16, 64, 1, "random", "perfect", "complete", "", "jump", 4, false, false),
+	} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", path, err, want)
+		}
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("the session path wrote a snapshot: %v", err)
+	}
+}
+
+// TestSpecValidateAgreesWithConstruction walks the spectest cross-product
+// through the flags: every case they can spell (no unknown engine mode,
+// no Fenwick sampler, no shard epoch, speeds only as the uniform profile,
+// and only the torus or hypercube parameter -n fixes) runs on the Runner
+// path exactly when Validate accepts it and on the session path exactly
+// when Spec.NewSession does, and otherwise fails with that message.
+func TestSpecValidateAgreesWithConstruction(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = devnull
+	defer func() { os.Stdout = stdout; devnull.Close() }()
+
+	sf := sessionFlags{snapshot: filepath.Join(t.TempDir(), "s.snap")}
+	for _, c := range spectest.Cases() {
+		engine, ok := c.EngineName()
+		topology, named := c.TopologyName()
+		speeds := ""
+		if c.Spec.Speeds != nil {
+			speeds = "uniform"
+		}
+		if !ok || !named || c.Spec.Fenwick || c.Spec.ShardEpoch != 0 ||
+			(c.Spec.Speeds != nil && !reflect.DeepEqual(c.Spec.Speeds, uniformSpeeds(c.N))) {
+			continue
+		}
+		s := c.Spec
+		err := run(c.N, c.N, spectest.Seed, "random", "time=0.2", topology, speeds, engine, s.Shards, s.Strict, 0, false, false)
+		if got, want := spectest.Want(err), spectest.Want(s.Validate(c.N)); got != want {
+			t.Errorf("%s: run answered %q, want %q", c.Name, got, want)
+		}
+		err = runSession(sf, c.N, c.N, spectest.Seed, "random", "time=0.2", topology, speeds, engine, s.Shards, s.Strict, false)
+		if got, want := spectest.Want(err), spectest.Want(c.SessionWant()); got != want {
+			t.Errorf("%s: runSession answered %q, want %q", c.Name, got, want)
 		}
 	}
 }

@@ -23,27 +23,12 @@ func (sf sessionFlags) active() bool {
 	return sf.resume != "" || sf.snapshot != "" || sf.traceout != ""
 }
 
-// newSession builds a fresh session. NewSession panics on an unsupported
-// option combination by design; the recover turns that into a flag error,
-// as internal/service's buildSession does for rlsd.
-func newSession(n int, seed uint64, opts []rls.SessionOption) (sess *rls.Session, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sess, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return rls.NewSession(n, seed, opts...), nil
-}
-
 // runSession is the durable twin of run: it drives an rls.Session so the
-// state can be resumed from and snapshotted to disk. Placements, speed
-// profiles, and disc= targets are Runner-only features and are rejected
-// here; balls enter via AddBallRandom (the session equivalent of random
-// placement).
+// state can be resumed from and snapshotted to disk. Placements and disc=
+// targets are Runner-only features and are rejected here, as
+// Spec.NewSession rejects speed profiles; balls enter via AddBallRandom
+// (the session equivalent of random placement).
 func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topology, speeds, engine string, shards int, strict bool, plot bool) error {
-	if speeds != "" {
-		return fmt.Errorf("-speeds is not supported with -resume/-snapshot/-traceout (sessions have no speed-aware engine)")
-	}
 	if placement != "all-in-one" && placement != "random" {
 		return fmt.Errorf("-placement %s is not supported with -resume/-snapshot/-traceout (sessions place balls uniformly at random)", placement)
 	}
@@ -65,33 +50,11 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 		if err := checkSize(n, m); err != nil {
 			return err
 		}
-		opts := []rls.SessionOption{}
-		switch engine {
-		case "direct":
-		case "jump":
-			opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
-		case "sharded":
-			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
-		case "shardedjump":
-			return errRemovedEngine
-		default:
-			return fmt.Errorf("unknown engine mode %q", engine)
-		}
-		if shards != 0 {
-			opts = append(opts, rls.WithSessionShards(shards))
-		}
-		if strict {
-			opts = append(opts, rls.WithSessionStrictTieRule())
-		}
-		topo, topoActive, err := parseTopology(topology, n, seed)
+		spec, err := specFromFlags(n, seed, engine, shards, strict, topology, speeds)
 		if err != nil {
 			return err
 		}
-		if topoActive {
-			opts = append(opts, rls.WithSessionTopology(topo))
-		}
-		sess, err = newSession(n, seed, opts)
-		if err != nil {
+		if sess, err = spec.NewSession(n, seed); err != nil {
 			return err
 		}
 		for i := 0; i < m; i++ {

@@ -22,7 +22,7 @@
 // # Engine modes
 //
 // Runs execute in one of three modes, selected with WithEngineMode (and
-// WithSessionEngineMode for sessions):
+// Spec.Mode for sessions):
 //
 //   - DirectEngine (default) simulates every activation: an Exp(m) time
 //     gap, a uniform ball, a uniform destination, the protocol's accept
@@ -50,8 +50,6 @@
 //     rejections (gate A8, on bounded-degree and dense families). The
 //     configuration keeps only the ball-sampling half of the level
 //     index there, since the graph index owns the move weight.
-//     Strict + topology together is rejected: the graph processes in
-//     the literature use the plain rule.
 //   - ShardedEngine partitions the bins into WithShards contiguous
 //     ranges, each simulated by its own goroutine worker with a private
 //     configuration, sampler, and deterministically split RNG stream —
@@ -134,13 +132,23 @@
 //   - heterogeneous speeds or exact per-activation trajectories:
 //     DirectEngine, the only mode that supports every option.
 //
-// Engine-mode matrix: three cells. DirectEngine and JumpEngine are the
-// sequential engines; WithShards composes with ShardedEngine only, whose
-// P = 1 base is DirectEngine. Along the protocol-variant axis,
-// DirectEngine accepts everything (strict tie rule, topologies, speeds);
-// JumpEngine accepts the strict tie rule and regular topologies (not
-// together, and not speeds); ShardedEngine runs plain RLS on the
-// complete topology only.
+// # Spec
+//
+// Spec is the shape of one simulated process: engine mode, tie rule,
+// topology, bin speeds, activation sampler, shard count and shard epoch.
+// A Runner holds one (its With* options set the fields); Spec.NewSession
+// builds a Session from one; rlsim's flags, rlsd's JSON config and the
+// snapshot header each decode into one. Spec.Validate is the only place
+// that decides which shapes are legal, and every construction path —
+// Runner.Run, Runner.RunTraced, Spec.NewSession, ResumeSession — builds
+// its engine through one private constructor after it, so a shape is
+// accepted or rejected with the same message everywhere.
+// TestSpecValidateAgreesWithConstruction walks a cross-product of
+// shapes through every surface to hold it so.
+//
+// The rules are listed on Spec. NamedTopology and Topology.Name map the
+// topology families to the names every front end shares: complete,
+// ring, torus, hypercube, expander, random-<d>-regular.
 //
 // Every cell of that matrix is also checkpointable: Session.Snapshot
 // writes the full engine state — loads, per-ball structures, level

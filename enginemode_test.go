@@ -127,22 +127,22 @@ func TestJumpAcceptsStrictAndTopology(t *testing.T) {
 	}
 }
 
-// TestSessionStrictAndTopologyModes drives churn through the new session
-// options in both direct and jump modes.
+// TestSessionStrictAndTopologyModes drives churn through strict and
+// topology session specs in both direct and jump modes.
 func TestSessionStrictAndTopologyModes(t *testing.T) {
 	for _, mode := range []EngineMode{DirectEngine, JumpEngine} {
 		for _, c := range []struct {
 			name string
-			opts []SessionOption
+			spec Spec
 		}{
-			{"strict", []SessionOption{WithSessionStrictTieRule()}},
-			{"ring", []SessionOption{WithSessionTopology(RingTopology())}},
-			{"hypercube", []SessionOption{WithSessionTopology(HypercubeTopology(4))}},
+			{"strict", Spec{Strict: true}},
+			{"ring", Spec{Topology: RingTopology()}},
+			{"hypercube", Spec{Topology: HypercubeTopology(4)}},
 		} {
 			c := c
 			t.Run(mode.String()+"/"+c.name, func(t *testing.T) {
-				opts := append([]SessionOption{WithSessionEngineMode(mode)}, c.opts...)
-				s := NewSession(16, 11, opts...)
+				c.spec.Mode = mode
+				s := newSession(t, c.spec, 16, 11)
 				for i := 0; i < 96; i++ {
 					s.AddBallRandom()
 				}
@@ -171,43 +171,43 @@ func TestSessionStrictAndTopologyModes(t *testing.T) {
 	}
 }
 
-// TestSessionOptionPanics pins the session constructors' rejection style
-// for the combinations that stay unsupported.
+// TestSessionOptionPanics pins the session constructors' rejections for
+// the combinations that stay unsupported: Spec.NewSession returns the
+// Runner's message, and the NewSession shorthand panics with that error.
 func TestSessionOptionPanics(t *testing.T) {
-	expectPanic := func(name, want string, f func()) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("did not panic")
-				}
-				if msg, ok := r.(string); !ok || msg != want {
-					t.Fatalf("panic %v, want %q", r, want)
-				}
-			}()
-			f()
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"strict+topology", Spec{Strict: true, Topology: RingTopology()},
+			"rls: strict tie rule on a topology is not supported"},
+		{"sharded+strict", Spec{Mode: ShardedEngine, Strict: true},
+			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
+		{"unknown mode", Spec{Mode: EngineMode(3)}, "rls: unknown engine mode 3"},
+		{"jump+torus mismatch", Spec{Mode: JumpEngine, Topology: TorusTopology(3)},
+			"rls: torus side 3 does not match n=16"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := c.spec.NewSession(16, 1); err == nil || err.Error() != c.want {
+				t.Fatalf("Spec.NewSession error %v, want %q", err, c.want)
+			}
 		})
 	}
-	expectPanic("strict+topology", "rls: strict tie rule on a topology is not supported", func() {
-		NewSession(16, 1, WithSessionStrictTieRule(), WithSessionTopology(RingTopology()))
-	})
-	expectPanic("sharded+strict", "rls: sharded sessions support only plain RLS on the complete topology", func() {
-		NewSession(16, 1, WithSessionEngineMode(ShardedEngine), WithSessionStrictTieRule())
-	})
-	expectPanic("unknown mode", "rls: unknown engine mode 3", func() {
-		NewSession(16, 1, WithSessionEngineMode(EngineMode(3)))
-	})
-	expectPanic("jump+torus mismatch", "rls: torus side 3 does not match n=16", func() {
-		NewSession(16, 1, WithSessionEngineMode(JumpEngine), WithSessionTopology(TorusTopology(3)))
-	})
+	defer func() {
+		if err, ok := recover().(error); !ok || err.Error() != "rls: unknown engine mode 3" {
+			t.Fatalf("NewSession panic %v, want the Spec.NewSession error", err)
+		}
+	}()
+	NewSession(16, 1, WithSessionEngineMode(EngineMode(3)))
 }
 
 // TestInvalidTopologyParameters pins that topology parameters no graph
 // has — a torus side below 1, a negative hypercube dimension, a
 // random-regular degree below 1 — are rejected with the same error by the
-// Runner (direct and jump, Run and RunTraced) and by NewSession (its
-// panic style), instead of an index or shift panic, or a silent run on
-// the complete topology.
+// Runner (direct and jump, Run and RunTraced) and by Spec.NewSession,
+// instead of an index or shift panic, or a silent run on the complete
+// topology.
 func TestInvalidTopologyParameters(t *testing.T) {
 	cases := []struct {
 		name string
@@ -231,14 +231,10 @@ func TestInvalidTopologyParameters(t *testing.T) {
 				if _, _, err := r.RunTraced(10); err == nil || err.Error() != c.want {
 					t.Errorf("RunTraced error %v, want %q", err, c.want)
 				}
-				func() {
-					defer func() {
-						if msg, ok := recover().(string); !ok || msg != c.want {
-							t.Errorf("NewSession panic %q, want %q", msg, c.want)
-						}
-					}()
-					NewSession(c.n, 1, WithSessionEngineMode(mode), WithSessionTopology(c.topo))
-				}()
+				spec := Spec{Mode: mode, Topology: c.topo}
+				if _, err := spec.NewSession(c.n, 1); err == nil || err.Error() != c.want {
+					t.Errorf("Spec.NewSession error %v, want %q", err, c.want)
+				}
 			})
 		}
 	}

@@ -116,7 +116,7 @@ func ExampleWithTarget() {
 // The service form: cmd/rlsd hosts many concurrent Sessions as tenants
 // behind an HTTP/JSON control plane with an SSE telemetry plane —
 // internal/service is the embeddable core the daemon wraps. A client
-// creates a session (the JSON config maps onto the WithSession* options),
+// creates a session (the JSON config decodes into an rls.Spec),
 // streams churn batches in, and watches convergence frames stream out.
 // Subscribing before posting guarantees the batch's frame follows the
 // initial snapshot, which is what makes this example deterministic.

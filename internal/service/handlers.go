@@ -21,11 +21,11 @@ type httpError struct {
 	retryAfter time.Duration
 }
 
-// sessionConfig is the POST /v1/sessions body. Engine, topology, strict,
-// and shards map onto the rls.WithSession* options; Balls seeds the
-// session with that many uniformly placed balls (deterministic in Seed).
-// Speeds is accepted syntactically but rejected with 400: sessions have
-// no speed-aware engine (use the library Runner's WithSpeeds).
+// sessionConfig is the POST /v1/sessions body. Engine, shards, strict,
+// topology, and speeds decode into an rls.Spec; Balls seeds the session
+// with that many uniformly placed balls (deterministic in Seed). Speeds
+// is accepted syntactically but rejected with 400 by Spec.NewSession:
+// sessions have no speed-aware engine (use the library Runner).
 type sessionConfig struct {
 	Bins     int       `json:"bins"`
 	Balls    int       `json:"balls,omitempty"`
@@ -47,16 +47,17 @@ type sessionInfo struct {
 	telemetry
 }
 
-// normalize validates a sessionConfig against the service limits and the
-// engine-mode composition matrix, returning the canonicalized config and
-// its session options. Every rejection is a 400 with a message naming
-// the offending field — the handler table tests pin these.
-func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOption, *httpError) {
-	bad := func(format string, args ...any) (sessionConfig, []rls.SessionOption, *httpError) {
-		return sessionConfig{}, nil, &httpError{status: 400, msg: fmt.Sprintf(format, args...)}
-	}
-	if cfg.Bins < 1 {
-		return bad("bins must be >= 1 (got %d)", cfg.Bins)
+// maxSlotsPerBin bounds a random-regular topology's neighbor slots
+// (bins·d) at this many per MaxBins bin.
+const maxSlotsPerBin = 16
+
+// normalize checks a sessionConfig against the service limits and
+// decodes it into the rls.Spec it names, returning the canonical config
+// (engine "direct" spelled out, topology "complete" as ""). Whether the
+// Spec is legal is Spec.NewSession's call; every rejection is a 400.
+func (s *Service) normalize(cfg sessionConfig) (sessionConfig, rls.Spec, *httpError) {
+	bad := func(format string, args ...any) (sessionConfig, rls.Spec, *httpError) {
+		return sessionConfig{}, rls.Spec{}, &httpError{status: 400, msg: fmt.Sprintf(format, args...)}
 	}
 	if cfg.Bins > s.cfg.MaxBins {
 		return bad("bins %d exceeds the per-session limit %d", cfg.Bins, s.cfg.MaxBins)
@@ -64,67 +65,40 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOpti
 	if cfg.Balls < 0 {
 		return bad("balls must be >= 0 (got %d)", cfg.Balls)
 	}
-	if len(cfg.Speeds) > 0 {
-		return bad("sessions do not support bin speeds; use the library Runner with WithSpeeds")
-	}
 
-	var opts []rls.SessionOption
+	spec := rls.Spec{Strict: cfg.Strict, Shards: cfg.Shards}
+	if len(cfg.Speeds) > 0 {
+		spec.Speeds = cfg.Speeds
+	}
 	switch cfg.Engine {
 	case "", "direct":
 		cfg.Engine = "direct"
 	case "jump":
-		opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
+		spec.Mode = rls.JumpEngine
 	case "sharded":
-		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
+		spec.Mode = rls.ShardedEngine
 	case "shardedjump":
 		return bad("engine shardedjump was removed; use sharded for dense workloads or jump for end-games")
 	default:
 		return bad("unknown engine %q (want direct|jump|sharded)", cfg.Engine)
 	}
-	sharded := cfg.Engine == "sharded"
-	if cfg.Shards < 0 {
-		return bad("shards must be >= 0 (got %d)", cfg.Shards)
-	}
-	if cfg.Shards > 0 && !sharded {
-		return bad("shards requires engine sharded")
-	}
-	if cfg.Shards > 0 {
-		opts = append(opts, rls.WithSessionShards(cfg.Shards))
-	}
-
-	if cfg.Strict && cfg.Topology != "" && cfg.Topology != "complete" {
-		return bad("strict tie rule on a topology is not supported")
-	}
-	if sharded && (cfg.Strict || (cfg.Topology != "" && cfg.Topology != "complete")) {
-		return bad("the sharded engine supports only plain RLS on the complete topology")
-	}
-	if cfg.Strict {
-		opts = append(opts, rls.WithSessionStrictTieRule())
-	}
-	switch cfg.Topology {
-	case "", "complete":
+	if cfg.Topology == "complete" {
 		cfg.Topology = ""
-	case "ring":
-		opts = append(opts, rls.WithSessionTopology(rls.RingTopology()))
-	case "torus":
-		side := int(math.Round(math.Sqrt(float64(cfg.Bins))))
-		if side*side != cfg.Bins {
-			return bad("torus topology needs a square bin count (got %d)", cfg.Bins)
-		}
-		opts = append(opts, rls.WithSessionTopology(rls.TorusTopology(side)))
-	case "hypercube":
-		dim := 0
-		for 1<<dim < cfg.Bins {
-			dim++
-		}
-		if 1<<dim != cfg.Bins {
-			return bad("hypercube topology needs a power-of-two bin count (got %d)", cfg.Bins)
-		}
-		opts = append(opts, rls.WithSessionTopology(rls.HypercubeTopology(dim)))
-	default:
-		return bad("unknown topology %q (want complete|ring|torus|hypercube)", cfg.Topology)
 	}
-	return cfg, opts, nil
+	if cfg.Topology != "" {
+		t, err := rls.NamedTopology(cfg.Topology, cfg.Bins, cfg.Seed)
+		if err != nil {
+			return bad("%v", err)
+		}
+		spec.Topology = t
+		// A random-regular graph stores bins·d neighbor slots, built by
+		// an O(bins·d) shuffle: bound them like the bin count.
+		var d int
+		if _, err := fmt.Sscanf(cfg.Topology, "random-%d-regular", &d); err == nil && cfg.Bins > 0 && d > maxSlotsPerBin*s.cfg.MaxBins/cfg.Bins {
+			return bad("topology %s on %d bins exceeds the per-session limit of %d neighbor slots", cfg.Topology, cfg.Bins, maxSlotsPerBin*s.cfg.MaxBins)
+		}
+	}
+	return cfg, spec, nil
 }
 
 // validateEvents checks a batch at the door so the applier's switch is

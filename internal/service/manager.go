@@ -130,7 +130,6 @@ type batch struct {
 type tenant struct {
 	id   string
 	cfg  sessionConfig // normalized creation config, echoed by GET
-	mode rls.EngineMode
 	sess *rls.Session
 
 	bucket *Bucket
@@ -153,7 +152,7 @@ type tenant struct {
 // applier. The *httpError return carries the exact status the control
 // plane answers with (400 config, 503 capacity/drain).
 func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
-	norm, opts, herr := s.normalize(cfg)
+	norm, spec, herr := s.normalize(cfg)
 	if herr != nil {
 		return nil, herr
 	}
@@ -175,7 +174,7 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	s.tenants[id] = nil
 	s.mu.Unlock()
 
-	sess, err := buildSession(norm, opts)
+	sess, err := spec.NewSession(norm.Bins, norm.Seed)
 	if err != nil {
 		s.mu.Lock()
 		delete(s.tenants, id)
@@ -189,7 +188,6 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	t := &tenant{
 		id:     id,
 		cfg:    norm,
-		mode:   modeOf(norm.Engine),
 		sess:   sess,
 		bucket: newBucketAt(s.cfg.EventRate, s.cfg.EventBurst, s.cfg.now),
 		broker: newBroker(&s.metrics.StreamDropped),
@@ -205,19 +203,6 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	s.workers.Add(1)
 	go t.worker(&s.metrics, &s.workers)
 	return t, nil
-}
-
-// buildSession maps the normalized config onto the rls.WithSession*
-// options. NewSession panics on invalid combinations by design; the
-// recover converts any residue the normalize checks missed into a 400
-// instead of killing the daemon.
-func buildSession(cfg sessionConfig, opts []rls.SessionOption) (sess *rls.Session, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sess, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return rls.NewSession(cfg.Bins, cfg.Seed, opts...), nil
 }
 
 // lookup returns the tenant or nil (a reserved-but-unbuilt slot reads as
@@ -370,7 +355,7 @@ func (t *tenant) worker(m *Metrics, wg *sync.WaitGroup) {
 		m.EventsApplied.Add(int64(len(b.events)))
 		m.Apply.Observe(time.Since(b.enqueued))
 		moves := t.sess.Moves()
-		m.MovesByMode[t.mode].Add(moves - t.lastMoves)
+		m.MovesByMode[t.sess.Mode()].Add(moves - t.lastMoves)
 		t.lastMoves = moves
 		t.broker.publish(t.telemetryFrame())
 	}
@@ -468,16 +453,4 @@ func phaseOf(balls, bins int, disc float64) string {
 		return "log-balanced"
 	}
 	return "unbalanced"
-}
-
-// modeOf maps the validated wire name back to the EngineMode; normalize
-// guarantees the name is canonical.
-func modeOf(engine string) rls.EngineMode {
-	switch engine {
-	case "jump":
-		return rls.JumpEngine
-	case "sharded":
-		return rls.ShardedEngine
-	}
-	return rls.DirectEngine
 }

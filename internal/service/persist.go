@@ -131,7 +131,6 @@ func (s *Service) restoreSnapshot(path string) error {
 	t := &tenant{
 		id:     note.ID,
 		cfg:    note.Config,
-		mode:   modeOf(note.Config.Engine),
 		sess:   sess,
 		bucket: newBucketAt(s.cfg.EventRate, s.cfg.EventBurst, s.cfg.now),
 		broker: newBroker(&s.metrics.StreamDropped),

@@ -112,6 +112,8 @@ func TestHandlerTable(t *testing.T) {
 		{"torus non-square", "POST", "/v1/sessions", `{"bins": 8, "topology": "torus"}`, 400},
 		{"hypercube non-power", "POST", "/v1/sessions", `{"bins": 12, "topology": "hypercube"}`, 400},
 		{"unknown topology", "POST", "/v1/sessions", `{"bins": 8, "topology": "petersen"}`, 400},
+		{"random-regular over slot limit", "POST", "/v1/sessions", `{"bins": 4096, "topology": "random-17-regular"}`, 400},
+		{"one-bin hypercube", "POST", "/v1/sessions", `{"bins": 1, "engine": "jump", "topology": "hypercube"}`, 400},
 
 		{"get unknown session", "GET", "/v1/sessions/s-999", "", 404},
 		{"delete unknown session", "DELETE", "/v1/sessions/s-999", "", 404},
@@ -150,7 +152,7 @@ func TestHandlerTable(t *testing.T) {
 	}
 }
 
-// TestCreateAllEngineModes exercises the config→option mapping for every
+// TestCreateAllEngineModes exercises the config→Spec mapping for every
 // cell the session layer supports, including topologies and strict ties.
 func TestCreateAllEngineModes(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
@@ -161,6 +163,8 @@ func TestCreateAllEngineModes(t *testing.T) {
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "ring"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "torus"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "hypercube"}`,
+		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "expander"}`,
+		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "random-4-regular"}`,
 		`{"bins": 16, "balls": 64, "engine": "sharded", "shards": 2}`,
 	} {
 		id := createSession(t, srv, body)

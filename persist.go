@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/graphs"
 	"repro/internal/persist"
 )
 
@@ -56,17 +55,6 @@ func checkSamplerCode(gs int) error {
 	return nil
 }
 
-// checkEngineMode validates a header's engine mode code.
-func checkEngineMode(mode int) error {
-	if mode == removedEngineMode {
-		return persist.Corruptf("engine mode %d is the removed shardedjump engine", mode)
-	}
-	if mode < int(DirectEngine) || mode > int(ShardedEngine) {
-		return persist.Corruptf("unknown engine mode %d", mode)
-	}
-	return nil
-}
-
 // Snapshot writes the session's complete state — loads, sampler and
 // index internals, clocks, counters, and RNG stream positions — as a
 // binary snapshot artifact. A session resumed from it (ResumeSession)
@@ -86,25 +74,11 @@ func (s *Session) SnapshotWithNote(w io.Writer, note []byte) error {
 }
 
 func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
-	topoKind, topoArg, err := s.topologyCode()
-	if err != nil {
-		return err
-	}
 	bw := bufio.NewWriter(w)
 	if err := persist.WriteHeader(bw, persist.MagicSnapshot); err != nil {
 		return err
 	}
-	var meta persist.Enc
-	meta.Int(s.engine.Bins())
-	meta.Int(int(s.mode))
-	meta.Int(s.shards)
-	meta.Bool(s.strict)
-	meta.Int(topoKind)
-	meta.Int(topoArg)
-	meta.U64(s.topology.rrSeed)
-	meta.Int(0) // graph sampler: the exact index (see rejectionSamplerCode)
-	meta.Bytes8(note)
-	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
+	if err := persist.WriteSection(bw, sectMeta, metaOf(s.engine.Bins(), s.spec, note).encode()); err != nil {
 		return err
 	}
 	var enc persist.Enc
@@ -127,113 +101,93 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 	return bw.Flush()
 }
 
-// topologyCode maps the session topology onto the (kind, arg) pair the
-// snapshot header stores: 0 complete, 1 ring, 2 torus(side),
-// 3 hypercube(dim), 4 expander (the side adapts to √n on resume),
-// 5 random-regular(d) — whose construction seed rides in the meta
-// section's topoSeed field so resume rebuilds the identical adjacency.
-func (s *Session) topologyCode() (kind, arg int, err error) {
-	if s.topology.rr {
-		return 5, s.topology.rrD, nil
-	}
-	switch g := s.topology.g.(type) {
-	case nil:
-		return 0, 0, nil
-	case graphs.Ring:
-		return 1, 0, nil
-	case graphs.Torus2D:
-		return 2, g.Side, nil
-	case graphs.Hypercube:
-		return 3, g.Dim, nil
-	case graphs.Expander:
-		return 4, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("rls: topology %T has no snapshot code", g)
+// snapMeta is the session-shape section shared by snapshots and trace
+// archives: the bin count, the Spec fields a session carries (the
+// topology as its family code — 0 complete, 1 ring, 2 torus(side),
+// 3 hypercube(dim), 4 expander, 5 random-regular(d) with its
+// construction seed), the graph-sampler code, and the caller note.
+type snapMeta struct {
+	n, mode, shards   int
+	strict            bool
+	topoKind, topoArg int
+	topoSeed          uint64
+	gsampler          int
+	note              []byte
+}
+
+// metaOf records a session's shape; the graph sampler is always the
+// exact index (see rejectionSamplerCode).
+func metaOf(n int, s Spec, note []byte) snapMeta {
+	t := s.Topology
+	return snapMeta{
+		n: n, mode: int(s.Mode), shards: s.Shards, strict: s.Strict,
+		topoKind: int(t.family), topoArg: t.arg, topoSeed: t.seed,
+		note: note,
 	}
 }
 
-// sessionOptsFromMeta validates a decoded header and rebuilds the
-// NewSession options that reconstruct the engine shape. Every NewSession
-// panic path is checked here first, so corrupt artifacts surface as
-// typed errors.
-func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int, topoSeed uint64, gsampler int) ([]SessionOption, error) {
-	if n < 1 {
-		return nil, persist.Corruptf("session over %d bins", n)
-	}
-	if err := checkEngineMode(mode); err != nil {
-		return nil, err
-	}
-	if shards < 0 {
-		return nil, persist.Corruptf("session with %d shards", shards)
-	}
-	m := EngineMode(mode)
-	if m == ShardedEngine && (strict || topoKind != 0) {
-		return nil, persist.Corruptf("sharded session with strict rule or topology")
-	}
-	if err := checkSamplerCode(gsampler); err != nil {
-		return nil, err
-	}
-	if gsampler != 0 && (m != JumpEngine || topoKind == 0) {
-		return nil, persist.Corruptf("graph sampler override without a graph jump engine")
-	}
-	opts := []SessionOption{WithSessionEngineMode(m)}
-	if shards > 0 {
-		opts = append(opts, WithSessionShards(shards))
-	}
-	if strict {
-		if topoKind != 0 {
-			return nil, persist.Corruptf("strict tie rule on a topology")
-		}
-		opts = append(opts, WithSessionStrictTieRule())
-	}
-	switch topoKind {
-	case 0:
-	case 1:
-		opts = append(opts, WithSessionTopology(RingTopology()))
-	case 2:
-		if topoArg < 1 || topoArg*topoArg != n {
-			return nil, persist.Corruptf("torus side %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(TorusTopology(topoArg)))
-	case 3:
-		if topoArg < 0 || topoArg > 30 || 1<<topoArg != n {
-			return nil, persist.Corruptf("hypercube dim %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(HypercubeTopology(topoArg)))
-	case 4:
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, persist.Corruptf("expander over non-square %d bins", n)
-		}
-		opts = append(opts, WithSessionTopology(ExpanderTopology()))
-	case 5:
-		if topoArg < 1 || topoArg >= n || (n*topoArg)%2 != 0 {
-			return nil, persist.Corruptf("random-regular degree %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(RandomRegularTopology(topoArg, topoSeed)))
-	default:
-		return nil, persist.Corruptf("unknown topology code %d", topoKind)
-	}
-	return opts, nil
+func (m snapMeta) encode() []byte {
+	var e persist.Enc
+	e.Int(m.n)
+	e.Int(m.mode)
+	e.Int(m.shards)
+	e.Bool(m.strict)
+	e.Int(m.topoKind)
+	e.Int(m.topoArg)
+	e.U64(m.topoSeed)
+	e.Int(m.gsampler)
+	e.Bytes8(m.note)
+	return e.Bytes()
 }
 
-// decodeMeta reads the session-shape section shared by snapshots and
-// trace archives.
-func decodeMeta(payload []byte) (n, mode, shards int, strict bool, topoKind, topoArg int, topoSeed uint64, gsampler int, note []byte, err error) {
+func decodeMeta(payload []byte) (snapMeta, error) {
 	d := persist.NewDec(payload)
-	n = d.Int()
-	mode = d.Int()
-	shards = d.Int()
-	strict = d.Bool()
-	topoKind = d.Int()
-	topoArg = d.Int()
-	topoSeed = d.U64()
-	gsampler = d.Int()
-	note = d.Bytes8()
-	return n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, d.Err()
+	m := snapMeta{
+		n:        d.Int(),
+		mode:     d.Int(),
+		shards:   d.Int(),
+		strict:   d.Bool(),
+		topoKind: d.Int(),
+		topoArg:  d.Int(),
+		topoSeed: d.U64(),
+		gsampler: d.Int(),
+		note:     d.Bytes8(),
+	}
+	return m, d.Err()
+}
+
+// specFromMeta decodes a header into the Spec it records; every Validate
+// rejection comes back as persist.ErrCorrupt.
+func specFromMeta(m snapMeta) (Spec, error) {
+	if m.mode == removedEngineMode {
+		return Spec{}, persist.Corruptf("engine mode %d is the removed shardedjump engine", m.mode)
+	}
+	if err := checkSamplerCode(m.gsampler); err != nil {
+		return Spec{}, err
+	}
+	if m.gsampler != 0 && (m.mode != int(JumpEngine) || m.topoKind == int(completeFamily)) {
+		return Spec{}, persist.Corruptf("graph sampler override without a graph jump engine")
+	}
+	if m.topoKind < 0 || m.topoKind >= len(topologyFamilies) {
+		return Spec{}, persist.Corruptf("unknown topology code %d", m.topoKind)
+	}
+	t := Topology{family: topologyFamily(m.topoKind)}
+	if t.family == torusFamily || t.family == hypercubeFamily || t.family == randomRegularFamily {
+		t.arg = m.topoArg
+	}
+	if t.family == randomRegularFamily {
+		t.seed = m.topoSeed
+	}
+	s := Spec{Mode: EngineMode(m.mode), Strict: m.strict, Topology: t}
+	// Earlier writers recorded a shard count that never reached a direct
+	// or jump engine (rlsim -shards without -engine sharded); drop it.
+	if s.Mode == ShardedEngine {
+		s.Shards = m.shards
+	}
+	if err := s.Validate(m.n); err != nil {
+		return Spec{}, persist.Corruptf("%v", err)
+	}
+	return s, nil
 }
 
 // ResumeSession reads a snapshot artifact and returns a session that
@@ -263,22 +217,30 @@ func ResumeSessionWithNote(r io.Reader) (*Session, []byte, error) {
 	if kind != sectMeta {
 		return nil, nil, persist.Corruptf("snapshot leads with section %d, want meta", kind)
 	}
-	n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
+	m, err := decodeMeta(payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := sessionOptsFromMeta(n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := NewSession(n, 0, opts...)
-
 	kind, payload, err = sr.Next()
 	if err != nil {
 		if err == io.EOF {
 			return nil, nil, fmt.Errorf("%w: missing engine section", persist.ErrTruncated)
 		}
 		return nil, nil, err
+	}
+	// Both engine payloads write at least one varint per bin (the loads;
+	// the sharded one also its stale snapshot), so a bin count the payload
+	// cannot hold is corrupt — caught before any O(n) work on the header.
+	if m.n > len(payload) {
+		return nil, nil, persist.Corruptf("header claims %d bins, the engine section holds %d bytes", m.n, len(payload))
+	}
+	spec, err := specFromMeta(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := spec.NewSession(m.n, 0)
+	if err != nil {
+		return nil, nil, persist.Corruptf("%v", err)
 	}
 	d := persist.NewDec(payload)
 	switch eng := s.engine.(type) {
@@ -306,7 +268,7 @@ func ResumeSessionWithNote(r io.Reader) (*Session, []byte, error) {
 	if kind != persist.KindEnd {
 		return nil, nil, persist.Corruptf("trailing section %d after the engine state", kind)
 	}
-	return s, note, nil
+	return s, m.note, nil
 }
 
 // TraceRecord is one row of a trace archive: the session's cumulative
@@ -353,29 +315,13 @@ func (s *Session) NewTraceWriter(w io.Writer, snapEvery int) (*TraceWriter, erro
 		return nil, fmt.Errorf("rls: NewTraceWriter with negative snapshot interval %d", snapEvery)
 	}
 	s.mu.Lock()
-	topoKind, topoArg, err := s.topologyCode()
-	bins := s.engine.Bins()
-	mode, shards, strict := s.mode, s.shards, s.strict
-	topoSeed := s.topology.rrSeed
+	meta := metaOf(s.engine.Bins(), s.spec, nil)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	bw := bufio.NewWriter(w)
 	if err := persist.WriteHeader(bw, persist.MagicTrace); err != nil {
 		return nil, err
 	}
-	var meta persist.Enc
-	meta.Int(bins)
-	meta.Int(int(mode))
-	meta.Int(shards)
-	meta.Bool(strict)
-	meta.Int(topoKind)
-	meta.Int(topoArg)
-	meta.U64(topoSeed)
-	meta.Int(0) // graph sampler, as in snapshotLocked
-	meta.Bytes8(nil)
-	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
+	if err := persist.WriteSection(bw, sectMeta, meta.encode()); err != nil {
 		return nil, err
 	}
 	tw := &TraceWriter{s: s, bw: bw, snapEvery: snapEvery}
@@ -495,38 +441,19 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 	if kind != sectMeta {
 		return nil, persist.Corruptf("trace leads with section %d, want meta", kind)
 	}
-	n, mode, shards, strict, topoKind, topoArg, _, gsampler, _, err := decodeMeta(payload)
+	m, err := decodeMeta(payload)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkEngineMode(mode); err != nil {
+	spec, err := specFromMeta(m)
+	if err != nil {
 		return nil, err
-	}
-	if err := checkSamplerCode(gsampler); err != nil {
-		return nil, err
-	}
-	topo := ""
-	switch topoKind {
-	case 0:
-		topo = "complete"
-	case 1:
-		topo = "ring"
-	case 2:
-		topo = "torus"
-	case 3:
-		topo = "hypercube"
-	case 4:
-		topo = "expander"
-	case 5:
-		topo = fmt.Sprintf("random-%d-regular", topoArg)
-	default:
-		return nil, persist.Corruptf("unknown topology code %d", topoKind)
 	}
 	return &TraceReader{
 		sr: sr,
 		meta: TraceMeta{
-			Bins: n, Mode: EngineMode(mode), Shards: shards, Strict: strict,
-			Topology: topo,
+			Bins: m.n, Mode: spec.Mode, Shards: spec.Shards, Strict: spec.Strict,
+			Topology: spec.Topology.Name(),
 		},
 	}, nil
 }

@@ -8,9 +8,9 @@ import (
 // benchSession builds a warmed session for the persistence benchmarks:
 // n bins, 4n balls, run long enough that the samplers and indices carry
 // non-trivial state.
-func benchSession(b *testing.B, n int, opts ...SessionOption) *Session {
+func benchSession(b *testing.B, n int, spec Spec) *Session {
 	b.Helper()
-	s := NewSession(n, 42, opts...)
+	s := newSession(b, spec, n, 42)
 	for i := 0; i < 4*n; i++ {
 		s.AddBallRandom()
 	}
@@ -22,11 +22,11 @@ func benchSession(b *testing.B, n int, opts ...SessionOption) *Session {
 
 var persistBenchModes = []struct {
 	name string
-	opts []SessionOption
+	spec Spec
 }{
-	{"direct", nil},
-	{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
-	{"sharded", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(4)}},
+	{"direct", Spec{}},
+	{"jump", Spec{Mode: JumpEngine}},
+	{"sharded", Spec{Mode: ShardedEngine, Shards: 4}},
 }
 
 // BenchmarkSnapshot measures serializing a full session, with the
@@ -35,7 +35,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	const n = 4096
 	for _, mode := range persistBenchModes {
 		b.Run(mode.name, func(b *testing.B) {
-			s := benchSession(b, n, mode.opts...)
+			s := benchSession(b, n, mode.spec)
 			var buf bytes.Buffer
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,7 +55,7 @@ func BenchmarkRestore(b *testing.B) {
 	const n = 4096
 	for _, mode := range persistBenchModes {
 		b.Run(mode.name, func(b *testing.B) {
-			s := benchSession(b, n, mode.opts...)
+			s := benchSession(b, n, mode.spec)
 			var buf bytes.Buffer
 			if err := s.Snapshot(&buf); err != nil {
 				b.Fatal(err)
@@ -83,7 +83,7 @@ func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); re
 // the same session's empty archive (header, meta, initial snapshot, end
 // section) is the baseline subtracted from the full one.
 func BenchmarkTraceAppend(b *testing.B) {
-	s := benchSession(b, 1024, WithSessionEngineMode(JumpEngine))
+	s := benchSession(b, 1024, Spec{Mode: JumpEngine})
 	var empty, cw countingWriter
 	etw, err := s.NewTraceWriter(&empty, 0)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,23 +19,23 @@ import (
 // with its rule/topology/shard configuration.
 type snapshotCase struct {
 	name string
-	opts []SessionOption
+	spec Spec
 }
 
 func snapshotMatrix() []snapshotCase {
 	return []snapshotCase{
-		{"direct", nil},
-		{"direct-strict", []SessionOption{WithSessionStrictTieRule()}},
-		{"direct-ring", []SessionOption{WithSessionTopology(RingTopology())}},
-		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
-		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
-		{"jump-ring", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RingTopology())}},
+		{"direct", Spec{}},
+		{"direct-strict", Spec{Strict: true}},
+		{"direct-ring", Spec{Topology: RingTopology()}},
+		{"jump", Spec{Mode: JumpEngine}},
+		{"jump-strict", Spec{Mode: JumpEngine, Strict: true}},
+		{"jump-ring", Spec{Mode: JumpEngine, Topology: RingTopology()}},
 		// Both graph topology codes added with the dense families. Matrix
 		// sizes (16 and 64 bins) are perfect squares by design.
-		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
-		{"jump-rr", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 99))}},
-		{"sharded-p1", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(1)}},
-		{"sharded-p3", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(3)}},
+		{"jump-expander", Spec{Mode: JumpEngine, Topology: ExpanderTopology()}},
+		{"jump-rr", Spec{Mode: JumpEngine, Topology: RandomRegularTopology(6, 99)}},
+		{"sharded-p1", Spec{Mode: ShardedEngine, Shards: 1}},
+		{"sharded-p3", Spec{Mode: ShardedEngine, Shards: 3}},
 	}
 }
 
@@ -81,8 +82,8 @@ func TestResumeByteIdentical(t *testing.T) {
 	const n, seed = 64, 0xA11CE
 	for _, tc := range snapshotMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewSession(n, seed, tc.opts...)
-			b := NewSession(n, seed, tc.opts...)
+			a := newSession(t, tc.spec, n, seed)
+			b := newSession(t, tc.spec, n, seed)
 
 			// Phase 1: identical prefix on both arms, with churn.
 			for i := 0; i < 3*n; i++ {
@@ -134,12 +135,12 @@ func TestResumeByteIdentical(t *testing.T) {
 func TestResumeAcrossLevelIndexShrink(t *testing.T) {
 	const n, m, seed = 64, 512, 0x5A1
 	for _, tc := range []snapshotCase{
-		{"jump", []SessionOption{WithSessionEngineMode(JumpEngine)}},
-		{"jump-strict", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionStrictTieRule()}},
-		{"jump-expander", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())}},
+		{"jump", Spec{Mode: JumpEngine}},
+		{"jump-strict", Spec{Mode: JumpEngine, Strict: true}},
+		{"jump-expander", Spec{Mode: JumpEngine, Topology: ExpanderTopology()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewSession(n, seed, tc.opts...)
+			a := newSession(t, tc.spec, n, seed)
 			for i := 0; i < m; i++ {
 				if err := a.AddBall(0); err != nil {
 					t.Fatal(err)
@@ -212,7 +213,7 @@ func wantRemoved(t *testing.T, err error, name string) {
 // TestResumePreservesShape checks the restored session reports the same
 // shape the original was built with.
 func TestResumePreservesShape(t *testing.T) {
-	s := NewSession(16, 7, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
+	s := newSession(t, Spec{Mode: ShardedEngine, Shards: 3}, 16, 7)
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}
@@ -345,6 +346,30 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ResumeSession(bytes.NewReader(c.art))
 			wantRemoved(t, err, c.removed)
+		})
+	}
+
+	// Every CRC of huge-bins.snap holds, but its header claims 2^31 bins
+	// over a one-byte engine section: it must fail as corrupt before
+	// anything is sized by the bin count (it used to allocate 16 GiB).
+	t.Run("huge-bin-count", func(t *testing.T) {
+		_, err := ResumeSession(bytes.NewReader(readTestdata(t, "huge-bins.snap")))
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "2147483648 bins") {
+			t.Fatalf("got %v, want ErrCorrupt naming the claimed bin count", err)
+		}
+	})
+
+	// Forged expander headers over bin counts near MaxInt, one square and
+	// one not, with valid CRCs and a one-byte engine section: the √n the
+	// expander check looks for must not overflow (it used to loop on a
+	// wrapped square), and the bin count fails against the payload.
+	for _, n := range hugeExpanderBins {
+		t.Run(fmt.Sprintf("huge-expander-%d", n), func(t *testing.T) {
+			art := forgeHeader(t, persist.MagicSnapshot, n, []byte{0})
+			_, err := ResumeSession(bytes.NewReader(art))
+			if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d bins", n)) {
+				t.Fatalf("got %v, want ErrCorrupt naming the claimed bin count", err)
+			}
 		})
 	}
 
@@ -558,9 +583,13 @@ func TestRemovedModeTrace(t *testing.T) {
 // script those sessions then ran, and requires the final snapshot they
 // wrote byte for byte: the surviving modes kept their layout and their
 // draws. The jump-torus artifact also resumes with its meta rewritten
-// to the forced-exact sampler code 1.
+// to the forced-exact sampler code 1. jump-stray-shards was written by
+// `rlsim -n 16 -m 64 -engine jump -shards 4 -snapshot`, which recorded a
+// shard count its jump engine never used; it resumes as the plain jump
+// session it was, and its final snapshot is the one the same version
+// wrote for the shard-free twin.
 func TestResumeLegacyArtifacts(t *testing.T) {
-	for _, name := range []string{"direct", "jump", "sharded-p3", "jump-torus", "jump-torus-exact-meta"} {
+	for _, name := range []string{"direct", "jump", "sharded-p3", "jump-torus", "jump-torus-exact-meta", "jump-stray-shards"} {
 		t.Run(name, func(t *testing.T) {
 			file := name
 			var art []byte
@@ -592,6 +621,16 @@ func TestResumeLegacyArtifacts(t *testing.T) {
 	}
 }
 
+// newSession is Spec.NewSession failing tb on an error.
+func newSession(tb testing.TB, spec Spec, n int, seed uint64) *Session {
+	tb.Helper()
+	s, err := spec.NewSession(n, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func readTestdata(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -599,6 +638,58 @@ func readTestdata(t testing.TB, name string) []byte {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// hugeExpanderBins are bin counts near MaxInt: not a square, and the
+// largest square an int holds.
+var hugeExpanderBins = []int{math.MaxInt, 3037000499 * 3037000499}
+
+// forgeHeader frames an artifact with magic whose meta section records an
+// expander over n bins, then engine (a sequential engine section, when
+// non-nil), then the end section; every CRC is valid.
+func forgeHeader(t testing.TB, magic string, n int, engine []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := persist.WriteHeader(&buf, magic); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteSection(&buf, sectMeta, metaOf(n, Spec{Topology: ExpanderTopology()}, nil).encode()); err != nil {
+		t.Fatal(err)
+	}
+	if engine != nil {
+		if err := persist.WriteSection(&buf, sectEngine, engine); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := persist.WriteSection(&buf, persist.KindEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenTraceHugeExpander pins that a trace header's expander check
+// does not overflow on bin counts near MaxInt: the non-square count is
+// corrupt, the square one opens (a trace header sizes nothing by n) and
+// its archive is simply empty.
+func TestOpenTraceHugeExpander(t *testing.T) {
+	for _, n := range hugeExpanderBins {
+		tr, err := OpenTrace(bytes.NewReader(forgeHeader(t, persist.MagicTrace, n, nil)))
+		if n != 3037000499*3037000499 {
+			if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "square bin count") {
+				t.Errorf("n=%d: got %v, want ErrCorrupt for a non-square expander", n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if m := tr.Meta(); m.Bins != n || m.Topology != "expander" {
+			t.Fatalf("n=%d: trace meta %+v", n, m)
+		}
+		if _, err := tr.Next(); err != io.EOF {
+			t.Fatalf("n=%d: Next = %v, want io.EOF", n, err)
+		}
+	}
 }
 
 // rewriteSnapshot re-frames a snapshot artifact with the meta section's
@@ -627,24 +718,14 @@ func rewriteSnapshot(t testing.TB, art []byte, meta func(mode, gsampler *int), p
 		payload = append([]byte(nil), payload...)
 		switch kind {
 		case sectMeta:
-			n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
+			m, err := decodeMeta(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if meta != nil {
-				meta(&mode, &gsampler)
+				meta(&m.mode, &m.gsampler)
 			}
-			var e persist.Enc
-			e.Int(n)
-			e.Int(mode)
-			e.Int(shards)
-			e.Bool(strict)
-			e.Int(topoKind)
-			e.Int(topoArg)
-			e.U64(topoSeed)
-			e.Int(gsampler)
-			e.Bytes8(note)
-			payload = e.Bytes()
+			payload = m.encode()
 		case sectEngine, sectSharded:
 			if patch != nil {
 				patch(payload)
@@ -661,16 +742,14 @@ func rewriteSnapshot(t testing.TB, art []byte, meta func(mode, gsampler *int), p
 // expander and random-regular topology codes.
 func TestTraceMetaGraphFamilies(t *testing.T) {
 	cases := []struct {
-		opts     []SessionOption
+		spec     Spec
 		topology string
 	}{
-		{[]SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(ExpanderTopology())},
-			"expander"},
-		{[]SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 5))},
-			"random-6-regular"},
+		{Spec{Mode: JumpEngine, Topology: ExpanderTopology()}, "expander"},
+		{Spec{Mode: JumpEngine, Topology: RandomRegularTopology(6, 5)}, "random-6-regular"},
 	}
 	for _, c := range cases {
-		s := NewSession(16, 9, c.opts...)
+		s := newSession(t, c.spec, 16, 9)
 		for i := 0; i < 32; i++ {
 			s.AddBallRandom()
 		}
@@ -699,7 +778,7 @@ func TestTraceMetaGraphFamilies(t *testing.T) {
 // FuzzDecodeSnapshot: no input, however mangled, may panic the decoder.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, tc := range snapshotMatrix() {
-		s := NewSession(16, 5, tc.opts...)
+		s := newSession(f, tc.spec, 16, 5)
 		for i := 0; i < 32; i++ {
 			s.AddBallRandom()
 		}
@@ -720,6 +799,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(rewriteSnapshot(f, legacy, func(mode, _ *int) { *mode = int(ShardedEngine) }, nil))
 	f.Add(readTestdata(f, "jump-expander-rejection.snap"))
 	f.Add(readTestdata(f, "jump-rr16-auto-hybrid.snap"))
+	// Mutations almost never keep a CRC valid, so the fuzzer cannot reach
+	// a well-framed header with a huge bin count on its own.
+	f.Add(readTestdata(f, "huge-bins.snap"))
+	for _, n := range hugeExpanderBins {
+		f.Add(forgeHeader(f, persist.MagicSnapshot, n, []byte{0}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {

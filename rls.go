@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graphs"
 	"repro/internal/hetero"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -80,42 +79,36 @@ func UntilTime(t float64) Target {
 }
 
 // Topology restricts destination sampling to a graph neighborhood
-// (§7 extension). The zero value means the complete topology of §3.
+// (§7 extension). The zero value means the complete topology of §3. A
+// Topology names a family and its parameter; the graph itself is built
+// against the bin count when an engine is (random-regular adjacency
+// deterministically from its seed, so snapshots persist the pair and
+// rebuild the same graph on resume).
 type Topology struct {
-	g graphs.Graph
-	// Random-regular topologies are a factory, not a graph: the adjacency
-	// needs the runner's n, so resolveGraph builds it from (d, seed) at
-	// engine-construction time (deterministically — snapshots persist the
-	// pair and rebuild the same graph on resume). rr marks the factory, so
-	// an invalid d is rejected rather than read as the complete topology.
-	rr     bool
-	rrD    int
-	rrSeed uint64
+	family topologyFamily
+	arg    int    // torus side, hypercube dimension, or random-regular degree
+	seed   uint64 // random-regular construction seed
 }
-
-// active reports whether the topology restricts sampling at all (i.e. is
-// not the complete topology).
-func (t Topology) active() bool { return t.g != nil || t.rr }
 
 // CompleteTopology is the paper's original setting (sample any bin).
 func CompleteTopology() Topology { return Topology{} }
 
 // RingTopology samples among the two ring neighbors.
-func RingTopology() Topology { return Topology{g: graphs.Ring{}} }
+func RingTopology() Topology { return Topology{family: ringFamily} }
 
 // TorusTopology samples among the four torus neighbors; the runner's bin
 // count must be side².
-func TorusTopology(side int) Topology { return Topology{g: graphs.Torus2D{Side: side}} }
+func TorusTopology(side int) Topology { return Topology{family: torusFamily, arg: side} }
 
 // HypercubeTopology samples among the hypercube neighbors; the runner's
-// bin count must be 2^dim.
-func HypercubeTopology(dim int) Topology { return Topology{g: graphs.Hypercube{Dim: dim}} }
+// bin count must be 2^dim, and dim ≥ 1 (dimension 0 has no edges).
+func HypercubeTopology(dim int) Topology { return Topology{family: hypercubeFamily, arg: dim} }
 
 // ExpanderTopology samples among the eight Margulis–Gabber–Galil expander
 // neighbors; the runner's bin count must be a perfect square (the side
 // adapts to √n). Constant spectral gap at any size — the catalogue's
 // fast-mixing family.
-func ExpanderTopology() Topology { return Topology{g: graphs.Expander{}} }
+func ExpanderTopology() Topology { return Topology{family: expanderFamily} }
 
 // RandomRegularTopology samples among the d neighbor slots of a random
 // d-regular multigraph built deterministically from seed (the pairing
@@ -124,7 +117,7 @@ func ExpanderTopology() Topology { return Topology{g: graphs.Expander{}} }
 // and 1 ≤ d < n. The family exists to exercise superconstant degrees;
 // the jump engine's exact admissible index serves them at O(Δ) per move.
 func RandomRegularTopology(d int, seed uint64) Topology {
-	return Topology{rr: true, rrD: d, rrSeed: seed}
+	return Topology{family: randomRegularFamily, arg: d, seed: seed}
 }
 
 // EngineMode selects how a run is simulated.
@@ -135,7 +128,7 @@ const (
 	// uniform ball, a uniform destination, and the protocol's accept test.
 	// Near balance almost every activation is a rejected null move, so a
 	// run costs O(activations). This is the default and supports every
-	// option (strict rule, topologies, speeds, samplers).
+	// protocol variant (strict rule, topologies, speeds, samplers).
 	DirectEngine EngineMode = iota
 	// JumpEngine simulates only the embedded jump chain of productive
 	// moves: activations advance geometrically, time by the matching
@@ -147,8 +140,8 @@ const (
 	// topology (the move weight shifts from C(v−1) to C(v−2) eligible
 	// destinations), and the plain rule on any regular graph topology
 	// (per-source admissible-slot counts, O(Δ + flips·log n) per move at
-	// any degree). Strict+topology and bin speeds remain
-	// DirectEngine-only; per-activation traces coarsen to per-move blocks.
+	// any degree); Spec lists what it rejects. Per-activation traces
+	// coarsen to per-move blocks.
 	JumpEngine
 	// ShardedEngine partitions the bins into WithShards contiguous ranges
 	// simulated by concurrent goroutine workers, each with its own
@@ -193,43 +186,43 @@ func WithTarget(t Target) Option { return func(r *Runner) { r.target = t } }
 
 // WithStrictTieRule switches to the [12]/[11] variant that forbids
 // neutral moves (move only if the destination is smaller by ≥ 2). The
-// paper's §3 remark: same balancing-time law. Supported by DirectEngine
-// and JumpEngine (not on a topology, not by the sharded engine).
-func WithStrictTieRule() Option { return func(r *Runner) { r.strict = true } }
+// paper's §3 remark: same balancing-time law. It sets Spec.Strict.
+func WithStrictTieRule() Option { return func(r *Runner) { r.spec.Strict = true } }
 
-// WithTopology restricts destination sampling to a graph (§7).
-// Supported by DirectEngine (any graph) and JumpEngine (regular graphs,
-// plain tie rule); the sharded engine rejects it.
-func WithTopology(t Topology) Option { return func(r *Runner) { r.topology = t } }
+// WithTopology restricts destination sampling to a graph (§7). It sets
+// Spec.Topology.
+func WithTopology(t Topology) Option { return func(r *Runner) { r.spec.Topology = t } }
 
 // WithSpeeds gives bin i speed speeds[i] and switches to the §7
 // speed-aware rule (move iff the experienced load ℓ/s strictly improves).
-// The run then stops at a Nash state when the target is UntilPerfect.
+// The run then stops at a Nash state when the target is UntilPerfect. It
+// sets Spec.Speeds (copied).
 func WithSpeeds(speeds []float64) Option {
-	return func(r *Runner) { r.speeds = append([]float64(nil), speeds...) }
+	return func(r *Runner) { r.spec.Speeds = append([]float64(nil), speeds...) }
 }
 
 // WithFenwickEngine selects the O(n)-memory load-proportional sampler
 // instead of the explicit ball table (identical law; better for m ≫ n).
-func WithFenwickEngine() Option { return func(r *Runner) { r.fenwick = true } }
+// It sets Spec.Fenwick.
+func WithFenwickEngine() Option { return func(r *Runner) { r.spec.Fenwick = true } }
 
 // WithEngineMode selects the execution mode (default DirectEngine). The
 // JumpEngine is rejection-free: same law, O(moves) instead of
-// O(activations); it covers the plain and strict tie rules on the
-// complete topology and the plain rule on regular graph topologies.
-func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.mode = m } }
+// O(activations). It sets Spec.Mode.
+func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.spec.Mode = m } }
 
 // WithShards sets the sharded engine's worker count P (default
-// sim.DefaultShards; clamped to the bin count); it composes with
-// ShardedEngine. The shard count is part of the random-stream layout, so
-// fixed-seed runs reproduce only for the same P.
-func WithShards(p int) Option { return func(r *Runner) { r.shards = p } }
+// sim.DefaultShards; clamped to the bin count). The shard count is part
+// of the random-stream layout, so fixed-seed runs reproduce only for the
+// same P. It sets Spec.Shards.
+func WithShards(p int) Option { return func(r *Runner) { r.spec.Shards = p } }
 
 // WithShardEpoch sets the sharded engine's epoch length in continuous
 // time. Smaller epochs track the sequential process more closely —
 // cross-shard moves and stop checks land at barriers — while larger ones
 // amortize the barrier. The default (0 = auto) sizes epochs for
-// throughput, at about 256 activations per shard between barriers.
+// throughput, at about 256 activations per shard between barriers. It
+// sets Spec.ShardEpoch.
 //
 // Coarse epochs, the auto default included, are a documented
 // approximation rather than the sequential law: cross-shard moves are
@@ -241,29 +234,23 @@ func WithShards(p int) Option { return func(r *Runner) { r.shards = p } }
 // reports an auto-epoch row that fails the KS test against DirectEngine
 // (n = 32, m = 256, P = 4: ~75 time units to balance against ~6). Pick a
 // fine epoch when the law matters more than wall-clock time.
-func WithShardEpoch(dt float64) Option { return func(r *Runner) { r.shardEpoch = dt } }
+func WithShardEpoch(dt float64) Option { return func(r *Runner) { r.spec.ShardEpoch = dt } }
 
 // WithActivationBudget caps the number of activations (default 10^9).
 func WithActivationBudget(k int64) Option { return func(r *Runner) { r.budget = k } }
 
 // Runner executes RLS runs for one (n, m, options) setting.
 type Runner struct {
-	n, m       int
-	seed       uint64
-	placement  Placement
-	target     Target
-	strict     bool
-	topology   Topology
-	speeds     []float64
-	fenwick    bool
-	mode       EngineMode
-	shards     int
-	shardEpoch float64
-	budget     int64
+	n, m      int
+	seed      uint64
+	placement Placement
+	target    Target
+	spec      Spec
+	budget    int64
 }
 
 // New creates a Runner for n bins and m balls. It panics unless n ≥ 1 and
-// m ≥ 1.
+// m ≥ 1; the other options are checked by Run (see Spec.Validate).
 func New(n, m int, opts ...Option) *Runner {
 	if n < 1 || m < 1 {
 		panic("rls: need at least one bin and one ball")
@@ -318,106 +305,6 @@ type TracePoint struct {
 	MaxLoad     int
 }
 
-// resolveGraph concretizes a Topology against a bin count: the ring and
-// expander adapt their vertex count to n (the expander needs square n),
-// the torus and hypercube must match it exactly, and random-regular
-// builds its adjacency from (d, seed). Both the direct mover and the
-// graph jump engine resolve through here, so mismatches — and parameters
-// no graph has (torus side < 1, hypercube dim < 0, degree < 1) — produce
-// the same errors in every mode.
-func resolveGraph(t Topology, n int) (graphs.Graph, error) {
-	if t.rr {
-		if t.rrD < 1 {
-			return nil, fmt.Errorf("rls: random-regular degree %d, want at least 1", t.rrD)
-		}
-		if t.rrD >= n {
-			return nil, fmt.Errorf("rls: random-regular degree %d does not fit n=%d", t.rrD, n)
-		}
-		g, err := graphs.NewRandomRegularSeed(n, t.rrD, t.rrSeed)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
-	g := t.g
-	switch tt := g.(type) {
-	case graphs.Ring:
-		g = graphs.Ring{Vertices: n} // the ring adapts to the runner's n
-	case graphs.Torus2D:
-		if tt.Side < 1 {
-			return nil, fmt.Errorf("rls: torus side %d, want at least 1", tt.Side)
-		}
-		if tt.Side*tt.Side != n {
-			return nil, fmt.Errorf("rls: torus side %d does not match n=%d", tt.Side, n)
-		}
-	case graphs.Hypercube:
-		if tt.Dim < 0 {
-			return nil, fmt.Errorf("rls: hypercube dim %d, want at least 0", tt.Dim)
-		}
-		if 1<<tt.Dim != n {
-			return nil, fmt.Errorf("rls: hypercube dim %d does not match n=%d", tt.Dim, n)
-		}
-	case graphs.Expander:
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, fmt.Errorf("rls: the expander needs a square bin count, n=%d is not", n)
-		}
-		g = graphs.Expander{Side: side} // the expander adapts to the runner's n
-	}
-	return g, nil
-}
-
-// mover picks the decision rule implied by the options.
-func (r *Runner) mover() (sim.Mover, error) {
-	if r.speeds != nil {
-		if len(r.speeds) != r.n {
-			return nil, fmt.Errorf("rls: %d speeds for %d bins", len(r.speeds), r.n)
-		}
-		if r.topology.active() {
-			return nil, fmt.Errorf("rls: speeds and topology cannot be combined yet")
-		}
-		return hetero.NewSpeedRLS(r.speeds)
-	}
-	if r.topology.active() {
-		if r.strict {
-			return nil, fmt.Errorf("rls: strict tie rule on a topology is not supported")
-		}
-		g, err := resolveGraph(r.topology, r.n)
-		if err != nil {
-			return nil, err
-		}
-		return graphs.GraphRLS{G: g}, nil
-	}
-	if r.strict {
-		return core.StrictRLS{}, nil
-	}
-	return core.RLS{}, nil
-}
-
-// shardedEngine builds the sharded engine, rejecting the options it does
-// not support (plain rule and complete topology only; see the EngineMode
-// docs).
-func (r *Runner) shardedEngine() (*sim.Sharded, error) {
-	if r.strict || r.topology.active() || r.speeds != nil {
-		return nil, fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", r.mode)
-	}
-	if r.fenwick {
-		return nil, fmt.Errorf("rls: the %s engine owns per-shard ball lists; drop WithFenwickEngine", r.mode)
-	}
-	if r.shards < 0 {
-		return nil, fmt.Errorf("rls: %d shards", r.shards)
-	}
-	if r.shardEpoch < 0 {
-		return nil, fmt.Errorf("rls: negative shard epoch %g", r.shardEpoch)
-	}
-	stream := rng.New(r.seed)
-	v := r.placement.gen.Generate(r.n, r.m, stream)
-	return sim.NewSharded(v, r.shards, r.shardEpoch, stream), nil
-}
-
 // shardedStop reconstructs the configured Target over the sharded
 // engine's folded global view, dispatching on the target kind.
 func (r *Runner) shardedStop() sim.ShardedStop {
@@ -456,80 +343,10 @@ func (r *Runner) attachShardedPhases(e *sim.Sharded) *PhaseTimes {
 	return ph
 }
 
-func (r *Runner) shardedResult(res sim.Result, ph *PhaseTimes) Result {
-	return Result{
-		Time:        res.Time,
-		Activations: res.Activations,
-		Moves:       res.Moves,
-		Reached:     res.Stopped,
-		Final:       res.Final,
-		Disc:        res.Final.Disc(),
-		Phases:      *ph,
-	}
-}
-
-// engine builds the configured engine and tracker.
-func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
-	if r.mode == JumpEngine {
-		if r.speeds != nil {
-			return nil, nil, fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
-		}
-		if r.fenwick {
-			return nil, nil, fmt.Errorf("rls: the jump engine has no activation sampler; drop WithFenwickEngine")
-		}
-		if r.strict && r.topology.active() {
-			return nil, nil, fmt.Errorf("rls: strict tie rule on a topology is not supported")
-		}
-		stream := rng.New(r.seed)
-		v := r.placement.gen.Generate(r.n, r.m, stream)
-		var e *sim.Engine
-		switch {
-		case r.topology.active():
-			g, err := resolveGraph(r.topology, r.n)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, ok := graphs.RegularDegree(g); !ok {
-				return nil, nil, fmt.Errorf("rls: the jump engine needs a regular topology, %s is not", g.Name())
-			}
-			e = sim.NewGraphJumpEngine(v, g, stream)
-		case r.strict:
-			e = sim.NewStrictJumpEngine(v, stream)
-		default:
-			e = sim.NewJumpEngine(v, stream)
-		}
-		if r.target.kind == targetTime {
-			// Clamp the final geometric block at the horizon so time-targeted
-			// jump runs stop at exactly the target instead of overshooting by
-			// up to a whole block. All three jump variants condition the clamp
-			// on their exact accepted-event rate.
-			e.SetHorizon(r.target.arg)
-		}
-		return e, core.NewPhaseTracker(e), nil
-	}
-	if r.mode != DirectEngine {
-		return nil, nil, fmt.Errorf("rls: unknown engine mode %d", r.mode)
-	}
-	mover, err := r.mover()
-	if err != nil {
-		return nil, nil, err
-	}
-	stream := rng.New(r.seed)
-	v := r.placement.gen.Generate(r.n, r.m, stream)
-	var sampler sim.ActivationSampler
-	if r.fenwick {
-		sampler = sim.NewFenwick()
-	}
-	e := sim.NewEngine(v, mover, sampler, stream)
-	tr := core.NewPhaseTracker(e)
-	return e, tr, nil
-}
-
 // stop returns the effective stop condition, adapting UntilPerfect to the
 // Nash condition when speeds are configured.
 func (r *Runner) stop() func(e *sim.Engine) bool {
-	if r.speeds != nil && r.target.kind == targetPerfect {
-		speeds := r.speeds
+	if speeds := r.spec.Speeds; speeds != nil && r.target.kind == targetPerfect {
 		return func(e *sim.Engine) bool {
 			return hetero.IsSpeedNash(e.Cfg().Loads(), speeds)
 		}
@@ -538,42 +355,70 @@ func (r *Runner) stop() func(e *sim.Engine) bool {
 }
 
 // Run executes one run and returns its Result. Configuration errors
-// (mismatched topology or speeds) are returned, not panicked.
+// (see Spec.Validate) are returned, not panicked.
 func (r *Runner) Run() (Result, error) {
-	if r.mode == ShardedEngine {
-		e, err := r.shardedEngine()
-		if err != nil {
-			return Result{}, err
-		}
-		ph := r.attachShardedPhases(e)
-		return r.shardedResult(e.Run(r.shardedStop(), r.budget), ph), nil
-	}
-	e, tr, err := r.engine()
-	if err != nil {
-		return Result{}, err
-	}
-	res := e.Run(r.stop(), r.budget)
-	return r.result(res, tr), nil
+	res, _, err := r.run(0)
+	return res, err
 }
 
 // RunTraced is Run plus a trajectory sampled every `every` activations
 // (epoch-granular for the sharded engine with P > 1).
 func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
-	if r.mode == ShardedEngine {
-		e, err := r.shardedEngine()
-		if err != nil {
-			return Result{}, nil, err
-		}
-		ph := r.attachShardedPhases(e)
-		res, rawTrace := e.RunTraced(r.shardedStop(), r.budget, every)
-		return r.shardedResult(res, ph), toTracePoints(rawTrace), nil
+	return r.run(max(every, 1))
+}
+
+// run builds the engine through the spec and runs it to the target,
+// tracing every `every` activations when every > 0.
+func (r *Runner) run(every int64) (Result, []TracePoint, error) {
+	if err := r.spec.Validate(r.n); err != nil {
+		return Result{}, nil, err
 	}
-	e, tr, err := r.engine()
+	stream := rng.New(r.seed)
+	eng, err := r.spec.build(r.placement.gen.Generate(r.n, r.m, stream), stream)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	res, rawTrace := e.RunTraced(r.stop(), r.budget, every)
-	return r.result(res, tr), toTracePoints(rawTrace), nil
+	var res sim.Result
+	var raw []sim.TracePoint
+	var phases PhaseTimes
+	switch eng := eng.(type) {
+	case shardedSession:
+		ph := r.attachShardedPhases(eng.e)
+		if every > 0 {
+			res, raw = eng.e.RunTraced(r.shardedStop(), r.budget, every)
+		} else {
+			res = eng.e.Run(r.shardedStop(), r.budget)
+		}
+		phases = *ph
+	case sequentialSession:
+		e := eng.e
+		if r.target.kind == targetTime {
+			// Clamp the final jump block at the horizon so time-targeted
+			// jump runs stop at exactly the target instead of overshooting
+			// by up to a whole block (direct engines ignore the horizon).
+			e.SetHorizon(r.target.arg)
+		}
+		tr := core.NewPhaseTracker(e)
+		if every > 0 {
+			res, raw = e.RunTraced(r.stop(), r.budget, every)
+		} else {
+			res = e.Run(r.stop(), r.budget)
+		}
+		phases = PhaseTimes{
+			LogBalanced: tr.Times.LogBalanced,
+			OneBalanced: tr.Times.OneBalanced,
+			Perfect:     tr.Times.Perfect,
+		}
+	}
+	return Result{
+		Time:        res.Time,
+		Activations: res.Activations,
+		Moves:       res.Moves,
+		Reached:     res.Stopped,
+		Final:       res.Final,
+		Disc:        res.Final.Disc(),
+		Phases:      phases,
+	}, toTracePoints(raw), nil
 }
 
 // toTracePoints converts an engine trace to the public representation.
@@ -589,22 +434,6 @@ func toTracePoints(raw []sim.TracePoint) []TracePoint {
 		}
 	}
 	return trace
-}
-
-func (r *Runner) result(res sim.Result, tr *core.PhaseTracker) Result {
-	return Result{
-		Time:        res.Time,
-		Activations: res.Activations,
-		Moves:       res.Moves,
-		Reached:     res.Stopped,
-		Final:       res.Final,
-		Disc:        res.Final.Disc(),
-		Phases: PhaseTimes{
-			LogBalanced: tr.Times.LogBalanced,
-			OneBalanced: tr.Times.OneBalanced,
-			Perfect:     tr.Times.Perfect,
-		},
-	}
 }
 
 // Disc returns the discrepancy max_i |ℓ_i − m/n| of a load vector.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/graphs"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -25,12 +23,13 @@ import (
 // The engine's activation rate reads the live ball count, so it tracks
 // the population with no rebuild, snapshot, or state transfer.
 //
-// Sessions run in any engine mode: the default DirectEngine simulates
-// every activation (O(1) per churn event, O(1) per activation); the
-// JumpEngine simulates only productive moves (O(log Δ) per churn event
-// and per move), which makes long converged stretches — where the direct
-// engine burns almost all activations on rejected null moves — nearly
-// free; the ShardedEngine partitions the bins across goroutine workers
+// Sessions run any Spec without speeds or the Fenwick sampler (see
+// Spec.NewSession): the default DirectEngine simulates every activation
+// (O(1) per churn event, O(1) per activation); the JumpEngine simulates
+// only productive moves (O(log Δ) per churn event and per move, or
+// O(Δ + flips·log n) on a topology), which makes long converged
+// stretches — where the direct engine burns almost all activations on
+// rejected null moves — nearly free; the ShardedEngine partitions the bins across goroutine workers
 // for the dense regime, hashing each churn event to the owning shard so
 // joins and leaves stay O(1).
 //
@@ -51,13 +50,10 @@ type Session struct {
 	// mu serializes every method; see the Concurrency section above. The
 	// methods below must not call each other while holding it — shared
 	// logic lives in unexported unlocked helpers.
-	mu       sync.Mutex
-	engine   sessionEngine
-	stream   *rng.RNG
-	mode     EngineMode
-	shards   int
-	strict   bool
-	topology Topology
+	mu     sync.Mutex
+	engine sessionEngine
+	stream *rng.RNG
+	spec   Spec // fixed at creation, so readers need no lock
 }
 
 // sessionEngine is the churn-plus-execution surface Session drives; it is
@@ -126,124 +122,44 @@ func (a shardedSession) RunToPerfect(maxActivations int64) bool {
 	return a.e.Run(sim.ShardedUntilPerfect(), maxActivations).Stopped
 }
 
-// SessionOption configures a Session.
-type SessionOption func(*Session)
+// SessionOption configures the Spec NewSession builds from.
+type SessionOption func(*Spec)
 
 // WithSessionEngineMode selects the session's execution mode (default
 // DirectEngine). See EngineMode for the trade-offs.
 func WithSessionEngineMode(m EngineMode) SessionOption {
-	return func(s *Session) { s.mode = m }
+	return func(s *Spec) { s.Mode = m }
 }
 
-// WithSessionShards sets the sharded session's worker count (default
-// sim.DefaultShards); it only takes effect with
-// WithSessionEngineMode(ShardedEngine).
-func WithSessionShards(p int) SessionOption {
-	return func(s *Session) { s.shards = p }
-}
-
-// WithSessionStrictTieRule runs the session under the strict tie rule
-// (move only if the destination is smaller by ≥ 2). Supported by the
-// direct and jump modes; not on a topology, not by the sharded engine.
-func WithSessionStrictTieRule() SessionOption {
-	return func(s *Session) { s.strict = true }
-}
-
-// WithSessionTopology restricts the session's destination sampling to a
-// graph (§7). Supported by the direct mode (any graph) and the jump mode
-// (regular graphs, plain tie rule); the sharded engine rejects it. Churn
-// updates the jump mode's per-source admissible structure incrementally
-// (O(Δ + flips·log n) per join/leave).
-func WithSessionTopology(t Topology) SessionOption {
-	return func(s *Session) { s.topology = t }
-}
-
-// NewSession creates a session with n empty bins.
+// NewSession creates a session with n empty bins: it applies opts to a
+// zero Spec and calls Spec.NewSession, panicking with the error that
+// returns. Use Spec.NewSession directly for the strict tie rule, a
+// topology, a shard count, or an error instead of a panic.
 func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
-	if n < 1 {
-		panic("rls: NewSession needs at least one bin")
-	}
-	s := &Session{stream: rng.New(seed)}
+	var spec Spec
 	for _, o := range opts {
-		o(s)
+		o(&spec)
 	}
-	if s.strict && s.topology.active() {
-		panic("rls: strict tie rule on a topology is not supported")
-	}
-	switch s.mode {
-	case JumpEngine:
-		switch {
-		case s.topology.active():
-			s.engine = sequentialSession{sim.NewGraphJumpEngine(make(loadvec.Vector, n), s.sessionGraph(n), s.stream)}
-		case s.strict:
-			s.engine = sequentialSession{sim.NewStrictJumpEngine(make(loadvec.Vector, n), s.stream)}
-		default:
-			s.engine = sequentialSession{sim.NewJumpEngine(make(loadvec.Vector, n), s.stream)}
-		}
-	case ShardedEngine:
-		if s.strict || s.topology.active() {
-			panic("rls: sharded sessions support only plain RLS on the complete topology")
-		}
-		s.engine = shardedSession{sim.NewSharded(make(loadvec.Vector, n), s.shards, 0, s.stream)}
-	case DirectEngine:
-		var mover sim.Mover = core.RLS{}
-		if s.topology.active() {
-			mover = graphs.GraphRLS{G: s.sessionGraph(n)}
-		} else if s.strict {
-			mover = core.StrictRLS{}
-		}
-		s.engine = sequentialSession{sim.NewEngine(make(loadvec.Vector, n), mover, sim.NewBallList(), s.stream)}
-	default:
-		panic(fmt.Sprintf("rls: unknown engine mode %d", s.mode))
+	s, err := spec.NewSession(n, seed)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }
 
-// sessionGraph resolves the configured topology against the session's bin
-// count, panicking (NewSession's error style) on a mismatch or — in jump
-// mode — an irregular graph.
-func (s *Session) sessionGraph(n int) graphs.Graph {
-	g, err := resolveGraph(s.topology, n)
-	if err != nil {
-		panic(err.Error())
-	}
-	if s.mode == JumpEngine {
-		if _, ok := graphs.RegularDegree(g); !ok {
-			panic(fmt.Sprintf("rls: the jump engine needs a regular topology, %s is not", g.Name()))
-		}
-	}
-	return g
-}
-
-// Mode returns the session's engine mode. The mode is fixed at
-// construction, so this needs no lock.
-func (s *Session) Mode() EngineMode { return s.mode }
+// Mode returns the session's engine mode.
+func (s *Session) Mode() EngineMode { return s.spec.Mode }
 
 // Shards returns the configured worker count (0 means the sharded
-// engines pick their default); fixed at creation.
-func (s *Session) Shards() int { return s.shards }
+// engine picks its default).
+func (s *Session) Shards() int { return s.spec.Shards }
 
 // Strict reports whether the session runs under the strict tie rule.
-func (s *Session) Strict() bool { return s.strict }
+func (s *Session) Strict() bool { return s.spec.Strict }
 
 // TopologyName returns the session topology's name: "complete", "ring",
 // "torus", "hypercube", "expander", or "random-<d>-regular".
-func (s *Session) TopologyName() string {
-	if s.topology.rr {
-		return fmt.Sprintf("random-%d-regular", s.topology.rrD)
-	}
-	switch s.topology.g.(type) {
-	case graphs.Ring:
-		return "ring"
-	case graphs.Torus2D:
-		return "torus"
-	case graphs.Hypercube:
-		return "hypercube"
-	case graphs.Expander:
-		return "expander"
-	}
-	return "complete"
-}
+func (s *Session) TopologyName() string { return s.spec.Topology.Name() }
 
 // N returns the number of bins.
 func (s *Session) N() int {

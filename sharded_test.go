@@ -96,7 +96,7 @@ func TestShardedEngineModeString(t *testing.T) {
 // TestSessionShardedMode drives the full churn surface in sharded mode:
 // joins and leaves hash into the owning shard with no rebuild.
 func TestSessionShardedMode(t *testing.T) {
-	s := NewSession(16, 42, WithSessionEngineMode(ShardedEngine), WithSessionShards(4))
+	s := newSession(t, Spec{Mode: ShardedEngine, Shards: 4}, 16, 42)
 	if s.Mode() != ShardedEngine {
 		t.Fatal("mode not recorded")
 	}
@@ -154,7 +154,7 @@ func TestSessionShardedSingleShardMatchesDirect(t *testing.T) {
 	}
 	d := NewSession(12, 77)
 	drive(d)
-	sh := NewSession(12, 77, WithSessionEngineMode(ShardedEngine), WithSessionShards(1))
+	sh := newSession(t, Spec{Mode: ShardedEngine, Shards: 1}, 12, 77)
 	drive(sh)
 	if math.Float64bits(d.Time()) != math.Float64bits(sh.Time()) {
 		t.Errorf("time %v != %v", d.Time(), sh.Time())
