@@ -66,7 +66,6 @@ type snapshotDump struct {
 	Engine   string           `json:"engine"`
 	Bins     int              `json:"bins"`
 	Balls    int              `json:"balls"`
-	Shards   int              `json:"shards,omitempty"`
 	Strict   bool             `json:"strict,omitempty"`
 	Topology string           `json:"topology"`
 	Note     json.RawMessage  `json:"note,omitempty"`
@@ -93,7 +92,6 @@ func dumpSnapshot(raw []byte, format string, w io.Writer) error {
 		Engine:   s.Mode().String(),
 		Bins:     s.N(),
 		Balls:    s.M(),
-		Shards:   s.Shards(),
 		Strict:   s.Strict(),
 		Topology: s.TopologyName(),
 		Stats:    s.Stats(),

@@ -42,7 +42,7 @@ func main() {
 		topology  = flag.String("topology", "complete", "topology: complete|ring|torus|hypercube|expander|random-<d>-regular")
 		speeds    = flag.String("speeds", "", "bin speed profile: uniform|bimodal|powerlaw (empty = unit speeds)")
 		strict    = flag.Bool("strict", false, "use the strict (>) tie rule of [12]/[11]")
-		engine    = flag.String("engine", "direct", "engine mode: direct (per-activation) | jump (rejection-free) | sharded (parallel, dense regime)")
+		engine    = flag.String("engine", "direct", "engine mode: direct (per-activation) | jump (rejection-free) | sharded (parallel, dense regime; not with -resume/-snapshot/-traceout)")
 		shards    = flag.Int("shards", 0, "sharded engine worker count P (0 = default); only with -engine sharded")
 		trace     = flag.Int64("trace", 0, "print a trace point every K activations (0 = off)")
 		plot      = flag.Bool("plot", true, "render initial/final configurations as ASCII bars")
@@ -70,7 +70,7 @@ func main() {
 	}
 	err := withProfiles(*cpuprof, *memprof, func() error {
 		if sf.active() {
-			return runSession(sf, *n, *m, *seed, *placement, *target, *topology, *speeds, *engine, *shards, *strict, *plot && !*csv)
+			return runSession(sf, *n, *m, *seed, *placement, *target, *topology, *speeds, *engine, *shards, *strict, *trace, *csv)
 		}
 		return run(*n, *m, *seed, *placement, *target, *topology, *speeds, *engine, *shards, *strict, *trace, *plot && !*csv, *csv)
 	})

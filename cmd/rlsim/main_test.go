@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	rls "repro"
 	"repro/internal/spectest"
 )
 
@@ -130,7 +133,7 @@ func TestRunFlagSetsNeverPanic(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var err error
 			if c.session {
-				err = runSession(snap, c.n, c.m, 1, "random", "perfect", c.topology, "", c.engine, c.shards, c.strict, false)
+				err = runSession(snap, c.n, c.m, 1, "random", "perfect", c.topology, "", c.engine, c.shards, c.strict, 0, false)
 			} else {
 				err = run(c.n, c.m, 1, "random", "perfect", c.topology, "", c.engine, c.shards, c.strict, 0, false, false)
 			}
@@ -159,7 +162,7 @@ func TestRunRemovedEngineMode(t *testing.T) {
 		t.Errorf("run: %v, want errRemovedEngine", err)
 	}
 	sf := sessionFlags{snapshot: filepath.Join(t.TempDir(), "s.snap")}
-	if err := runSession(sf, 8, 64, 1, "random", "perfect", "complete", "", "shardedjump", 2, false, false); !errors.Is(err, errRemovedEngine) {
+	if err := runSession(sf, 8, 64, 1, "random", "perfect", "complete", "", "shardedjump", 2, false, 0, false); !errors.Is(err, errRemovedEngine) {
 		t.Errorf("runSession: %v, want errRemovedEngine", err)
 	}
 }
@@ -194,7 +197,7 @@ func TestRunShardsNeedShardedEngine(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "s.snap")
 	for path, err := range map[string]error{
 		"run":        run(16, 64, 1, "random", "perfect", "complete", "", "jump", 4, false, 0, false, false),
-		"runSession": runSession(sessionFlags{snapshot: snap}, 16, 64, 1, "random", "perfect", "complete", "", "jump", 4, false, false),
+		"runSession": runSession(sessionFlags{snapshot: snap}, 16, 64, 1, "random", "perfect", "complete", "", "jump", 4, false, 0, false),
 	} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: %v, want %q", path, err, want)
@@ -237,9 +240,76 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 		if got, want := spectest.Want(err), spectest.Want(s.Validate(c.N)); got != want {
 			t.Errorf("%s: run answered %q, want %q", c.Name, got, want)
 		}
-		err = runSession(sf, c.N, c.N, spectest.Seed, "random", "time=0.2", topology, speeds, engine, s.Shards, s.Strict, false)
+		err = runSession(sf, c.N, c.N, spectest.Seed, "random", "time=0.2", topology, speeds, engine, s.Shards, s.Strict, 0, false)
 		if got, want := spectest.Want(err), spectest.Want(c.SessionWant()); got != want {
 			t.Errorf("%s: runSession answered %q, want %q", c.Name, got, want)
 		}
+	}
+}
+
+// TestRunSessionRejectsRunnerOnlyFlags: the durable path answers -engine
+// sharded with the library's session rejection, and -trace and -csv —
+// which only the Runner path prints — with an error instead of dropping
+// them; nothing is written in either case.
+func TestRunSessionRejectsRunnerOnlyFlags(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "s.snap")
+	sf := sessionFlags{snapshot: snap}
+	if err := runSession(sf, 8, 64, 1, "random", "perfect", "complete", "", "sharded", 2, false, 0, false); !errors.Is(err, rls.ErrSessionSpec) {
+		t.Errorf("-engine sharded: %v, want ErrSessionSpec", err)
+	}
+	for name, err := range map[string]error{
+		"-trace": runSession(sf, 8, 64, 1, "random", "perfect", "complete", "", "direct", 0, false, 10, false),
+		"-csv":   runSession(sf, 8, 64, 1, "random", "perfect", "complete", "", "direct", 0, false, 100, true),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "-trace and -csv are not supported") {
+			t.Errorf("%s: %v, want the Runner-only rejection", name, err)
+		}
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("a rejected flag set wrote a snapshot: %v", err)
+	}
+}
+
+// TestRunSessionPlacements: the durable path places balls as -placement
+// says — all-in-one puts every ball in bin 0, random spreads them — as
+// the trace archive's first seek point, taken before any run, records.
+func TestRunSessionPlacements(t *testing.T) {
+	const n, m = 8, 64
+	for _, c := range []struct {
+		placement string
+		allInBin0 bool
+	}{{"all-in-one", true}, {"random", false}} {
+		t.Run(c.placement, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "run.trace")
+			if err := runSession(sessionFlags{traceout: out}, n, m, 3, c.placement, "time=0.5", "complete", "", "direct", 0, false, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			tr, err := rls.OpenTrace(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				item, err := tr.Next()
+				if err != nil {
+					t.Fatalf("no seek point in the archive: %v", err)
+				}
+				if item.Snapshot == nil {
+					continue
+				}
+				s, err := rls.ResumeSession(bytes.NewReader(item.Snapshot))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loads := s.Loads(); (loads[0] == m) != c.allInBin0 || s.M() != m {
+					t.Fatalf("initial loads %v", loads)
+				}
+				return
+			}
+		})
 	}
 }

@@ -24,13 +24,17 @@ func (sf sessionFlags) active() bool {
 }
 
 // runSession is the durable twin of run: it drives an rls.Session so the
-// state can be resumed from and snapshotted to disk. Placements and disc=
-// targets are Runner-only features and are rejected here, as
-// Spec.NewSession rejects speed profiles; balls enter via AddBallRandom
-// (the session equivalent of random placement).
-func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topology, speeds, engine string, shards int, strict bool, plot bool) error {
+// state can be resumed from and snapshotted to disk. Placements other
+// than all-in-one (m × AddBall(0)) and random (m × AddBallRandom),
+// disc= targets, and -trace/-csv are Runner-only features and are
+// rejected here, as Spec.NewSession rejects the sharded engine and speed
+// profiles.
+func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topology, speeds, engine string, shards int, strict bool, trace int64, csv bool) error {
 	if placement != "all-in-one" && placement != "random" {
-		return fmt.Errorf("-placement %s is not supported with -resume/-snapshot/-traceout (sessions place balls uniformly at random)", placement)
+		return fmt.Errorf("-placement %s is not supported with -resume/-snapshot/-traceout (want all-in-one or random)", placement)
+	}
+	if trace > 0 || csv {
+		return fmt.Errorf("-trace and -csv are not supported with -resume/-snapshot/-traceout (-traceout records the trajectory)")
 	}
 
 	var sess *rls.Session
@@ -58,7 +62,11 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 			return err
 		}
 		for i := 0; i < m; i++ {
-			sess.AddBallRandom()
+			if placement == "random" {
+				sess.AddBallRandom()
+			} else if err := sess.AddBall(0); err != nil {
+				return err
+			}
 		}
 	}
 

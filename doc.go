@@ -22,7 +22,7 @@
 // # Engine modes
 //
 // Runs execute in one of three modes, selected with WithEngineMode (and
-// Spec.Mode for sessions):
+// Spec.Mode for sessions, which run the first two):
 //
 //   - DirectEngine (default) simulates every activation: an Exp(m) time
 //     gap, a uniform ball, a uniform destination, the protocol's accept
@@ -65,7 +65,9 @@
 //     reconciliation folds the shard histograms into the global min/max/
 //     discrepancy view serving the stop conditions. It is the dense-regime
 //     tool: in the end-game JumpEngine, which skips the null activations
-//     the shards would simulate one by one, is faster at any P.
+//     the shards would simulate one by one, is faster at any P. It is a
+//     Runner-only mode: sessions, and so rlsd and the snapshot codec, run
+//     the sequential engines, which the open-system churn is modeled on.
 //
 // Direct and jump induce the identical law on every quantity observed at
 // moves — balancing times, phase-crossing times, move counts, final
@@ -137,11 +139,13 @@
 // Spec is the shape of one simulated process: engine mode, tie rule,
 // topology, bin speeds, activation sampler, shard count and shard epoch.
 // A Runner holds one (its With* options set the fields); Spec.NewSession
-// builds a Session from one; rlsim's flags, rlsd's JSON config and the
-// snapshot header each decode into one. Spec.Validate is the only place
-// that decides which shapes are legal, and every construction path —
-// Runner.Run, Runner.RunTraced, Spec.NewSession, ResumeSession — builds
-// its engine through one private constructor after it, so a shape is
+// builds a Session from one, refusing the sharded engine, speeds and the
+// Fenwick sampler with ErrSessionSpec; rlsim's flags, rlsd's JSON config
+// and the snapshot header each decode into one. Spec.Validate is the
+// only place that decides which shapes are legal, and every construction
+// path — Runner.Run, Runner.RunTraced, Spec.NewSession, ResumeSession —
+// builds its direct or jump engine through one private constructor after
+// it (the Runner builds the sharded engine itself), so a shape is
 // accepted or rejected with the same message everywhere.
 // TestSpecValidateAgreesWithConstruction walks a cross-product of
 // shapes through every surface to hold it so.
@@ -150,15 +154,13 @@
 // topology families to the names every front end shares: complete,
 // ring, torus, hypercube, expander, random-<d>-regular.
 //
-// Every cell of that matrix is also checkpointable: Session.Snapshot
-// writes the full engine state — loads, per-ball structures, level
-// indices, shard partitions, and the exact RNG stream positions — as a
-// versioned, CRC-framed binary artifact, and ResumeSession rebuilds a
-// Session that continues *byte-identically*: the resumed run draws the
-// same random numbers, makes the same moves, and re-snapshots to the
-// same bytes as the uninterrupted original. Sharded snapshots are taken
-// at epoch barriers, where the stale snapshot equals the live loads, so
-// the contract holds at every P. State whose in-memory order evolved
+// Every session shape is also checkpointable: Session.Snapshot writes the
+// full engine state — loads, per-ball structures, level and graph
+// indices, and the exact RNG stream positions — as a versioned,
+// CRC-framed binary artifact, and ResumeSession rebuilds a Session that
+// continues *byte-identically*: the resumed run draws the same random
+// numbers, makes the same moves, and re-snapshots to the same bytes as
+// the uninterrupted original. State whose in-memory order evolved
 // under simulation is serialized verbatim; derived structures (Fenwick
 // trees, position indices) are rebuilt on decode — internal/persist
 // documents the wire format and the split, and TestResumeByteIdentical
@@ -168,7 +170,7 @@
 // both artifact kinds).
 //
 // Concurrency: a Runner is single-use single-goroutine, but a Session —
-// in every cell of the matrix — is safe for concurrent callers. Each
+// in every session shape — is safe for concurrent callers. Each
 // Session method serializes on one internal mutex; the Run* methods hold
 // it for the whole simulated stretch, so concurrent churn and stats
 // calls block until the run returns (split long horizons into short

@@ -173,7 +173,9 @@ func TestSessionStrictAndTopologyModes(t *testing.T) {
 
 // TestSessionOptionPanics pins the session constructors' rejections for
 // the combinations that stay unsupported: Spec.NewSession returns the
-// Runner's message, and the NewSession shorthand panics with that error.
+// Runner's message (ErrSessionSpec for the Runner-only sharded engine,
+// before any Validate message), and the NewSession shorthand panics with
+// that error.
 func TestSessionOptionPanics(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -182,8 +184,7 @@ func TestSessionOptionPanics(t *testing.T) {
 	}{
 		{"strict+topology", Spec{Strict: true, Topology: RingTopology()},
 			"rls: strict tie rule on a topology is not supported"},
-		{"sharded+strict", Spec{Mode: ShardedEngine, Strict: true},
-			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
+		{"sharded+strict", Spec{Mode: ShardedEngine, Strict: true}, ErrSessionSpec.Error()},
 		{"unknown mode", Spec{Mode: EngineMode(3)}, "rls: unknown engine mode 3"},
 		{"jump+torus mismatch", Spec{Mode: JumpEngine, Topology: TorusTopology(3)},
 			"rls: torus side 3 does not match n=16"},

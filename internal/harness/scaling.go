@@ -12,7 +12,7 @@ import (
 )
 
 // The scaling study: wall-clock speedup-vs-P curves for the sharded
-// engine against the sequential engines it must beat. Three workloads
+// engine against the sequential engines it must beat. Two workloads
 // bracket the regimes:
 //
 //   - dense: n = m from a one-choice start over a fixed time horizon with
@@ -22,10 +22,9 @@ import (
 //   - endgame: UntilPerfect from a one-choice start at m = 4n — dominated
 //     by the sparse tail where the jump engine skips null blocks. The
 //     regime where sequential jump is expected to win.
-//   - churnstorm: a balanced system hit by alternating churn bursts
-//     (batched arrivals/departures) and short re-balancing runs — the
-//     open-system Session pattern, exercising the churn fast path and
-//     repeated short Runs.
+//
+// Churn is not a cell: sessions run only the sequential engines, whose
+// churn BenchmarkSessionChurn times.
 //
 // Every (workload, engine, P) cell is timed as best-of-Reps full passes
 // (construction excluded, Run only). Each cell reports two ratios:
@@ -39,7 +38,7 @@ import (
 
 // ScalingPoint is one cell of the scaling study.
 type ScalingPoint struct {
-	Workload  string  // dense | endgame | churnstorm
+	Workload  string  // dense | endgame
 	Engine    string  // direct | jump | sharded
 	P         int     // shard count (1 for the sequential baselines)
 	NsPerOp   float64 // best-of-reps wall time for one workload pass
@@ -52,9 +51,8 @@ type ScalingPoint struct {
 // "ScalingEndgame/jump".
 func (pt ScalingPoint) Name() string {
 	base := "Scaling" + map[string]string{
-		"dense":      "Dense",
-		"endgame":    "Endgame",
-		"churnstorm": "Churnstorm",
+		"dense":   "Dense",
+		"endgame": "Endgame",
 	}[pt.Workload]
 	if pt.Engine == "direct" || pt.Engine == "jump" {
 		return fmt.Sprintf("%s/%s", base, pt.Engine)
@@ -64,9 +62,9 @@ func (pt ScalingPoint) Name() string {
 
 // ScalingConfig parameterizes RunScaling.
 type ScalingConfig struct {
-	// N is the dense workload's bin count (= ball count); the endgame and
-	// churnstorm workloads derive smaller systems from it (they do far
-	// more sequential work per bin). Defaults to 1<<15.
+	// N is the dense workload's bin count (= ball count); the endgame
+	// workload derives a smaller system from it (it does far more
+	// sequential work per bin). Defaults to 1<<15.
 	N int
 	// Reps is the timing repetitions per cell (best-of). Defaults to 3.
 	Reps int
@@ -161,53 +159,7 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		}
 	}
 
-	// Churnstorm: balanced start, then bursts of arrivals/departures
-	// alternating with short re-balancing runs.
-	cn := cfg.N / 4
-	if cn < 1024 {
-		cn = 1024
-	}
-	const rounds = 6
-	churnstorm := scalingWorkload{name: "churnstorm"}
-	churnstorm.run = func(engine string, p int, seed uint64) {
-		r := rng.New(seed)
-		v := loadvec.Balanced().Generate(cn, 2*cn, r)
-		burst := cn / 4
-		churn := rng.New(seed ^ 0x9e3779b97f4a7c15)
-		switch engine {
-		case "direct", "jump":
-			var e *sim.Engine
-			if engine == "direct" {
-				e = sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
-			} else {
-				e = sim.NewJumpEngine(v, r)
-			}
-			for round := 0; round < rounds; round++ {
-				for i := 0; i < burst; i++ {
-					e.AddBall(churn.Intn(cn))
-					e.RemoveBall(e.RandomBin())
-				}
-				end := e.Time() + 0.5
-				if engine == "jump" {
-					e.SetHorizon(end)
-				}
-				e.Run(sim.UntilTime(end), 0)
-				if engine == "jump" {
-					e.SetHorizon(0)
-				}
-			}
-		case "sharded":
-			s := sim.NewSharded(v, p, 0, r)
-			for round := 0; round < rounds; round++ {
-				for i := 0; i < burst; i++ {
-					s.AddBall(churn.Intn(cn))
-					s.RemoveBall(s.RandomBin())
-				}
-				s.Run(sim.ShardedUntilTime(s.Time()+0.5), 0)
-			}
-		}
-	}
-	return []scalingWorkload{dense, endgame, churnstorm}
+	return []scalingWorkload{dense, endgame}
 }
 
 // RunScaling executes the scaling study and returns its cells in a stable

@@ -21,20 +21,16 @@ type httpError struct {
 	retryAfter time.Duration
 }
 
-// sessionConfig is the POST /v1/sessions body. Engine, shards, strict,
-// topology, and speeds decode into an rls.Spec; Balls seeds the session
-// with that many uniformly placed balls (deterministic in Seed). Speeds
-// is accepted syntactically but rejected with 400 by Spec.NewSession:
-// sessions have no speed-aware engine (use the library Runner).
+// sessionConfig is the POST /v1/sessions body. Engine, strict and
+// topology decode into an rls.Spec; Balls seeds the session with that
+// many uniformly placed balls (deterministic in Seed).
 type sessionConfig struct {
-	Bins     int       `json:"bins"`
-	Balls    int       `json:"balls,omitempty"`
-	Seed     uint64    `json:"seed,omitempty"`
-	Engine   string    `json:"engine,omitempty"`
-	Shards   int       `json:"shards,omitempty"`
-	Strict   bool      `json:"strict,omitempty"`
-	Topology string    `json:"topology,omitempty"`
-	Speeds   []float64 `json:"speeds,omitempty"`
+	Bins     int    `json:"bins"`
+	Balls    int    `json:"balls,omitempty"`
+	Seed     uint64 `json:"seed,omitempty"`
+	Engine   string `json:"engine,omitempty"`
+	Strict   bool   `json:"strict,omitempty"`
+	Topology string `json:"topology,omitempty"`
 }
 
 // sessionInfo is the GET /v1/sessions[/{id}] body: the echoed config plus
@@ -48,8 +44,12 @@ type sessionInfo struct {
 }
 
 // maxSlotsPerBin bounds a random-regular topology's neighbor slots
-// (bins·d) at this many per MaxBins bin.
-const maxSlotsPerBin = 16
+// (bins·d) at this many per MaxBins bin, and maxBallsPerBin a session's
+// initial balls, which the create places one by one.
+const (
+	maxSlotsPerBin = 16
+	maxBallsPerBin = 16
+)
 
 // normalize checks a sessionConfig against the service limits and
 // decodes it into the rls.Spec it names, returning the canonical config
@@ -65,22 +65,22 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, rls.Spec, *httpEr
 	if cfg.Balls < 0 {
 		return bad("balls must be >= 0 (got %d)", cfg.Balls)
 	}
-
-	spec := rls.Spec{Strict: cfg.Strict, Shards: cfg.Shards}
-	if len(cfg.Speeds) > 0 {
-		spec.Speeds = cfg.Speeds
+	if limit := maxBallsPerBin * s.cfg.MaxBins; cfg.Balls > limit {
+		return bad("balls %d exceeds the per-session limit %d", cfg.Balls, limit)
 	}
+
+	spec := rls.Spec{Strict: cfg.Strict}
 	switch cfg.Engine {
 	case "", "direct":
 		cfg.Engine = "direct"
 	case "jump":
 		spec.Mode = rls.JumpEngine
 	case "sharded":
-		spec.Mode = rls.ShardedEngine
+		spec.Mode = rls.ShardedEngine // Spec.NewSession answers ErrSessionSpec
 	case "shardedjump":
-		return bad("engine shardedjump was removed; use sharded for dense workloads or jump for end-games")
+		return bad("engine shardedjump was removed; use jump")
 	default:
-		return bad("unknown engine %q (want direct|jump|sharded)", cfg.Engine)
+		return bad("unknown engine %q (want direct|jump)", cfg.Engine)
 	}
 	if cfg.Topology == "complete" {
 		cfg.Topology = ""

@@ -38,8 +38,8 @@ type Metrics struct {
 	StreamDropped atomic.Int64
 
 	// MovesByMode tracks protocol-move throughput per engine mode,
-	// indexed by rls.EngineMode (direct, jump, sharded).
-	MovesByMode [3]atomic.Int64
+	// indexed by rls.EngineMode (direct, jump).
+	MovesByMode [2]atomic.Int64
 
 	// Apply is the event→apply latency histogram: enqueue (server accept)
 	// to applied-by-worker, observed once per batch.
@@ -139,7 +139,7 @@ func (m *Metrics) Render(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP rlsd_moves_total Protocol moves executed, by engine mode.\n")
 	fmt.Fprintf(w, "# TYPE rlsd_moves_total counter\n")
-	for mode, name := range [...]string{"direct", "jump", "sharded"} {
+	for mode, name := range [...]string{"direct", "jump"} {
 		fmt.Fprintf(w, "rlsd_moves_total{mode=%q} %d\n", name, m.MovesByMode[mode].Load())
 	}
 

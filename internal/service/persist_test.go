@@ -23,7 +23,7 @@ func TestSaveRestoreSnapshots(t *testing.T) {
 	srv, svc := newTestServer(t, Config{StateDir: dir})
 
 	id1 := createSession(t, srv, `{"bins": 16, "balls": 64, "seed": 7}`)
-	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "sharded", "shards": 3}`)
+	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "jump", "strict": true}`)
 	post(t, srv.URL+"/v1/sessions/"+id1+"/events", `{"events":[{"op":"run","for":2.5},{"op":"add"}]}`).Body.Close()
 	post(t, srv.URL+"/v1/sessions/"+id2+"/events", `{"events":[{"op":"run","for":1.0},{"op":"remove"}]}`).Body.Close()
 	before1 := waitApplied(t, srv, id1, 2)
@@ -136,23 +136,26 @@ func TestRestoreSkipsCorrupt(t *testing.T) {
 	}
 }
 
-// TestRestoreSkipsRemovedEngineMode: a tenant saved in the removed
-// shardedjump mode fails to restore with a typed error naming the mode,
-// while the valid tenants beside it come back.
+// TestRestoreSkipsRemovedEngineMode: tenants saved in the removed
+// shardedjump mode or on the sharded engine, which sessions no longer
+// run, fail to restore with typed errors naming the engine, while the
+// valid tenants beside them come back.
 func TestRestoreSkipsRemovedEngineMode(t *testing.T) {
 	dir := t.TempDir()
 	srv, svc := newTestServer(t, Config{StateDir: dir})
 	direct := createSession(t, srv, `{"bins": 8, "balls": 16}`)
-	sharded := createSession(t, srv, `{"bins": 16, "balls": 48, "engine": "sharded", "shards": 3}`)
+	jump := createSession(t, srv, `{"bins": 16, "balls": 48, "engine": "jump"}`)
 	if n, err := svc.SaveSnapshots(dir); n != 2 || err != nil {
 		t.Fatalf("save: %d tenants, err %v", n, err)
 	}
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "shardedjump-p3.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "s-7.snap"), legacy, 0o644); err != nil {
-		t.Fatal(err)
+	for file, legacy := range map[string]string{"s-7.snap": "shardedjump-p3.snap", "s-8.snap": "sharded-p3.snap"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	srv2, svc2 := newTestServer(t, Config{StateDir: dir})
@@ -160,10 +163,16 @@ func TestRestoreSkipsRemovedEngineMode(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("restored %d tenants, want 2", n)
 	}
-	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "s-7.snap") || !strings.Contains(err.Error(), "shardedjump") {
-		t.Fatalf("restore error %v, want ErrCorrupt for s-7.snap naming shardedjump", err)
+	if !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("restore error %v, want ErrCorrupt", err)
 	}
-	for id, want := range map[string]int{direct: 200, sharded: 200, "s-7": 404} {
+	for _, want := range []string{"s-7.snap: persist: corrupt artifact: engine mode 3 is the removed shardedjump engine",
+		"s-8.snap: persist: corrupt artifact: rls: sessions support neither the sharded engine"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("restore error %v, want it to contain %q", err, want)
+		}
+	}
+	for id, want := range map[string]int{direct: 200, jump: 200, "s-7": 404, "s-8": 404} {
 		resp, err := http.Get(srv2.URL + "/v1/sessions/" + id)
 		if err != nil {
 			t.Fatal(err)

@@ -14,21 +14,22 @@ import (
 
 // TestSpecValidateAgreesWithConstruction walks the spectest cross-product
 // through POST /v1/sessions: every case the JSON config can spell (no
-// unknown engine mode, no Fenwick sampler, no shard epoch, and only the
-// torus or hypercube parameter the bin count fixes) answers 201 exactly
-// when Spec.NewSession accepts it, and otherwise 400 with its message.
+// unknown engine mode, no Fenwick sampler, no speeds, no shard count or
+// epoch, and only the torus or hypercube parameter the bin count fixes)
+// answers 201 exactly when Spec.NewSession accepts it, and otherwise 400
+// with its message — ErrSessionSpec for every sharded case.
 func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 	svc := New(Config{MaxSessions: 4, MaxBins: 64})
 	h := svc.Handler()
 	for _, c := range spectest.Cases() {
 		engine, ok := c.EngineName()
 		topology, named := c.TopologyName()
-		if !ok || !named || c.Spec.Fenwick || c.Spec.ShardEpoch != 0 {
+		if !ok || !named || c.Spec.Fenwick || c.Spec.Speeds != nil || c.Spec.Shards != 0 || c.Spec.ShardEpoch != 0 {
 			continue
 		}
 		body, err := json.Marshal(sessionConfig{
-			Bins: c.N, Balls: c.N, Seed: spectest.Seed, Engine: engine, Shards: c.Spec.Shards,
-			Strict: c.Spec.Strict, Topology: topology, Speeds: c.Spec.Speeds,
+			Bins: c.N, Balls: c.N, Seed: spectest.Seed, Engine: engine,
+			Strict: c.Spec.Strict, Topology: topology,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,8 +51,10 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 // TestCreateResourceShapes pins, at the default limits, the rejections
 // that keep a create from exhausting the process: a random-regular degree
 // whose bins·d neighbor slots exceed the limit (the pairing would need
-// terabytes), and the one-bin hypercube, whose bin has no neighbor to
-// sample. Each answers 400 and leaves the tenant count at zero.
+// terabytes), the one-bin hypercube, whose bin has no neighbor to sample,
+// and a ball count above 16 per MaxBins bin (the create places balls one
+// by one until memory runs out). Each answers 400 and leaves the tenant
+// count at zero.
 func TestCreateResourceShapes(t *testing.T) {
 	svc := New(Config{})
 	h := svc.Handler()
@@ -64,6 +67,8 @@ func TestCreateResourceShapes(t *testing.T) {
 			"rls: hypercube dim 0 leaves its one bin no neighbor to sample"},
 		{`{"bins": 1, "topology": "hypercube"}`,
 			"rls: hypercube dim 0 leaves its one bin no neighbor to sample"},
+		{`{"bins": 1, "balls": 1000000000000}`,
+			"balls 1000000000000 exceeds the per-session limit 16777216"},
 	} {
 		code, msg, _ := create(h, []byte(c.body))
 		if code != 400 || msg != c.want {
@@ -91,8 +96,7 @@ func create(h http.Handler, body []byte) (code int, msg, id string) {
 // FuzzCreateSession: arbitrary bodies on POST /v1/sessions answer 201,
 // 400 or 503 — never a panic, never another status — and after every
 // non-201 answer the live tenant count, reserved slots included, is back
-// where it was. Bodies asking for more balls than the fuzz budget are
-// skipped: the service has no ball limit, and a huge count only makes
+// where it was. At MaxBins 256 the ball limit is 4096, so no body makes
 // the create slow.
 func FuzzCreateSession(f *testing.F) {
 	for _, body := range []string{
@@ -108,6 +112,7 @@ func FuzzCreateSession(f *testing.F) {
 		`{"bins": 8, "engine": "sharded", "shards": -1}`,
 		`{"bins": 8, "engine": "jump", "shards": 4}`,
 		`{"bins": 8, "speeds": [1, 2]}`,
+		`{"bins": 256, "balls": 4097}`,
 		`{"bins": 0}`,
 		`{"bins": -3, "topology": "torus"}`,
 		`{"bins": 8, "engine": "shardedjump"}`,
@@ -128,12 +133,6 @@ func FuzzCreateSession(f *testing.F) {
 		return svc.metrics.SessionsLive.Load(), len(svc.tenants)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var probe struct {
-			Balls int64 `json:"balls"`
-		}
-		if json.Unmarshal(body, &probe) == nil && probe.Balls > 1<<12 {
-			t.Skip("balls beyond the fuzz budget")
-		}
 		gauge, slots := live()
 		code, msg, id := create(h, body)
 		switch code {

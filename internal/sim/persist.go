@@ -10,18 +10,17 @@ import (
 )
 
 // This file is sim's half of the snapshot codec: the three activation
-// samplers, the sequential Engine (all four protocol shapes: direct,
-// jump, strict jump, graph jump), and the Sharded engine with its stale
-// snapshot and repartition policy state.
+// samplers and the sequential Engine (all four protocol shapes: direct,
+// jump, strict jump, graph jump). The Sharded engine runs only inside one
+// Runner call and has no codec.
 //
-// DecodeState methods decode *into* an engine of the matching shape —
-// the root package's ResumeSession rebuilds the shape from the snapshot
-// header (mode, shards, strict, topology) and then overwrites the
-// engine's state, so movers, topologies, and worker pools never need to
-// be serialized. Everything whose order evolved under simulation
-// (sampler slots, heap order, level lists, RNG words) ships verbatim;
-// everything derivable (Fenwick trees, graph index, folded stats) is
-// rebuilt through the same code paths the live engine uses.
+// DecodeState decodes *into* an engine of the matching shape — the root
+// package's ResumeSession rebuilds the shape from the snapshot header
+// (mode, strict, topology) and then overwrites the engine's state, so
+// movers and topologies never need to be serialized. Everything whose
+// order evolved under simulation (sampler slots, heap order, level lists,
+// RNG words) ships verbatim; everything derivable (Fenwick trees, graph
+// index) is rebuilt through the same code paths the live engine uses.
 
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
@@ -359,169 +358,5 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	e.gidx = gidx
 	e.r.Restore(st)
 	e.time, e.activations, e.moves, e.forced, e.horizon = time, acts, moves, forced, horizon
-	return nil
-}
-
-// EncodeState appends the sharded engine's state at an epoch barrier:
-// partition cuts, every shard's private engine state, the stale
-// snapshot, the repartition policy counters, and the folded clocks.
-// Between Runs the transient machinery — outboxes, worker pool, epoch
-// sizing — is structurally empty, so none of it is serialized.
-//
-// The layout keeps three fields of the removed sharded jump mode so that
-// artifacts stay byte-compatible: a mode flag (always false), a run
-// horizon (always 0: plain shards never consulted it, and it was cleared
-// between runs), and a census-present flag (always false).
-func (s *Sharded) EncodeState(enc *persist.Enc) {
-	enc.Int(s.n)
-	enc.Int(s.p)
-	enc.Bool(false) // jump mode
-	enc.F64(s.epoch0)
-	enc.Ints(s.cuts)
-	encodeRNG(enc, s.root)
-	enc.Ints(s.stale)
-	enc.F64(s.time)
-	enc.I64(s.acts)
-	enc.I64(s.moves)
-	enc.I64(s.crossProposed)
-	enc.I64(s.crossApplied)
-	enc.F64(0) // run horizon
-	enc.Bool(s.repartEnabled)
-	enc.Int(s.repartWait)
-	enc.Int(s.repartBackoff)
-	enc.I64(s.repartitions)
-	enc.Bool(false) // external census
-	for _, sh := range s.shards {
-		enc.Int(sh.lo)
-		enc.Int(sh.hi)
-		encodeRNG(enc, sh.r)
-		enc.F64(sh.t)
-		enc.I64(sh.acts)
-		enc.I64(sh.moves)
-		enc.I64(sh.proposed)
-		enc.I64(sh.landed)
-		sh.cfg.EncodeState(enc)
-		sh.smp.encodeState(enc)
-	}
-}
-
-// DecodeState restores a snapshot into a sharded engine constructed
-// with the same n and P. The restored cuts may differ from the
-// constructor's (repartitioning moves them); shard ranges and scratch are
-// rebuilt accordingly, exactly as migrate does after a live repartition.
-// A payload of the removed sharded jump mode — its mode flag or external
-// census set — fails with persist.ErrCorrupt.
-func (s *Sharded) DecodeState(d *persist.Dec) error {
-	n := d.Int()
-	p := d.Int()
-	jump := d.Bool()
-	epoch0 := d.F64()
-	cuts := d.Ints()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if jump {
-		return persist.Corruptf("sharded payload of the removed shardedjump engine mode")
-	}
-	if n != s.n || p != s.p {
-		return persist.Corruptf("snapshot shape %d bins × %d shards, engine is %d × %d", n, p, s.n, s.p)
-	}
-	if err := loadvec.ValidateCuts(cuts, n); err != nil {
-		return persist.Corruptf("snapshot cuts: %v", err)
-	}
-	if len(cuts) != p+1 {
-		return persist.Corruptf("snapshot has %d cuts for %d shards", len(cuts), p)
-	}
-	decodeRNG(d, s.root)
-	stale := d.Ints()
-	time := d.F64()
-	acts := d.I64()
-	moves := d.I64()
-	crossProposed := d.I64()
-	crossApplied := d.I64()
-	d.F64() // run horizon: always 0 for the surviving mode, never consulted
-	repartEnabled := d.Bool()
-	repartWait := d.Int()
-	repartBackoff := d.Int()
-	repartitions := d.I64()
-	hasExt := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(stale) != n {
-		return persist.Corruptf("stale snapshot of %d bins, engine has %d", len(stale), n)
-	}
-	for i, l := range stale {
-		if l < 0 {
-			return persist.Corruptf("stale snapshot with negative load %d at bin %d", l, i)
-		}
-	}
-	if repartBackoff < repartCheckBase || repartBackoff > repartCheckMax || repartWait < 0 {
-		return persist.Corruptf("repartition counters wait=%d backoff=%d out of range", repartWait, repartBackoff)
-	}
-	if hasExt {
-		return persist.Corruptf("external census of the removed shardedjump engine mode")
-	}
-	shCfg := make([]*loadvec.Config, p)
-	type shardState struct {
-		rngState                      [4]uint64
-		t                             float64
-		acts, moves, proposed, landed int64
-	}
-	states := make([]shardState, p)
-	for i := 0; i < p; i++ {
-		lo := d.Int()
-		hi := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if lo != cuts[i] || hi != cuts[i+1] {
-			return persist.Corruptf("shard %d range [%d,%d) disagrees with cuts [%d,%d)", i, lo, hi, cuts[i], cuts[i+1])
-		}
-		for j := range states[i].rngState {
-			states[i].rngState[j] = d.U64()
-		}
-		states[i].t = d.F64()
-		states[i].acts = d.I64()
-		states[i].moves = d.I64()
-		states[i].proposed = d.I64()
-		states[i].landed = d.I64()
-		cfg, err := loadvec.DecodeConfigState(d)
-		if err != nil {
-			return err
-		}
-		if cfg.N() != hi-lo {
-			return persist.Corruptf("shard %d config over %d bins for range [%d,%d)", i, cfg.N(), lo, hi)
-		}
-		if cfg.LevelIndexed() {
-			return persist.Corruptf("shard %d config carries a level index", i)
-		}
-		shCfg[i] = cfg
-		if err := s.shards[i].smp.decodeState(d, cfg); err != nil {
-			return err
-		}
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-
-	// All payload bytes validated — commit.
-	s.epoch0 = epoch0
-	copy(s.cuts, cuts)
-	s.stale = stale
-	s.time, s.acts, s.moves = time, acts, moves
-	s.crossProposed, s.crossApplied = crossProposed, crossApplied
-	s.repartEnabled, s.repartWait, s.repartBackoff, s.repartitions = repartEnabled, repartWait, repartBackoff, repartitions
-	for i, sh := range s.shards {
-		sh.lo, sh.hi = cuts[i], cuts[i+1]
-		sh.r.Restore(states[i].rngState)
-		sh.t = states[i].t
-		sh.acts, sh.moves = states[i].acts, states[i].moves
-		sh.proposed, sh.landed = states[i].proposed, states[i].landed
-		sh.cfg = shCfg[i]
-		s.cfgs[i] = shCfg[i]
-		sh.out = sh.out[:0]
-	}
-	s.refold()
 	return nil
 }

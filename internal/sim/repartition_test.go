@@ -60,10 +60,10 @@ func checkAgainstRebuild(t *testing.T, s *Sharded, barriers int) {
 	}
 }
 
-// TestRepartitionPropertyPlain interleaves epochs, churn, and repartition
-// barriers on the plain sharded engine from a skewed start, asserting at
-// every barrier that migrated state equals a from-scratch rebuild — and
-// that repartitioning actually fired, so the property is not vacuous.
+// TestRepartitionPropertyPlain runs the plain sharded engine from a
+// skewed start in short stretches, asserting at every barrier that
+// migrated state equals a from-scratch rebuild — and that repartitioning
+// actually fired, so the property is not vacuous.
 func TestRepartitionPropertyPlain(t *testing.T) {
 	const n, m, p = 48, 400, 4
 	r := rng.New(17)
@@ -74,14 +74,7 @@ func TestRepartitionPropertyPlain(t *testing.T) {
 		barriers++
 		checkAgainstRebuild(t, s, barriers)
 	}
-	churn := rng.New(71)
 	for round := 0; round < 30; round++ {
-		for i := 0; i < 4; i++ {
-			s.AddBall(churn.Intn(6)) // keep re-skewing toward the hot range
-			if s.M() > 1 {
-				s.RemoveBall(s.RandomBin())
-			}
-		}
 		end := s.Time() + 0.2
 		s.Run(ShardedUntilTime(end), 0)
 	}

@@ -63,11 +63,6 @@ import (
 // fixed-seed output byte-identical to NewEngine's — the equivalence tests
 // pin this.
 //
-// Churn (AddBall/RemoveBall) maps the bin to its owning shard in
-// O(log P) and updates that shard's Config and sampler in place, so the
-// Session churn path stays O(1)-ish per event as in the other engine
-// modes.
-//
 // # Repartitioning (repartition.go)
 //
 // A static contiguous partition load-imbalances as mass drains toward few
@@ -366,13 +361,6 @@ func (s *Sharded) Cuts() []int { return append([]int(nil), s.cuts...) }
 // owner returns the shard owning a global bin in O(log P).
 func (s *Sharded) owner(bin int) int { return loadvec.CutsOwner(s.cuts, bin) }
 
-// Load returns the live load of a global bin in O(log P) via the owning
-// shard (always current: shard state only changes inside Run).
-func (s *Sharded) Load(bin int) int {
-	sh := s.shards[s.owner(bin)]
-	return sh.cfg.Load(bin - sh.lo)
-}
-
 // Snapshot returns a copy of the global load vector (shard ranges
 // concatenated in bin order).
 func (s *Sharded) Snapshot() loadvec.Vector {
@@ -389,48 +377,6 @@ func (s *Sharded) Snapshot() loadvec.Vector {
 // statistic (tests, reporting).
 func (s *Sharded) GlobalConfig() *loadvec.Config {
 	return loadvec.NewConfig(s.Snapshot())
-}
-
-// AddBall inserts one ball into the given global bin (dynamic arrival),
-// updating the owning shard's Config and sampler in place — O(1) plus the
-// O(P) stats refold, never a rebuild.
-func (s *Sharded) AddBall(bin int) {
-	sh := s.shards[s.owner(bin)]
-	sh.cfg.AddBall(bin - sh.lo)
-	sh.smp.AddBall(bin - sh.lo)
-	s.stale[bin]++
-	s.refold()
-}
-
-// RemoveBall removes one ball from the given global bin (dynamic
-// departure). It panics if the bin is empty.
-func (s *Sharded) RemoveBall(bin int) {
-	sh := s.shards[s.owner(bin)]
-	sh.cfg.RemoveBall(bin - sh.lo)
-	sh.smp.RemoveBall(bin - sh.lo)
-	if s.stale[bin] > 0 {
-		s.stale[bin]--
-	}
-	s.refold()
-}
-
-// RandomBin returns the bin of a uniformly random ball without advancing
-// the run: shards are sampled proportionally to their ball mass, then a
-// uniform resident ball within the shard. Draws come from the root
-// stream; with P = 1 the single draw matches the direct engine's.
-func (s *Sharded) RandomBin() int {
-	if s.p == 1 {
-		return s.shards[0].smp.Sample(s.root)
-	}
-	k := s.root.Int63n(int64(s.Stats().M))
-	for _, sh := range s.shards {
-		if m := int64(sh.cfg.M()); k < m {
-			return sh.lo + sh.smp.Sample(s.root)
-		} else {
-			k -= m
-		}
-	}
-	panic("sim: RandomBin fold out of range")
 }
 
 // refold refreshes the folded global stats from the shard Configs (O(P),

@@ -80,24 +80,6 @@ func TestShardedCrossMovesFlow(t *testing.T) {
 	}
 }
 
-func TestShardedChurn(t *testing.T) {
-	s := shardedFrom(24, 120, 3, 0, 8)
-	for i := 0; i < 60; i++ {
-		s.AddBall(i % 24)
-		s.RemoveBall(s.RandomBin())
-	}
-	if s.M() != 120 {
-		t.Fatalf("m = %d after balanced churn", s.M())
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run(ShardedUntilPerfect(), 50_000_000)
-	if !res.Stopped || res.Final.Balls() != 120 {
-		t.Fatalf("rebalance after churn: %+v", res)
-	}
-}
-
 func TestShardedTimeTarget(t *testing.T) {
 	s := shardedFrom(16, 160, 4, 0, 5)
 	res := s.Run(ShardedUntilTime(3.0), 0)

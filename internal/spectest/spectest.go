@@ -75,9 +75,10 @@ func ones(n int) []float64 {
 }
 
 // SessionWant is the error a session surface must answer c with:
-// rls.ErrSessionSpec for Speeds or Fenwick, else Validate's.
+// rls.ErrSessionSpec for the sharded engine, Speeds or Fenwick, else
+// Validate's.
 func (c Case) SessionWant() error {
-	if c.Spec.Speeds != nil || c.Spec.Fenwick {
+	if c.Spec.Mode == rls.ShardedEngine || c.Spec.Speeds != nil || c.Spec.Fenwick {
 		return rls.ErrSessionSpec
 	}
 	return c.Spec.Validate(c.N)

@@ -16,20 +16,18 @@ import (
 // the layers below own their own payloads.
 //
 // Byte-identical resume contract: for every engine mode × strict ×
-// topology × shard count, a session restored from a snapshot produces
-// exactly the bytes the uninterrupted session would have — the same
-// run results, the same traced points, and the same stream of random
-// draws (churn placement included). The property test in
-// persist_test.go pins this across the full mode matrix; sharded
-// snapshots are taken between Runs, i.e. at epoch barriers, which is
-// the only point their cross-shard machinery is quiescent.
+// topology, a session restored from a snapshot produces exactly the
+// bytes the uninterrupted session would have — the same run results,
+// the same traced points, and the same stream of random draws (churn
+// placement included). The property test in persist_test.go pins this
+// across the full mode matrix.
 
 // Snapshot artifact section kinds (trace archives reuse meta and add
 // their own).
 const (
 	sectMeta          = 1 // session shape + optional caller note
 	sectEngine        = 2 // sequential engine payload (direct/jump)
-	sectSharded       = 3 // sharded engine payload
+	sectSharded       = 3 // sharded engine payload; sessions no longer run it
 	sectTraceRecord   = 4 // one trajectory record
 	sectTraceSnapshot = 5 // embedded full snapshot artifact (seek point)
 )
@@ -58,10 +56,7 @@ func checkSamplerCode(gs int) error {
 // Snapshot writes the session's complete state — loads, sampler and
 // index internals, clocks, counters, and RNG stream positions — as a
 // binary snapshot artifact. A session resumed from it (ResumeSession)
-// continues byte-identically to one that was never serialized. Sharded
-// sessions snapshot between runs, which is an epoch barrier: the
-// cross-shard machinery is empty there, so the artifact captures the
-// full engine state.
+// continues byte-identically to one that was never serialized.
 func (s *Session) Snapshot(w io.Writer) error { return s.SnapshotWithNote(w, nil) }
 
 // SnapshotWithNote is Snapshot with an opaque caller note stored in the
@@ -78,21 +73,12 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 	if err := persist.WriteHeader(bw, persist.MagicSnapshot); err != nil {
 		return err
 	}
-	if err := persist.WriteSection(bw, sectMeta, metaOf(s.engine.Bins(), s.spec, note).encode()); err != nil {
+	if err := persist.WriteSection(bw, sectMeta, metaOf(s.engine.Cfg().N(), s.spec, note).encode()); err != nil {
 		return err
 	}
 	var enc persist.Enc
-	kind := uint64(sectEngine)
-	switch eng := s.engine.(type) {
-	case sequentialSession:
-		eng.e.EncodeState(&enc)
-	case shardedSession:
-		kind = sectSharded
-		eng.e.EncodeState(&enc)
-	default:
-		return fmt.Errorf("rls: session engine %T has no snapshot codec", s.engine)
-	}
-	if err := persist.WriteSection(bw, kind, enc.Bytes()); err != nil {
+	s.engine.EncodeState(&enc)
+	if err := persist.WriteSection(bw, sectEngine, enc.Bytes()); err != nil {
 		return err
 	}
 	if err := persist.WriteSection(bw, persist.KindEnd, nil); err != nil {
@@ -105,7 +91,9 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 // archives: the bin count, the Spec fields a session carries (the
 // topology as its family code — 0 complete, 1 ring, 2 torus(side),
 // 3 hypercube(dim), 4 expander, 5 random-regular(d) with its
-// construction seed), the graph-sampler code, and the caller note.
+// construction seed), the graph-sampler code, and the caller note. The
+// shard count is a field of sharded-engine artifacts, which no longer
+// resume; the encoder writes 0 and the decoder ignores it.
 type snapMeta struct {
 	n, mode, shards   int
 	strict            bool
@@ -120,7 +108,7 @@ type snapMeta struct {
 func metaOf(n int, s Spec, note []byte) snapMeta {
 	t := s.Topology
 	return snapMeta{
-		n: n, mode: int(s.Mode), shards: s.Shards, strict: s.Strict,
+		n: n, mode: int(s.Mode), strict: s.Strict,
 		topoKind: int(t.family), topoArg: t.arg, topoSeed: t.seed,
 		note: note,
 	}
@@ -156,8 +144,9 @@ func decodeMeta(payload []byte) (snapMeta, error) {
 	return m, d.Err()
 }
 
-// specFromMeta decodes a header into the Spec it records; every Validate
-// rejection comes back as persist.ErrCorrupt.
+// specFromMeta decodes a header into the session Spec it records; every
+// rejection, the sharded engine's ErrSessionSpec included, comes back as
+// persist.ErrCorrupt.
 func specFromMeta(m snapMeta) (Spec, error) {
 	if m.mode == removedEngineMode {
 		return Spec{}, persist.Corruptf("engine mode %d is the removed shardedjump engine", m.mode)
@@ -178,13 +167,10 @@ func specFromMeta(m snapMeta) (Spec, error) {
 	if t.family == randomRegularFamily {
 		t.seed = m.topoSeed
 	}
-	s := Spec{Mode: EngineMode(m.mode), Strict: m.strict, Topology: t}
 	// Earlier writers recorded a shard count that never reached a direct
-	// or jump engine (rlsim -shards without -engine sharded); drop it.
-	if s.Mode == ShardedEngine {
-		s.Shards = m.shards
-	}
-	if err := s.Validate(m.n); err != nil {
+	// or jump engine (rlsim -shards without -engine sharded); it is dropped.
+	s := Spec{Mode: EngineMode(m.mode), Strict: m.strict, Topology: t}
+	if err := s.validateSession(m.n); err != nil {
 		return Spec{}, persist.Corruptf("%v", err)
 	}
 	return s, nil
@@ -228,9 +214,9 @@ func ResumeSessionWithNote(r io.Reader) (*Session, []byte, error) {
 		}
 		return nil, nil, err
 	}
-	// Both engine payloads write at least one varint per bin (the loads;
-	// the sharded one also its stale snapshot), so a bin count the payload
-	// cannot hold is corrupt — caught before any O(n) work on the header.
+	// The engine payload writes at least one varint per bin (the loads), so
+	// a bin count the payload cannot hold is corrupt — caught before any
+	// O(n) work on the header.
 	if m.n > len(payload) {
 		return nil, nil, persist.Corruptf("header claims %d bins, the engine section holds %d bytes", m.n, len(payload))
 	}
@@ -238,26 +224,19 @@ func ResumeSessionWithNote(r io.Reader) (*Session, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	switch kind {
+	case sectEngine:
+	case sectSharded:
+		return nil, nil, persist.Corruptf("snapshot engine section kind %d holds a sharded engine payload, which sessions no longer run", kind)
+	default:
+		return nil, nil, persist.Corruptf("snapshot engine section kind %d, want %d", kind, sectEngine)
+	}
 	s, err := spec.NewSession(m.n, 0)
 	if err != nil {
 		return nil, nil, persist.Corruptf("%v", err)
 	}
-	d := persist.NewDec(payload)
-	switch eng := s.engine.(type) {
-	case sequentialSession:
-		if kind != sectEngine {
-			return nil, nil, persist.Corruptf("snapshot engine section kind %d, want %d", kind, sectEngine)
-		}
-		if err := eng.e.DecodeState(d); err != nil {
-			return nil, nil, err
-		}
-	case shardedSession:
-		if kind != sectSharded {
-			return nil, nil, persist.Corruptf("snapshot engine section kind %d, want %d", kind, sectSharded)
-		}
-		if err := eng.e.DecodeState(d); err != nil {
-			return nil, nil, err
-		}
+	if err := s.engine.DecodeState(persist.NewDec(payload)); err != nil {
+		return nil, nil, err
 	}
 	if kind, _, err = sr.Next(); err != nil {
 		if err == io.EOF {
@@ -315,7 +294,7 @@ func (s *Session) NewTraceWriter(w io.Writer, snapEvery int) (*TraceWriter, erro
 		return nil, fmt.Errorf("rls: NewTraceWriter with negative snapshot interval %d", snapEvery)
 	}
 	s.mu.Lock()
-	meta := metaOf(s.engine.Bins(), s.spec, nil)
+	meta := metaOf(s.engine.Cfg().N(), s.spec, nil)
 	s.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	if err := persist.WriteHeader(bw, persist.MagicTrace); err != nil {
@@ -403,7 +382,6 @@ func (tw *TraceWriter) Close() error {
 type TraceMeta struct {
 	Bins     int
 	Mode     EngineMode
-	Shards   int
 	Strict   bool
 	Topology string // complete|ring|torus|hypercube|expander|random-<d>-regular
 }
@@ -452,7 +430,7 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 	return &TraceReader{
 		sr: sr,
 		meta: TraceMeta{
-			Bins: m.n, Mode: spec.Mode, Shards: spec.Shards, Strict: spec.Strict,
+			Bins: m.n, Mode: spec.Mode, Strict: spec.Strict,
 			Topology: spec.Topology.Name(),
 		},
 	}, nil

@@ -26,7 +26,6 @@ var persistBenchModes = []struct {
 }{
 	{"direct", Spec{}},
 	{"jump", Spec{Mode: JumpEngine}},
-	{"sharded", Spec{Mode: ShardedEngine, Shards: 4}},
 }
 
 // BenchmarkSnapshot measures serializing a full session, with the

@@ -16,7 +16,7 @@ import (
 )
 
 // snapshotCase is one cell of the resume property matrix: an engine mode
-// with its rule/topology/shard configuration.
+// with its rule/topology configuration.
 type snapshotCase struct {
 	name string
 	spec Spec
@@ -34,16 +34,11 @@ func snapshotMatrix() []snapshotCase {
 		// sizes (16 and 64 bins) are perfect squares by design.
 		{"jump-expander", Spec{Mode: JumpEngine, Topology: ExpanderTopology()}},
 		{"jump-rr", Spec{Mode: JumpEngine, Topology: RandomRegularTopology(6, 99)}},
-		{"sharded-p1", Spec{Mode: ShardedEngine, Shards: 1}},
-		{"sharded-p3", Spec{Mode: ShardedEngine, Shards: 3}},
 	}
 }
 
 // churnPhase drives a session through a deterministic mix of runs and
-// churn — the same script the resume test replays on both arms. Every
-// Run boundary is an epoch barrier for the sharded engines, so the
-// mid-script snapshot in the property test lands exactly where the
-// contract requires.
+// churn — the same script the resume test replays on both arms.
 func churnPhase(t *testing.T, s *Session, rounds int) []int {
 	t.Helper()
 	var picks []int
@@ -213,7 +208,7 @@ func wantRemoved(t *testing.T, err error, name string) {
 // TestResumePreservesShape checks the restored session reports the same
 // shape the original was built with.
 func TestResumePreservesShape(t *testing.T) {
-	s := newSession(t, Spec{Mode: ShardedEngine, Shards: 3}, 16, 7)
+	s := newSession(t, Spec{Mode: JumpEngine, Strict: true}, 16, 7)
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}
@@ -225,8 +220,8 @@ func TestResumePreservesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Mode() != ShardedEngine || s2.Shards() != 3 || s2.N() != 16 || s2.M() != 64 {
-		t.Fatalf("restored shape mode=%v n=%d m=%d", s2.Mode(), s2.N(), s2.M())
+	if s2.Mode() != JumpEngine || !s2.Strict() || s2.N() != 16 || s2.M() != 64 {
+		t.Fatalf("restored shape mode=%v strict=%t n=%d m=%d", s2.Mode(), s2.Strict(), s2.N(), s2.M())
 	}
 }
 
@@ -320,26 +315,23 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 	})
 
 	// The removed sharded jump mode: the artifact written by the last
-	// version that had it, and two hand-made variants that reach the
-	// sharded payload decoder with its mode flag or its census set. The
-	// removed rejection graph sampler: a forced-rejection artifact (meta
-	// code 2), and its payload (graph tag 2) behind an auto meta.
+	// version that had it, and its payload behind a sharded header. The
+	// sharded engine, which sessions no longer run: the artifact written
+	// by the last version whose sessions did, and its payload behind a
+	// direct header. The removed rejection graph sampler: a
+	// forced-rejection artifact (meta code 2), and its payload (graph
+	// tag 2) behind an auto meta.
 	legacy := readTestdata(t, "shardedjump-p3.snap")
-	var shape persist.Enc
-	shape.Int(16)
-	shape.Int(3)
-	jumpOff := len(shape.Bytes()) // the jump flag follows n and P
-	sharded := func(mode, _ *int) { *mode = int(ShardedEngine) }
+	sharded := readTestdata(t, "sharded-p3.snap")
 	rejection := readTestdata(t, "jump-expander-rejection.snap")
 	for _, c := range []struct {
 		name, removed string
 		art           []byte
 	}{
 		{"shardedjump-meta", "shardedjump", legacy},
-		{"shardedjump-payload", "shardedjump", rewriteSnapshot(t, legacy, sharded, nil)},
-		{"shardedjump-census", "shardedjump", rewriteSnapshot(t, legacy, sharded, func(p []byte) {
-			p[jumpOff] = 0 // clear the mode flag: the census flag trips next
-		})},
+		{"shardedjump-payload", "sharded engine", rewriteSnapshot(t, legacy, func(mode, _ *int) { *mode = int(ShardedEngine) }, nil)},
+		{"sharded-p3", "sharded engine", sharded},
+		{"sharded-payload", "sharded engine", rewriteSnapshot(t, sharded, func(mode, _ *int) { *mode = int(DirectEngine) }, nil)},
 		{"rejection-meta", "rejection sampler", rejection},
 		{"rejection-payload", "rejection sampler", rewriteSnapshot(t, rejection, func(_, gs *int) { *gs = 0 }, nil)},
 	} {
@@ -537,12 +529,16 @@ func TestTraceArchiveCrashTail(t *testing.T) {
 }
 
 // TestRemovedModeTrace: trace archives recorded in the removed sharded
-// jump mode or with the removed rejection graph sampler neither open nor
-// resume from their embedded seek points; each path fails with
-// ErrCorrupt naming what was removed.
+// jump mode, with the sharded engine sessions no longer run, or with the
+// removed rejection graph sampler neither open nor resume from their
+// embedded seek points; each path fails with ErrCorrupt naming what was
+// removed. sharded-p3.trace was written by `rlsim -n 16 -m 64 -engine
+// sharded -shards 3 -snapevery 1 -traceout` before sessions lost the
+// sharded engine.
 func TestRemovedModeTrace(t *testing.T) {
 	for _, c := range []struct{ file, removed string }{
 		{"shardedjump-p3.trace", "shardedjump"},
+		{"sharded-p3.trace", "sharded engine"},
 		{"jump-expander-rejection.trace", "rejection sampler"},
 	} {
 		t.Run(c.file, func(t *testing.T) {
@@ -577,9 +573,9 @@ func TestRemovedModeTrace(t *testing.T) {
 	}
 }
 
-// TestResumeLegacyArtifacts resumes direct, jump, sharded, and graph
-// jump snapshots written by earlier versions (the sharded jump mode and
-// the rejection graph sampler still existed), replays the continuation
+// TestResumeLegacyArtifacts resumes direct, jump, and graph jump
+// snapshots written by earlier versions (the sharded jump mode and the
+// rejection graph sampler still existed), replays the continuation
 // script those sessions then ran, and requires the final snapshot they
 // wrote byte for byte: the surviving modes kept their layout and their
 // draws. The jump-torus artifact also resumes with its meta rewritten
@@ -589,7 +585,7 @@ func TestRemovedModeTrace(t *testing.T) {
 // session it was, and its final snapshot is the one the same version
 // wrote for the shard-free twin.
 func TestResumeLegacyArtifacts(t *testing.T) {
-	for _, name := range []string{"direct", "jump", "sharded-p3", "jump-torus", "jump-torus-exact-meta", "jump-stray-shards"} {
+	for _, name := range []string{"direct", "jump", "jump-torus", "jump-torus-exact-meta", "jump-stray-shards"} {
 		t.Run(name, func(t *testing.T) {
 			file := name
 			var art []byte
@@ -792,11 +788,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	// The removed sharded jump mode's artifact, its payload behind a
-	// sharded header, and the removed rejection sampler's artifacts seed
-	// the error paths.
+	// sharded header, the sharded engine's artifact and its payload
+	// behind a direct header, and the removed rejection sampler's
+	// artifacts seed the error paths.
 	legacy := readTestdata(f, "shardedjump-p3.snap")
 	f.Add(legacy)
 	f.Add(rewriteSnapshot(f, legacy, func(mode, _ *int) { *mode = int(ShardedEngine) }, nil))
+	sharded := readTestdata(f, "sharded-p3.snap")
+	f.Add(sharded)
+	f.Add(rewriteSnapshot(f, sharded, func(mode, _ *int) { *mode = int(DirectEngine) }, nil))
 	f.Add(readTestdata(f, "jump-expander-rejection.snap"))
 	f.Add(readTestdata(f, "jump-rr16-auto-hybrid.snap"))
 	// Mutations almost never keep a CRC valid, so the fuzzer cannot reach

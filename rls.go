@@ -158,6 +158,9 @@ const (
 	// For P > 1 the process is an approximation whose fidelity depends on
 	// the epoch length (see WithShardEpoch): experiment A5 KS-validates
 	// the balancing-time law against DirectEngine at fine epochs.
+	//
+	// It is a Runner-only mode: Spec.NewSession answers it with
+	// ErrSessionSpec, and its old snapshots do not resume.
 	ShardedEngine
 )
 
@@ -214,7 +217,7 @@ func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.spec.Mode 
 // WithShards sets the sharded engine's worker count P (default
 // sim.DefaultShards; clamped to the bin count). The shard count is part
 // of the random-stream layout, so fixed-seed runs reproduce only for the
-// same P. It sets Spec.Shards.
+// same P. It sets Spec.Shards; like the sharded engine, it is Runner-only.
 func WithShards(p int) Option { return func(r *Runner) { r.spec.Shards = p } }
 
 // WithShardEpoch sets the sharded engine's epoch length in continuous
@@ -374,24 +377,24 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 		return Result{}, nil, err
 	}
 	stream := rng.New(r.seed)
-	eng, err := r.spec.build(r.placement.gen.Generate(r.n, r.m, stream), stream)
-	if err != nil {
-		return Result{}, nil, err
-	}
+	v := r.placement.gen.Generate(r.n, r.m, stream)
 	var res sim.Result
 	var raw []sim.TracePoint
 	var phases PhaseTimes
-	switch eng := eng.(type) {
-	case shardedSession:
-		ph := r.attachShardedPhases(eng.e)
+	if r.spec.Mode == ShardedEngine {
+		e := sim.NewSharded(v, r.spec.Shards, r.spec.ShardEpoch, stream)
+		ph := r.attachShardedPhases(e)
 		if every > 0 {
-			res, raw = eng.e.RunTraced(r.shardedStop(), r.budget, every)
+			res, raw = e.RunTraced(r.shardedStop(), r.budget, every)
 		} else {
-			res = eng.e.Run(r.shardedStop(), r.budget)
+			res = e.Run(r.shardedStop(), r.budget)
 		}
 		phases = *ph
-	case sequentialSession:
-		e := eng.e
+	} else {
+		e, err := r.spec.build(v, stream)
+		if err != nil {
+			return Result{}, nil, err
+		}
 		if r.target.kind == targetTime {
 			// Clamp the final jump block at the horizon so time-targeted
 			// jump runs stop at exactly the target instead of overshooting

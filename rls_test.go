@@ -3,6 +3,8 @@ package rls
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -323,5 +325,38 @@ func TestSessionRunFor(t *testing.T) {
 	}
 	if s.Time() < 2.5 {
 		t.Errorf("time = %g, want >= 2.5", s.Time())
+	}
+}
+
+// TestSessionRunUntilPerfectHugeBudget: a budget near MaxInt64 on a
+// session already past sim.DefaultActivationBudget activations still
+// runs. The relative cap saturates instead of wrapping negative, which
+// made the engine fall back to its absolute default and return at once.
+func TestSessionRunUntilPerfectHugeBudget(t *testing.T) {
+	const n = 16
+	s := NewSession(n, 5, WithSessionEngineMode(JumpEngine))
+	for i := 0; i < n; i++ {
+		if err := s.AddBall(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flat: every activation up to the horizon is null, tallied in one
+	// Poisson draw of mean n·d ≈ 3.2·10⁹.
+	if err := s.RunFor(2e8); err != nil {
+		t.Fatal(err)
+	}
+	if acts := s.Activations(); acts <= sim.DefaultActivationBudget {
+		t.Fatalf("%d activations, want past %d", acts, sim.DefaultActivationBudget)
+	}
+	for range 2 {
+		if err := s.AddBall(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Disc() < 1 {
+		t.Fatalf("disc %g after unbalancing, want >= 1", s.Disc())
+	}
+	if ok, err := s.RunUntilPerfect(math.MaxInt64); err != nil || !ok {
+		t.Fatalf("RunUntilPerfect(MaxInt64) = %v, %v; want true", ok, err)
 	}
 }

@@ -16,9 +16,13 @@
 # ServiceLoad* cells (event→apply p50/p99 and applied throughput of the
 # multi-tenant rlsd service). The persistence layer rides along as
 # BenchmarkSnapshot/BenchmarkRestore/BenchmarkTraceAppend — ns/op plus
-# artifact compactness in bytes/ball and bytes/record. Shard ratios need as many hardware
-# threads as shards — the JSON header records the core count and
-# GOMAXPROCS.
+# artifact compactness in bytes/ball and bytes/record. The micro tier
+# times the layers under the engines: 512 uniform draws, batched vs
+# scalar (BenchmarkFillIntn), one configuration move with its tracked
+# statistics (BenchmarkConfigMove) and one direct-engine step per
+# activation sampler (BenchmarkEngineStep{BallList,Fenwick}). Shard ratios need as many
+# hardware threads as shards — the JSON header records the core count
+# and GOMAXPROCS.
 #
 # The default output name is derived from the tracked files: highest
 # existing BENCH_PR<k>.json plus one, so recording a new PR's numbers is
@@ -46,7 +50,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

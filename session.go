@@ -2,9 +2,9 @@ package rls
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
-	"repro/internal/loadvec"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -23,15 +23,13 @@ import (
 // The engine's activation rate reads the live ball count, so it tracks
 // the population with no rebuild, snapshot, or state transfer.
 //
-// Sessions run any Spec without speeds or the Fenwick sampler (see
-// Spec.NewSession): the default DirectEngine simulates every activation
-// (O(1) per churn event, O(1) per activation); the JumpEngine simulates
-// only productive moves (O(log Δ) per churn event and per move, or
-// O(Δ + flips·log n) on a topology), which makes long converged
-// stretches — where the direct engine burns almost all activations on
-// rejected null moves — nearly free; the ShardedEngine partitions the bins across goroutine workers
-// for the dense regime, hashing each churn event to the owning shard so
-// joins and leaves stay O(1).
+// Sessions run the direct and jump engines (see Spec.NewSession): the
+// default DirectEngine simulates every activation (O(1) per churn event,
+// O(1) per activation); the JumpEngine simulates only productive moves
+// (O(log Δ) per churn event and per move, or O(Δ + flips·log n) on a
+// topology), which makes long converged stretches — where the direct
+// engine burns almost all activations on rejected null moves — nearly
+// free. The sharded engine is a Runner-only mode.
 //
 // # Concurrency
 //
@@ -43,83 +41,15 @@ import (
 // run is in flight block until it returns — interleave by splitting long
 // horizons into short RunFor slices, exactly what a serving layer's event
 // loop does anyway (cmd/rlsd drives one goroutine per tenant and lets
-// concurrent readers see a frozen-in-time snapshot between events). The
-// sharded engine's worker goroutines live entirely inside a Run call and
-// never touch the Session after it returns, so the mutex covers them too.
+// concurrent readers see a frozen-in-time snapshot between events).
 type Session struct {
 	// mu serializes every method; see the Concurrency section above. The
 	// methods below must not call each other while holding it — shared
 	// logic lives in unexported unlocked helpers.
 	mu     sync.Mutex
-	engine sessionEngine
+	engine *sim.Engine
 	stream *rng.RNG
 	spec   Spec // fixed at creation, so readers need no lock
-}
-
-// sessionEngine is the churn-plus-execution surface Session drives; it is
-// implemented by both the sequential engine (direct and jump modes) and
-// the sharded engine.
-type sessionEngine interface {
-	AddBall(bin int)
-	RemoveBall(bin int)
-	RandomBin() int
-	Time() float64
-	Activations() int64
-	Moves() int64
-	Bins() int
-	Balls() int
-	BinLoad(bin int) int
-	SnapshotLoads() loadvec.Vector
-	CurrentDisc() float64
-	RunUntilTime(t float64, maxActivations int64)
-	RunToPerfect(maxActivations int64) bool
-}
-
-// sequentialSession adapts *sim.Engine (direct or jump mode).
-type sequentialSession struct{ e *sim.Engine }
-
-func (a sequentialSession) AddBall(bin int)               { a.e.AddBall(bin) }
-func (a sequentialSession) RemoveBall(bin int)            { a.e.RemoveBall(bin) }
-func (a sequentialSession) RandomBin() int                { return a.e.RandomBin() }
-func (a sequentialSession) Time() float64                 { return a.e.Time() }
-func (a sequentialSession) Activations() int64            { return a.e.Activations() }
-func (a sequentialSession) Moves() int64                  { return a.e.Moves() }
-func (a sequentialSession) Bins() int                     { return a.e.Cfg().N() }
-func (a sequentialSession) Balls() int                    { return a.e.Cfg().M() }
-func (a sequentialSession) BinLoad(bin int) int           { return a.e.Cfg().Load(bin) }
-func (a sequentialSession) SnapshotLoads() loadvec.Vector { return a.e.Cfg().Snapshot() }
-func (a sequentialSession) CurrentDisc() float64          { return a.e.Cfg().Disc() }
-func (a sequentialSession) RunUntilTime(t float64, maxActivations int64) {
-	// The horizon clamps jump-mode blocks exactly at t (direct mode ignores
-	// it); clear it afterwards — the engine persists across runs.
-	a.e.SetHorizon(t)
-	a.e.Run(sim.UntilTime(t), maxActivations)
-	a.e.SetHorizon(0)
-}
-func (a sequentialSession) RunToPerfect(maxActivations int64) bool {
-	a.e.SetHorizon(0)
-	return a.e.Run(sim.UntilPerfect(), maxActivations).Stopped
-}
-
-// shardedSession adapts *sim.Sharded.
-type shardedSession struct{ e *sim.Sharded }
-
-func (a shardedSession) AddBall(bin int)               { a.e.AddBall(bin) }
-func (a shardedSession) RemoveBall(bin int)            { a.e.RemoveBall(bin) }
-func (a shardedSession) RandomBin() int                { return a.e.RandomBin() }
-func (a shardedSession) Time() float64                 { return a.e.Time() }
-func (a shardedSession) Activations() int64            { return a.e.Activations() }
-func (a shardedSession) Moves() int64                  { return a.e.Moves() }
-func (a shardedSession) Bins() int                     { return a.e.N() }
-func (a shardedSession) Balls() int                    { return a.e.M() }
-func (a shardedSession) BinLoad(bin int) int           { return a.e.Load(bin) }
-func (a shardedSession) SnapshotLoads() loadvec.Vector { return a.e.Snapshot() }
-func (a shardedSession) CurrentDisc() float64          { return a.e.Disc() }
-func (a shardedSession) RunUntilTime(t float64, maxActivations int64) {
-	a.e.Run(sim.ShardedUntilTime(t), maxActivations)
-}
-func (a shardedSession) RunToPerfect(maxActivations int64) bool {
-	return a.e.Run(sim.ShardedUntilPerfect(), maxActivations).Stopped
 }
 
 // SessionOption configures the Spec NewSession builds from.
@@ -134,7 +64,7 @@ func WithSessionEngineMode(m EngineMode) SessionOption {
 // NewSession creates a session with n empty bins: it applies opts to a
 // zero Spec and calls Spec.NewSession, panicking with the error that
 // returns. Use Spec.NewSession directly for the strict tie rule, a
-// topology, a shard count, or an error instead of a panic.
+// topology, or an error instead of a panic.
 func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 	var spec Spec
 	for _, o := range opts {
@@ -150,10 +80,6 @@ func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
 // Mode returns the session's engine mode.
 func (s *Session) Mode() EngineMode { return s.spec.Mode }
 
-// Shards returns the configured worker count (0 means the sharded
-// engine picks its default).
-func (s *Session) Shards() int { return s.spec.Shards }
-
 // Strict reports whether the session runs under the strict tie rule.
 func (s *Session) Strict() bool { return s.spec.Strict }
 
@@ -165,31 +91,36 @@ func (s *Session) TopologyName() string { return s.spec.Topology.Name() }
 func (s *Session) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.engine.Bins()
+	return s.engine.Cfg().N()
 }
 
 // M returns the current number of balls.
 func (s *Session) M() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.engine.Balls()
+	return s.engine.Cfg().M()
 }
 
 // Loads returns a copy of the current load vector.
 func (s *Session) Loads() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.engine.SnapshotLoads()
+	return s.engine.Cfg().Snapshot()
 }
 
 // Disc returns the current discrepancy.
 func (s *Session) Disc() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	return s.discLocked()
+}
+
+// discLocked is the discrepancy, 0 for an empty session.
+func (s *Session) discLocked() float64 {
+	if s.engine.Cfg().M() == 0 {
 		return 0
 	}
-	return s.engine.CurrentDisc()
+	return s.engine.Cfg().Disc()
 }
 
 // Time returns the total elapsed continuous time across the session.
@@ -221,16 +152,13 @@ func (s *Session) Moves() int64 {
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SessionStats{
+	return SessionStats{
 		Time:        s.engine.Time(),
 		Activations: s.engine.Activations(),
 		Moves:       s.engine.Moves(),
-		Balls:       s.engine.Balls(),
+		Balls:       s.engine.Cfg().M(),
+		Disc:        s.discLocked(),
 	}
-	if st.Balls > 0 {
-		st.Disc = s.engine.CurrentDisc()
-	}
-	return st
 }
 
 // SessionStats is the consistent counter snapshot returned by
@@ -244,11 +172,11 @@ type SessionStats struct {
 }
 
 // AddBall inserts one ball into the given bin (a user joining): O(1) in
-// direct and sharded modes, O(log Δ) in jump mode.
+// direct mode, O(log Δ) in jump mode.
 func (s *Session) AddBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bin < 0 || bin >= s.engine.Bins() {
+	if bin < 0 || bin >= s.engine.Cfg().N() {
 		return fmt.Errorf("rls: bin %d out of range", bin)
 	}
 	s.engine.AddBall(bin)
@@ -260,20 +188,20 @@ func (s *Session) AddBall(bin int) error {
 func (s *Session) AddBallRandom() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bin := s.stream.Intn(s.engine.Bins())
+	bin := s.stream.Intn(s.engine.Cfg().N())
 	s.engine.AddBall(bin)
 	return bin
 }
 
 // RemoveBall removes one ball from the given bin (a user leaving): O(1)
-// in direct and sharded modes, O(log Δ) in jump mode.
+// in direct mode, O(log Δ) in jump mode.
 func (s *Session) RemoveBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bin < 0 || bin >= s.engine.Bins() {
+	if bin < 0 || bin >= s.engine.Cfg().N() {
 		return fmt.Errorf("rls: bin %d out of range", bin)
 	}
-	if s.engine.BinLoad(bin) == 0 {
+	if s.engine.Cfg().Load(bin) == 0 {
 		return fmt.Errorf("rls: bin %d is empty", bin)
 	}
 	s.engine.RemoveBall(bin)
@@ -286,7 +214,7 @@ func (s *Session) RemoveBall(bin int) error {
 func (s *Session) RemoveRandomBall() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.Cfg().M() == 0 {
 		return 0, fmt.Errorf("rls: no balls to remove")
 	}
 	bin := s.engine.RandomBin()
@@ -301,13 +229,15 @@ func (s *Session) RemoveRandomBall() (int, error) {
 func (s *Session) RunFor(d float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.Cfg().M() == 0 {
 		return fmt.Errorf("rls: session has no balls")
 	}
-	// The budget is relative to the running activation counter: the engine
-	// persists for the session lifetime, so an absolute cap would starve
-	// long sessions.
-	s.engine.RunUntilTime(s.engine.Time()+d, s.engine.Activations()+sim.DefaultActivationBudget)
+	// The horizon clamps jump-mode blocks exactly at the end (direct mode
+	// ignores it); clear it afterwards — the engine persists across runs.
+	end := s.engine.Time() + d
+	s.engine.SetHorizon(end)
+	s.engine.Run(sim.UntilTime(end), s.budgetLocked(sim.DefaultActivationBudget))
+	s.engine.SetHorizon(0)
 	return nil
 }
 
@@ -317,13 +247,24 @@ func (s *Session) RunFor(d float64) error {
 func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.Cfg().M() == 0 {
 		return false, fmt.Errorf("rls: session has no balls")
 	}
 	if budget <= 0 {
 		budget = sim.DefaultActivationBudget
 	}
-	// Relative to the running counter, like RunFor: an absolute cap would
-	// starve sessions whose persistent engine has run long already.
-	return s.engine.RunToPerfect(s.engine.Activations() + budget), nil
+	s.engine.SetHorizon(0)
+	return s.engine.Run(sim.UntilPerfect(), s.budgetLocked(budget)).Stopped, nil
+}
+
+// budgetLocked turns a positive budget relative to the running activation
+// counter into the absolute cap sim.Engine.Run takes — an absolute cap
+// would starve sessions whose persistent engine has run long already. The
+// sum saturates at MaxInt64: a wrapped, negative cap would make Run fall
+// back to its absolute default.
+func (s *Session) budgetLocked(budget int64) int64 {
+	if acts := s.engine.Activations(); budget < math.MaxInt64-acts {
+		return acts + budget
+	}
+	return math.MaxInt64
 }

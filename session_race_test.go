@@ -12,14 +12,11 @@ import (
 // (AddBall/RemoveBall/AddBallRandom/RemoveRandomBall), protocol runs
 // (RunFor/RunUntilPerfect), and stats reads (Loads/Disc/M/Time/Moves/
 // Stats) on one Session must be data-race free and keep the engine state
-// consistent, in all four engine modes. Run under -race (the CI race job
-// does) this is the gate that makes cmd/rlsd's one-applier-plus-many-
+// consistent, in both session engine modes. Run under -race (the CI race
+// job does) this is the gate that makes cmd/rlsd's one-applier-plus-many-
 // readers tenant model sound.
 func TestSessionConcurrentCallers(t *testing.T) {
-	modes := []rls.EngineMode{
-		rls.DirectEngine, rls.JumpEngine, rls.ShardedEngine,
-	}
-	for _, mode := range modes {
+	for _, mode := range []rls.EngineMode{rls.DirectEngine, rls.JumpEngine} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()

@@ -1,6 +1,7 @@
 package rls
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -93,79 +94,19 @@ func TestShardedEngineModeString(t *testing.T) {
 	}
 }
 
-// TestSessionShardedMode drives the full churn surface in sharded mode:
-// joins and leaves hash into the owning shard with no rebuild.
+// TestSessionShardedMode: the sharded engine is Runner-only. Both
+// session constructors refuse it with ErrSessionSpec, whatever its shard
+// count.
 func TestSessionShardedMode(t *testing.T) {
-	s := newSession(t, Spec{Mode: ShardedEngine, Shards: 4}, 16, 42)
-	if s.Mode() != ShardedEngine {
-		t.Fatal("mode not recorded")
-	}
-	for i := 0; i < 160; i++ {
-		s.AddBallRandom()
-	}
-	ok, err := s.RunUntilPerfect(10_000_000)
-	if err != nil || !ok {
-		t.Fatalf("balance failed: %v", err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := s.AddBall(i % 16); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.RemoveRandomBall(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunFor(0.5); err != nil {
-			t.Fatal(err)
+	for _, p := range []int{0, 1, 4} {
+		if _, err := (Spec{Mode: ShardedEngine, Shards: p}).NewSession(16, 42); !errors.Is(err, ErrSessionSpec) {
+			t.Errorf("P=%d: Spec.NewSession error %v, want ErrSessionSpec", p, err)
 		}
 	}
-	if s.M() != 160 {
-		t.Fatalf("m = %d after balanced churn", s.M())
-	}
-	if ok, err := s.RunUntilPerfect(10_000_000); err != nil || !ok {
-		t.Fatalf("rebalance failed: %v", err)
-	}
-	if s.Disc() >= 1 {
-		t.Fatalf("disc = %g", s.Disc())
-	}
-}
-
-// TestSessionShardedSingleShardMatchesDirect extends the P = 1
-// byte-identity through the session surface: identical churn histories
-// must leave identical engines.
-func TestSessionShardedSingleShardMatchesDirect(t *testing.T) {
-	drive := func(s *Session) {
-		for i := 0; i < 96; i++ {
-			s.AddBallRandom()
+	defer func() {
+		if err, ok := recover().(error); !ok || !errors.Is(err, ErrSessionSpec) {
+			t.Fatalf("NewSession panic %v, want ErrSessionSpec", err)
 		}
-		if ok, err := s.RunUntilPerfect(1_000_000); err != nil || !ok {
-			t.Fatalf("balance failed: %v", err)
-		}
-		for i := 0; i < 30; i++ {
-			if err := s.AddBall(i % 12); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.RemoveRandomBall(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.RunFor(0.25); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	d := NewSession(12, 77)
-	drive(d)
-	sh := newSession(t, Spec{Mode: ShardedEngine, Shards: 1}, 12, 77)
-	drive(sh)
-	if math.Float64bits(d.Time()) != math.Float64bits(sh.Time()) {
-		t.Errorf("time %v != %v", d.Time(), sh.Time())
-	}
-	if d.Activations() != sh.Activations() || d.Moves() != sh.Moves() {
-		t.Errorf("counters (%d,%d) != (%d,%d)", d.Activations(), d.Moves(), sh.Activations(), sh.Moves())
-	}
-	dl, sl := d.Loads(), sh.Loads()
-	for i := range dl {
-		if dl[i] != sl[i] {
-			t.Fatalf("loads differ at bin %d", i)
-		}
-	}
+	}()
+	NewSession(16, 42, WithSessionEngineMode(ShardedEngine))
 }

@@ -19,7 +19,7 @@ import (
 // activation sampler, and — for the sharded engine — with how many
 // workers and what epoch. Runner and Session both hold one; the Runner's
 // With* options set its fields, rlsim's flags, rlsd's JSON config and the
-// snapshot header all decode into one.
+// snapshot header all decode into one. The sharded engine is Runner-only.
 //
 // Validate is the only place that decides which shapes are legal:
 //
@@ -28,15 +28,16 @@ import (
 //     neither a topology nor the strict tie rule.
 //   - JumpEngine takes the strict tie rule or a topology, not both; it
 //     rejects Speeds and Fenwick (it has no activation sampler).
-//   - ShardedEngine runs plain RLS on the complete topology only: no
-//     Strict, Topology, Speeds or Fenwick; Shards and ShardEpoch must not
-//     be negative (0 picks the defaults).
+//   - ShardedEngine (Runner only) runs plain RLS on the complete topology
+//     only: no Strict, Topology, Speeds or Fenwick; Shards and ShardEpoch
+//     must not be negative (0 picks the defaults).
 //   - Shards and ShardEpoch are rejected outside ShardedEngine.
 //   - The topology must fit n: see Topology.
 //
-// Sessions additionally reject Speeds and Fenwick: a Session always
-// samples activations from the explicit ball list and has no speed-aware
-// rule. Spec.NewSession returns that error before it validates.
+// Sessions additionally reject ShardedEngine, Speeds and Fenwick: a
+// Session holds one sequential engine that samples activations from the
+// explicit ball list and has no speed-aware rule. Spec.NewSession returns
+// that error before it validates.
 type Spec struct {
 	Mode       EngineMode
 	Strict     bool
@@ -47,9 +48,9 @@ type Spec struct {
 	ShardEpoch float64
 }
 
-// ErrSessionSpec is Spec.NewSession's answer to a Spec carrying Speeds or
-// Fenwick.
-var ErrSessionSpec = errors.New("rls: sessions support neither bin speeds nor the Fenwick sampler; use a Runner")
+// ErrSessionSpec is Spec.NewSession's answer to a Spec naming the sharded
+// engine or carrying Speeds or Fenwick.
+var ErrSessionSpec = errors.New("rls: sessions support neither the sharded engine, nor bin speeds, nor the Fenwick sampler; use a Runner")
 
 // Validate reports whether the spec describes a process over n bins that
 // some engine can simulate; the error names the first conflict found.
@@ -107,12 +108,10 @@ func (s Spec) Validate(n int) error {
 	return s.Topology.check(n)
 }
 
-// build constructs the engine over the initial loads v, drawing from
-// stream. The spec must have passed Validate(len(v)).
-func (s Spec) build(v loadvec.Vector, stream *rng.RNG) (sessionEngine, error) {
-	if s.Mode == ShardedEngine {
-		return shardedSession{sim.NewSharded(v, s.Shards, s.ShardEpoch, stream)}, nil
-	}
+// build constructs the direct or jump engine over the initial loads v,
+// drawing from stream (Runner.run builds the sharded engine itself). The
+// spec must have passed Validate(len(v)).
+func (s Spec) build(v loadvec.Vector, stream *rng.RNG) (*sim.Engine, error) {
 	var g graphs.Graph
 	if s.Topology.active() {
 		var err error
@@ -123,11 +122,11 @@ func (s Spec) build(v loadvec.Vector, stream *rng.RNG) (sessionEngine, error) {
 	if s.Mode == JumpEngine {
 		switch {
 		case g != nil:
-			return sequentialSession{sim.NewGraphJumpEngine(v, g, stream)}, nil
+			return sim.NewGraphJumpEngine(v, g, stream), nil
 		case s.Strict:
-			return sequentialSession{sim.NewStrictJumpEngine(v, stream)}, nil
+			return sim.NewStrictJumpEngine(v, stream), nil
 		}
-		return sequentialSession{sim.NewJumpEngine(v, stream)}, nil
+		return sim.NewJumpEngine(v, stream), nil
 	}
 	var mover sim.Mover = core.RLS{}
 	switch {
@@ -142,16 +141,22 @@ func (s Spec) build(v loadvec.Vector, stream *rng.RNG) (sessionEngine, error) {
 	if s.Fenwick {
 		sampler = sim.NewFenwick()
 	}
-	return sequentialSession{sim.NewEngine(v, mover, sampler, stream)}, nil
+	return sim.NewEngine(v, mover, sampler, stream), nil
+}
+
+// validateSession is Validate for a session over n bins: ErrSessionSpec
+// first, then Validate's answer.
+func (s Spec) validateSession(n int) error {
+	if s.Mode == ShardedEngine || s.Speeds != nil || s.Fenwick {
+		return ErrSessionSpec
+	}
+	return s.Validate(n)
 }
 
 // NewSession creates a session with n empty bins running this spec, or
 // returns the error that makes the spec illegal for a session (see Spec).
 func (s Spec) NewSession(n int, seed uint64) (*Session, error) {
-	if s.Speeds != nil || s.Fenwick {
-		return nil, ErrSessionSpec
-	}
-	if err := s.Validate(n); err != nil {
+	if err := s.validateSession(n); err != nil {
 		return nil, err
 	}
 	stream := rng.New(seed)

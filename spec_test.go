@@ -30,12 +30,13 @@ func runnerOptions(s rls.Spec) []rls.Option {
 // through the library's construction surfaces — Runner.Run,
 // Runner.RunTraced, Spec.NewSession, and snapshot → ResumeSession — and
 // requires each to build exactly the shapes Validate accepts and to
-// reject the rest with Validate's message. Sessions answer Speeds and
-// Fenwick with ErrSessionSpec. A snapshot header records neither speeds,
-// the sampler, nor an epoch, and its decoder drops a shard count outside
-// the sharded engine (earlier writers recorded one), so those cases skip
-// the snapshot surface. rlsd and rlsim walk the same table in their own
-// packages.
+// reject the rest with Validate's message. Sessions answer the sharded
+// engine, Speeds and Fenwick with ErrSessionSpec, and so does resume for
+// a header naming the sharded engine. A snapshot header records neither
+// speeds, the sampler, nor an epoch, and its decoder drops a shard count
+// outside the sharded engine (earlier writers recorded one), so those
+// cases skip the snapshot surface. rlsd and rlsim walk the same table in
+// their own packages.
 func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 	check := func(c spectest.Case, surface string, got error, want error) {
 		t.Helper()
@@ -78,8 +79,8 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 		r, err := rls.ResumeSession(bytes.NewReader(art))
 		if sessWant == nil {
 			check(c, "ResumeSession", err, nil)
-			if err == nil && (r.Mode() != s.Mode() || r.Shards() != s.Shards() || r.Strict() != s.Strict() || r.TopologyName() != s.TopologyName()) {
-				t.Errorf("%s: resumed shape %v/%d/%t/%s", c.Name, r.Mode(), r.Shards(), r.Strict(), r.TopologyName())
+			if err == nil && (r.Mode() != s.Mode() || r.Strict() != s.Strict() || r.TopologyName() != s.TopologyName()) {
+				t.Errorf("%s: resumed shape %v/%t/%s", c.Name, r.Mode(), r.Strict(), r.TopologyName())
 			}
 			continue
 		}
