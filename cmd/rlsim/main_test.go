@@ -313,3 +313,27 @@ func TestRunSessionPlacements(t *testing.T) {
 		})
 	}
 }
+
+// TestRunPlacementMisfitErrors: -placement delta-pair at a size it does
+// not fit exits with an error instead of a panic.
+func TestRunPlacementMisfitErrors(t *testing.T) {
+	if err := run(1, 4, 1, "delta-pair", "perfect", "complete", "", "direct", 0, false, 0, false, false); err == nil {
+		t.Fatal("-n 1 -m 4 -placement delta-pair accepted")
+	}
+}
+
+// TestRunInfiniteHorizonErrors: -target time=inf is an error on both
+// paths; the durable path writes no snapshot (it used to persist a
+// wrapped, negative activation count).
+func TestRunInfiniteHorizonErrors(t *testing.T) {
+	if err := run(8, 8, 1, "all-in-one", "time=inf", "complete", "", "jump", 0, false, 0, false, false); err == nil {
+		t.Error("Runner path: -target time=inf accepted")
+	}
+	snap := filepath.Join(t.TempDir(), "x.snap")
+	if err := runSession(sessionFlags{snapshot: snap}, 8, 8, 1, "all-in-one", "time=inf", "complete", "", "jump", 0, false, 0, false); err == nil {
+		t.Error("session path: -target time=inf accepted")
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("a rejected horizon wrote a snapshot: %v", err)
+	}
+}

@@ -1,11 +1,12 @@
 // Package fenwick is the one Fenwick (binary indexed) tree shared by
 // every layer that needs prefix sums with point updates: the level
 // index's per-level count/ball/move-weight trees, the jump engine's
-// graph move-weight index, and the Fenwick activation sampler.
-// Deduplicating the three historical copies means the persist codec
-// serializes exactly one tree shape, and a tree's array form is a pure function of its leaf
-// values — so encode(leaves) → From(leaves) round-trips bit-exactly
-// regardless of the Add history that produced it.
+// graph move-weight index, the Fenwick activation sampler, and the open
+// system's job sampler. Deduplicating the historical copies means the
+// persist codec serializes exactly one tree shape, and a tree's array
+// form is a pure function of its leaf values — so encode(leaves) →
+// From(leaves) round-trips bit-exactly regardless of the Add history
+// that produced it.
 //
 // The API is 0-based on the outside (leaf i ∈ [0, n)) and 1-based
 // internally, as usual for Fenwick trees. All operations are O(log n)

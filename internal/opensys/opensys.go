@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fenwick"
 	"repro/internal/rng"
 )
 
@@ -66,7 +67,7 @@ type System struct {
 	loads []int
 	jobs  int // total jobs in system
 
-	tree []int // Fenwick over loads (1-based)
+	tree *fenwick.Tree // over loads
 
 	busy    []int // list of non-empty servers
 	busyPos []int // server -> index in busy, or -1
@@ -88,7 +89,7 @@ func New(p Params, r *rng.RNG) (*System, error) {
 		p:       p,
 		r:       r,
 		loads:   make([]int, p.N),
-		tree:    make([]int, p.N+1),
+		tree:    fenwick.New(p.N),
 		busyPos: make([]int, p.N),
 		count:   make([]int, 4),
 	}
@@ -117,31 +118,6 @@ func (s *System) Disc() float64 {
 	return math.Max(float64(s.max)-avg, avg-float64(s.min))
 }
 
-// fenwick helpers.
-func (s *System) treeAdd(server, delta int) {
-	for pos := server + 1; pos <= s.p.N; pos += pos & (-pos) {
-		s.tree[pos] += delta
-	}
-}
-
-// sampleJobServer returns the server of a uniformly random job.
-func (s *System) sampleJobServer() int {
-	k := s.r.Intn(s.jobs)
-	pos := 0
-	step := 1
-	for step<<1 <= s.p.N {
-		step <<= 1
-	}
-	for ; step > 0; step >>= 1 {
-		next := pos + step
-		if next <= s.p.N && s.tree[next] <= k {
-			pos = next
-			k -= s.tree[next]
-		}
-	}
-	return pos
-}
-
 // adjust moves server v's queue by ±1 and maintains every structure.
 func (s *System) adjust(server, delta int) {
 	v := s.loads[server]
@@ -150,7 +126,7 @@ func (s *System) adjust(server, delta int) {
 		panic("opensys: negative queue")
 	}
 	s.loads[server] = w
-	s.treeAdd(server, delta)
+	s.tree.Add(server, int64(delta))
 	s.jobs += delta
 	// Busy set.
 	if v == 0 && w > 0 {
@@ -205,7 +181,7 @@ func (s *System) Step() {
 		s.adjust(server, -1)
 		s.Departures++
 	default:
-		src := s.sampleJobServer()
+		src, _ := s.tree.Find(int64(s.r.Intn(s.jobs))) // a uniform job's server
 		dst := s.r.Intn(s.p.N)
 		if dst != src && s.loads[src] >= s.loads[dst]+1 {
 			s.adjust(src, -1)

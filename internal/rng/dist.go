@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Exp returns an exponential variate with rate lambda (mean 1/lambda),
 // sampled by inverse transform. It panics if lambda <= 0.
@@ -133,10 +136,15 @@ func lgammaInt(x int64) float64 {
 
 // Poisson returns a Poisson variate with the given mean, using Knuth's
 // product method for small means and the PTRS transformed-rejection
-// sampler for large means. Both are exact.
+// sampler for large means. Both are exact. It panics on a negative mean,
+// and on a NaN mean or one of 2^62 or more, whose count int64 may not
+// hold.
 func (r *RNG) Poisson(mean float64) int64 {
 	if mean < 0 {
 		panic("rng: Poisson with negative mean")
+	}
+	if !(mean < 1<<62) {
+		panic(fmt.Sprintf("rng: Poisson mean %g is not below 2^62", mean))
 	}
 	if mean == 0 {
 		return 0

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -368,6 +369,26 @@ func TestPoissonMoments(t *testing.T) {
 		if math.Abs(gotVar-mean) > 0.1*mean {
 			t.Errorf("Poisson(%g) var = %g", mean, gotVar)
 		}
+	}
+}
+
+// A mean whose count int64 may not hold panics with a message instead of
+// returning a wrapped, negative count. NaN comes last: a sampler that
+// accepted it would never return.
+func TestPoissonHugeMeanPanics(t *testing.T) {
+	r := New(18)
+	for _, mean := range []float64{1e19, math.Inf(1), 1 << 62, math.NaN()} {
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			r.Poisson(mean)
+			return "no panic"
+		}()
+		if !strings.Contains(msg, "2^62") {
+			t.Fatalf("Poisson(%g): %q, want a panic naming the 2^62 limit", mean, msg)
+		}
+	}
+	if k := r.Poisson(1 << 61); k <= 0 {
+		t.Fatalf("Poisson(2^61) = %d", k)
 	}
 }
 

@@ -187,6 +187,27 @@ func TestCreateAllEngineModes(t *testing.T) {
 	}
 }
 
+// TestRunHorizonOverflowIsApplyError: a run event whose horizon would
+// overflow the activation counter passes the door (it is positive and
+// finite) and is counted as an apply error that leaves the session as it
+// was, instead of wrapping its activation count negative.
+func TestRunHorizonOverflowIsApplyError(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	id := createSession(t, srv, `{"bins": 4, "balls": 4, "engine": "jump"}`)
+	resp := post(t, srv.URL+"/v1/sessions/"+id+"/events", `{"events": [{"op": "run", "for": 1e19}]}`)
+	resp.Body.Close()
+	if resp.StatusCode != 202 {
+		t.Fatalf("events status %d, want 202", resp.StatusCode)
+	}
+	info := waitApplied(t, srv, id, 1)
+	if info.Errors != 1 {
+		t.Errorf("%d apply errors, want 1", info.Errors)
+	}
+	if info.Activations != 0 || info.Time != 0 {
+		t.Errorf("refused run moved the session to activations=%d time=%g", info.Activations, info.Time)
+	}
+}
+
 // TestRateLimitBackpressure pins the 429 + Retry-After contract: a
 // one-event bucket admits the first post and rejects the second with an
 // honest retry hint.

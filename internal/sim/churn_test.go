@@ -1,26 +1,18 @@
 package sim
 
 // Churn agreement tests: interleaving AddBall/RemoveBall/Step on a live
-// engine must keep the sampler's view of the loads identical to the
+// engine must keep the ball list's view of the loads identical to the
 // Config's, and the Config's incremental statistics identical to a
-// freshly built one — for all three samplers.
+// freshly built one. The ball list is the only sampler that churns.
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 )
-
-// binLoader is the per-bin load accessor every sampler exposes for tests.
-type binLoader interface {
-	Load(i int) int
-}
-
-func churnSamplers() []ActivationSampler {
-	return []ActivationSampler{NewBallList(), NewFenwick(), NewEventHeap()}
-}
 
 // randNonEmptyBin returns a uniformly random non-empty bin of cfg, or -1
 // when the configuration holds no balls.
@@ -36,92 +28,105 @@ func randNonEmptyBin(cfg *loadvec.Config, r *rng.RNG) int {
 }
 
 func TestEngineChurnSamplerAgreementProperty(t *testing.T) {
-	for _, mk := range []func() ActivationSampler{
-		func() ActivationSampler { return NewBallList() },
-		func() ActivationSampler { return NewFenwick() },
-		func() ActivationSampler { return NewEventHeap() },
-	} {
-		name := mk().Name()
-		t.Run(name, func(t *testing.T) {
-			err := quick.Check(func(seed uint64) bool {
-				script := rng.New(seed) // drives the churn schedule
-				n := 2 + script.Intn(10)
-				v := make(loadvec.Vector, n)
-				for i := range v {
-					v[i] = script.Intn(5)
-				}
-				if v.Balls() == 0 {
-					v[0] = 1
-				}
-				e := NewEngine(v, rlsRule{}, mk(), rng.New(seed+1))
-				for op := 0; op < 150; op++ {
-					switch script.Intn(4) {
-					case 0:
-						e.AddBall(script.Intn(n))
-					case 1:
-						if e.Cfg().M() > 1 { // keep the engine steppable
-							e.RemoveBall(randNonEmptyBin(e.Cfg(), script))
-						}
-					default: // step twice as often as each churn kind
-						e.Step()
+	// One subtest, named for the only sampler that churns.
+	t.Run(NewBallList().Name(), func(t *testing.T) {
+		err := quick.Check(func(seed uint64) bool {
+			script := rng.New(seed) // drives the churn schedule
+			n := 2 + script.Intn(10)
+			v := make(loadvec.Vector, n)
+			for i := range v {
+				v[i] = script.Intn(5)
+			}
+			if v.Balls() == 0 {
+				v[0] = 1
+			}
+			list := NewBallList()
+			e := NewEngine(v, rlsRule{}, list, rng.New(seed+1))
+			for op := 0; op < 150; op++ {
+				switch script.Intn(4) {
+				case 0:
+					e.AddBall(script.Intn(n))
+				case 1:
+					if e.Cfg().M() > 1 { // keep the engine steppable
+						e.RemoveBall(randNonEmptyBin(e.Cfg(), script))
 					}
-					if err := e.Cfg().Validate(); err != nil {
-						t.Logf("seed %d op %d: %v", seed, op, err)
+				default: // step twice as often as each churn kind
+					e.Step()
+				}
+				if err := e.Cfg().Validate(); err != nil {
+					t.Logf("seed %d op %d: %v", seed, op, err)
+					return false
+				}
+				for i := 0; i < n; i++ {
+					if list.Load(i) != e.Cfg().Load(i) {
+						t.Logf("seed %d op %d: bin %d sampler=%d cfg=%d",
+							seed, op, i, list.Load(i), e.Cfg().Load(i))
 						return false
 					}
-					bl := e.sampler.(binLoader)
-					for i := 0; i < n; i++ {
-						if bl.Load(i) != e.Cfg().Load(i) {
-							t.Logf("seed %d op %d: bin %d sampler=%d cfg=%d",
-								seed, op, i, bl.Load(i), e.Cfg().Load(i))
-							return false
-						}
-					}
 				}
-				return true
-			}, &quick.Config{MaxCount: 40})
-			if err != nil {
-				t.Fatal(err)
 			}
-		})
-	}
+			return true
+		}, &quick.Config{MaxCount: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// Churn before the first activation must work for all samplers (the
-// event heap defers clock scheduling until it first sees an RNG).
+// Churn before the first activation must work.
 func TestEngineChurnBeforeFirstStep(t *testing.T) {
-	for _, s := range churnSamplers() {
-		v := loadvec.Vector{2, 0, 1}
-		e := NewEngine(v, rlsRule{}, s, rng.New(11))
-		e.AddBall(1)
-		e.AddBall(1)
-		e.RemoveBall(0)
-		if e.Cfg().M() != 4 {
-			t.Fatalf("%s: m = %d, want 4", s.Name(), e.Cfg().M())
-		}
-		res := e.Run(UntilPerfect(), 100000)
-		if !res.Stopped {
-			t.Fatalf("%s: did not balance after pre-run churn", s.Name())
-		}
-		if res.Final.Balls() != 4 {
-			t.Fatalf("%s: ball conservation violated: %v", s.Name(), res.Final)
-		}
+	v := loadvec.Vector{2, 0, 1}
+	e := NewEngine(v, rlsRule{}, NewBallList(), rng.New(11))
+	e.AddBall(1)
+	e.AddBall(1)
+	e.RemoveBall(0)
+	if e.Cfg().M() != 4 {
+		t.Fatalf("m = %d, want 4", e.Cfg().M())
+	}
+	res := e.Run(UntilPerfect(), 100000)
+	if !res.Stopped {
+		t.Fatal("did not balance after pre-run churn")
+	}
+	if res.Final.Balls() != 4 {
+		t.Fatalf("ball conservation violated: %v", res.Final)
 	}
 }
 
 // Removing the last resident of a bin via churn must panic like the other
 // empty-bin abuses.
 func TestSamplerRemoveBallEmptyPanics(t *testing.T) {
-	for _, s := range churnSamplers() {
-		func() {
-			s.Reset(loadvec.Vector{0, 3})
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: RemoveBall from empty bin did not panic", s.Name())
-				}
+	b := NewBallList()
+	b.Reset(loadvec.Vector{0, 3})
+	defer func() {
+		if recover() == nil {
+			t.Error("RemoveBall from empty bin did not panic")
+		}
+	}()
+	b.RemoveBall(0)
+}
+
+// Only the ball list churns: an engine over another sampler panics with
+// a message naming it, before the configuration changes.
+func TestEngineChurnOtherSamplerPanics(t *testing.T) {
+	for _, s := range []ActivationSampler{NewFenwick(), NewEventHeap()} {
+		for op, churn := range map[string]func(e *Engine){
+			"AddBall":    func(e *Engine) { e.AddBall(0) },
+			"RemoveBall": func(e *Engine) { e.RemoveBall(0) },
+		} {
+			e := NewEngine(loadvec.Vector{2, 1}, rlsRule{}, s, rng.New(12))
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, s.Name()) {
+						t.Errorf("%s %s: panic %q does not name the sampler", s.Name(), op, msg)
+					}
+				}()
+				churn(e)
 			}()
-			s.RemoveBall(0)
-		}()
+			if e.Cfg().M() != 3 {
+				t.Errorf("%s %s: m = %d after the refused churn, want 3", s.Name(), op, e.Cfg().M())
+			}
+		}
 	}
 }
 

@@ -136,15 +136,16 @@ func (e *Engine) Step() bool {
 }
 
 // AddBall inserts one ball into bin (a dynamic arrival), keeping the
-// configuration and the sampler in lockstep. The activation rate adjusts
-// automatically: Step reads the live m for its Exp(m) gap, and GapSampler
-// implementations schedule the newcomer's own clock. Cost is O(1) for
-// BallList, O(log n) for Fenwick, O(log m) for EventHeap — never an O(m)
-// rebuild.
+// configuration and the ball list in lockstep. The activation rate
+// adjusts automatically: Step reads the live m for its Exp(m) gap. Cost
+// is O(1) on a direct engine and O(log Δ) on a jump engine — never an
+// O(m) rebuild. Only the ball list churns: a direct engine over the
+// Fenwick or event-heap sampler panics.
 func (e *Engine) AddBall(bin int) {
+	list := e.churnList()
 	e.cfg.AddBall(bin)
-	if e.sampler != nil {
-		e.sampler.AddBall(bin)
+	if list != nil {
+		list.AddBall(bin)
 	}
 	if e.gidx != nil {
 		e.gidx.update(e.cfg, bin, -1)
@@ -152,16 +153,32 @@ func (e *Engine) AddBall(bin int) {
 }
 
 // RemoveBall removes one ball from bin (a dynamic departure), keeping the
-// configuration and the sampler in lockstep. Balls being identical, any
-// resident of bin may be the one to leave. It panics if the bin is empty.
+// configuration and the ball list in lockstep. Balls being identical, any
+// resident of bin may be the one to leave. It panics if the bin is empty,
+// and, like AddBall, on a sampler other than the ball list.
 func (e *Engine) RemoveBall(bin int) {
+	list := e.churnList()
 	e.cfg.RemoveBall(bin)
-	if e.sampler != nil {
-		e.sampler.RemoveBall(bin)
+	if list != nil {
+		list.RemoveBall(bin)
 	}
 	if e.gidx != nil {
 		e.gidx.update(e.cfg, bin, -1)
 	}
+}
+
+// churnList returns the ball list churn updates, or nil in jump mode
+// (no sampler). It panics, before any state changes, for the samplers
+// that do not churn.
+func (e *Engine) churnList() *BallList {
+	if e.sampler == nil {
+		return nil
+	}
+	list, ok := e.sampler.(*BallList)
+	if !ok {
+		panic(fmt.Sprintf("sim: the %s sampler does not support churn", e.sampler.Name()))
+	}
+	return list
 }
 
 // RandomBin returns the bin of a uniformly random ball without advancing

@@ -16,20 +16,14 @@ import (
 //
 // EventHeap also implements GapSampler: the engine takes its time
 // increments from the heap instead of drawing Exp(m) gaps.
-// Churn is supported natively: AddBall schedules the newcomer's first
-// ring lazily (on insertion when an RNG is known, else at seed time), and
-// RemoveBall cancels a ball's clock lazily — the departed ball is only
-// marked dead, and its pending event is discarded when it reaches the top
-// of the heap. Ball ids are therefore never reused; a session with heavy
-// sustained churn grows the dead set and should prefer BallList/Fenwick.
+// It serves fixed-m runs (A3's literal-clock reference) and has no churn:
+// an engine over it panics on AddBall/RemoveBall.
 type EventHeap struct {
 	ballBin []int32   // ball -> bin
 	bins    [][]int32 // bin -> ball ids (unordered, for adversarial moves)
-	dead    []bool    // ball -> departed (its events are skipped lazily)
 	events  eventQueue
 	now     float64
 	last    int32 // last activated ball
-	r       *rng.RNG
 }
 
 // GapSampler is implemented by ActivationSamplers that own the event
@@ -69,18 +63,15 @@ func (h *EventHeap) Reset(v loadvec.Vector) {
 	m := v.Balls()
 	h.ballBin = make([]int32, 0, m)
 	h.bins = make([][]int32, len(v))
-	h.dead = make([]bool, 0, m)
 	h.events = make(eventQueue, 0, m)
 	h.now = 0
 	// Initial ring times need randomness, which Reset does not receive;
 	// they are scheduled lazily by seed() on the first NextGap/Sample.
-	h.r = nil
 	id := int32(0)
 	for bin, load := range v {
 		lst := make([]int32, 0, load)
 		for j := 0; j < load; j++ {
 			h.ballBin = append(h.ballBin, int32(bin))
-			h.dead = append(h.dead, false)
 			lst = append(lst, id)
 			id++
 		}
@@ -88,35 +79,21 @@ func (h *EventHeap) Reset(v loadvec.Vector) {
 	}
 }
 
-// seed lazily schedules every live ball's first ring once an RNG is
-// available. Rings are drawn at now + Exp(1), so balls added before the
-// first activation get clocks started at the current instant.
+// seed lazily schedules every ball's first ring at Exp(1) once an RNG is
+// available (the first NextGap or Sample, at time zero).
 func (h *EventHeap) seed(r *rng.RNG) {
 	if len(h.events) > 0 || len(h.ballBin) == 0 {
 		return
 	}
-	h.r = r
 	for ball := range h.ballBin {
-		if h.dead[ball] {
-			continue
-		}
-		h.events = append(h.events, event{time: h.now + r.Exp(1), ball: int32(ball)})
+		h.events = append(h.events, event{time: r.Exp(1), ball: int32(ball)})
 	}
 	heap.Init(&h.events)
 }
 
-// discardDead pops cancelled clocks off the top of the heap (lazy
-// deletion of removed balls).
-func (h *EventHeap) discardDead() {
-	for len(h.events) > 0 && h.dead[h.events[0].ball] {
-		heap.Pop(&h.events)
-	}
-}
-
-// NextGap implements GapSampler: time until the earliest live clock rings.
+// NextGap implements GapSampler: time until the earliest clock rings.
 func (h *EventHeap) NextGap(r *rng.RNG) float64 {
 	h.seed(r)
-	h.discardDead()
 	gap := h.events[0].time - h.now
 	if gap < 0 {
 		gap = 0
@@ -124,12 +101,11 @@ func (h *EventHeap) NextGap(r *rng.RNG) float64 {
 	return gap
 }
 
-// Sample implements ActivationSampler: pops the earliest live ring,
-// advances the sampler clock, reschedules that ball's next ring at
-// +Exp(1), and returns the ball's bin.
+// Sample implements ActivationSampler: pops the earliest ring, advances
+// the sampler clock, reschedules that ball's next ring at +Exp(1), and
+// returns the ball's bin.
 func (h *EventHeap) Sample(r *rng.RNG) int {
 	h.seed(r)
-	h.discardDead()
 	e := h.events[0]
 	h.now = e.time
 	h.last = e.ball
@@ -147,7 +123,7 @@ func (h *EventHeap) MoveBall(src, dst int) {
 	if len(h.ballBin) == 0 {
 		panic("sim: MoveBall before Reset")
 	}
-	if int(h.ballBin[ball]) != src || h.dead[ball] {
+	if int(h.ballBin[ball]) != src {
 		lst := h.bins[src]
 		if len(lst) == 0 {
 			panic("sim: MoveBall from empty bin")
@@ -169,33 +145,6 @@ func (h *EventHeap) removeFromBin(ball int32, bin int) {
 		}
 	}
 	panic("sim: ball not found in its bin")
-}
-
-// AddBall implements ActivationSampler: the newcomer's clock starts at
-// the current instant, its first ring at now + Exp(1) — an O(log m) heap
-// push. Before the heap is seeded (no RNG seen yet) the scheduling is
-// deferred to seed.
-func (h *EventHeap) AddBall(bin int) {
-	id := int32(len(h.ballBin))
-	h.ballBin = append(h.ballBin, int32(bin))
-	h.dead = append(h.dead, false)
-	h.bins[bin] = append(h.bins[bin], id)
-	if h.r != nil {
-		heap.Push(&h.events, event{time: h.now + h.r.Exp(1), ball: id})
-	}
-}
-
-// RemoveBall implements ActivationSampler: an arbitrary ball departs from
-// bin in O(1); its pending clock event is cancelled lazily (discarded
-// when it surfaces at the top of the heap).
-func (h *EventHeap) RemoveBall(bin int) {
-	lst := h.bins[bin]
-	if len(lst) == 0 {
-		panic("sim: RemoveBall from empty bin")
-	}
-	ball := lst[len(lst)-1]
-	h.bins[bin] = lst[:len(lst)-1]
-	h.dead[ball] = true
 }
 
 // Name implements ActivationSampler.

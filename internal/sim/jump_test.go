@@ -233,7 +233,7 @@ func TestFenwickLoadSinglePass(t *testing.T) {
 		if got := f.Load(i); got != want {
 			t.Errorf("Load(%d) = %d, want %d", i, got, want)
 		}
-		if got := f.prefix(i+1) - f.prefix(i); got != want {
+		if got := int(f.t.Prefix(i) - f.t.Prefix(i-1)); got != want {
 			t.Errorf("prefix diff at %d = %d, want %d", i, got, want)
 		}
 	}

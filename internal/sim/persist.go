@@ -3,27 +3,30 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/fenwick"
 	"repro/internal/loadvec"
 	"repro/internal/persist"
 	"repro/internal/rng"
 )
 
-// This file is sim's half of the snapshot codec: the three activation
-// samplers and the sequential Engine (all four protocol shapes: direct,
-// jump, strict jump, graph jump). The Sharded engine runs only inside one
-// Runner call and has no codec.
+// This file is sim's half of the snapshot codec: the ball-list sampler
+// and the sequential Engine (all four protocol shapes: direct, jump,
+// strict jump, graph jump). Those are the engines a Session holds; the
+// Fenwick and event-heap samplers and the Sharded engine run only inside
+// one Runner call and have no codec.
 //
 // DecodeState decodes *into* an engine of the matching shape — the root
 // package's ResumeSession rebuilds the shape from the snapshot header
 // (mode, strict, topology) and then overwrites the engine's state, so
 // movers and topologies never need to be serialized. Everything whose
-// order evolved under simulation (sampler slots, heap order, level lists,
-// RNG words) ships verbatim; everything derivable (Fenwick trees, graph
+// order evolved under simulation (ball-list slots, level lists, RNG
+// words) ships verbatim; everything derivable (Fenwick trees, graph
 // index) is rebuilt through the same code paths the live engine uses.
 
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
+// The numbers are frozen: tags samplerFenwick and samplerEventHeap
+// belonged to those samplers' removed codecs, and artifacts carrying them
+// fail to decode with an error naming the sampler.
 const (
 	samplerNone = iota
 	samplerBallList
@@ -104,135 +107,6 @@ func (b *BallList) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
 	return nil
 }
 
-// encodeState writes the tree's leaves; a Fenwick array is a pure
-// function of them, so From(leaves) round-trips bit-exactly.
-func (f *Fenwick) encodeState(e *persist.Enc) {
-	e.Int(f.n)
-	e.Int(f.m)
-	e.I64s(f.t.Leaves())
-}
-
-func (f *Fenwick) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
-	n := d.Int()
-	m := d.Int()
-	leaves := d.I64s()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != cfg.N() || m != cfg.M() || len(leaves) != n {
-		return persist.Corruptf("fenwick sampler shape %d/%d against config %d/%d", n, len(leaves), cfg.N(), cfg.M())
-	}
-	for i, v := range leaves {
-		if v != int64(cfg.Load(i)) {
-			return persist.Corruptf("fenwick sampler load %d at bin %d, config has %d", v, i, cfg.Load(i))
-		}
-	}
-	f.n = n
-	f.m = m
-	f.t = fenwick.From(leaves)
-	return nil
-}
-
-// encodeState writes the event heap verbatim, lazy clocks included: the
-// heap slice in its array order (a valid heap stays a valid heap), the
-// ball tables, the dead set, the sampler clock, the last-activated
-// hint, and whether the initial rings have been seeded yet.
-func (h *EventHeap) encodeState(e *persist.Enc) {
-	e.I32s(h.ballBin)
-	e.U64(uint64(len(h.bins)))
-	for _, lst := range h.bins {
-		e.I32s(lst)
-	}
-	e.Bools(h.dead)
-	e.F64(h.now)
-	e.Int(int(h.last))
-	e.Bool(h.r != nil)
-	e.U64(uint64(len(h.events)))
-	for _, ev := range h.events {
-		e.F64(ev.time)
-		e.Int(int(ev.ball))
-	}
-}
-
-// decodeState restores the heap in place. r becomes the heap's clock
-// source iff the snapshot was taken after lazy seeding; otherwise the
-// restored heap seeds itself on first use exactly like a fresh one.
-func (h *EventHeap) decodeState(d *persist.Dec, cfg *loadvec.Config, r *rng.RNG) error {
-	ballBin := d.I32s()
-	nbins := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nbins != cfg.N() {
-		return persist.Corruptf("event heap over %d bins, config has %d", nbins, cfg.N())
-	}
-	bins := make([][]int32, nbins)
-	for i := range bins {
-		bins[i] = d.I32s()
-	}
-	dead := d.Bools()
-	now := d.F64()
-	last := d.Int()
-	seeded := d.Bool()
-	nev := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(dead) != len(ballBin) {
-		return persist.Corruptf("event heap with %d balls but %d dead flags", len(ballBin), len(dead))
-	}
-	if len(ballBin) > 0 && (last < 0 || last >= len(ballBin)) {
-		return persist.Corruptf("event heap last-ball hint %d of %d", last, len(ballBin))
-	}
-	live := 0
-	seen := make([]bool, len(ballBin))
-	for bin, lst := range bins {
-		if len(lst) != cfg.Load(bin) {
-			return persist.Corruptf("event heap holds %d balls in bin %d, config has %d", len(lst), bin, cfg.Load(bin))
-		}
-		for _, id := range lst {
-			if id < 0 || int(id) >= len(ballBin) || seen[id] || dead[id] || int(ballBin[id]) != bin {
-				return persist.Corruptf("event heap bin %d holds invalid ball %d", bin, id)
-			}
-			seen[id] = true
-			live++
-		}
-	}
-	if nev < 0 || nev > d.Remaining() {
-		return persist.Corruptf("event heap with %d pending events in %d bytes", nev, d.Remaining())
-	}
-	events := make(eventQueue, nev)
-	for i := range events {
-		t := d.F64()
-		ball := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if ball < 0 || ball >= len(ballBin) {
-			return persist.Corruptf("event %d rings unknown ball %d", i, ball)
-		}
-		if i > 0 && t < events[(i-1)/2].time {
-			return persist.Corruptf("event slice is not a heap at index %d", i)
-		}
-		events[i] = event{time: t, ball: int32(ball)}
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	h.ballBin = ballBin
-	h.bins = bins
-	h.dead = dead
-	h.now = now
-	h.last = int32(last)
-	h.events = events
-	if seeded {
-		h.r = r
-	} else {
-		h.r = nil
-	}
-	return nil
-}
-
 // EncodeState appends the engine's full state: configuration (+ level
 // index), sampler, RNG words, clocks, and counters. The mover, graph
 // topology, and PostMove hook are shape, not state — the decoder's
@@ -244,12 +118,6 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 		enc.Int(samplerNone)
 	case *BallList:
 		enc.Int(samplerBallList)
-		s.encodeState(enc)
-	case *Fenwick:
-		enc.Int(samplerFenwick)
-		s.encodeState(enc)
-	case *EventHeap:
-		enc.Int(samplerEventHeap)
 		s.encodeState(enc)
 	default:
 		panic(fmt.Sprintf("sim: sampler %s has no snapshot codec", e.sampler.Name()))
@@ -292,6 +160,12 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	switch tag {
+	case samplerFenwick:
+		return persist.Corruptf("snapshot sampler tag %d is the fenwick sampler, which has no snapshot codec", tag)
+	case samplerEventHeap:
+		return persist.Corruptf("snapshot sampler tag %d is the event-heap sampler, which has no snapshot codec", tag)
+	}
 	switch s := e.sampler.(type) {
 	case nil:
 		if tag != samplerNone {
@@ -302,20 +176,6 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 			return persist.Corruptf("snapshot sampler tag %d, engine wants ball-list", tag)
 		}
 		if err := s.decodeState(d, cfg); err != nil {
-			return err
-		}
-	case *Fenwick:
-		if tag != samplerFenwick {
-			return persist.Corruptf("snapshot sampler tag %d, engine wants fenwick", tag)
-		}
-		if err := s.decodeState(d, cfg); err != nil {
-			return err
-		}
-	case *EventHeap:
-		if tag != samplerEventHeap {
-			return persist.Corruptf("snapshot sampler tag %d, engine wants event-heap", tag)
-		}
-		if err := s.decodeState(d, cfg, e.r); err != nil {
 			return err
 		}
 	default:

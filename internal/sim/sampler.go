@@ -17,6 +17,10 @@
 //     the same law on load vectors.
 //
 // The two implementations cross-validate each other (experiment A1).
+// Only the ball list churns (AddBall/RemoveBall) and persists
+// (EncodeState/DecodeState): it is the sampler every Session holds. The
+// Fenwick sampler and the literal per-ball-clock EventHeap serve fixed-m
+// runs only.
 //
 // Both samplers serve the *direct* engine, which materializes every
 // activation. NewJumpEngine (jump.go) is the rejection-free alternative:
@@ -42,12 +46,6 @@ type ActivationSampler interface {
 	// MoveBall records that one ball moved from bin src to bin dst.
 	// Balls being identical, the sampler may move any ball residing in src.
 	MoveBall(src, dst int)
-	// AddBall records a new ball arriving in bin (dynamic churn).
-	AddBall(bin int)
-	// RemoveBall records a ball departing from bin (dynamic churn). Balls
-	// being identical, the sampler may remove any ball residing in bin; it
-	// panics if the bin is empty.
-	RemoveBall(bin int)
 	// Name identifies the sampler in benchmarks and logs.
 	Name() string
 }
@@ -90,13 +88,6 @@ func (b *BallList) Sample(r *rng.RNG) int {
 	return int(b.ballBin[r.Intn(len(b.ballBin))])
 }
 
-// RandomBin returns a uniformly random ball's bin without any other state
-// change — the same draw as Sample, exposed for callers (Session churn)
-// that pick a departure target rather than an activation.
-func (b *BallList) RandomBin(r *rng.RNG) int {
-	return b.Sample(r)
-}
-
 // MoveBall implements ActivationSampler, moving an arbitrary ball out of
 // src in O(1) (the last one in src's list).
 func (b *BallList) MoveBall(src, dst int) {
@@ -111,8 +102,8 @@ func (b *BallList) MoveBall(src, dst int) {
 	b.ballBin[ball] = int32(dst)
 }
 
-// AddBall implements ActivationSampler: the new ball takes the next dense
-// id, in O(1).
+// AddBall records a new ball arriving in bin (dynamic churn): it takes
+// the next dense id, in O(1).
 func (b *BallList) AddBall(bin int) {
 	id := int32(len(b.ballBin))
 	b.ballBin = append(b.ballBin, int32(bin))
@@ -120,9 +111,10 @@ func (b *BallList) AddBall(bin int) {
 	b.bins[bin] = append(b.bins[bin], id)
 }
 
-// RemoveBall implements ActivationSampler: an arbitrary ball leaves bin in
-// O(1). The highest ball id is relabelled into the departing slot so ids
-// stay dense and Sample remains a single array index.
+// RemoveBall records a ball departing from bin (dynamic churn): an
+// arbitrary resident leaves in O(1), and it panics if the bin is empty.
+// The highest ball id is relabelled into the departing slot so ids stay
+// dense and Sample remains a single array index.
 func (b *BallList) RemoveBall(bin int) {
 	lst := b.bins[bin]
 	if len(lst) == 0 {
@@ -153,10 +145,10 @@ func (b *BallList) Name() string { return "ball-list" }
 func (b *BallList) Load(i int) int { return len(b.bins[i]) }
 
 // Fenwick samples bins with probability proportional to load using a
-// shared fenwick.Tree over the load vector.
+// shared fenwick.Tree over the load vector. It serves fixed-m runs: it
+// has no churn and no snapshot codec.
 type Fenwick struct {
 	t *fenwick.Tree // bin loads
-	n int
 	m int
 }
 
@@ -165,18 +157,13 @@ func NewFenwick() *Fenwick { return &Fenwick{} }
 
 // Reset implements ActivationSampler.
 func (f *Fenwick) Reset(v loadvec.Vector) {
-	f.n = len(v)
 	f.m = v.Balls()
-	vals := make([]int64, f.n)
+	vals := make([]int64, len(v))
 	for i, load := range v {
 		vals[i] = int64(load)
 	}
 	f.t = fenwick.From(vals)
 }
-
-// prefix returns the sum of loads of bins 1..pos (1-based); tests use it
-// to cross-check Load.
-func (f *Fenwick) prefix(pos int) int { return int(f.t.Prefix(pos - 1)) }
 
 // Sample implements ActivationSampler: draws k uniform in [0, m) and
 // returns the bin holding the (k+1)-th ball in bin order, via the
@@ -191,21 +178,6 @@ func (f *Fenwick) Sample(r *rng.RNG) int {
 func (f *Fenwick) MoveBall(src, dst int) {
 	f.t.Add(src, -1)
 	f.t.Add(dst, +1)
-}
-
-// AddBall implements ActivationSampler: one point update, O(log n).
-func (f *Fenwick) AddBall(bin int) {
-	f.t.Add(bin, +1)
-	f.m++
-}
-
-// RemoveBall implements ActivationSampler: one point update, O(log n).
-func (f *Fenwick) RemoveBall(bin int) {
-	if f.Load(bin) == 0 {
-		panic("sim: RemoveBall from empty bin")
-	}
-	f.t.Add(bin, -1)
-	f.m--
 }
 
 // Name implements ActivationSampler.

@@ -383,11 +383,19 @@ func BenchmarkEngineStepFenwick(b *testing.B) {
 	benchEngineStep(b, NewFenwick())
 }
 
+// stepBatch is how many engine steps one benchmark iteration times, so a
+// run at a tiny -benchtime (bench.sh records 3x) still averages over
+// thousands of steps; ns/op is reported per step.
+const stepBatch = 4096
+
 func benchEngineStep(b *testing.B, s ActivationSampler) {
 	v := loadvec.OneChoice().Generate(1024, 8192, rng.New(1))
 	e := NewEngine(v, rlsRule{}, s, rng.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		for j := 0; j < stepBatch; j++ {
+			e.Step()
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepBatch), "ns/op")
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/loadvec"
 	"repro/internal/persist"
 )
 
@@ -338,6 +339,20 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ResumeSession(bytes.NewReader(c.art))
 			wantRemoved(t, err, c.removed)
+		})
+	}
+
+	// The Fenwick and event-heap samplers' tags (2 and 3) stay reserved,
+	// but those samplers have no snapshot codec: a direct snapshot whose
+	// sampler tag is rewritten to either fails as corrupt, naming it.
+	direct := directSnapshot(t)
+	for _, c := range []struct {
+		tag     int
+		sampler string
+	}{{2, "fenwick sampler"}, {3, "event-heap sampler"}} {
+		t.Run(fmt.Sprintf("sampler-tag-%d", c.tag), func(t *testing.T) {
+			_, err := ResumeSession(bytes.NewReader(withSamplerTag(t, direct, c.tag)))
+			wantRemoved(t, err, c.sampler)
 		})
 	}
 
@@ -734,6 +749,43 @@ func rewriteSnapshot(t testing.TB, art []byte, meta func(mode, gsampler *int), p
 	return out.Bytes()
 }
 
+// directSnapshot is a direct session's snapshot: its engine payload
+// carries the ball-list sampler tag.
+func directSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	s := newSession(tb, Spec{}, 8, 4)
+	for i := 0; i < 24; i++ {
+		s.AddBallRandom()
+	}
+	if err := s.RunFor(1); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withSamplerTag rewrites a direct snapshot's sampler tag, which follows
+// the configuration state in the engine payload, to tag.
+func withSamplerTag(tb testing.TB, art []byte, tag int) []byte {
+	tb.Helper()
+	return rewriteSnapshot(tb, art, nil, func(payload []byte) {
+		d := persist.NewDec(payload)
+		if _, err := loadvec.DecodeConfigState(d); err != nil {
+			tb.Fatal(err)
+		}
+		off := len(payload) - d.Remaining()
+		if got := persist.NewDec(payload[off:]).Int(); got != 1 {
+			tb.Fatalf("sampler tag %d, want the ball list's 1", got)
+		}
+		var e persist.Enc
+		e.Int(tag)
+		copy(payload[off:], e.Bytes()) // small tags are one varint byte
+	})
+}
+
 // TestTraceMetaGraphFamilies pins the archive header strings for the
 // expander and random-regular topology codes.
 func TestTraceMetaGraphFamilies(t *testing.T) {
@@ -805,6 +857,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, n := range hugeExpanderBins {
 		f.Add(forgeHeader(f, persist.MagicSnapshot, n, []byte{0}))
 	}
+	// The sampler tags without a codec, behind valid CRCs.
+	direct := directSnapshot(f)
+	f.Add(withSamplerTag(f, direct, 2))
+	f.Add(withSamplerTag(f, direct, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {

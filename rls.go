@@ -2,6 +2,7 @@ package rls
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/hetero"
@@ -13,28 +14,71 @@ import (
 // Placement chooses the initial configuration of balls in bins.
 type Placement struct {
 	gen loadvec.Generator
+	// fit, when non-nil, says why the placement cannot hold m balls in n
+	// bins; Run returns that error before generating anything.
+	fit func(n, m int) error
 }
 
 // AllInOne places every ball in bin 0 — the paper's worst case.
-func AllInOne() Placement { return Placement{loadvec.AllInOne()} }
+func AllInOne() Placement { return Placement{gen: loadvec.AllInOne()} }
 
 // Random throws each ball into a uniformly random bin (one-choice).
-func Random() Placement { return Placement{loadvec.OneChoice()} }
+func Random() Placement { return Placement{gen: loadvec.OneChoice()} }
 
 // TwoChoice places each ball greedily in the lesser loaded of two uniform
 // samples (Greedy[2]).
-func TwoChoice() Placement { return Placement{loadvec.TwoChoice()} }
+func TwoChoice() Placement { return Placement{gen: loadvec.TwoChoice()} }
 
 // Spread places balls as evenly as possible (a perfectly balanced start).
-func Spread() Placement { return Placement{loadvec.Balanced()} }
+func Spread() Placement { return Placement{gen: loadvec.Balanced()} }
 
 // DeltaPair starts balanced except one bin at ∅+delta and one at
-// ∅−delta; DeltaPair(1) is the paper's Ω(n²/m) lower-bound instance.
-func DeltaPair(delta int) Placement { return Placement{loadvec.DeltaPair(delta)} }
+// ∅−delta; DeltaPair(1) is the paper's Ω(n²/m) lower-bound instance. It
+// needs delta ≥ 1, n ≥ 2, and at least delta balls in bin 1 of the
+// balanced start; Run reports an error otherwise.
+func DeltaPair(delta int) Placement {
+	p := Placement{fit: func(n, m int) error {
+		if delta < 1 {
+			return fmt.Errorf("rls: DeltaPair(%d) needs delta >= 1", delta)
+		}
+		if n < 2 {
+			return fmt.Errorf("rls: DeltaPair needs at least 2 bins, got %d", n)
+		}
+		// Bin 1 of the balanced start gives the delta balls away.
+		low := m / n
+		if m%n > 1 {
+			low++
+		}
+		if low < delta {
+			return fmt.Errorf("rls: DeltaPair(%d) takes %d balls from a bin holding %d at n=%d, m=%d", delta, delta, low, n, m)
+		}
+		return nil
+	}}
+	if delta >= 1 {
+		p.gen = loadvec.DeltaPair(delta)
+	}
+	return p
+}
 
-// FromLoads uses the given explicit load vector (copied).
+// FromLoads uses the given explicit load vector (copied). It must have
+// one non-negative entry per bin summing to the ball count; Run reports
+// an error otherwise.
 func FromLoads(loads []int) Placement {
-	return Placement{loadvec.FromVector(loadvec.Vector(loads).Clone())}
+	v := loadvec.Vector(loads).Clone()
+	return Placement{gen: loadvec.FromVector(v), fit: func(n, m int) error {
+		if len(v) != n {
+			return fmt.Errorf("rls: FromLoads has %d loads for %d bins", len(v), n)
+		}
+		for i, load := range v {
+			if load < 0 {
+				return fmt.Errorf("rls: FromLoads has negative load %d at bin %d", load, i)
+			}
+		}
+		if v.Balls() != m {
+			return fmt.Errorf("rls: FromLoads holds %d balls, the runner has %d", v.Balls(), m)
+		}
+		return nil
+	}}
 }
 
 // targetKind identifies which stop condition a Target expresses, so
@@ -76,6 +120,36 @@ func UntilBalanced(x float64) Target {
 // UntilTime stops at continuous time t.
 func UntilTime(t float64) Target {
 	return Target{kind: targetTime, arg: t, stop: sim.UntilTime(t), desc: fmt.Sprintf("t=%g", t)}
+}
+
+// check rejects a target no run over m balls can meet or stop short of:
+// a NaN or infinite threshold or horizon, and a horizon past
+// checkHorizon's activation bound.
+func (t Target) check(m int) error {
+	switch t.kind {
+	case targetBalanced:
+		if math.IsNaN(t.arg) || math.IsInf(t.arg, 0) {
+			return fmt.Errorf("rls: balance threshold %g is not finite", t.arg)
+		}
+	case targetTime:
+		return checkHorizon(t.arg, m, 0)
+	}
+	return nil
+}
+
+// checkHorizon rejects running m balls for d more time units after acts
+// activations when d is NaN or infinite, or when the expected activation
+// count acts + m·d reaches 2^62: the jump engine tallies a flat
+// stretch's null activations in one Poisson draw, and the counter must
+// hold it.
+func checkHorizon(d float64, m int, acts int64) error {
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Errorf("rls: run horizon %g is not finite", d)
+	}
+	if float64(acts)+float64(m)*d >= 1<<62 {
+		return fmt.Errorf("rls: run horizon %g at m=%d needs more than 2^62 activations", d, m)
+	}
+	return nil
 }
 
 // Topology restricts destination sampling to a graph neighborhood
@@ -358,7 +432,9 @@ func (r *Runner) stop() func(e *sim.Engine) bool {
 }
 
 // Run executes one run and returns its Result. Configuration errors
-// (see Spec.Validate) are returned, not panicked.
+// (see Spec.Validate), a placement that does not fit (n, m), and a NaN or
+// infinite target threshold or horizon (or one past 2^62 activations)
+// are returned, not panicked.
 func (r *Runner) Run() (Result, error) {
 	res, _, err := r.run(0)
 	return res, err
@@ -375,6 +451,14 @@ func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
 func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 	if err := r.spec.Validate(r.n); err != nil {
 		return Result{}, nil, err
+	}
+	if err := r.target.check(r.m); err != nil {
+		return Result{}, nil, err
+	}
+	if fit := r.placement.fit; fit != nil {
+		if err := fit(r.n, r.m); err != nil {
+			return Result{}, nil, err
+		}
 	}
 	stream := rng.New(r.seed)
 	v := r.placement.gen.Generate(r.n, r.m, stream)

@@ -360,3 +360,81 @@ func TestSessionRunUntilPerfectHugeBudget(t *testing.T) {
 		t.Fatalf("RunUntilPerfect(MaxInt64) = %v, %v; want true", ok, err)
 	}
 }
+
+// TestSessionRunForBadHorizon: a NaN or infinite horizon, or one whose
+// null activations would overflow the counter, is an error that leaves
+// the session as it was. On a flat jump session the whole stretch is one
+// Poisson tally, which used to wrap to a negative activation count; a NaN
+// horizon used to spin the whole activation budget.
+func TestSessionRunForBadHorizon(t *testing.T) {
+	for _, mode := range []EngineMode{JumpEngine, DirectEngine} {
+		s := NewSession(4, 9, WithSessionEngineMode(mode))
+		for i := 0; i < 4; i++ {
+			if err := s.AddBall(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.RunFor(1); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		for _, d := range []float64{1e19, math.Inf(1), math.Inf(-1), math.NaN()} {
+			if err := s.RunFor(d); err == nil {
+				t.Fatalf("%s: RunFor(%g) accepted", mode, d)
+			}
+			if after := s.Stats(); after != before {
+				t.Fatalf("%s: RunFor(%g) changed the session: %+v, was %+v", mode, d, after, before)
+			}
+		}
+	}
+}
+
+// TestRunBadTarget: a Runner answers a NaN or infinite threshold or
+// horizon, and a horizon past the activation counter, with an error
+// instead of spinning its budget or wrapping the counter.
+func TestRunBadTarget(t *testing.T) {
+	for _, c := range []struct {
+		mode   EngineMode
+		target Target
+	}{
+		{DirectEngine, UntilTime(math.NaN())},
+		{JumpEngine, UntilTime(1e19)},
+		{JumpEngine, UntilTime(math.Inf(1))},
+		{DirectEngine, UntilBalanced(math.NaN())},
+		{DirectEngine, UntilBalanced(math.Inf(1))},
+		{JumpEngine, UntilBalanced(math.Inf(-1))},
+	} {
+		r := New(4, 4, WithPlacement(Spread()), WithEngineMode(c.mode), WithTarget(c.target), WithActivationBudget(1000))
+		if res, err := r.Run(); err == nil {
+			t.Errorf("%s %s: Run accepted, got %+v", c.mode, c.target, res)
+		}
+		if _, _, err := r.RunTraced(10); err == nil {
+			t.Errorf("%s %s: RunTraced accepted", c.mode, c.target)
+		}
+	}
+}
+
+// TestPlacementMisfitErrors: a placement that cannot hold m balls in n
+// bins is an error from Run and RunTraced, not a panic.
+func TestPlacementMisfitErrors(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		n, m      int
+		placement func() Placement
+	}{
+		{"FromLoads wrong length and sum", 4, 3, func() Placement { return FromLoads([]int{1, 2}) }},
+		{"FromLoads negative entry", 2, 2, func() Placement { return FromLoads([]int{-1, 3}) }},
+		{"DeltaPair(1) at m < n", 8, 1, func() Placement { return DeltaPair(1) }},
+		{"DeltaPair(0)", 8, 32, func() Placement { return DeltaPair(0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := New(c.n, c.m, WithPlacement(c.placement()))
+			if res, err := r.Run(); err == nil {
+				t.Errorf("Run accepted, got %+v", res)
+			}
+			if _, _, err := r.RunTraced(10); err == nil {
+				t.Error("RunTraced accepted")
+			}
+		})
+	}
+}

@@ -20,9 +20,11 @@
 # times the layers under the engines: 512 uniform draws, batched vs
 # scalar (BenchmarkFillIntn), one configuration move with its tracked
 # statistics (BenchmarkConfigMove) and one direct-engine step per
-# activation sampler (BenchmarkEngineStep{BallList,Fenwick}). Shard ratios need as many
-# hardware threads as shards — the JSON header records the core count
-# and GOMAXPROCS.
+# activation sampler (BenchmarkEngineStep{BallList,Fenwick}); the last
+# two time a batch of 4096 ops per iteration and report ns/op per op, so
+# the default 3x still averages thousands of them. Shard ratios need as
+# many hardware threads as shards — the JSON header records the core
+# count and GOMAXPROCS.
 #
 # The default output name is derived from the tracked files: highest
 # existing BENCH_PR<k>.json plus one, so recording a new PR's numbers is

@@ -223,7 +223,8 @@ func (s *Session) RemoveRandomBall() (int, error) {
 }
 
 // RunFor advances the protocol by duration d of continuous time on the
-// live engine. The session lock is held for the whole stretch: concurrent
+// live engine. A NaN or infinite d, or one that needs 2^62 activations or
+// more, is an error and changes nothing. The session lock is held for the whole stretch: concurrent
 // churn and stats calls block until the run returns (see the Concurrency
 // section on Session).
 func (s *Session) RunFor(d float64) error {
@@ -231,6 +232,9 @@ func (s *Session) RunFor(d float64) error {
 	defer s.mu.Unlock()
 	if s.engine.Cfg().M() == 0 {
 		return fmt.Errorf("rls: session has no balls")
+	}
+	if err := checkHorizon(d, s.engine.Cfg().M(), s.engine.Activations()); err != nil {
+		return err
 	}
 	// The horizon clamps jump-mode blocks exactly at the end (direct mode
 	// ignores it); clear it afterwards — the engine persists across runs.
