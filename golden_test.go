@@ -109,7 +109,7 @@ func TestGoldenDirectRuns(t *testing.T) {
 	}
 }
 
-// TestGoldenJumpVariants pins the strict-jump and graph-jump engines'
+// TestGoldenJumpVariants pins the plain, strict and graph jump engines'
 // fixed-seed outputs. These guard the PR 6 machinery — the tie-gap level
 // index and the per-source admissible structure — the same way the direct
 // goldens guard the activation path: a mismatch means the variant's draw
@@ -132,6 +132,36 @@ func TestGoldenJumpVariants(t *testing.T) {
 			acts:    1386,
 			moves:   320,
 			loadSum: 0x79c21ec9e9d0c725,
+		},
+		{
+			name: "jump/all-in-one/n=64,m=4096,seed=21",
+			run: func() (Result, error) {
+				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine)).Run()
+			},
+			time:    "40122a08632b84f1",
+			acts:    18664,
+			moves:   7847,
+			loadSum: 0xf21978e6eba74b25,
+		},
+		{
+			name: "jump/random/n=64,m=4096,seed=21",
+			run: func() (Result, error) {
+				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine), WithPlacement(Random())).Run()
+			},
+			time:    "3ff22e65a13e656c",
+			acts:    4614,
+			moves:   761,
+			loadSum: 0xf21978e6eba74b25,
+		},
+		{
+			name: "strict-jump/all-in-one/n=64,m=4096,seed=23",
+			run: func() (Result, error) {
+				return New(64, 4096, WithSeed(23), WithEngineMode(JumpEngine), WithStrictTieRule()).Run()
+			},
+			time:    "4014f183f5abf1e5",
+			acts:    21541,
+			moves:   5085,
+			loadSum: 0xf21978e6eba74b25,
 		},
 		{
 			name: "ring-jump/n=32,m=64,seed=5",
@@ -216,6 +246,63 @@ func TestGoldenSessionChurn(t *testing.T) {
 		wantActs  = int64(1904)
 		wantMoves = int64(429)
 		wantHash  = uint64(0x0fbf28e4e8bb0185)
+	)
+	if got := goldenTime(s.Time()); got != wantTime {
+		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())
+	}
+	if s.Activations() != wantActs {
+		t.Errorf("activations = %d, want %d", s.Activations(), wantActs)
+	}
+	if s.Moves() != wantMoves {
+		t.Errorf("moves = %d, want %d", s.Moves(), wantMoves)
+	}
+	if got := goldenHash(s.Loads()); got != wantHash {
+		t.Errorf("loads hash = %#x, want %#x", got, wantHash)
+	}
+}
+
+// TestGoldenJumpSessionChurn is TestGoldenSessionChurn's jump-mode twin:
+// churn interleaved with RunFor and RunUntilPerfect on a session whose
+// departures draw through the level index's SampleBallBin. It pins the
+// jump engine's churn path end to end, including the first
+// RemoveRandomBall of a session that has only added balls and run.
+func TestGoldenJumpSessionChurn(t *testing.T) {
+	s, err := Spec{Mode: JumpEngine}.NewSession(16, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		s.AddBallRandom()
+	}
+	if ok, err := s.RunUntilPerfect(1_000_000); err != nil || !ok {
+		t.Fatalf("initial balance failed: %v", err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.AddBall(i % 16); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RemoveRandomBall(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunFor(0.25); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			for j := 0; j < 40; j++ {
+				if err := s.AddBall(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ok, err := s.RunUntilPerfect(1_000_000); err != nil || !ok {
+				t.Fatalf("round %d: rebalance failed: %v", i, err)
+			}
+		}
+	}
+	const (
+		wantTime  = "40379082be10f64d"
+		wantActs  = int64(4964)
+		wantMoves = int64(1247)
+		wantHash  = uint64(0x3c6a04d653d94c25)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())

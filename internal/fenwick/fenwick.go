@@ -1,6 +1,6 @@
 // Package fenwick is the one Fenwick (binary indexed) tree shared by
 // every layer that needs prefix sums with point updates: the level
-// index's per-level count/ball/move-weight trees, the jump engine's
+// index's per-level move-weight and ball trees, the jump engine's
 // graph move-weight index, the Fenwick activation sampler, and the open
 // system's job sampler. Deduplicating the historical copies means the
 // persist codec serializes exactly one tree shape, and a tree's array

@@ -197,8 +197,7 @@ func (c *Config) Move(src, dst int) {
 	}
 
 	if c.idx != nil {
-		c.idx.transition(src, v, v-1)
-		c.idx.transition(dst, w, w+1)
+		c.idx.move(src, v, dst, w)
 		c.idx.shrink(c.max)
 	}
 }

@@ -14,16 +14,22 @@ import (
 //
 //   - binsAt[v] lists the bins currently at load v (swap-delete, O(1)),
 //     so a uniform bin within a level is one array index;
-//   - cnt is a Fenwick tree over count[v], giving the prefix bin count
-//     C(v) = #{bins with load ≤ v} and weighted level sampling for the
-//     destination side;
-//   - bal is a Fenwick tree over v·count[v] (total weight m), giving
-//     load-proportional — i.e. uniform-ball — bin sampling;
+//   - cum[v] is the prefix bin count C(v) = #{bins with load ≤ v}. A
+//     transition moves one bin by one level, so it changes C at exactly
+//     one level, min(from, to): an O(1) update, an O(1) read of the
+//     eligible-destination count C(v−gap), and a binary search over
+//     [min, v−gap] for the weighted destination level;
 //   - mvw is a Fenwick tree over the per-level move weight
 //     s[v] = v·count[v]·C(v−gap), whose total W = Σ_v s[v] is exactly
 //     (m·n)·P(a uniform activation is a productive move): the activated
 //     ball sits at level v with probability v·count[v]/m and its uniform
-//     destination accepts with probability C(v−gap)/n.
+//     destination accepts with probability C(v−gap)/n;
+//   - bal is a Fenwick tree over v·count[v] (total weight m), giving
+//     load-proportional — i.e. uniform-ball — bin sampling. Only
+//     SampleBallBin reads it, so it is built from the lists on the first
+//     SampleBallBin and kept in step from then on; a run that never
+//     samples a ball (every Runner jump run, a graph engine's sweep)
+//     never pays for it.
 //
 // gap encodes the tie rule: 1 is plain RLS (move iff ℓ_src ≥ ℓ_dst + 1,
 // destinations with load ≤ v−1 are eligible), 2 is the strict rule of
@@ -31,22 +37,25 @@ import (
 //
 // A level transition touches count at two adjacent levels and C at one,
 // so at most three s-entries change (two for gap = 1, where the C-shift
-// lands on a level whose count also changed) and every update is
-// O(log Δ) in the indexed level range. The index is self-contained: it
-// reads only its own lists and trees, never the Config histogram
-// mid-update, so the two transitions of a Move may be applied
-// sequentially.
+// lands on a level whose count also changed); each costs one O(log Δ)
+// move-weight update in the indexed level range, plus two more for the
+// ball tree once it is built. A Move is two transitions, applied to the
+// lists in order and refreshed together, so a level both touch takes one
+// update; a neutral Move (destination one level below the source) changes
+// no count at all and touches only the lists. The index is
+// self-contained: it reads only its own lists, prefix counts and trees,
+// never the Config histogram mid-update.
 //
-// The move-weight state (cnt, mvw, sval, wTotal) is nil in the
+// The move-weight state (cum, mvw, sval, wTotal) is nil in the
 // ball-sampling-only shape (EnableBallIndex): an engine that owns its own
 // move weight, like the graph jump engine, reads only SampleBallBin, so
-// its index keeps binsAt, pos and bal and nothing else.
+// its index keeps binsAt, pos and (once sampled) bal and nothing else.
 type levelIndex struct {
 	gap    int           // tie rule: eligible destinations have load ≤ v−gap
 	binsAt [][]int32     // level -> bins at that level (unordered)
 	pos    []int32       // bin -> position within binsAt[load]
-	bal    *fenwick.Tree // v·count[v]
-	cnt    *fenwick.Tree // count[v]; nil in the ball-sampling-only shape
+	bal    *fenwick.Tree // v·count[v]; nil until the first SampleBallBin
+	cum    []int64       // C(v) = #{bins with load ≤ v}; nil in the ball-sampling-only shape
 	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap); nil likewise
 	sval   []int64       // current s[v] values (to derive Fenwick deltas); nil likewise
 	wTotal int64         // W = Σ_v s[v]; 0 in the ball-sampling-only shape
@@ -65,19 +74,20 @@ func levelSize(max int) int {
 }
 
 // emptyLevelIndex allocates an index over n bins and size levels with
-// empty lists and unbuilt trees, in the full shape when weighted and the
-// ball-sampling-only shape otherwise. Callers fill binsAt and pos, then
+// empty lists and unbuilt move-weight state, in the full shape when
+// weighted and the ball-sampling-only shape otherwise; the ball tree is
+// left for the first SampleBallBin. Callers fill binsAt and pos, then
 // call rebuildTrees.
 func emptyLevelIndex(n, size, gap int, weighted bool) *levelIndex {
 	x := &levelIndex{
 		gap:    gap,
 		binsAt: make([][]int32, size),
 		pos:    make([]int32, n),
-		bal:    new(fenwick.Tree),
 		size:   size,
 	}
 	if weighted {
-		x.cnt, x.mvw = new(fenwick.Tree), new(fenwick.Tree)
+		x.mvw = new(fenwick.Tree)
+		x.cum = make([]int64, size)
 		x.sval = make([]int64, size)
 	}
 	return x
@@ -96,37 +106,43 @@ func newLevelIndex(c *Config, gap int, weighted bool) *levelIndex {
 	return x
 }
 
-// rebuildTrees derives the Fenwick trees (and sval/wTotal) of the index's
-// shape from the binsAt lists alone. Used on construction and when the
-// level range grows or shrinks; existing trees are reset in place.
+// rebuildTrees derives the prefix counts, the move-weight tree (with
+// sval/wTotal) and, once built, the ball tree from the binsAt lists
+// alone. Used on construction and when the level range grows or shrinks;
+// existing trees are reset in place.
 func (x *levelIndex) rebuildTrees() {
-	x.bal.Reset(x.size)
-	for v, lst := range x.binsAt {
-		if v > 0 && len(lst) > 0 {
-			x.bal.Add(v, int64(v)*int64(len(lst)))
-		}
+	if x.bal != nil {
+		x.buildBall()
 	}
 	if x.mvw == nil {
 		return
 	}
-	x.cnt.Reset(x.size)
+	var c int64
+	for v, lst := range x.binsAt {
+		c += int64(len(lst))
+		x.cum[v] = c
+	}
 	x.mvw.Reset(x.size)
 	x.wTotal = 0
-	for v, lst := range x.binsAt {
-		if len(lst) > 0 {
-			x.cnt.Add(v, int64(len(lst)))
-		}
-	}
 	for v := range x.sval {
-		x.sval[v] = 0
-		if v > 0 {
-			if cn := int64(len(x.binsAt[v])); cn > 0 {
-				x.sval[v] = int64(v) * cn * x.cnt.Prefix(v-x.gap)
-			}
-		}
+		x.sval[v] = x.weightAt(v)
 		if x.sval[v] != 0 {
 			x.mvw.Add(v, x.sval[v])
 			x.wTotal += x.sval[v]
+		}
+	}
+}
+
+// buildBall (re)builds the ball tree from the lists, allocating it on
+// first use.
+func (x *levelIndex) buildBall() {
+	if x.bal == nil {
+		x.bal = new(fenwick.Tree)
+	}
+	x.bal.Reset(x.size)
+	for v, lst := range x.binsAt {
+		if v > 0 && len(lst) > 0 {
+			x.bal.Add(v, int64(v)*int64(len(lst)))
 		}
 	}
 }
@@ -159,13 +175,15 @@ func (x *levelIndex) shrink(max int) {
 }
 
 // resize sets the indexed level range to size levels and rebuilds the
-// trees in place. Levels cut off hold no bins, and binsAt/sval past their
-// length keep only empty lists and zero weights, so a later grow within
-// capacity reslices instead of allocating.
+// prefix counts and trees in place. Levels cut off hold no bins, and
+// binsAt/sval past their length keep only empty lists and zero weights,
+// so a later grow within capacity reslices instead of allocating (cum is
+// rewritten whole by the rebuild).
 func (x *levelIndex) resize(size int) {
 	x.binsAt = resized(x.binsAt, size)
 	if x.sval != nil {
 		x.sval = resized(x.sval, size)
+		x.cum = resized(x.cum, size)
 	}
 	x.size = size
 	x.rebuildTrees()
@@ -181,15 +199,60 @@ func resized[T any](s []T, n int) []T {
 }
 
 // transition records that bin moved from level `from` to level `to`
-// (|from−to| = 1). It updates the lists and the ball-weight tree and, in
-// the full shape, the count tree, refreshing the move weight at exactly
-// the levels whose inputs changed: count at from/to, and C at min(from,to)
-// which feeds s[min+gap] — for gap = 1 that is s[max], already refreshed;
-// for gap = 2 it is the extra level max+1.
+// (|from−to| = 1), a churn arrival or departure: shift, then refresh the
+// move weight around the shift.
 func (x *levelIndex) transition(bin, from, to int) {
+	x.shift(bin, from, to)
+	x.refreshAround(from, to)
+}
+
+// move records a Move of one ball from src (at level v) to dst (at level
+// w): src shifts down, then dst shifts up, in that order, since the list
+// order is simulation state. A neutral move (w = v−1) trades two bins
+// between adjacent levels and leaves every count — hence the ball tree,
+// the prefix counts and the move weight — unchanged, so only the lists
+// move. Otherwise the move weight is refreshed once both shifts are in,
+// so a level both shifts touch takes one tree update, not two.
+func (x *levelIndex) move(src, v, dst, w int) {
+	if w == v-1 {
+		x.relist(src, v, v-1)
+		x.relist(dst, w, w+1)
+		return
+	}
+	x.shift(src, v, v-1)
+	x.shift(dst, w, w+1)
+	x.refreshAround(v, v-1)
+	x.refreshAround(w, w+1)
+}
+
+// shift moves bin from level `from` to level `to` (|from−to| = 1) in the
+// lists, the ball tree once built and, in the full shape, the prefix
+// counts, where only C(min(from, to)) changes. The move weight is left to
+// refreshAround.
+func (x *levelIndex) shift(bin, from, to int) {
 	if to >= x.size {
 		x.grow(to)
 	}
+	x.relist(bin, from, to)
+	if x.bal != nil {
+		if from > 0 {
+			x.bal.Add(from, int64(-from))
+		}
+		if to > 0 {
+			x.bal.Add(to, int64(to))
+		}
+	}
+	if x.cum != nil {
+		if to < from {
+			x.cum[to]++ // the bin joins level `to` from above
+		} else {
+			x.cum[from]-- // the bin leaves level `from` upward
+		}
+	}
+}
+
+// relist swap-deletes bin from binsAt[from] and appends it to binsAt[to].
+func (x *levelIndex) relist(bin, from, to int) {
 	lst := x.binsAt[from]
 	p := x.pos[bin]
 	last := lst[len(lst)-1]
@@ -198,45 +261,49 @@ func (x *levelIndex) transition(bin, from, to int) {
 	x.binsAt[from] = lst[:len(lst)-1]
 	x.pos[bin] = int32(len(x.binsAt[to]))
 	x.binsAt[to] = append(x.binsAt[to], int32(bin))
+}
 
-	if from > 0 {
-		x.bal.Add(from, int64(-from))
-	}
-	if to > 0 {
-		x.bal.Add(to, int64(to))
-	}
+// refreshAround refreshes the move weight at exactly the levels a shift
+// between `from` and `to` changes the inputs of: count at from/to, and C
+// at lo = min(from, to), which feeds s[lo+gap] — for gap = 1 that is
+// s[max(from, to)], already refreshed; for gap = 2 it is the extra level
+// lo+2. A no-op in the ball-sampling-only shape.
+func (x *levelIndex) refreshAround(from, to int) {
 	if x.mvw == nil {
 		return
 	}
-	x.cnt.Add(from, -1)
-	x.cnt.Add(to, 1)
 	x.refreshWeight(from)
 	x.refreshWeight(to)
-	if x.gap > 1 {
-		lo := from
-		if to < lo {
-			lo = to
-		}
-		// C(lo) changed; it feeds s[lo+gap], which for gap > 1 is neither
-		// `from` nor `to`. Levels at or past x.size hold no bins (s = 0).
-		if u := lo + x.gap; u < x.size {
-			x.refreshWeight(u)
-		}
+	// Levels at or past x.size hold no bins (s = 0).
+	if u := min(from, to) + x.gap; x.gap > 1 && u < x.size {
+		x.refreshWeight(u)
 	}
 }
 
-// refreshWeight recomputes s[v] = v·count[v]·C(v−gap) from the live
-// trees and applies the difference as a point update.
-func (x *levelIndex) refreshWeight(v int) {
-	var s int64
-	if v > 0 {
-		if cn := int64(len(x.binsAt[v])); cn > 0 {
-			s = int64(v) * cn * x.cnt.Prefix(v-x.gap)
-		}
+// below returns C(v−gap), the number of bins eligible as destinations of
+// a move from level v.
+func (x *levelIndex) below(v int) int64 {
+	if w := v - x.gap; w >= 0 {
+		return x.cum[w]
 	}
-	if d := s - x.sval[v]; d != 0 {
+	return 0
+}
+
+// weightAt computes s[v] = v·count[v]·C(v−gap) from the lists and the
+// prefix counts.
+func (x *levelIndex) weightAt(v int) int64 {
+	if cn := int64(len(x.binsAt[v])); v > 0 && cn > 0 {
+		return int64(v) * cn * x.below(v)
+	}
+	return 0
+}
+
+// refreshWeight recomputes s[v] and applies the difference to the
+// move-weight tree as a point update.
+func (x *levelIndex) refreshWeight(v int) {
+	if d := x.weightAt(v) - x.sval[v]; d != 0 {
 		x.mvw.Add(v, d)
-		x.sval[v] = s
+		x.sval[v] += d
 		x.wTotal += d
 	}
 }
@@ -247,12 +314,15 @@ func (x *levelIndex) clone() *levelIndex {
 		gap:    x.gap,
 		binsAt: make([][]int32, len(x.binsAt)),
 		pos:    append([]int32(nil), x.pos...),
-		bal:    x.bal.Clone(),
 		wTotal: x.wTotal,
 		size:   x.size,
 	}
+	if x.bal != nil {
+		cp.bal = x.bal.Clone()
+	}
 	if x.mvw != nil {
-		cp.cnt, cp.mvw = x.cnt.Clone(), x.mvw.Clone()
+		cp.mvw = x.mvw.Clone()
+		cp.cum = append([]int64(nil), x.cum...)
 		cp.sval = append([]int64(nil), x.sval...)
 	}
 	for v, lst := range x.binsAt {
@@ -265,16 +335,18 @@ func (x *levelIndex) clone() *levelIndex {
 
 // EnableLevelIndex builds the level index over the current configuration
 // for plain RLS (tie gap 1). Subsequent Move/AddBall/RemoveBall calls
-// maintain it incrementally in O(log Δ); until enabled, Config carries no
-// index and pays nothing. Enabling twice is a no-op.
+// maintain it incrementally in O(log Δ) (amortized over the range's grows
+// and shrinks); until enabled, Config carries no index and pays nothing.
+// Enabling twice is a no-op.
 func (c *Config) EnableLevelIndex() { c.enableLevelIndex(1, true) }
 
 // EnableBallIndex builds the level index in its ball-sampling-only shape:
-// it maintains the per-level bin lists and the ball-weight tree that
-// SampleBallBin reads, with the same grow and shrink, and none of the
-// move-weight state — MoveWeight and SampleMovePair panic on it. It is
-// the shape for engines that own their move weight, such as the graph
-// jump engine. Its snapshot encoding is the plain index's (tie gap 1).
+// it maintains the per-level bin lists and the ball tree that
+// SampleBallBin reads (built on its first call), with the same grow and
+// shrink, and none of the move-weight state — MoveWeight and
+// SampleMovePair panic on it. It is the shape for engines that own their
+// move weight, such as the graph jump engine. Its snapshot encoding is
+// the plain index's (tie gap 1).
 func (c *Config) EnableBallIndex() { c.enableLevelIndex(1, false) }
 
 // EnableStrictLevelIndex builds the level index for the strict tie rule
@@ -350,15 +422,32 @@ func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	v, _ := x.mvw.Find(r.Int63n(x.wTotal))
 	lst := x.binsAt[v]
 	src = int(lst[r.Intn(len(lst))])
-	below := x.cnt.Prefix(v - x.gap) // ≥ 1: s[v] > 0 requires an eligible level
-	w, rem := x.cnt.Find(r.Int63n(below))
-	dst = int(x.binsAt[w][rem])
+	// The destination is the u-th bin in level order among the C(v−gap)
+	// eligible ones (≥ 1: s[v] > 0 requires an eligible level): its level
+	// is the first w with C(w) > u, which lies in [min, v−gap] since
+	// C(min−1) = 0 ≤ u < C(v−gap).
+	u := r.Int63n(x.below(v))
+	lo, hi := c.min, v-x.gap
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); x.cum[mid] > u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 {
+		u -= x.cum[lo-1]
+	}
+	dst = int(x.binsAt[lo][u])
 	return src, dst
 }
 
 // SampleBallBin returns the bin of a uniformly random ball (bins sampled
 // proportionally to load, uniform within a level) in O(log Δ) without any
-// per-ball state. It panics if the index is disabled or no balls exist.
+// per-ball state. The first call builds the index's ball tree in O(Δ),
+// and every later transition keeps it in step, so SampleBallBin mutates
+// the index even though the configuration does not change. It panics if
+// the index is disabled or no balls exist.
 func (c *Config) SampleBallBin(r *rng.RNG) int {
 	x := c.idx
 	if x == nil {
@@ -367,14 +456,17 @@ func (c *Config) SampleBallBin(r *rng.RNG) int {
 	if c.m == 0 {
 		panic("loadvec: SampleBallBin with no balls")
 	}
+	if x.bal == nil {
+		x.buildBall()
+	}
 	v, rem := x.bal.Find(r.Int63n(int64(c.m)))
 	return int(x.binsAt[v][rem/int64(v)])
 }
 
 // validateIndex cross-checks every piece of level-index state against a
 // from-scratch recompute; part of Validate. In the ball-sampling-only
-// shape that is the lists, pos and the bal leaves, and it checks that no
-// move-weight state is present.
+// shape that is the lists, pos and, once built, the bal leaves, and it
+// checks that no move-weight state is present.
 func (c *Config) validateIndex() error {
 	x := c.idx
 	if x == nil {
@@ -389,10 +481,6 @@ func (c *Config) validateIndex() error {
 			return fmt.Errorf("loadvec: bin %d (load %d) not at binsAt[%d][%d]", i, v, v, p)
 		}
 	}
-	if x.bal.N() != x.size {
-		return fmt.Errorf("loadvec: bal tree covers %d levels, index %d", x.bal.N(), x.size)
-	}
-	bal := x.bal.Leaves()
 	total := 0
 	for v := 0; v < x.size; v++ {
 		cn := len(x.binsAt[v])
@@ -400,36 +488,53 @@ func (c *Config) validateIndex() error {
 		if cn != c.CountAt(v) {
 			return fmt.Errorf("loadvec: binsAt[%d] has %d bins, histogram says %d", v, cn, c.CountAt(v))
 		}
-		if want := int64(v) * int64(cn); bal[v] != want {
-			return fmt.Errorf("loadvec: bal leaf %d = %d, want %d", v, bal[v], want)
-		}
 	}
 	if total != c.n {
 		return fmt.Errorf("loadvec: index holds %d bins, want %d", total, c.n)
 	}
+	if err := x.validateBall(); err != nil {
+		return err
+	}
 	if x.mvw == nil {
-		if x.cnt != nil || x.sval != nil || x.wTotal != 0 || x.gap != 1 {
-			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cnt %v, sval %v, W %d, gap %d)",
-				x.cnt != nil, x.sval != nil, x.wTotal, x.gap)
+		if x.cum != nil || x.sval != nil || x.wTotal != 0 || x.gap != 1 {
+			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cum %v, sval %v, W %d, gap %d)",
+				x.cum != nil, x.sval != nil, x.wTotal, x.gap)
 		}
 		return nil
 	}
 	return x.validateWeights()
 }
 
-// validateWeights checks the full shape's move-weight state — the count
-// and move-weight leaves, sval and W — against a recompute from the lists.
+// validateBall checks the ball tree, when built, against the lists.
+func (x *levelIndex) validateBall() error {
+	if x.bal == nil {
+		return nil
+	}
+	if x.bal.N() != x.size {
+		return fmt.Errorf("loadvec: bal tree covers %d levels, index %d", x.bal.N(), x.size)
+	}
+	for v, got := range x.bal.Leaves() {
+		if want := int64(v) * int64(len(x.binsAt[v])); got != want {
+			return fmt.Errorf("loadvec: bal leaf %d = %d, want %d", v, got, want)
+		}
+	}
+	return nil
+}
+
+// validateWeights checks the full shape's move-weight state — the prefix
+// counts, the move-weight leaves, sval and W — against a recompute from
+// the lists.
 func (x *levelIndex) validateWeights() error {
-	if x.cnt == nil || len(x.sval) != x.size || x.cnt.N() != x.size || x.mvw.N() != x.size {
+	if len(x.cum) != x.size || len(x.sval) != x.size || x.mvw.N() != x.size {
 		return fmt.Errorf("loadvec: move-weight state does not cover the index's %d levels", x.size)
 	}
-	cnt, mvw := x.cnt.Leaves(), x.mvw.Leaves()
+	mvw := x.mvw.Leaves()
 	var wTotal int64
 	var cum, cumPrev int64 // C(v−1) and C(v−2), tracked independently
 	for v := 0; v < x.size; v++ {
 		cn := int64(len(x.binsAt[v]))
-		if cnt[v] != cn {
-			return fmt.Errorf("loadvec: cnt leaf %d = %d, want %d", v, cnt[v], cn)
+		if x.cum[v] != cum+cn {
+			return fmt.Errorf("loadvec: cum[%d] = %d, want %d", v, x.cum[v], cum+cn)
 		}
 		elig := cum // C(v−1) for plain, C(v−2) for strict
 		if x.gap == 2 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/fenwick"
 	"repro/internal/persist"
 	"repro/internal/rng"
 )
@@ -102,18 +101,20 @@ func TestBallIndexDecode(t *testing.T) {
 
 // TestBallIndexValidateCatchesStrayState checks Validate flags a bal leaf
 // out of step with the lists and any move-weight state on a
-// ball-sampling-only index.
+// ball-sampling-only index. The ball tree is built (by one SampleBallBin)
+// before corrupting, since an unbuilt one has no leaves to check.
 func TestBallIndexValidateCatchesStrayState(t *testing.T) {
 	fresh := func() *Config {
 		c := NewConfig(Vector{2, 1, 4, 0})
 		c.EnableBallIndex()
+		c.SampleBallBin(rng.New(1))
 		return c
 	}
 	for name, corrupt := range map[string]func(x *levelIndex){
-		"bal leaf": func(x *levelIndex) { x.bal.Add(2, 1) },
-		"cnt tree": func(x *levelIndex) { x.cnt = fenwick.New(x.size) },
-		"sval":     func(x *levelIndex) { x.sval = make([]int64, x.size) },
-		"W":        func(x *levelIndex) { x.wTotal = 3 },
+		"bal leaf":  func(x *levelIndex) { x.bal.Add(2, 1) },
+		"cum array": func(x *levelIndex) { x.cum = make([]int64, x.size) },
+		"sval":      func(x *levelIndex) { x.sval = make([]int64, x.size) },
+		"W":         func(x *levelIndex) { x.wTotal = 3 },
 	} {
 		c := fresh()
 		corrupt(c.idx)

@@ -1,0 +1,240 @@
+package loadvec
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// naiveMovePair redraws SampleMovePair's pair from a plain scan of the
+// index's lists, consuming the same three draws in the same order: the
+// source level by linear search over s[v] = v·count[v]·C(v−gap), a
+// uniform bin within it, then the destination as the u-th eligible bin
+// in level order. Equal streams must give equal pairs.
+func naiveMovePair(c *Config, r *rng.RNG) (src, dst int) {
+	x := c.idx
+	cum := make([]int64, x.size)
+	var total, acc int64
+	for v, lst := range x.binsAt {
+		acc += int64(len(lst))
+		cum[v] = acc
+	}
+	elig := func(v int) int64 {
+		if v-x.gap < 0 {
+			return 0
+		}
+		return cum[v-x.gap]
+	}
+	for v, lst := range x.binsAt {
+		total += int64(v) * int64(len(lst)) * elig(v)
+	}
+	u := r.Int63n(total)
+	v := 0
+	for ; ; v++ {
+		s := int64(v) * int64(len(x.binsAt[v])) * elig(v)
+		if u < s {
+			break
+		}
+		u -= s
+	}
+	src = int(x.binsAt[v][r.Intn(len(x.binsAt[v]))])
+	u = r.Int63n(elig(v))
+	w := 0
+	for ; u >= int64(len(x.binsAt[w])); w++ {
+		u -= int64(len(x.binsAt[w]))
+	}
+	return src, int(x.binsAt[w][u])
+}
+
+// indexShapes are the level index's shapes: the plain and strict jump
+// indexes and the graph engine's ball-only one.
+var indexShapes = []struct {
+	name   string
+	enable func(*Config)
+}{
+	{"plain", (*Config).EnableLevelIndex},
+	{"strict", (*Config).EnableStrictLevelIndex},
+	{"ball-only", (*Config).EnableBallIndex},
+}
+
+// TestLevelIndexScriptProperty runs random scripts of jump-chain moves,
+// churn and ball samples on every index shape, from starts that pile
+// most balls on one bin so the level range grows and shrinks. Config
+// .Validate — lists, prefix counts, move weight and, once built, the ball
+// tree — runs after every op. Two clones run each script: `eager` samples
+// a ball up front and at every ball-sample op, `lazy` only after the
+// script; both must then draw identical SampleBallBin sequences and
+// encode to identical bytes. Every SampleMovePair is also checked
+// against naiveMovePair on an equal stream.
+func TestLevelIndexScriptProperty(t *testing.T) {
+	r := rng.New(2024)
+	for _, sh := range indexShapes {
+		for trial := 0; trial < 12; trial++ {
+			n := 2 + r.Intn(24)
+			v := make(Vector, n)
+			for i := range v {
+				v[i] = r.Intn(3)
+			}
+			v[r.Intn(n)] += 4*n + r.Intn(8*n)
+			base := NewConfig(v)
+			sh.enable(base)
+			eager, lazy := base.Clone(), base.Clone()
+			eager.SampleBallBin(rng.New(r.Uint64()))
+			check := func(step int, op string) {
+				t.Helper()
+				for name, c := range map[string]*Config{"eager": eager, "lazy": lazy} {
+					if err := c.Validate(); err != nil {
+						t.Fatalf("%s trial %d step %d (%s) %s: %v", sh.name, trial, step, op, name, err)
+					}
+				}
+				if !eager.Loads().Equal(lazy.Loads()) {
+					t.Fatalf("%s trial %d step %d (%s): clones diverged", sh.name, trial, step, op)
+				}
+			}
+			check(-1, "start")
+			for step := 0; step < 500; step++ {
+				var op string
+				switch k := r.Intn(8); {
+				case k < 4:
+					op = "move"
+					if !eager.MoveWeightIndexed() {
+						// The ball-only shape's engine owns its move law;
+						// any move by one ball exercises the index.
+						src, dst := r.Intn(n), r.Intn(n)
+						if src != dst && eager.Load(src) > 0 {
+							eager.Move(src, dst)
+							lazy.Move(src, dst)
+						}
+						break
+					}
+					if eager.MoveWeight() == 0 {
+						break
+					}
+					seed := r.Uint64()
+					src, dst := eager.SampleMovePair(rng.New(seed))
+					ls, ld := lazy.SampleMovePair(rng.New(seed))
+					ns, nd := naiveMovePair(eager, rng.New(seed))
+					if src != ls || dst != ld || src != ns || dst != nd {
+						t.Fatalf("%s trial %d step %d: pairs eager (%d,%d) lazy (%d,%d) naive (%d,%d)",
+							sh.name, trial, step, src, dst, ls, ld, ns, nd)
+					}
+					eager.Move(src, dst)
+					lazy.Move(src, dst)
+				case k < 5:
+					op = "add"
+					bin := r.Intn(n)
+					eager.AddBall(bin)
+					lazy.AddBall(bin)
+				case k < 7:
+					op = "remove"
+					if eager.M() > 1 {
+						bin := eager.SampleBallBin(rng.New(r.Uint64()))
+						eager.RemoveBall(bin)
+						lazy.RemoveBall(bin)
+					}
+				default:
+					op = "sample"
+					bin := eager.SampleBallBin(rng.New(r.Uint64()))
+					if eager.Load(bin) == 0 {
+						t.Fatalf("%s trial %d step %d: sampled empty bin %d", sh.name, trial, step, bin)
+					}
+				}
+				check(step, op)
+			}
+			if lazy.idx.bal != nil {
+				t.Fatalf("%s trial %d: a clone that never sampled a ball built the ball tree", sh.name, trial)
+			}
+			seed := r.Uint64()
+			re, rl := rng.New(seed), rng.New(seed)
+			for i := 0; i < 64; i++ {
+				if a, b := eager.SampleBallBin(re), lazy.SampleBallBin(rl); a != b {
+					t.Fatalf("%s trial %d draw %d: SampleBallBin eager %d, lazy %d", sh.name, trial, i, a, b)
+				}
+			}
+			check(500, "end")
+			if !bytes.Equal(encodeConfig(eager), encodeConfig(lazy)) {
+				t.Fatalf("%s trial %d: clones encode differently", sh.name, trial)
+			}
+		}
+	}
+}
+
+// benchDenseConfig is the dense start the level-index benchmarks run
+// from: n = 4096 bins holding m = 64n balls placed by one choice, so
+// moves cross a few levels around the average as in a dense jump run.
+func benchDenseConfig() Vector {
+	return OneChoice().Generate(4096, 64*4096, rng.New(3))
+}
+
+// BenchmarkLevelIndexMove times one jump-chain step of the level index —
+// SampleMovePair then Move — on each shape. The ball-only shape has no
+// move law of its own (its engine owns one), so it replays the Moves of
+// a plain chain recorded from the same start. The chain runs on from
+// iteration to iteration and restarts from the dense start (outside the
+// timer) when it balances or the recording runs out. Each iteration
+// times 4096 steps; ns/op is per step.
+func BenchmarkLevelIndexMove(b *testing.B) {
+	for _, sh := range indexShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			start := NewConfig(benchDenseConfig())
+			sh.enable(start)
+			var pairs [][2]int
+			if !start.MoveWeightIndexed() {
+				rec, r := NewConfig(start.Loads()), rng.New(2)
+				rec.EnableLevelIndex()
+				for len(pairs) < 1<<16 && rec.MoveWeight() > 0 {
+					src, dst := rec.SampleMovePair(r)
+					rec.Move(src, dst)
+					pairs = append(pairs, [2]int{src, dst})
+				}
+			}
+			c := start.Clone()
+			r := rng.New(1)
+			next := 0
+			const batch = 4096
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					if pairs == nil && c.MoveWeight() == 0 || pairs != nil && next == len(pairs) {
+						b.StopTimer()
+						c, next = start.Clone(), 0
+						b.StartTimer()
+					}
+					if pairs == nil {
+						c.Move(c.SampleMovePair(r))
+					} else {
+						c.Move(pairs[next][0], pairs[next][1])
+						next++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
+		})
+	}
+}
+
+// BenchmarkLevelIndexSampleBall times SampleBallBin on each shape, with
+// the ball tree already built; 4096 draws per iteration, ns/op per draw.
+func BenchmarkLevelIndexSampleBall(b *testing.B) {
+	for _, sh := range indexShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c := NewConfig(benchDenseConfig())
+			sh.enable(c)
+			r := rng.New(1)
+			c.SampleBallBin(r)
+			const batch = 4096
+			sink := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					sink += c.SampleBallBin(r)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
+			if sink < 0 {
+				b.Fatal(sink)
+			}
+		})
+	}
+}

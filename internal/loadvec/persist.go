@@ -8,11 +8,15 @@ import (
 // resume contract dictates what is serialized verbatim versus rebuilt:
 // the per-level bin *lists* (binsAt) evolved under
 // swap-deletes, so their element order is simulation state and ships
-// verbatim; the Fenwick trees, position indices, and histogram stats
-// are pure functions of those lists and are rederived on decode via the
-// same rebuildTrees/rebuildCounts paths the live structures use — so a
-// decoded index is indistinguishable from one that never left memory,
-// with no rebuild-from-scratch divergence.
+// verbatim; the prefix counts, the move-weight tree, position indices
+// and histogram stats are pure functions of those lists and are
+// rederived on decode via the same rebuildTrees/rebuildCounts paths the
+// live structures use — so a decoded index is indistinguishable from one
+// that never left memory, with no rebuild-from-scratch divergence. The
+// ball tree is not rebuilt on decode: like a live index's, it is built
+// from the lists on the first SampleBallBin, and a Fenwick tree's array
+// form is a function of its leaves alone, so when it is built does not
+// change a draw.
 
 // EncodeState appends the configuration (and its level index, when
 // enabled) to the payload. Both index shapes encode alike: the shape is
@@ -33,8 +37,8 @@ func (c *Config) EncodeState(e *persist.Enc) {
 }
 
 // DecodeConfigState reads a Config written by EncodeState. The
-// histogram and all trees are rebuilt from the loads and the verbatim
-// level lists; an index comes back in the full shape.
+// histogram and the move-weight state are rebuilt from the loads and the
+// verbatim level lists; an index comes back in the full shape.
 func DecodeConfigState(d *persist.Dec) (*Config, error) {
 	return decodeConfigState(d, true)
 }

@@ -357,7 +357,7 @@ func (t *tenant) worker(m *Metrics, wg *sync.WaitGroup) {
 		moves := t.sess.Moves()
 		m.MovesByMode[t.sess.Mode()].Add(moves - t.lastMoves)
 		t.lastMoves = moves
-		t.broker.publish(t.telemetryFrame())
+		t.broker.publish(t.telemetryFrame)
 	}
 }
 

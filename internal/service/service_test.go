@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,6 +277,32 @@ func TestSessionCap(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 503 {
 		t.Fatalf("status %d, want 503 at the session cap", resp.StatusCode)
+	}
+}
+
+// TestBrokerBuildsFramesOnlyForSubscribers checks publish builds a frame
+// only while someone subscribes, once per publish however many do, and
+// not again after the last subscriber cancels.
+func TestBrokerBuildsFramesOnlyForSubscribers(t *testing.T) {
+	var dropped atomic.Int64
+	b := newBroker(&dropped)
+	built := 0
+	frame := func() []byte { built++; return []byte("{}") }
+	b.publish(frame)
+	if built != 0 {
+		t.Fatalf("built %d frames with no subscriber, want 0", built)
+	}
+	ch1, cancel1 := b.subscribe()
+	ch2, cancel2 := b.subscribe()
+	b.publish(frame)
+	if built != 1 || len(ch1) != 1 || len(ch2) != 1 {
+		t.Fatalf("two subscribers: built %d frames, delivered %d and %d; want 1, 1, 1", built, len(ch1), len(ch2))
+	}
+	cancel1()
+	cancel2()
+	b.publish(frame)
+	if built != 1 {
+		t.Fatalf("built %d frames after every subscriber left, want 1", built)
 	}
 }
 

@@ -50,13 +50,20 @@ func (b *broker) subscribe() (<-chan []byte, func()) {
 }
 
 // publish delivers one frame to every subscriber, dropping (and counting)
-// on full buffers instead of blocking the applier.
-func (b *broker) publish(frame []byte) {
+// on full buffers instead of blocking the applier. The frame is built by
+// calling frame, and only when someone subscribes: a tenant nobody
+// watches pays nothing for telemetry. frame runs under the broker's lock,
+// so it must not call back into the broker.
+func (b *broker) publish(frame func() []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if len(b.subs) == 0 {
+		return
+	}
+	f := frame()
 	for ch := range b.subs {
 		select {
-		case ch <- frame:
+		case ch <- f:
 		default:
 			b.dropped.Add(1)
 		}

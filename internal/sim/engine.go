@@ -233,14 +233,7 @@ const DefaultActivationBudget = 1_000_000_000
 // Run advances the engine until stop returns true or maxActivations is
 // exhausted (pass maxActivations <= 0 for DefaultActivationBudget).
 func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
-	if maxActivations <= 0 {
-		maxActivations = DefaultActivationBudget
-	}
-	stopped := stop(e)
-	for !stopped && e.activations < maxActivations {
-		e.Step()
-		stopped = stop(e)
-	}
+	stopped := e.Advance(stop, maxActivations)
 	return Result{
 		Time:        e.time,
 		Activations: e.activations,
@@ -249,6 +242,22 @@ func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
 		Stopped:     stopped,
 		Final:       e.cfg.Snapshot(),
 	}
+}
+
+// Advance is Run without the Result: it runs the same loop and reports
+// whether stop was met. A persistent engine's owner (Session) reads what
+// it needs off the engine instead of paying for Result.Final's copy of
+// the load vector on every run.
+func (e *Engine) Advance(stop StopCond, maxActivations int64) bool {
+	if maxActivations <= 0 {
+		maxActivations = DefaultActivationBudget
+	}
+	stopped := stop(e)
+	for !stopped && e.activations < maxActivations {
+		e.Step()
+		stopped = stop(e)
+	}
+	return stopped
 }
 
 // TracePoint is one sample of a run's trajectory.

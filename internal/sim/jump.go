@@ -34,6 +34,13 @@ import (
 // Cost: O(log Δ) per move instead of O(1) per activation — near balance,
 // where the direct engine wastes ~m·n/W activations per move, this is
 // the difference between O(moves) and O(activations) for a whole run.
+// Per move the level index pays one Fenwick descent over the per-level
+// move weights for the source level, an O(1) prefix-count read and a
+// binary search over [min, v−1] for the destination level (a few levels
+// once loads sit near the average), and at most four O(log Δ)
+// move-weight updates — none for a neutral move, which changes no level
+// count. It keeps no ball-sampling tree unless a session draws a random
+// ball (RandomBin).
 //
 // Churn (AddBall/RemoveBall), ForceMove, and PostMove hooks work as in
 // the direct engine; there is no activation sampler because no individual

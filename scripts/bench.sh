@@ -20,9 +20,12 @@
 # times the layers under the engines: 512 uniform draws, batched vs
 # scalar (BenchmarkFillIntn), one configuration move with its tracked
 # statistics (BenchmarkConfigMove) and one direct-engine step per
-# activation sampler (BenchmarkEngineStep{BallList,Fenwick}); the last
-# two time a batch of 4096 ops per iteration and report ns/op per op, so
-# the default 3x still averages thousands of them. Shard ratios need as
+# activation sampler (BenchmarkEngineStep{BallList,Fenwick}), and the
+# jump level index's chain step, SampleMovePair + Move, and ball draw on
+# its plain, strict and ball-only shapes (BenchmarkLevelIndexMove,
+# BenchmarkLevelIndexSampleBall); all but BenchmarkFillIntn time a batch
+# of 4096 ops per iteration and report ns/op per op, so the default 3x
+# still averages thousands of them. Shard ratios need as
 # many hardware threads as shards — the JSON header records the core
 # count and GOMAXPROCS.
 #
@@ -52,7 +55,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

@@ -240,7 +240,7 @@ func (s *Session) RunFor(d float64) error {
 	// ignores it); clear it afterwards — the engine persists across runs.
 	end := s.engine.Time() + d
 	s.engine.SetHorizon(end)
-	s.engine.Run(sim.UntilTime(end), s.budgetLocked(sim.DefaultActivationBudget))
+	s.engine.Advance(sim.UntilTime(end), s.budgetLocked(sim.DefaultActivationBudget))
 	s.engine.SetHorizon(0)
 	return nil
 }
@@ -258,13 +258,13 @@ func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 		budget = sim.DefaultActivationBudget
 	}
 	s.engine.SetHorizon(0)
-	return s.engine.Run(sim.UntilPerfect(), s.budgetLocked(budget)).Stopped, nil
+	return s.engine.Advance(sim.UntilPerfect(), s.budgetLocked(budget)), nil
 }
 
 // budgetLocked turns a positive budget relative to the running activation
-// counter into the absolute cap sim.Engine.Run takes — an absolute cap
+// counter into the absolute cap sim.Engine.Advance takes — an absolute cap
 // would starve sessions whose persistent engine has run long already. The
-// sum saturates at MaxInt64: a wrapped, negative cap would make Run fall
+// sum saturates at MaxInt64: a wrapped, negative cap would make Advance fall
 // back to its absolute default.
 func (s *Session) budgetLocked(budget int64) int64 {
 	if acts := s.engine.Activations(); budget < math.MaxInt64-acts {
