@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -34,6 +35,27 @@ func bootDaemon(t *testing.T, svc *service.Service, cfg daemonConfig, logw io.Wr
 		t.Fatalf("daemon exited before ready: %v", err)
 		return "", nil
 	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a daemon logging into it while
+// the test reads it: the logger writes on the daemon's goroutines (the
+// shutdown line among them), and a signal gives the race detector no
+// ordering between that write and the test's read.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func sigterm(t *testing.T, done chan error) {
@@ -102,10 +124,10 @@ func TestRestartRestoresTenants(t *testing.T) {
 
 	// Reboot from the same state directory.
 	svc2 := service.New(service.Config{StateDir: dir})
-	var boot bytes.Buffer
+	var boot syncBuffer
 	base2, done2 := bootDaemon(t, svc2, cfg, &boot)
-	// run logs the restore before it signals ready, and logs nothing else
-	// until shutdown, so the buffer is quiescent here.
+	// run logs the restore before it signals ready, so the restore lines
+	// are all in the buffer here.
 	if got := boot.String(); !strings.Contains(got, "s-9.snap: persist: corrupt artifact: rls: sessions support neither the sharded engine") ||
 		!strings.Contains(got, fmt.Sprintf("restored %d sessions", len(ids))) {
 		t.Errorf("boot log %q, want the sharded tenant skipped with its typed error and %d sessions restored", got, len(ids))

@@ -29,8 +29,8 @@ func Example_quickstart() {
 	fmt.Printf("protocol moves:     %d\n", res.Moves)
 	// Output:
 	// perfectly balanced: true (discrepancy 0.00)
-	// continuous time:    4.8 (Theorem 1 predicts Θ(ln n + n²/m) = Θ(4.8))
-	// protocol moves:     238
+	// continuous time:    3.1 (Theorem 1 predicts Θ(ln n + n²/m) = Θ(4.8))
+	// protocol moves:     199
 }
 
 // Engine modes change how a run is simulated, never what it computes: the
@@ -42,7 +42,7 @@ func Example_quickstart() {
 // different random numbers) but follow the same law; the difference is
 // that the direct engine simulates its hundreds of thousands of
 // activations one by one, while the jump engine tallies all the null ones
-// in geometric blocks and only ever executes its ~7400 moves.
+// in geometric blocks and only ever executes its ~5300 moves.
 func ExampleWithEngineMode() {
 	direct, err := rls.New(512, 512, rls.WithSeed(7)).Run()
 	if err != nil {
@@ -57,8 +57,8 @@ func ExampleWithEngineMode() {
 	fmt.Printf("jump:   balanced=%v after %d activations, %d moves\n",
 		jump.Reached, jump.Activations, jump.Moves)
 	// Output:
-	// direct: balanced=true after 328771 activations, 6095 moves
-	// jump:   balanced=true after 693756 activations, 7396 moves
+	// direct: balanced=true after 129727 activations, 4653 moves
+	// jump:   balanced=true after 305770 activations, 5284 moves
 }
 
 // A Session is the long-running form: balls join and leave (churn) between
@@ -110,7 +110,7 @@ func ExampleWithTarget() {
 	fmt.Printf("discrepancy after 2 time units: %.2f\n", res.Disc)
 	// Output:
 	// stopped at exactly t=2: true
-	// discrepancy after 2 time units: 64.00
+	// discrepancy after 2 time units: 87.00
 }
 
 // The service form: cmd/rlsd hosts many concurrent Sessions as tenants

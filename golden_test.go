@@ -1,11 +1,20 @@
 package rls
 
-// golden_test.go pins the direct engine's fixed-seed outputs byte-for-byte.
-// The jump-engine refactor must not perturb the direct path: neither the
-// order nor the number of RNG draws, nor any statistic of the run. The
-// expected values below were generated at the pre-refactor tree and must
-// never be regenerated casually — a mismatch means the direct engine's
-// behaviour changed.
+// golden_test.go pins the engines' fixed-seed outputs byte-for-byte.
+// Refactors of an engine must not perturb its path: neither the order nor
+// the number of RNG draws, nor any statistic of the run. The expected
+// values below must never be regenerated casually — a mismatch means an
+// engine's behaviour changed.
+//
+// They were re-pinned once, in the change that replaced the
+// inverse-transform exponential and the polar normal in internal/rng with
+// 256-layer ziggurat samplers (and re-tuned the Erlang sum cutoff). That
+// change maps the same random words to different variates of the same
+// law, so every fixed-seed trajectory moved while no law did: the
+// kernel's own law tests (internal/rng), the exact-E[T] gate
+// (exact_test.go) and the engine-vs-engine KS gates all passed unchanged
+// across it, and internal/rng's TestKernelStreamPin now catches kernel
+// drift before these goldens do.
 
 import (
 	"fmt"
@@ -47,9 +56,9 @@ func TestGoldenDirectRuns(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 256, WithSeed(42)).Run()
 			},
-			time:    "4021f9e4f9c8857d",
-			acts:    2297,
-			moves:   602,
+			time:    "401dd5a971080d29",
+			acts:    1978,
+			moves:   562,
 			loadSum: 0x79c21ec9e9d0c725,
 		},
 		{
@@ -57,9 +66,9 @@ func TestGoldenDirectRuns(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 64, WithSeed(7), WithFenwickEngine()).Run()
 			},
-			time:    "403139c351c247a1",
-			acts:    1103,
-			moves:   270,
+			time:    "4050b774f680942b",
+			acts:    4318,
+			moves:   413,
 			loadSum: 0x4ba8ea86dae40725,
 		},
 		{
@@ -67,9 +76,9 @@ func TestGoldenDirectRuns(t *testing.T) {
 			run: func() (Result, error) {
 				return New(16, 512, WithSeed(3), WithStrictTieRule()).Run()
 			},
-			time:    "40109ac468d8b5c7",
-			acts:    2185,
-			moves:   591,
+			time:    "400add9e2c447fca",
+			acts:    1681,
+			moves:   593,
 			loadSum: 0x03fe746a4dfccb25,
 		},
 		{
@@ -77,9 +86,9 @@ func TestGoldenDirectRuns(t *testing.T) {
 			run: func() (Result, error) {
 				return New(128, 1024, WithSeed(11), WithPlacement(Random())).Run()
 			},
-			time:    "403a106b57bfbd53",
-			acts:    26794,
-			moves:   1122,
+			time:    "40206ed8210dbaea",
+			acts:    8393,
+			moves:   836,
 			loadSum: 0xc09bdb5e923cb325,
 		},
 	}
@@ -128,9 +137,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 256, WithSeed(42), WithEngineMode(JumpEngine), WithStrictTieRule()).Run()
 			},
-			time:    "4015e9b7bd5e9fda",
-			acts:    1386,
-			moves:   320,
+			time:    "401480382683d51d",
+			acts:    1333,
+			moves:   326,
 			loadSum: 0x79c21ec9e9d0c725,
 		},
 		{
@@ -138,9 +147,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine)).Run()
 			},
-			time:    "40122a08632b84f1",
-			acts:    18664,
-			moves:   7847,
+			time:    "4014c36c5df2003b",
+			acts:    21203,
+			moves:   8118,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -148,9 +157,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine), WithPlacement(Random())).Run()
 			},
-			time:    "3ff22e65a13e656c",
-			acts:    4614,
-			moves:   761,
+			time:    "3ff420b6ad527c01",
+			acts:    5073,
+			moves:   809,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -158,9 +167,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(23), WithEngineMode(JumpEngine), WithStrictTieRule()).Run()
 			},
-			time:    "4014f183f5abf1e5",
-			acts:    21541,
-			moves:   5085,
+			time:    "4011aa4465cae973",
+			acts:    18236,
+			moves:   5161,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -168,9 +177,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 64, WithSeed(5), WithEngineMode(JumpEngine), WithTopology(RingTopology())).Run()
 			},
-			time:    "40560fa688bf11ca",
-			acts:    5656,
-			moves:   1530,
+			time:    "4060a08afbec8cba",
+			acts:    8518,
+			moves:   2092,
 			loadSum: 0x40789c74d104fb25,
 		},
 		{
@@ -178,9 +187,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(16, 64, WithSeed(13), WithEngineMode(JumpEngine), WithTopology(TorusTopology(4))).Run()
 			},
-			time:    "401d39e96da10165",
-			acts:    428,
-			moves:   168,
+			time:    "40203c17cf4cc6d9",
+			acts:    503,
+			moves:   182,
 			loadSum: 0x0b0c357ea927a925,
 		},
 		{
@@ -188,9 +197,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 128, WithSeed(9), WithEngineMode(JumpEngine), WithTopology(HypercubeTopology(5))).Run()
 			},
-			time:    "4030bb506d17982d",
-			acts:    2124,
-			moves:   522,
+			time:    "402331760e08e9db",
+			acts:    1273,
+			moves:   496,
 			loadSum: 0x072f1a1fb8392f25,
 		},
 	}
@@ -242,10 +251,10 @@ func TestGoldenSessionChurn(t *testing.T) {
 		}
 	}
 	const (
-		wantTime  = "402e33c43bc4414a"
-		wantActs  = int64(1904)
-		wantMoves = int64(429)
-		wantHash  = uint64(0x0fbf28e4e8bb0185)
+		wantTime  = "402cb132db883cb2"
+		wantActs  = int64(1860)
+		wantMoves = int64(462)
+		wantHash  = uint64(0x044fac3af0245eeb)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())
@@ -299,10 +308,10 @@ func TestGoldenJumpSessionChurn(t *testing.T) {
 		}
 	}
 	const (
-		wantTime  = "40379082be10f64d"
-		wantActs  = int64(4964)
-		wantMoves = int64(1247)
-		wantHash  = uint64(0x3c6a04d653d94c25)
+		wantTime  = "403b4a39353f94c0"
+		wantActs  = int64(5572)
+		wantMoves = int64(1333)
+		wantHash  = uint64(0x0c09cc2c8b307a45)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())

@@ -7,14 +7,15 @@
 // replication of an experiment its own independent-looking stream while
 // keeping the whole experiment reproducible from a single root seed.
 //
-// Only integer and float64 uniforms live in this file; derived
-// distributions (exponential, geometric, binomial, ...) are in dist.go.
+// Only integer and float64 uniforms live in this file. The exponential
+// and the normal are 256-layer ziggurat samplers (ziggurat.go) whose fast
+// path evaluates no logarithm. Geometric and Erlang, the two draws the
+// jump engine takes per move, build on the ziggurat exponential (dist.go,
+// erlang.go); the other derived distributions (binomial, Poisson, Zipf)
+// are in dist.go.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a xoshiro256** generator. The zero value is not usable; create
 // instances with New or Split.
@@ -129,7 +130,7 @@ func (r *RNG) Float64() float64 {
 }
 
 // Float64Open returns a uniform float64 in (0, 1), never exactly zero,
-// suitable for inverse-CDF sampling that takes a logarithm.
+// suitable for sampling that takes a logarithm.
 func (r *RNG) Float64Open() float64 {
 	for {
 		u := r.Float64()
@@ -151,20 +152,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a standard normal variate via the polar
-// (Marsaglia) method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a slice.

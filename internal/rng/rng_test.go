@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -525,15 +526,6 @@ func BenchmarkIntn(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkExp(b *testing.B) {
-	r := New(1)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = r.Exp(1000)
-	}
-	_ = sink
-}
-
 func BenchmarkBinomialLarge(b *testing.B) {
 	r := New(1)
 	var sink int64
@@ -541,4 +533,74 @@ func BenchmarkBinomialLarge(b *testing.B) {
 		sink = r.Binomial(100000, 0.3)
 	}
 	_ = sink
+}
+
+// The draw-kernel benchmarks take drawBatch draws per iteration and
+// report ns/draw, so bench.sh's default 3 iterations still average
+// thousands of draws.
+const drawBatch = 4096
+
+func reportPerDraw(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(drawBatch*b.N), "ns/draw")
+}
+
+// BenchmarkExp times one Exp(m) draw, the direct engine's per-activation
+// clock.
+func BenchmarkExp(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < drawBatch; j++ {
+			sink += r.Exp(1000)
+		}
+	}
+	reportPerDraw(b)
+	_ = sink
+}
+
+func BenchmarkNormFloat64(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < drawBatch; j++ {
+			sink += r.NormFloat64()
+		}
+	}
+	reportPerDraw(b)
+	_ = sink
+}
+
+// BenchmarkGeometric cycles p over the range a jump run sees, from dense
+// (most activations productive) to the end-game (p ~ 1/n).
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	ps := [...]float64{0.9, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6}
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < drawBatch; j++ {
+			sink += r.Geometric(ps[j&7])
+		}
+	}
+	reportPerDraw(b)
+	_ = sink
+}
+
+// BenchmarkErlang times one Erlang(k, m) draw per shape: k = 1 sums
+// ziggurat exponentials, and k = 4 (the first shape past
+// erlangSumCutoff), 16 and 64 take Marsaglia–Tsang, whose cost should not
+// grow with k.
+func BenchmarkErlang(b *testing.B) {
+	for _, k := range []int64{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			r := New(1)
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < drawBatch; j++ {
+					sink += r.Erlang(k, 1024)
+				}
+			}
+			reportPerDraw(b)
+			_ = sink
+		})
+	}
 }

@@ -590,15 +590,22 @@ func TestRemovedModeTrace(t *testing.T) {
 
 // TestResumeLegacyArtifacts resumes direct, jump, and graph jump
 // snapshots written by earlier versions (the sharded jump mode and the
-// rejection graph sampler still existed), replays the continuation
-// script those sessions then ran, and requires the final snapshot they
-// wrote byte for byte: the surviving modes kept their layout and their
-// draws. The jump-torus artifact also resumes with its meta rewritten
-// to the forced-exact sampler code 1. jump-stray-shards was written by
-// `rlsim -n 16 -m 64 -engine jump -shards 4 -snapshot`, which recorded a
-// shard count its jump engine never used; it resumes as the plain jump
-// session it was, and its final snapshot is the one the same version
-// wrote for the shard-free twin.
+// rejection graph sampler still existed). It first requires the
+// snapshot taken right after the resume, with no op in between, to equal
+// `<name>.resumed.snap` byte for byte: the surviving modes kept their
+// layout, so the decoded state (loads, index internals, clocks, RNG
+// words) is exactly what those versions wrote. Then it replays the
+// continuation script those sessions ran and requires
+// `<name>.final.snap`. The continuations were re-recorded when the draw
+// kernel changed (the ziggurat Exp/normal kernel in internal/rng): the
+// same RNG words now yield a new sample of the same law, while the
+// resumed bytes still pin the artifacts themselves. The jump-torus
+// artifact also resumes with its meta rewritten to the forced-exact
+// sampler code 1. jump-stray-shards was written by `rlsim -n 16 -m 64
+// -engine jump -shards 4 -snapshot`, which recorded a shard count its
+// jump engine never used; it resumes as the plain jump session it was
+// (its resumed snapshot drops the count), and its final snapshot is the
+// one the shard-free twin reaches.
 func TestResumeLegacyArtifacts(t *testing.T) {
 	for _, name := range []string{"direct", "jump", "jump-torus", "jump-torus-exact-meta", "jump-stray-shards"} {
 		t.Run(name, func(t *testing.T) {
@@ -613,6 +620,9 @@ func TestResumeLegacyArtifacts(t *testing.T) {
 			s, err := ResumeSession(bytes.NewReader(art))
 			if err != nil {
 				t.Fatalf("resume: %v", err)
+			}
+			if got, want := sessionSnapshotBytes(t, s), readTestdata(t, file+".resumed.snap"); !bytes.Equal(got, want) {
+				t.Fatalf("resumed state differs from the recorded one (%d vs %d bytes)", len(got), len(want))
 			}
 			for i := 0; i < 6; i++ {
 				s.AddBallRandom()

@@ -17,14 +17,18 @@
 # multi-tenant rlsd service). The persistence layer rides along as
 # BenchmarkSnapshot/BenchmarkRestore/BenchmarkTraceAppend — ns/op plus
 # artifact compactness in bytes/ball and bytes/record. The micro tier
-# times the layers under the engines: 512 uniform draws, batched vs
-# scalar (BenchmarkFillIntn), one configuration move with its tracked
+# times the layers under the engines: the draw kernel — one ziggurat
+# Exp and normal draw (BenchmarkExp, BenchmarkNormFloat64), one Geometric
+# over p from 0.9 down to 1e-6 (BenchmarkGeometric) and one Erlang at
+# shapes 1, 4, 16 and 64 (BenchmarkErlang/k=*) — 512 uniform draws,
+# batched vs scalar (BenchmarkFillIntn), one configuration move with its tracked
 # statistics (BenchmarkConfigMove) and one direct-engine step per
 # activation sampler (BenchmarkEngineStep{BallList,Fenwick}), and the
 # jump level index's chain step, SampleMovePair + Move, and ball draw on
 # its plain, strict and ball-only shapes (BenchmarkLevelIndexMove,
 # BenchmarkLevelIndexSampleBall); all but BenchmarkFillIntn time a batch
-# of 4096 ops per iteration and report ns/op per op, so the default 3x
+# of 4096 ops per iteration and report ns per op (ns/draw for the draw
+# kernel), so the default 3x
 # still averages thousands of them. Shard ratios need as
 # many hardware threads as shards — the JSON header records the core
 # count and GOMAXPROCS.
@@ -55,7 +59,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)
