@@ -23,7 +23,8 @@ race:
 # balancing runs, direct-vs-jump end-game — plain, strict tie rule, and
 # graph topologies — session churn, direct-vs-sharded dense regime, the
 # allocation-free epoch-loop floor, the micro tier (batched draws, one
-# configuration move, one engine step per sampler), the rlsweep -scaling
+# configuration move, one engine step, level-index moves, ball draws and
+# churn), the rlsweep -scaling
 # speedup-vs-P cells, and the rlsweep -serviceload ServiceLoad* cells
 # (multi-tenant rlsd event→apply p50/p99 and throughput).
 # compare_bench.sh diffs the two latest tracked files.

@@ -60,9 +60,7 @@ func BenchmarkExpCMP3(b *testing.B) { benchExperiment(b, "CMP3") }
 func BenchmarkExpX1(b *testing.B)   { benchExperiment(b, "X1") }
 func BenchmarkExpX2(b *testing.B)   { benchExperiment(b, "X2") }
 func BenchmarkExpX3(b *testing.B)   { benchExperiment(b, "X3") }
-func BenchmarkExpA1(b *testing.B)   { benchExperiment(b, "A1") }
 func BenchmarkExpA2(b *testing.B)   { benchExperiment(b, "A2") }
-func BenchmarkExpA3(b *testing.B)   { benchExperiment(b, "A3") }
 func BenchmarkExpA4(b *testing.B)   { benchExperiment(b, "A4") }
 func BenchmarkExpA5(b *testing.B)   { benchExperiment(b, "A5") }
 func BenchmarkExpA7(b *testing.B)   { benchExperiment(b, "A7") }
@@ -377,13 +375,13 @@ func BenchmarkSessionChurnRebuild(b *testing.B) {
 	for i := 0; i < m; i++ {
 		v[r.Intn(n)]++
 	}
-	e := sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
+	e := sim.NewEngine(v, core.RLS{}, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Join: invalidate, mutate the snapshot, rebuild.
 		loads := e.Cfg().Snapshot()
 		loads[i%n]++
-		e = sim.NewEngine(loads, core.RLS{}, sim.NewBallList(), r)
+		e = sim.NewEngine(loads, core.RLS{}, r)
 		// Leave: same dance for the second churn event.
 		loads = e.Cfg().Snapshot()
 		k := r.Intn(loads.Balls())
@@ -394,7 +392,7 @@ func BenchmarkSessionChurnRebuild(b *testing.B) {
 			}
 			k -= l
 		}
-		e = sim.NewEngine(loads, core.RLS{}, sim.NewBallList(), r)
+		e = sim.NewEngine(loads, core.RLS{}, r)
 		e.Run(sim.UntilTime(e.Time()+0.0001), 0)
 	}
 }
@@ -420,7 +418,7 @@ func TestBenchmarkIDsMatchRegistry(t *testing.T) {
 	have := []string{
 		"F1", "F2", "F3", "T1", "T2", "LB1", "LB2", "DML",
 		"P1", "P2", "P3", "L8", "L9", "L16", "CMP1", "CMP2", "CMP3",
-		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A7", "A8", "O1",
+		"X1", "X2", "X3", "A2", "A4", "A5", "A7", "A8", "O1",
 	}
 	if len(have) != len(want) {
 		t.Fatalf("bench list has %d, registry %d", len(have), len(want))

@@ -152,7 +152,7 @@ func figureM1(seed uint64) {
 			m := regime.m(n)
 			var s stats.Summary
 			for i := 0; i < reps; i++ {
-				res, err := rls.New(n, m, rls.WithSeed(seed+uint64(1000*n+i)), rls.WithFenwickEngine()).Run()
+				res, err := rls.New(n, m, rls.WithSeed(seed+uint64(1000*n+i))).Run()
 				if err != nil {
 					panic(err)
 				}

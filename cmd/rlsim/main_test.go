@@ -210,7 +210,7 @@ func TestRunShardsNeedShardedEngine(t *testing.T) {
 
 // TestSpecValidateAgreesWithConstruction walks the spectest cross-product
 // through the flags: every case they can spell (no unknown engine mode,
-// no Fenwick sampler, no shard epoch, speeds only as the uniform profile,
+// no shard epoch, speeds only as the uniform profile,
 // and only the torus or hypercube parameter -n fixes) runs on the Runner
 // path exactly when Validate accepts it and on the session path exactly
 // when Spec.NewSession does, and otherwise fails with that message.
@@ -231,7 +231,7 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 		if c.Spec.Speeds != nil {
 			speeds = "uniform"
 		}
-		if !ok || !named || c.Spec.Fenwick || c.Spec.ShardEpoch != 0 ||
+		if !ok || !named || c.Spec.ShardEpoch != 0 ||
 			(c.Spec.Speeds != nil && !reflect.DeepEqual(c.Spec.Speeds, uniformSpeeds(c.N))) {
 			continue
 		}

@@ -140,16 +140,16 @@
 // # Spec
 //
 // Spec is the shape of one simulated process: engine mode, tie rule,
-// topology, bin speeds, activation sampler, shard count and shard epoch.
-// A Runner holds one (its With* options set the fields); Spec.NewSession
-// builds a Session from one, refusing the sharded engine, speeds and the
-// Fenwick sampler with ErrSessionSpec; rlsim's flags, rlsd's JSON config
-// and the snapshot header each decode into one. Spec.Validate is the
-// only place that decides which shapes are legal, and every construction
-// path — Runner.Run, Runner.RunTraced, Spec.NewSession, ResumeSession —
-// builds its direct or jump engine through one private constructor after
-// it (the Runner builds the sharded engine itself), so a shape is
-// accepted or rejected with the same message everywhere.
+// topology, bin speeds, shard count and shard epoch. A Runner holds one
+// (its With* options set the fields); Spec.NewSession builds a Session
+// from one, refusing the sharded engine and speeds with ErrSessionSpec;
+// rlsim's flags, rlsd's JSON config and the snapshot header each decode
+// into one. Spec.Validate is the only place that decides which shapes
+// are legal, and every construction path — Runner.Run,
+// Runner.RunTraced, Spec.NewSession, ResumeSession — builds its direct
+// or jump engine through one private constructor after it (the Runner
+// builds the sharded engine itself), so a shape is accepted or rejected
+// with the same message everywhere.
 // TestSpecValidateAgreesWithConstruction walks a cross-product of
 // shapes through every surface to hold it so.
 //

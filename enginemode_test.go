@@ -39,16 +39,14 @@ func TestOptionValidationErrorMessages(t *testing.T) {
 		want string
 	}{
 		// Strict ties and regular topologies are jump-legal since PR 6; what
-		// remains rejected is speeds, strict-on-a-topology, irregular
-		// graphs, and the sampler override.
+		// remains rejected is speeds, strict-on-a-topology and irregular
+		// graphs.
 		{"jump+strict+topology", New(16, 64, WithEngineMode(JumpEngine), WithStrictTieRule(), WithTopology(RingTopology())),
 			"rls: strict tie rule on a topology is not supported"},
 		{"jump+speeds", New(16, 64, WithEngineMode(JumpEngine), WithSpeeds(make([]float64, 16))),
 			"rls: the jump engine does not support bin speeds; use DirectEngine"},
 		{"jump+torus mismatch", New(16, 64, WithEngineMode(JumpEngine), WithTopology(TorusTopology(3))),
 			"rls: torus side 3 does not match n=16"},
-		{"jump+fenwick", New(16, 64, WithEngineMode(JumpEngine), WithFenwickEngine()),
-			"rls: the jump engine has no activation sampler; drop WithFenwickEngine"},
 
 		{"sharded+strict", New(16, 64, WithEngineMode(ShardedEngine), WithStrictTieRule()),
 			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
@@ -56,8 +54,6 @@ func TestOptionValidationErrorMessages(t *testing.T) {
 			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
 		{"sharded+speeds", New(16, 64, WithEngineMode(ShardedEngine), WithSpeeds(make([]float64, 16))),
 			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
-		{"sharded+fenwick", New(16, 64, WithEngineMode(ShardedEngine), WithFenwickEngine()),
-			"rls: the sharded engine owns per-shard ball lists; drop WithFenwickEngine"},
 		{"sharded+negative shards", New(16, 64, WithEngineMode(ShardedEngine), WithShards(-2)),
 			"rls: -2 shards"},
 		{"sharded+negative epoch", New(16, 64, WithEngineMode(ShardedEngine), WithShardEpoch(-1)),

@@ -62,16 +62,6 @@ func TestGoldenDirectRuns(t *testing.T) {
 			loadSum: 0x79c21ec9e9d0c725,
 		},
 		{
-			name: "fenwick/n=64,m=64,seed=7",
-			run: func() (Result, error) {
-				return New(64, 64, WithSeed(7), WithFenwickEngine()).Run()
-			},
-			time:    "4050b774f680942b",
-			acts:    4318,
-			moves:   413,
-			loadSum: 0x4ba8ea86dae40725,
-		},
-		{
 			name: "strict/n=16,m=512,seed=3",
 			run: func() (Result, error) {
 				return New(16, 512, WithSeed(3), WithStrictTieRule()).Run()

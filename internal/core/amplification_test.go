@@ -20,7 +20,7 @@ func TestBalancednessClosedUnderRLS(t *testing.T) {
 		r := rng.New(seed)
 		v := loadvec.OneChoice().Generate(32, 320, r)
 		d := v.Disc()
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		for i := 0; i < 3000; i++ {
 			e.Step()
 			if e.Cfg().Disc() > d+1e-9 {
@@ -43,7 +43,7 @@ func TestMarkovEpochSuccessProbability(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		total += e.Run(sim.UntilPerfect(), 10_000_000).Time
 	}
 	meanT := total / reps
@@ -52,7 +52,7 @@ func TestMarkovEpochSuccessProbability(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		e.Run(sim.UntilTime(2*meanT), 10_000_000)
 		if e.Cfg().IsPerfect() {
 			success++
@@ -79,7 +79,7 @@ func TestLemma6EpochChaining(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		est += e.Run(sim.UntilPerfect(), 10_000_000).Time
 	}
 	est /= 50
@@ -88,7 +88,7 @@ func TestLemma6EpochChaining(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		e.Run(sim.UntilTime(horizon), 50_000_000)
 		if !e.Cfg().IsPerfect() {
 			failures++

@@ -38,7 +38,7 @@ func TestRandomAdversaryOnlyDestructive(t *testing.T) {
 	// checkedForce panics on any non-destructive injection; a full run
 	// exercising the adversary must complete without panic.
 	v := loadvec.OneChoice().Generate(16, 64, rng.New(1))
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(2))
+	e := sim.NewEngine(v, RLS{}, rng.New(2))
 	Attach(e, RandomAdversary{Attempts: 3})
 	res := e.Run(sim.UntilPerfect(), 500_000)
 	if res.ForcedMoves == 0 {
@@ -54,7 +54,7 @@ func TestReverseAdversaryFullStall(t *testing.T) {
 	// multiset never changes and perfect balance is never reached from an
 	// imperfect start.
 	v := loadvec.Vector{8, 0, 0, 0}
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(3))
+	e := sim.NewEngine(v, RLS{}, rng.New(3))
 	Attach(e, ReverseAdversary{P: 1})
 	res := e.Run(sim.UntilPerfect(), 20_000)
 	if res.Stopped {
@@ -78,7 +78,7 @@ func TestReverseAdversaryPartialSlowdown(t *testing.T) {
 		for i := 0; i < reps; i++ {
 			r := root.Split()
 			v := loadvec.AllInOne().Generate(n, m, nil)
-			e := sim.NewEngine(v, RLS{}, nil, r)
+			e := sim.NewEngine(v, RLS{}, r)
 			if p > 0 {
 				Attach(e, ReverseAdversary{P: p})
 			}
@@ -99,7 +99,7 @@ func TestReverseAdversaryPartialSlowdown(t *testing.T) {
 
 func TestConcentratorAdversary(t *testing.T) {
 	v := loadvec.OneChoice().Generate(8, 64, rng.New(5))
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(6))
+	e := sim.NewEngine(v, RLS{}, rng.New(6))
 	Attach(e, ConcentratorAdversary{Budget: 1})
 	// Bounded run: concentrator keeps pushing mass uphill, so we only
 	// check that it acts, stays destructive (no panic), and conserves
@@ -127,7 +127,7 @@ func TestAdversaryNames(t *testing.T) {
 
 func TestCheckedForcePanicsOnHelpfulMove(t *testing.T) {
 	v := loadvec.Vector{5, 0}
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(7))
+	e := sim.NewEngine(v, RLS{}, rng.New(7))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("helpful move accepted")

@@ -13,7 +13,7 @@ func TestPhaseTrackerOrdering(t *testing.T) {
 	// From an all-in-one start the phases must be crossed in order:
 	// log-balanced ≤ 1-balanced ≤ perfect.
 	v := loadvec.AllInOne().Generate(32, 320, nil)
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(1))
+	e := sim.NewEngine(v, RLS{}, rng.New(1))
 	tr := NewPhaseTracker(e)
 	res := e.Run(sim.UntilPerfect(), 10_000_000)
 	if !res.Stopped {
@@ -33,7 +33,7 @@ func TestPhaseTrackerOrdering(t *testing.T) {
 
 func TestPhaseTrackerMonotonicityCleanUnderRLS(t *testing.T) {
 	v := loadvec.OneChoice().Generate(16, 160, rng.New(2))
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(3))
+	e := sim.NewEngine(v, RLS{}, rng.New(3))
 	tr := NewPhaseTracker(e)
 	e.Run(sim.UntilPerfect(), 10_000_000)
 	if tr.MonotoneViolations() != 0 {
@@ -47,7 +47,7 @@ func TestPotentialNonIncreasingUnderRLS(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		r := rng.New(seed)
 		v := loadvec.OneChoice().Generate(16, 16*8, r)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		tr := NewPhaseTracker(e)
 		e.Run(sim.UntilPerfect(), 10_000_000)
 		if tr.PotentialIncreases != 0 {
@@ -62,7 +62,7 @@ func TestPhaseTrackerDetectsAdversarialViolations(t *testing.T) {
 	// monotonicity properties — the tracker must notice. The adversary is
 	// attached first so the tracker observes post-adversary states.
 	v := loadvec.AllInOne().Generate(8, 64, nil)
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(4))
+	e := sim.NewEngine(v, RLS{}, rng.New(4))
 	Attach(e, ConcentratorAdversary{Budget: 2})
 	tr := NewPhaseTracker(e)
 	e.Run(sim.UntilActivations(5000), 0)
@@ -74,7 +74,7 @@ func TestPhaseTrackerDetectsAdversarialViolations(t *testing.T) {
 func TestPhaseTrackerInitialStateCounts(t *testing.T) {
 	// Starting perfectly balanced: all crossing times are 0.
 	v := loadvec.Balanced().Generate(8, 64, nil)
-	e := sim.NewEngine(v, RLS{}, nil, rng.New(5))
+	e := sim.NewEngine(v, RLS{}, rng.New(5))
 	tr := NewPhaseTracker(e)
 	if tr.Times.Perfect != 0 || tr.Times.OneBalanced != 0 || tr.Times.LogBalanced != 0 {
 		t.Fatalf("crossings not recorded at t=0: %+v", tr.Times)
@@ -93,7 +93,7 @@ func TestPhase3MatchesLemma17Shape(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.ImbalancedPairs(4).Generate(n, m, r)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		res := e.Run(sim.UntilPerfect(), 50_000_000)
 		if !res.Stopped {
 			t.Fatal("phase-3 run did not finish")

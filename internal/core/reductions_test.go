@@ -41,7 +41,7 @@ func TestLemma8ReductionDominatesProtocol(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		real.Add(e.Run(sim.UntilPerfect(), 10_000_000).Time)
 	}
 	if real.Mean() > red.Mean()+3*(red.CI95()+real.CI95()) {
@@ -210,7 +210,7 @@ func TestLemma17ReductionDominatesProtocolPhase3(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.ImbalancedPairs(pairs).Generate(n, m, r)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		real.Add(e.Run(sim.UntilPerfect(), 50_000_000).Time)
 	}
 	if real.Mean() > red.Mean()+3*(red.CI95()+real.CI95()) {

@@ -62,7 +62,7 @@ func TestRLSMonotonicityProperty(t *testing.T) {
 		n := 2 + r.Intn(16)
 		m := 1 + r.Intn(100)
 		v := loadvec.OneChoice().Generate(n, m, r)
-		e := sim.NewEngine(v, RLS{}, nil, r)
+		e := sim.NewEngine(v, RLS{}, r)
 		prevDisc := e.Cfg().Disc()
 		prevMin, prevMax := e.Cfg().Min(), e.Cfg().Max()
 		for step := 0; step < 500; step++ {
@@ -92,7 +92,7 @@ func TestRLSPerfectBalanceAbsorbing(t *testing.T) {
 	if !v.IsPerfect() {
 		t.Fatal("setup not perfect")
 	}
-	e := sim.NewEngine(v, RLS{}, nil, r)
+	e := sim.NewEngine(v, RLS{}, r)
 	for i := 0; i < 5000; i++ {
 		e.Step()
 		if !e.Cfg().IsPerfect() {
@@ -106,7 +106,7 @@ func TestRLSPerfectBalanceAbsorbing(t *testing.T) {
 func TestStrictAndPaperVariantsBothBalance(t *testing.T) {
 	for _, mover := range []sim.Mover{RLS{}, StrictRLS{}} {
 		v := loadvec.AllInOne().Generate(16, 64, nil)
-		e := sim.NewEngine(v, mover, nil, rng.New(11))
+		e := sim.NewEngine(v, mover, rng.New(11))
 		res := e.Run(sim.UntilPerfect(), 2_000_000)
 		if !res.Stopped {
 			t.Fatalf("%s did not balance", mover.Name())

@@ -1,16 +1,11 @@
 // Package fenwick is the one Fenwick (binary indexed) tree shared by
 // every layer that needs prefix sums with point updates: the level
-// index's per-level move-weight and ball trees, the jump engine's
-// graph move-weight index, the Fenwick activation sampler, and the open
-// system's job sampler. Deduplicating the historical copies means the
-// persist codec serializes exactly one tree shape, and a tree's array
-// form is a pure function of its leaf values — so encode(leaves) →
-// From(leaves) round-trips bit-exactly regardless of the Add history
-// that produced it.
+// index's per-level move-weight and ball trees, the jump engine's graph
+// move-weight index, and the open system's job sampler.
 //
 // The API is 0-based on the outside (leaf i ∈ [0, n)) and 1-based
 // internally, as usual for Fenwick trees. All operations are O(log n)
-// except From and Leaves, which are O(n).
+// except Leaves and Clone, which are O(n).
 package fenwick
 
 // Tree holds cumulative sums over n int64 leaves.
@@ -44,19 +39,6 @@ func (t *Tree) Reset(n int) {
 	}
 }
 
-// From builds a tree holding the given leaf values in O(n): each node
-// pushes its accumulated sum up to its parent exactly once.
-func From(vals []int64) *Tree {
-	t := New(len(vals))
-	copy(t.tree[1:], vals)
-	for i := 1; i <= t.n; i++ {
-		if j := i + i&(-i); j <= t.n {
-			t.tree[j] += t.tree[i]
-		}
-	}
-	return t
-}
-
 // N returns the number of leaves.
 func (t *Tree) N() int { return t.n }
 
@@ -76,20 +58,6 @@ func (t *Tree) Prefix(i int) int64 {
 	return s
 }
 
-// Value returns leaf i with a single O(log n) traversal: starting from
-// tree[i+1] (the range sum ending at i+1), subtract the sibling ranges
-// down to the common ancestor of i+1 and i instead of computing two
-// full prefix sums.
-func (t *Tree) Value(i int) int64 {
-	pos := i + 1
-	s := t.tree[pos]
-	stop := pos - pos&(-pos)
-	for pos--; pos != stop; pos -= pos & (-pos) {
-		s -= t.tree[pos]
-	}
-	return s
-}
-
 // Find returns the smallest leaf i with Prefix(i) > target, plus the
 // residual target - Prefix(i-1), by descending power-of-two strides.
 // target must satisfy 0 <= target < Prefix(n-1); out-of-range targets
@@ -105,8 +73,9 @@ func (t *Tree) Find(target int64) (int, int64) {
 	return pos, target // pos is the 1-based predecessor == 0-based answer
 }
 
-// Leaves returns a fresh slice of the n leaf values in O(n) by
-// unwinding the push-up of From.
+// Leaves returns a fresh slice of the n leaf values in O(n): node j
+// holds its own leaf plus the partial sums of its children i (those with
+// i + i&(−i) = j), so subtracting each child from its parent unwinds it.
 func (t *Tree) Leaves() []int64 {
 	vals := make([]int64, t.n)
 	copy(vals, t.tree[1:])

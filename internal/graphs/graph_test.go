@@ -309,7 +309,7 @@ func TestGraphRLSRespectsTopology(t *testing.T) {
 	g := Ring{Vertices: 8}
 	mover := GraphRLS{G: g}
 	v := loadvec.AllInOne().Generate(8, 64, nil)
-	e := sim.NewEngine(v, mover, nil, rng.New(5))
+	e := sim.NewEngine(v, mover, rng.New(5))
 	e.PostMove = func(e *sim.Engine, src, dst int) {
 		diff := (src - dst + 8) % 8
 		if diff != 1 && diff != 7 {
@@ -328,7 +328,7 @@ func TestGraphRLSBalancesOnAllTopologies(t *testing.T) {
 	}
 	for _, g := range gs {
 		v := loadvec.AllInOne().Generate(g.N(), 8*g.N(), nil)
-		e := sim.NewEngine(v, GraphRLS{G: g}, nil, rng.New(6))
+		e := sim.NewEngine(v, GraphRLS{G: g}, rng.New(6))
 		res := e.Run(sim.UntilPerfect(), 20_000_000)
 		if !res.Stopped {
 			t.Fatalf("%s: did not balance", g.Name())
@@ -345,8 +345,8 @@ func TestGraphRLSCompleteMatchesPlainRLS(t *testing.T) {
 		r1 := rng.New(seed)
 		r2 := rng.New(seed)
 		v := loadvec.OneChoice().Generate(8, 40, rng.New(seed+99))
-		e1 := sim.NewEngine(v, GraphRLS{G: Complete{Vertices: 8}}, nil, r1)
-		e2 := sim.NewEngine(v, rlsLocal{}, nil, r2)
+		e1 := sim.NewEngine(v, GraphRLS{G: Complete{Vertices: 8}}, r1)
+		e2 := sim.NewEngine(v, rlsLocal{}, r2)
 		res1 := e1.Run(sim.UntilPerfect(), 200000)
 		res2 := e2.Run(sim.UntilPerfect(), 200000)
 		return res1.Activations == res2.Activations && res1.Final.Equal(res2.Final)

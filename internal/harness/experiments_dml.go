@@ -15,7 +15,7 @@ import (
 // the discrepancy at the given times.
 func discAtCheckpoints(n, m int, gen loadvec.Generator, adv core.Adversary, checkpoints []float64, r *rng.RNG) []float64 {
 	v := gen.Generate(n, m, r)
-	e := sim.NewEngine(v, core.RLS{}, sim.NewFenwick(), r)
+	e := sim.NewEngine(v, core.RLS{}, r)
 	if adv != nil {
 		core.Attach(e, adv)
 	}
@@ -185,7 +185,7 @@ func init() {
 				xx := x
 				discs := Replicate(cfg.Seed+uint64(epoch), reps, func(r *rng.RNG) float64 {
 					v := loadvec.HalfSpread(xx).Generate(n, m, r)
-					e := sim.NewEngine(v, core.RLS{}, sim.NewFenwick(), r)
+					e := sim.NewEngine(v, core.RLS{}, r)
 					e.Run(sim.UntilTime(epochLen), 200_000_000)
 					return e.Cfg().Disc()
 				})

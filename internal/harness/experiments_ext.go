@@ -45,7 +45,7 @@ func init() {
 						panic(err)
 					}
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, mover, sim.NewFenwick(), r)
+					e := sim.NewEngine(v, mover, r)
 					stop := func(e *sim.Engine) bool {
 						return hetero.IsSpeedNash(e.Cfg().Loads(), speeds)
 					}
@@ -137,7 +137,7 @@ func init() {
 				gg := g
 				times := Replicate(cfg.Seed^uint64(i*17), reps, func(r *rng.RNG) float64 {
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, graphs.GraphRLS{G: gg}, sim.NewFenwick(), r)
+					e := sim.NewEngine(v, graphs.GraphRLS{G: gg}, r)
 					res := e.Run(sim.UntilPerfect(), 0)
 					if !res.Stopped {
 						panic(fmt.Sprintf("graph run on %s exhausted budget", gg.Name()))
@@ -193,87 +193,6 @@ func init() {
 	})
 
 	register(Experiment{
-		ID:       "A1",
-		Title:    "ablation: ball-list vs Fenwick activation samplers",
-		PaperRef: "DESIGN.md §4 choice 1",
-		Claim: "Both samplers induce the same law on balancing time (means agree " +
-			"within CI); they trade O(m) memory/O(1) step vs O(n) memory/O(log n) step.",
-		Run: func(cfg RunConfig) *Table {
-			t := NewTable("A1", "engine ablation",
-				"sampler", "n", "m", "E[T]", "ci95")
-			n, m := 64, 1024
-			if cfg.Scale == Full {
-				n, m = 256, 16384
-			}
-			reps := 3 * sweepReps(cfg.Scale)
-			type mk struct {
-				name string
-				make func() sim.ActivationSampler
-			}
-			for _, s := range []mk{
-				{"ball-list", func() sim.ActivationSampler { return sim.NewBallList() }},
-				{"fenwick", func() sim.ActivationSampler { return sim.NewFenwick() }},
-			} {
-				maker := s.make
-				times := Replicate(cfg.Seed^uint64(len(s.name)), reps, func(r *rng.RNG) float64 {
-					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, core.RLS{}, maker(), r)
-					return e.Run(sim.UntilPerfect(), 0).Time
-				})
-				var sm stats.Summary
-				sm.AddAll(times)
-				t.Addf(s.name, n, m, sm.Mean(), sm.CI95())
-			}
-			t.Note("per-step cost is compared by BenchmarkEngineStep* in internal/sim")
-			return t
-		},
-	})
-
-	register(Experiment{
-		ID:       "A3",
-		Title:    "ablation: literal per-ball clocks vs Poisson superposition",
-		PaperRef: "§3 model / DESIGN.md §4 choice 4",
-		Claim: "Driving activations from an event heap of m independent Exp(1) " +
-			"clocks (the literal §3 model) yields the same balancing-time law as " +
-			"Exp(m) gaps with uniform ball choice (two-sample KS test).",
-		Run: func(cfg RunConfig) *Table {
-			t := NewTable("A3", "time-model ablation",
-				"sampler", "n", "m", "E[T]", "ci95", "KS D vs ball-list", "same law?")
-			n, m := 32, 256
-			reps := 10 * sweepReps(cfg.Scale)
-			if cfg.Scale == Full {
-				n, m = 64, 1024
-			}
-			collect := func(mk func() sim.ActivationSampler, seed uint64) []float64 {
-				return Replicate(seed, reps, func(r *rng.RNG) float64 {
-					v := loadvec.AllInOne().Generate(n, m, nil)
-					e := sim.NewEngine(v, core.RLS{}, mk(), r)
-					return e.Run(sim.UntilPerfect(), 0).Time
-				})
-			}
-			base := collect(func() sim.ActivationSampler { return sim.NewBallList() }, cfg.Seed+1)
-			var bs stats.Summary
-			bs.AddAll(base)
-			t.Addf("ball-list (Exp(m) gaps)", n, m, bs.Mean(), bs.CI95(), 0.0, "-")
-			for _, s := range []struct {
-				name string
-				mk   func() sim.ActivationSampler
-			}{
-				{"fenwick (Exp(m) gaps)", func() sim.ActivationSampler { return sim.NewFenwick() }},
-				{"event-heap (per-ball clocks)", func() sim.ActivationSampler { return sim.NewEventHeap() }},
-			} {
-				times := collect(s.mk, cfg.Seed+uint64(7*len(s.name)))
-				var sm stats.Summary
-				sm.AddAll(times)
-				same, d := stats.SameDistribution(base, times, 0.001)
-				t.Addf(s.name, n, m, sm.Mean(), sm.CI95(), d, fmt.Sprintf("%v", same))
-			}
-			t.Note("reps per sampler: %d; KS significance 0.001", reps)
-			return t
-		},
-	})
-
-	register(Experiment{
 		ID:       "A2",
 		Title:    "ablation: ≥ tie rule (paper) vs > rule ([12]/[11])",
 		PaperRef: "§3 remark",
@@ -291,7 +210,7 @@ func init() {
 				mover := mv
 				times := Replicate(cfg.Seed^uint64(len(mover.Name())), reps, func(r *rng.RNG) float64 {
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, mover, sim.NewFenwick(), r)
+					e := sim.NewEngine(v, mover, r)
 					return e.Run(sim.UntilPerfect(), 0).Time
 				})
 				var sm stats.Summary

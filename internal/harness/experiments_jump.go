@@ -46,7 +46,7 @@ func init() {
 						if jump {
 							res = sim.NewJumpEngine(v, r).Run(sim.UntilPerfect(), 0)
 						} else {
-							res = sim.NewEngine(v, core.RLS{}, nil, r).Run(sim.UntilPerfect(), 0)
+							res = sim.NewEngine(v, core.RLS{}, r).Run(sim.UntilPerfect(), 0)
 						}
 						return runStats{res.Time, float64(res.Activations), float64(res.Moves)}
 					})

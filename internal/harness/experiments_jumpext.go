@@ -46,7 +46,7 @@ func init() {
 						if jump {
 							res = sim.NewStrictJumpEngine(v, r).Run(sim.UntilPerfect(), 0)
 						} else {
-							res = sim.NewEngine(v, core.StrictRLS{}, nil, r).Run(sim.UntilPerfect(), 0)
+							res = sim.NewEngine(v, core.StrictRLS{}, r).Run(sim.UntilPerfect(), 0)
 						}
 						return runStats{res.Time, float64(res.Activations), float64(res.Moves)}
 					})
@@ -129,7 +129,7 @@ func init() {
 						if jump {
 							res = sim.NewGraphJumpEngine(v, g, r).Run(sim.UntilPerfect(), 0)
 						} else {
-							res = sim.NewEngine(v, graphs.GraphRLS{G: g}, nil, r).Run(sim.UntilPerfect(), 0)
+							res = sim.NewEngine(v, graphs.GraphRLS{G: g}, r).Run(sim.UntilPerfect(), 0)
 						}
 						return runStats{res.Time, float64(res.Activations), float64(res.Moves)}
 					})

@@ -60,7 +60,7 @@ func init() {
 				seed := cfg.Seed ^ uint64(1+ri*524287)
 				directT := Replicate(seed, reps, func(r *rng.RNG) float64 {
 					v := gen.Generate(n, m, r)
-					return sim.NewEngine(v, core.RLS{}, nil, r).Run(sim.UntilPerfect(), 0).Time
+					return sim.NewEngine(v, core.RLS{}, r).Run(sim.UntilPerfect(), 0).Time
 				})
 				// Replicate2 keeps the per-rep cross-move share out of shared
 				// state: replications run on parallel workers.

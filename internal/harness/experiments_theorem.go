@@ -15,7 +15,7 @@ import (
 // (continuous time, activations).
 func rlsRun(n, m int, gen loadvec.Generator, r *rng.RNG) (float64, float64) {
 	v := gen.Generate(n, m, r)
-	e := sim.NewEngine(v, core.RLS{}, sim.NewFenwick(), r)
+	e := sim.NewEngine(v, core.RLS{}, r)
 	res := e.Run(sim.UntilPerfect(), 0)
 	if !res.Stopped {
 		panic(fmt.Sprintf("harness: RLS run exhausted budget at n=%d m=%d", n, m))
@@ -50,6 +50,19 @@ func sweepReps(s Scale) int {
 		return 32
 	}
 	return 12
+}
+
+// lb2Reps is LB2's runs per row: at Quick scale, 576 runs put the exact
+// 99.9% band of its ratio column at [0.869, 1.143].
+func lb2Reps(s Scale) int { return 48 * sweepReps(s) }
+
+// lb2Band is the exact two-sided level-(1−alpha) interval of LB2's ratio
+// column over reps runs: T ~ Exp(μ) exactly, so reps·mean/μ ~
+// Erlang(reps, 1).
+func lb2Band(reps int, alpha float64) (lo, hi float64) {
+	k := int64(reps)
+	return stats.ErlangQuantile(k, alpha/2) / float64(reps),
+		stats.ErlangQuantile(k, 1-alpha/2) / float64(reps)
 }
 
 func init() {
@@ -154,7 +167,7 @@ func init() {
 		Run: func(cfg RunConfig) *Table {
 			t := NewTable("LB2", "exact exponential lower-bound instance",
 				"n", "∅", "E[T]", "ci95", "n/(∅+1)", "ratio", "p50/mean")
-			reps := 8 * sweepReps(cfg.Scale)
+			reps := lb2Reps(cfg.Scale)
 			for _, n := range sweepNs(cfg.Scale) {
 				for _, avg := range []int{4, 16} {
 					m := n * avg
@@ -169,7 +182,9 @@ func init() {
 						stats.Quantile(times, 0.5)/s.Mean())
 				}
 			}
+			lo, hi := lb2Band(reps, 0.001)
 			t.Note("ratio ≈ 1 and p50/mean ≈ ln 2 ≈ 0.693 confirm the exact exponential law")
+			t.Note("%d runs per row: under the exact law the ratio lies in [%.3f, %.3f] with probability 0.999", reps, lo, hi)
 			return t
 		},
 	})

@@ -6,14 +6,14 @@ import (
 )
 
 // Scale selects the experiment size. Quick keeps every experiment under a
-// couple of seconds for tests and benchmarks; Full is the scale recorded
-// in EXPERIMENTS.md.
+// couple of seconds for tests and benchmarks; Full is the scale
+// rlsweep -scale full runs.
 type Scale int
 
 const (
 	// Quick runs reduced sweeps suitable for go test / go bench.
 	Quick Scale = iota
-	// Full runs the sweeps reported in EXPERIMENTS.md.
+	// Full runs the larger sweeps (rlsweep -scale full).
 	Full
 )
 
@@ -25,10 +25,10 @@ type RunConfig struct {
 	Scale Scale
 }
 
-// Experiment couples a DESIGN.md experiment ID with the code regenerating
-// its table.
+// Experiment couples an experiment ID with the code regenerating its
+// table; rlsweep -list prints the registered IDs with their titles.
 type Experiment struct {
-	// ID is the DESIGN.md identifier (T1, LB2, DML, ...).
+	// ID is the registry key (T1, LB2, DML, ...).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -1,6 +1,6 @@
 // Package harness turns the paper's claims into runnable experiments: a
 // parallel replication runner, an experiment registry with one entry per
-// figure/claim (see DESIGN.md §3 for the index), and plain-text/CSV table
+// figure/claim (rlsweep -list prints the index), and plain-text/CSV table
 // rendering. Every experiment is regenerated by cmd/rlsweep, and
 // bench_test.go exposes each as a testing.B benchmark.
 package harness

@@ -124,7 +124,7 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		v := loadvec.OneChoice().Generate(cfg.N, cfg.N, r)
 		switch engine {
 		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
+			e := sim.NewEngine(v, core.RLS{}, r)
 			e.Run(sim.UntilTime(horizon), 0)
 		case "sharded":
 			s := sim.NewSharded(v, p, epoch, r)
@@ -148,7 +148,7 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		v := loadvec.OneChoice().Generate(en, 4*en, r)
 		switch engine {
 		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
+			e := sim.NewEngine(v, core.RLS{}, r)
 			e.Run(sim.UntilPerfect(), 0)
 		case "jump":
 			e := sim.NewJumpEngine(v, r)

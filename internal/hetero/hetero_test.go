@@ -46,7 +46,7 @@ func TestSpeedRLSReachesNash(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := loadvec.AllInOne().Generate(n, 160, nil)
-	e := sim.NewEngine(v, mover, nil, rng.New(2))
+	e := sim.NewEngine(v, mover, rng.New(2))
 	stop := func(e *sim.Engine) bool { return IsSpeedNash(e.Cfg().Loads(), speeds) }
 	res := e.Run(stop, 10_000_000)
 	if !res.Stopped {

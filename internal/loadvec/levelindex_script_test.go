@@ -238,3 +238,29 @@ func BenchmarkLevelIndexSampleBall(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLevelIndexChurn times AddBall and RemoveBall on the plain and
+// strict level indexes from the dense start, with the ball tree built as
+// a Session's churn finds it. Ops alternate an arrival at a uniform bin
+// and a departure from a uniform non-empty bin, so m stays put; each
+// iteration times 4096 ops, ns/op per op.
+func BenchmarkLevelIndexChurn(b *testing.B) {
+	for _, sh := range indexShapes[:2] {
+		b.Run(sh.name, func(b *testing.B) {
+			c := NewConfig(benchDenseConfig())
+			sh.enable(c)
+			r := rng.New(1)
+			c.SampleBallBin(r)
+			n := c.N()
+			const batch = 4096
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch/2; j++ {
+					c.AddBall(r.Intn(n))
+					c.RemoveBall(randNonEmpty(c, r))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
+		})
+	}
+}

@@ -10,7 +10,7 @@ import (
 // protocols with global knowledge (e.g., the average load). This allows
 // them to reach perfect balance in expected O(ln ln m + ln n) steps").
 //
-// Faithful-variant note (recorded in DESIGN.md): we implement their
+// Faithful-variant note: we implement their
 // identical-machines rule in the form commonly stated for unit tasks —
 // in each round, every ball in a bin with load above ⌈∅⌉ is "excess"
 // (each bin keeps ⌈∅⌉ residents); each excess ball independently

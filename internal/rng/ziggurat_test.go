@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // The kernel's law tests draw at α = 0.001 per check from fixed seeds, so
@@ -272,22 +274,6 @@ func TestNormalSignIndependent(t *testing.T) {
 	}
 }
 
-// erlangCDF is the closed-form Erlang(k, 1) CDF,
-// 1 − e^{−x} Σ_{j<k} x^j/j!, with the terms in log space so large k
-// stays finite.
-func erlangCDF(k int64, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	lx := math.Log(x)
-	var s float64
-	for j := int64(0); j < k; j++ {
-		lg, _ := math.Lgamma(float64(j + 1))
-		s += math.Exp(-x + float64(j)*lx - lg)
-	}
-	return 1 - s
-}
-
 // TestErlangKS checks Erlang(k, rate) against the exact Erlang CDF on
 // both sides of erlangSumCutoff, rescaled to rate 1.
 func TestErlangKS(t *testing.T) {
@@ -299,7 +285,7 @@ func TestErlangKS(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Erlang(k, rate) * rate
 		}
-		if d, crit := ksOneSample(xs, func(x float64) float64 { return erlangCDF(k, x) }), ksCrit(draws, zigAlpha); d > crit {
+		if d, crit := ksOneSample(xs, func(x float64) float64 { return stats.ErlangCDF(k, x) }), ksCrit(draws, zigAlpha); d > crit {
 			t.Errorf("Erlang(%d): KS D = %.5f > %.5f against the exact CDF", k, d, crit)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 // TestSpecValidateAgreesWithConstruction walks the spectest cross-product
 // through POST /v1/sessions: every case the JSON config can spell (no
-// unknown engine mode, no Fenwick sampler, no speeds, no shard count or
+// unknown engine mode, no speeds, no shard count or
 // epoch, and only the torus or hypercube parameter the bin count fixes)
 // answers 201 exactly when Spec.NewSession accepts it, and otherwise 400
 // with its message — ErrSessionSpec for every sharded case.
@@ -24,7 +24,7 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 	for _, c := range spectest.Cases() {
 		engine, ok := c.EngineName()
 		topology, named := c.TopologyName()
-		if !ok || !named || c.Spec.Fenwick || c.Spec.Speeds != nil || c.Spec.Shards != 0 || c.Spec.ShardEpoch != 0 {
+		if !ok || !named || c.Spec.Speeds != nil || c.Spec.Shards != 0 || c.Spec.ShardEpoch != 0 {
 			continue
 		}
 		body, err := json.Marshal(sessionConfig{

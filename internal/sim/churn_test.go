@@ -3,10 +3,9 @@ package sim
 // Churn agreement tests: interleaving AddBall/RemoveBall/Step on a live
 // engine must keep the ball list's view of the loads identical to the
 // Config's, and the Config's incremental statistics identical to a
-// freshly built one. The ball list is the only sampler that churns.
+// freshly built one.
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,8 +27,8 @@ func randNonEmptyBin(cfg *loadvec.Config, r *rng.RNG) int {
 }
 
 func TestEngineChurnSamplerAgreementProperty(t *testing.T) {
-	// One subtest, named for the only sampler that churns.
-	t.Run(NewBallList().Name(), func(t *testing.T) {
+	// One subtest, named for the only sampler.
+	t.Run("ball-list", func(t *testing.T) {
 		err := quick.Check(func(seed uint64) bool {
 			script := rng.New(seed) // drives the churn schedule
 			n := 2 + script.Intn(10)
@@ -40,8 +39,8 @@ func TestEngineChurnSamplerAgreementProperty(t *testing.T) {
 			if v.Balls() == 0 {
 				v[0] = 1
 			}
-			list := NewBallList()
-			e := NewEngine(v, rlsRule{}, list, rng.New(seed+1))
+			e := NewEngine(v, rlsRule{}, rng.New(seed+1))
+			list := e.balls
 			for op := 0; op < 150; op++ {
 				switch script.Intn(4) {
 				case 0:
@@ -76,7 +75,7 @@ func TestEngineChurnSamplerAgreementProperty(t *testing.T) {
 // Churn before the first activation must work.
 func TestEngineChurnBeforeFirstStep(t *testing.T) {
 	v := loadvec.Vector{2, 0, 1}
-	e := NewEngine(v, rlsRule{}, NewBallList(), rng.New(11))
+	e := NewEngine(v, rlsRule{}, rng.New(11))
 	e.AddBall(1)
 	e.AddBall(1)
 	e.RemoveBall(0)
@@ -105,38 +104,13 @@ func TestSamplerRemoveBallEmptyPanics(t *testing.T) {
 	b.RemoveBall(0)
 }
 
-// Only the ball list churns: an engine over another sampler panics with
-// a message naming it, before the configuration changes.
-func TestEngineChurnOtherSamplerPanics(t *testing.T) {
-	for _, s := range []ActivationSampler{NewFenwick(), NewEventHeap()} {
-		for op, churn := range map[string]func(e *Engine){
-			"AddBall":    func(e *Engine) { e.AddBall(0) },
-			"RemoveBall": func(e *Engine) { e.RemoveBall(0) },
-		} {
-			e := NewEngine(loadvec.Vector{2, 1}, rlsRule{}, s, rng.New(12))
-			func() {
-				defer func() {
-					msg, _ := recover().(string)
-					if !strings.Contains(msg, s.Name()) {
-						t.Errorf("%s %s: panic %q does not name the sampler", s.Name(), op, msg)
-					}
-				}()
-				churn(e)
-			}()
-			if e.Cfg().M() != 3 {
-				t.Errorf("%s %s: m = %d after the refused churn, want 3", s.Name(), op, e.Cfg().M())
-			}
-		}
-	}
-}
-
 // A long alternating churn+run soak at m >> n: the engine absorbs every
 // event incrementally and stays internally consistent.
 func TestEngineChurnSoak(t *testing.T) {
 	const n, m = 64, 4096
 	r := rng.New(3)
 	v := loadvec.OneChoice().Generate(n, m, r)
-	e := NewEngine(v, rlsRule{}, NewBallList(), rng.New(4))
+	e := NewEngine(v, rlsRule{}, rng.New(4))
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 20; i++ {
 			e.AddBall(r.Intn(n))

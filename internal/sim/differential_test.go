@@ -25,7 +25,7 @@ func graphArm(g graphs.Graph, m int, jump bool) testutil.Arm {
 		if jump {
 			e = NewGraphJumpEngine(v, g, rng.New(seed))
 		} else {
-			e = NewEngine(v, graphs.GraphRLS{G: g}, nil, rng.New(seed))
+			e = NewEngine(v, graphs.GraphRLS{G: g}, rng.New(seed))
 		}
 		res := e.Run(UntilPerfect(), 100_000_000)
 		return testutil.Fingerprint{

@@ -27,13 +27,12 @@ type Mover interface {
 // Step. Adversaries (Lemma 2) may inject extra moves through ForceMove
 // from a PostMove hook.
 type Engine struct {
-	cfg     *loadvec.Config
-	sampler ActivationSampler // nil in jump mode
-	gaps    GapSampler        // non-nil when the sampler owns event timing
-	mover   Mover
-	r       *rng.RNG
-	jump    bool        // rejection-free jump-chain mode (see jump.go)
-	gidx    *graphIndex // jump mode on a graph topology (jumpgraph.go)
+	cfg   *loadvec.Config
+	balls *BallList // the activation sampler; nil in jump mode
+	mover Mover
+	r     *rng.RNG
+	jump  bool        // rejection-free jump-chain mode (see jump.go)
+	gidx  *graphIndex // jump mode on a graph topology (jumpgraph.go)
 
 	time        float64
 	activations int64
@@ -53,33 +52,22 @@ type Engine struct {
 	PostMove func(e *Engine, src, dst int)
 }
 
-// NewEngine builds an engine over a copy of the initial configuration.
-// If sampler is nil a BallList sampler is used.
-func NewEngine(initial loadvec.Vector, mover Mover, sampler ActivationSampler, r *rng.RNG) *Engine {
+// NewEngine builds a direct engine over a copy of the initial
+// configuration, sampling activations from a ball list.
+func NewEngine(initial loadvec.Vector, mover Mover, r *rng.RNG) *Engine {
 	if r == nil {
 		panic("sim: NewEngine with nil RNG")
 	}
 	if mover == nil {
 		panic("sim: NewEngine with nil mover")
 	}
-	if sampler == nil {
-		sampler = NewBallList()
-	}
-	sampler.Reset(initial)
-	e := &Engine{
-		cfg:     loadvec.NewConfig(initial),
-		sampler: sampler,
-		mover:   mover,
-		r:       r,
-	}
-	if gs, ok := sampler.(GapSampler); ok {
-		e.gaps = gs
-	}
-	return e
+	balls := NewBallList()
+	balls.Reset(initial)
+	return &Engine{cfg: loadvec.NewConfig(initial), balls: balls, mover: mover, r: r}
 }
 
 // Cfg exposes the live configuration (read-only use expected; mutate only
-// through ForceMove so the sampler stays in sync).
+// through ForceMove so the ball list stays in sync).
 func (e *Engine) Cfg() *loadvec.Config { return e.cfg }
 
 // Time returns the elapsed continuous time.
@@ -107,27 +95,22 @@ func (e *Engine) RNG() *rng.RNG { return e.r }
 func (e *Engine) SetHorizon(t float64) { e.horizon = t }
 
 // Step performs one activation (direct mode) or one jump-chain block
-// (jump mode) and returns whether a ball moved.
-// Timing: samplers that own event timing (GapSampler, i.e. the literal
-// per-ball-clock EventHeap) supply the inter-activation gap; otherwise
-// the engine draws Exp(m) — the superposition of m rate-1 clocks.
+// (jump mode) and returns whether a ball moved. A direct activation
+// advances time by Exp(m), the gap of the superposition of m rate-1
+// clocks, and activates a uniformly random ball.
 func (e *Engine) Step() bool {
 	if e.jump {
 		return e.stepJump()
 	}
-	if e.gaps != nil {
-		e.time += e.gaps.NextGap(e.r)
-	} else {
-		e.time += e.r.Exp(float64(e.cfg.M()))
-	}
-	src := e.sampler.Sample(e.r)
+	e.time += e.r.Exp(float64(e.cfg.M()))
+	src := e.balls.Sample(e.r)
 	dst, move := e.mover.Decide(e.cfg, src, e.r)
 	e.activations++
 	if !move || dst == src {
 		return false
 	}
 	e.cfg.Move(src, dst)
-	e.sampler.MoveBall(src, dst)
+	e.balls.MoveBall(src, dst)
 	e.moves++
 	if e.PostMove != nil {
 		e.PostMove(e, src, dst)
@@ -139,13 +122,11 @@ func (e *Engine) Step() bool {
 // configuration and the ball list in lockstep. The activation rate
 // adjusts automatically: Step reads the live m for its Exp(m) gap. Cost
 // is O(1) on a direct engine and O(log Δ) on a jump engine — never an
-// O(m) rebuild. Only the ball list churns: a direct engine over the
-// Fenwick or event-heap sampler panics.
+// O(m) rebuild.
 func (e *Engine) AddBall(bin int) {
-	list := e.churnList()
 	e.cfg.AddBall(bin)
-	if list != nil {
-		list.AddBall(bin)
+	if e.balls != nil {
+		e.balls.AddBall(bin)
 	}
 	if e.gidx != nil {
 		e.gidx.update(e.cfg, bin, -1)
@@ -154,31 +135,15 @@ func (e *Engine) AddBall(bin int) {
 
 // RemoveBall removes one ball from bin (a dynamic departure), keeping the
 // configuration and the ball list in lockstep. Balls being identical, any
-// resident of bin may be the one to leave. It panics if the bin is empty,
-// and, like AddBall, on a sampler other than the ball list.
+// resident of bin may be the one to leave. It panics if the bin is empty.
 func (e *Engine) RemoveBall(bin int) {
-	list := e.churnList()
 	e.cfg.RemoveBall(bin)
-	if list != nil {
-		list.RemoveBall(bin)
+	if e.balls != nil {
+		e.balls.RemoveBall(bin)
 	}
 	if e.gidx != nil {
 		e.gidx.update(e.cfg, bin, -1)
 	}
-}
-
-// churnList returns the ball list churn updates, or nil in jump mode
-// (no sampler). It panics, before any state changes, for the samplers
-// that do not churn.
-func (e *Engine) churnList() *BallList {
-	if e.sampler == nil {
-		return nil
-	}
-	list, ok := e.sampler.(*BallList)
-	if !ok {
-		panic(fmt.Sprintf("sim: the %s sampler does not support churn", e.sampler.Name()))
-	}
-	return list
 }
 
 // RandomBin returns the bin of a uniformly random ball without advancing
@@ -188,16 +153,16 @@ func (e *Engine) RandomBin() int {
 	if e.jump {
 		return e.cfg.SampleBallBin(e.r)
 	}
-	return e.sampler.Sample(e.r)
+	return e.balls.Sample(e.r)
 }
 
 // ForceMove applies a move outside the protocol (adversarial/destructive),
-// keeping the sampler in sync. It does not advance time: the DML adversary
+// keeping the ball list in sync. It does not advance time: the DML adversary
 // acts instantaneously after protocol moves.
 func (e *Engine) ForceMove(src, dst int) {
 	e.cfg.Move(src, dst)
-	if e.sampler != nil {
-		e.sampler.MoveBall(src, dst)
+	if e.balls != nil {
+		e.balls.MoveBall(src, dst)
 	}
 	if e.gidx != nil {
 		e.gidx.update(e.cfg, src, dst)

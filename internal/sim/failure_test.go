@@ -21,7 +21,7 @@ func TestEngineSurvivesOrPanicsOnOutOfRangeMover(t *testing.T) {
 	// A mover returning an out-of-range destination must panic (index out
 	// of range in the config) — never silently continue.
 	v := loadvec.Vector{4, 4}
-	e := NewEngine(v, brokenMover{dst: 99}, nil, rng.New(1))
+	e := NewEngine(v, brokenMover{dst: 99}, rng.New(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("engine accepted an out-of-range destination")
@@ -38,7 +38,7 @@ func TestEngineSurvivesOrPanicsOnOutOfRangeMover(t *testing.T) {
 // empty-bin move is ForceMove abuse.
 func TestForceMoveFromEmptyPanics(t *testing.T) {
 	v := loadvec.Vector{0, 4}
-	e := NewEngine(v, rlsRule{}, nil, rng.New(2))
+	e := NewEngine(v, rlsRule{}, rng.New(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ForceMove from empty bin accepted")
@@ -49,7 +49,7 @@ func TestForceMoveFromEmptyPanics(t *testing.T) {
 
 func TestForceMoveSelfLoopPanics(t *testing.T) {
 	v := loadvec.Vector{4, 4}
-	e := NewEngine(v, rlsRule{}, nil, rng.New(3))
+	e := NewEngine(v, rlsRule{}, rng.New(3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-loop ForceMove accepted")
@@ -68,7 +68,7 @@ func (selfMover) Name() string                                              { re
 
 func TestEngineIgnoresSelfMoves(t *testing.T) {
 	v := loadvec.Vector{5, 3}
-	e := NewEngine(v, selfMover{}, nil, rng.New(4))
+	e := NewEngine(v, selfMover{}, rng.New(4))
 	res := e.Run(UntilActivations(1000), 0)
 	if res.Moves != 0 {
 		t.Fatalf("self-moves recorded as moves: %d", res.Moves)
@@ -81,7 +81,7 @@ func TestEngineIgnoresSelfMoves(t *testing.T) {
 // A PostMove hook that panics must propagate (no silent swallowing).
 func TestPostMovePanicPropagates(t *testing.T) {
 	v := loadvec.AllInOne().Generate(4, 16, nil)
-	e := NewEngine(v, rlsRule{}, nil, rng.New(5))
+	e := NewEngine(v, rlsRule{}, rng.New(5))
 	e.PostMove = func(*Engine, int, int) { panic("hook failure") }
 	defer func() {
 		if r := recover(); r == nil {
@@ -93,25 +93,21 @@ func TestPostMovePanicPropagates(t *testing.T) {
 	}
 }
 
-// Samplers must reject Reset-free use in a way that fails fast.
+// The ball list must reject Reset-free use in a way that fails fast.
 func TestSamplerUseBeforeResetPanics(t *testing.T) {
-	for _, s := range []ActivationSampler{NewBallList(), NewFenwick(), NewEventHeap()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Sample before Reset did not panic", s.Name())
-				}
-			}()
-			s.Sample(rng.New(6))
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sample before Reset did not panic")
+		}
+	}()
+	NewBallList().Sample(rng.New(6))
 }
 
 // After an engine exhausts its activation budget mid-flight, its state
 // must still validate and be resumable.
 func TestEngineResumableAfterBudget(t *testing.T) {
 	v := loadvec.AllInOne().Generate(16, 128, nil)
-	e := NewEngine(v, rlsRule{}, nil, rng.New(7))
+	e := NewEngine(v, rlsRule{}, rng.New(7))
 	res1 := e.Run(UntilPerfect(), 50)
 	if res1.Stopped {
 		t.Fatal("50 activations cannot finish this instance")

@@ -115,7 +115,7 @@ func TestJumpHorizonMatchesDirectLaw(t *testing.T) {
 	var directActs, jumpActs, directMoves, jumpMoves float64
 	for i := 0; i < reps; i++ {
 		r := root.Split()
-		res := NewEngine(loadvec.AllInOne().Generate(n, m, nil), rlsRule{}, nil, r).
+		res := NewEngine(loadvec.AllInOne().Generate(n, m, nil), rlsRule{}, r).
 			Run(UntilTime(horizon), 0)
 		if res.Time < horizon {
 			t.Fatalf("direct stopped early at %v", res.Time)
@@ -204,7 +204,7 @@ func TestJumpMatchesDirectLaw(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		r := root.Split()
 		v := loadvec.AllInOne().Generate(n, m, nil)
-		e := NewEngine(v, rlsRule{}, nil, r)
+		e := NewEngine(v, rlsRule{}, r)
 		res := e.Run(UntilPerfect(), 0)
 		directT = append(directT, res.Time)
 		directActs += float64(res.Activations)
@@ -222,19 +222,5 @@ func TestJumpMatchesDirectLaw(t *testing.T) {
 	// Activation counts have the same mean; allow 10% at this sample size.
 	if ratio := jumpActs / directActs; math.Abs(ratio-1) > 0.10 {
 		t.Errorf("activation ratio jump/direct = %g, want ≈ 1", ratio)
-	}
-}
-
-func TestFenwickLoadSinglePass(t *testing.T) {
-	f := NewFenwick()
-	v := loadvec.Vector{3, 0, 7, 1, 0, 0, 5, 2, 9, 4, 0, 1, 6}
-	f.Reset(v)
-	for i, want := range v {
-		if got := f.Load(i); got != want {
-			t.Errorf("Load(%d) = %d, want %d", i, got, want)
-		}
-		if got := int(f.t.Prefix(i) - f.t.Prefix(i-1)); got != want {
-			t.Errorf("prefix diff at %d = %d, want %d", i, got, want)
-		}
 	}
 }

@@ -1,18 +1,15 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/loadvec"
 	"repro/internal/persist"
 	"repro/internal/rng"
 )
 
-// This file is sim's half of the snapshot codec: the ball-list sampler
-// and the sequential Engine (all four protocol shapes: direct, jump,
-// strict jump, graph jump). Those are the engines a Session holds; the
-// Fenwick and event-heap samplers and the Sharded engine run only inside
-// one Runner call and have no codec.
+// This file is sim's half of the snapshot codec: the ball list and the
+// sequential Engine (all four protocol shapes: direct, jump, strict jump,
+// graph jump). Those are the engines a Session holds; the Sharded engine
+// runs only inside one Runner call and has no codec.
 //
 // DecodeState decodes *into* an engine of the matching shape — the root
 // package's ResumeSession rebuilds the shape from the snapshot header
@@ -25,8 +22,8 @@ import (
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
 // The numbers are frozen: tags samplerFenwick and samplerEventHeap
-// belonged to those samplers' removed codecs, and artifacts carrying them
-// fail to decode with an error naming the sampler.
+// belonged to the removed Fenwick and event-heap samplers, and artifacts
+// carrying them fail to decode with an error naming the sampler.
 const (
 	samplerNone = iota
 	samplerBallList
@@ -113,14 +110,11 @@ func (b *BallList) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
 // engine supplies them.
 func (e *Engine) EncodeState(enc *persist.Enc) {
 	e.cfg.EncodeState(enc)
-	switch s := e.sampler.(type) {
-	case nil:
+	if e.balls == nil {
 		enc.Int(samplerNone)
-	case *BallList:
+	} else {
 		enc.Int(samplerBallList)
-		s.encodeState(enc)
-	default:
-		panic(fmt.Sprintf("sim: sampler %s has no snapshot codec", e.sampler.Name()))
+		e.balls.encodeState(enc)
 	}
 	if e.gidx == nil {
 		enc.Int(graphNone)
@@ -162,24 +156,23 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	}
 	switch tag {
 	case samplerFenwick:
-		return persist.Corruptf("snapshot sampler tag %d is the fenwick sampler, which has no snapshot codec", tag)
+		return persist.Corruptf("snapshot sampler tag %d is the removed fenwick sampler", tag)
 	case samplerEventHeap:
-		return persist.Corruptf("snapshot sampler tag %d is the event-heap sampler, which has no snapshot codec", tag)
+		return persist.Corruptf("snapshot sampler tag %d is the removed event-heap sampler", tag)
 	}
-	switch s := e.sampler.(type) {
-	case nil:
+	var balls *BallList
+	if e.balls == nil {
 		if tag != samplerNone {
 			return persist.Corruptf("snapshot carries sampler tag %d, engine has none", tag)
 		}
-	case *BallList:
+	} else {
 		if tag != samplerBallList {
 			return persist.Corruptf("snapshot sampler tag %d, engine wants ball-list", tag)
 		}
-		if err := s.decodeState(d, cfg); err != nil {
+		balls = new(BallList)
+		if err := balls.decodeState(d, cfg); err != nil {
 			return err
 		}
-	default:
-		return persist.Corruptf("engine sampler %s has no snapshot codec", e.sampler.Name())
 	}
 	gtag := d.Int()
 	if d.Err() != nil {
@@ -215,6 +208,9 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 		gidx = newGraphIndex(cfg, e.gidx.g)
 	}
 	e.cfg = cfg
+	if balls != nil {
+		e.balls = balls
+	}
 	e.gidx = gidx
 	e.r.Restore(st)
 	e.time, e.activations, e.moves, e.forced, e.horizon = time, acts, moves, forced, horizon

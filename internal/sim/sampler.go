@@ -3,68 +3,39 @@
 //
 // Each of the m balls carries an independent exponential clock of rate 1
 // (§3). The superposition of m such clocks is a Poisson process of rate m
-// whose next ring belongs to a uniformly random ball, so the engine
-// advances time by Exp(m) per activation and asks an ActivationSampler for
-// the bin of the activated ball. Two interchangeable samplers are
-// provided:
+// whose next ring belongs to a uniformly random ball, so the direct engine
+// advances time by Exp(m) per activation and reads the activated ball's
+// bin off a BallList: an explicit ball→bin table (O(m) memory, O(1) per
+// activation, move and churn). Sampling a uniform ball and reading its bin
+// is exactly the definition of the process. The ball list is also what
+// churns (AddBall/RemoveBall) and persists (EncodeState/DecodeState).
 //
-//   - BallList keeps an explicit ball→bin table (O(m) memory, O(1) per
-//     activation). Sampling a uniform ball and reading its bin is exactly
-//     the definition of the process.
-//   - Fenwick keeps only per-bin loads in a Fenwick tree (O(n) memory,
-//     O(log n) per activation) and samples a bin with probability
-//     proportional to its load. Because balls are identical, this induces
-//     the same law on load vectors.
-//
-// The two implementations cross-validate each other (experiment A1).
-// Only the ball list churns (AddBall/RemoveBall) and persists
-// (EncodeState/DecodeState): it is the sampler every Session holds. The
-// Fenwick sampler and the literal per-ball-clock EventHeap serve fixed-m
-// runs only.
-//
-// Both samplers serve the *direct* engine, which materializes every
-// activation. NewJumpEngine (jump.go) is the rejection-free alternative:
-// it needs no activation sampler at all because it simulates only the
-// embedded jump chain of productive moves, with null-activation blocks
-// skipped geometrically (experiment A4 cross-validates the two modes).
+// NewJumpEngine (jump.go) is the rejection-free alternative: it needs no
+// ball list because it simulates only the embedded jump chain of
+// productive moves, with null-activation blocks skipped geometrically
+// (experiment A4 cross-validates the two modes).
 package sim
 
 import (
-	"repro/internal/fenwick"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 )
 
-// ActivationSampler produces the source bin of each ball activation and
-// mirrors ball movements so that subsequent activations see the updated
-// configuration.
-type ActivationSampler interface {
-	// Reset initializes the sampler from a load vector.
-	Reset(v loadvec.Vector)
-	// Sample returns the bin of the next activated ball.
-	Sample(r *rng.RNG) int
-	// MoveBall records that one ball moved from bin src to bin dst.
-	// Balls being identical, the sampler may move any ball residing in src.
-	MoveBall(src, dst int)
-	// Name identifies the sampler in benchmarks and logs.
-	Name() string
-}
-
-// BallList is the direct implementation: an indexed multiset of balls.
-// Every operation — sampling, moves, and churn — is O(1): ball ids are
-// kept dense by swap-deleting the departing ball with the highest id, and
-// pos tracks each ball's slot within its bin list so the relabelling
-// needs no scan.
+// BallList is the direct engine's activation sampler: an indexed
+// multiset of balls. Every operation — sampling, moves, and churn — is
+// O(1): ball ids are kept dense by swap-deleting the departing ball with
+// the highest id, and pos tracks each ball's slot within its bin list so
+// the relabelling needs no scan.
 type BallList struct {
 	ballBin []int32   // ball id -> bin
 	pos     []int32   // ball id -> index within bins[ballBin[id]]
 	bins    [][]int32 // bin -> ball ids (unordered)
 }
 
-// NewBallList returns an empty ball-list sampler; call Reset before use.
+// NewBallList returns an empty ball list; call Reset before use.
 func NewBallList() *BallList { return &BallList{} }
 
-// Reset implements ActivationSampler.
+// Reset fills the list from a load vector, numbering balls bin by bin.
 func (b *BallList) Reset(v loadvec.Vector) {
 	m := v.Balls()
 	b.ballBin = make([]int32, 0, m)
@@ -83,13 +54,14 @@ func (b *BallList) Reset(v loadvec.Vector) {
 	}
 }
 
-// Sample implements ActivationSampler: a uniformly random ball's bin.
+// Sample returns the bin of a uniformly random ball.
 func (b *BallList) Sample(r *rng.RNG) int {
 	return int(b.ballBin[r.Intn(len(b.ballBin))])
 }
 
-// MoveBall implements ActivationSampler, moving an arbitrary ball out of
-// src in O(1) (the last one in src's list).
+// MoveBall records that one ball moved from bin src to bin dst. Balls
+// being identical, it moves an arbitrary resident of src in O(1) (the
+// last one in src's list).
 func (b *BallList) MoveBall(src, dst int) {
 	lst := b.bins[src]
 	if len(lst) == 0 {
@@ -137,52 +109,6 @@ func (b *BallList) RemoveBall(bin int) {
 // (rng.FillIntn) and resolve each id against the live table at event time.
 func (b *BallList) Bin(id int) int { return int(b.ballBin[id]) }
 
-// Name implements ActivationSampler.
-func (b *BallList) Name() string { return "ball-list" }
-
 // Load returns the number of balls the sampler believes are in bin i
 // (used by tests to check consistency with the Config).
 func (b *BallList) Load(i int) int { return len(b.bins[i]) }
-
-// Fenwick samples bins with probability proportional to load using a
-// shared fenwick.Tree over the load vector. It serves fixed-m runs: it
-// has no churn and no snapshot codec.
-type Fenwick struct {
-	t *fenwick.Tree // bin loads
-	m int
-}
-
-// NewFenwick returns an empty Fenwick sampler; call Reset before use.
-func NewFenwick() *Fenwick { return &Fenwick{} }
-
-// Reset implements ActivationSampler.
-func (f *Fenwick) Reset(v loadvec.Vector) {
-	f.m = v.Balls()
-	vals := make([]int64, len(v))
-	for i, load := range v {
-		vals[i] = int64(load)
-	}
-	f.t = fenwick.From(vals)
-}
-
-// Sample implements ActivationSampler: draws k uniform in [0, m) and
-// returns the bin holding the (k+1)-th ball in bin order, via the
-// standard Fenwick binary descend.
-func (f *Fenwick) Sample(r *rng.RNG) int {
-	k := r.Intn(f.m)
-	bin, _ := f.t.Find(int64(k))
-	return bin
-}
-
-// MoveBall implements ActivationSampler.
-func (f *Fenwick) MoveBall(src, dst int) {
-	f.t.Add(src, -1)
-	f.t.Add(dst, +1)
-}
-
-// Name implements ActivationSampler.
-func (f *Fenwick) Name() string { return "fenwick" }
-
-// Load returns the load of bin i according to the tree with a single
-// O(log n) traversal (fenwick.Tree's Value descend).
-func (f *Fenwick) Load(i int) int { return int(f.t.Value(i)) }

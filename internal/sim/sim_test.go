@@ -3,11 +3,9 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/loadvec"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // rlsRule is a local copy of the RLS decision rule for engine tests (the
@@ -26,25 +24,13 @@ type neverMove struct{}
 func (neverMove) Decide(*loadvec.Config, int, *rng.RNG) (int, bool) { return 0, false }
 func (neverMove) Name() string                                      { return "never" }
 
-func samplers() []ActivationSampler {
-	return []ActivationSampler{NewBallList(), NewFenwick()}
-}
-
 func TestSamplerLoadsMatchVector(t *testing.T) {
 	v := loadvec.Vector{3, 0, 5, 1}
-	for _, s := range samplers() {
-		s.Reset(v)
-		for i, want := range v {
-			var got int
-			switch ss := s.(type) {
-			case *BallList:
-				got = ss.Load(i)
-			case *Fenwick:
-				got = ss.Load(i)
-			}
-			if got != want {
-				t.Errorf("%s: bin %d load = %d, want %d", s.Name(), i, got, want)
-			}
+	s := NewBallList()
+	s.Reset(v)
+	for i, want := range v {
+		if got := s.Load(i); got != want {
+			t.Errorf("bin %d load = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -53,37 +39,28 @@ func TestSamplerFrequenciesProportionalToLoad(t *testing.T) {
 	v := loadvec.Vector{1, 0, 3, 6} // m = 10
 	r := rng.New(42)
 	const draws = 100000
-	for _, s := range samplers() {
-		s.Reset(v)
-		counts := make([]int, len(v))
-		for i := 0; i < draws; i++ {
-			counts[s.Sample(r)]++
-		}
-		for i, load := range v {
-			want := float64(draws) * float64(load) / 10
-			se := math.Sqrt(want + 1)
-			if math.Abs(float64(counts[i])-want) > 6*se {
-				t.Errorf("%s: bin %d sampled %d times, want ~%g", s.Name(), i, counts[i], want)
-			}
+	s := NewBallList()
+	s.Reset(v)
+	counts := make([]int, len(v))
+	for i := 0; i < draws; i++ {
+		counts[s.Sample(r)]++
+	}
+	for i, load := range v {
+		want := float64(draws) * float64(load) / 10
+		se := math.Sqrt(want + 1)
+		if math.Abs(float64(counts[i])-want) > 6*se {
+			t.Errorf("bin %d sampled %d times, want ~%g", i, counts[i], want)
 		}
 	}
 }
 
 func TestSamplerMoveBall(t *testing.T) {
-	for _, s := range samplers() {
-		s.Reset(loadvec.Vector{2, 0})
-		s.MoveBall(0, 1)
-		s.MoveBall(0, 1)
-		var l0, l1 int
-		switch ss := s.(type) {
-		case *BallList:
-			l0, l1 = ss.Load(0), ss.Load(1)
-		case *Fenwick:
-			l0, l1 = ss.Load(0), ss.Load(1)
-		}
-		if l0 != 0 || l1 != 2 {
-			t.Errorf("%s: loads after moves = (%d,%d), want (0,2)", s.Name(), l0, l1)
-		}
+	s := NewBallList()
+	s.Reset(loadvec.Vector{2, 0})
+	s.MoveBall(0, 1)
+	s.MoveBall(0, 1)
+	if l0, l1 := s.Load(0), s.Load(1); l0 != 0 || l1 != 2 {
+		t.Errorf("loads after moves = (%d,%d), want (0,2)", l0, l1)
 	}
 }
 
@@ -98,71 +75,13 @@ func TestBallListMoveFromEmptyPanics(t *testing.T) {
 	s.MoveBall(0, 1)
 }
 
-func TestFenwickMatchesNaivePrefixSums(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(50)
-		v := make(loadvec.Vector, n)
-		for i := range v {
-			v[i] = r.Intn(8)
-		}
-		if v.Balls() == 0 {
-			v[0] = 1
-		}
-		f := NewFenwick()
-		f.Reset(v)
-		// Random moves, then compare all per-bin loads.
-		for step := 0; step < 50; step++ {
-			src := r.Intn(n)
-			if v[src] == 0 {
-				continue
-			}
-			dst := r.Intn(n)
-			if dst == src {
-				continue
-			}
-			v[src]--
-			v[dst]++
-			f.MoveBall(src, dst)
-		}
-		for i := range v {
-			if f.Load(i) != v[i] {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFenwickSampleExhaustive(t *testing.T) {
-	// With every ball enumerated by its uniform index, Fenwick descend
-	// must return each bin exactly load-many times. Exercise via a
-	// deterministic sweep: temporarily emulate by checking distribution
-	// counts exactly through prefix arithmetic.
-	v := loadvec.Vector{2, 0, 1, 4}
-	f := NewFenwick()
-	f.Reset(v)
-	// prefix boundaries: bin0 covers k∈{0,1}, bin2 covers {2}, bin3 {3..6}.
-	// We can't inject k directly, so instead check Load and total.
-	total := 0
-	for i := range v {
-		total += f.Load(i)
-	}
-	if total != v.Balls() {
-		t.Fatalf("total = %d, want %d", total, v.Balls())
-	}
-}
-
 func TestEngineTimeAccounting(t *testing.T) {
 	// With m balls, time after k activations is a sum of k Exp(m) gaps:
 	// mean k/m.
 	const m = 50
 	const k = 20000
 	v := loadvec.Vector{m}
-	e := NewEngine(v, neverMove{}, nil, rng.New(7))
+	e := NewEngine(v, neverMove{}, rng.New(7))
 	res := e.Run(UntilActivations(k), 2*k)
 	if res.Activations != k {
 		t.Fatalf("activations = %d", res.Activations)
@@ -177,25 +96,23 @@ func TestEngineTimeAccounting(t *testing.T) {
 }
 
 func TestEngineReachesPerfectBalance(t *testing.T) {
-	for _, s := range samplers() {
-		v := loadvec.AllInOne().Generate(16, 64, nil)
-		e := NewEngine(v, rlsRule{}, s, rng.New(3))
-		res := e.Run(UntilPerfect(), 1_000_000)
-		if !res.Stopped {
-			t.Fatalf("%s: did not reach perfect balance", s.Name())
-		}
-		if !res.Final.IsPerfect() {
-			t.Fatalf("%s: final not perfect: %v", s.Name(), res.Final)
-		}
-		if res.Final.Balls() != 64 {
-			t.Fatalf("%s: ball conservation violated", s.Name())
-		}
+	v := loadvec.AllInOne().Generate(16, 64, nil)
+	e := NewEngine(v, rlsRule{}, rng.New(3))
+	res := e.Run(UntilPerfect(), 1_000_000)
+	if !res.Stopped {
+		t.Fatal("did not reach perfect balance")
+	}
+	if !res.Final.IsPerfect() {
+		t.Fatalf("final not perfect: %v", res.Final)
+	}
+	if res.Final.Balls() != 64 {
+		t.Fatal("ball conservation violated")
 	}
 }
 
 func TestEngineBallConservationUnderRun(t *testing.T) {
 	v := loadvec.OneChoice().Generate(32, 200, rng.New(1))
-	e := NewEngine(v, rlsRule{}, nil, rng.New(2))
+	e := NewEngine(v, rlsRule{}, rng.New(2))
 	e.Run(UntilActivations(5000), 0)
 	if err := e.Cfg().Validate(); err != nil {
 		t.Fatal(err)
@@ -207,41 +124,38 @@ func TestEngineBallConservationUnderRun(t *testing.T) {
 
 func TestEngineSamplerStaysInSync(t *testing.T) {
 	v := loadvec.OneChoice().Generate(16, 100, rng.New(1))
-	bl := NewBallList()
-	e := NewEngine(v, rlsRule{}, bl, rng.New(2))
+	e := NewEngine(v, rlsRule{}, rng.New(2))
 	for i := 0; i < 2000; i++ {
 		e.Step()
 	}
 	for i := 0; i < e.Cfg().N(); i++ {
-		if bl.Load(i) != e.Cfg().Load(i) {
-			t.Fatalf("bin %d: sampler %d vs config %d", i, bl.Load(i), e.Cfg().Load(i))
+		if e.balls.Load(i) != e.Cfg().Load(i) {
+			t.Fatalf("bin %d: sampler %d vs config %d", i, e.balls.Load(i), e.Cfg().Load(i))
 		}
 	}
 }
 
 func TestForceMoveKeepsSync(t *testing.T) {
-	for _, s := range samplers() {
-		v := loadvec.Vector{4, 4, 4}
-		e := NewEngine(v, rlsRule{}, s, rng.New(9))
-		e.ForceMove(1, 0) // destructive: stack upward
-		e.ForceMove(2, 0)
-		if e.Cfg().Load(0) != 6 {
-			t.Fatalf("%s: load 0 = %d", s.Name(), e.Cfg().Load(0))
-		}
-		if e.ForcedMoves() != 2 {
-			t.Fatalf("forced = %d", e.ForcedMoves())
-		}
-		// Run on and confirm no panic / desync.
-		res := e.Run(UntilPerfect(), 100000)
-		if !res.Stopped {
-			t.Fatalf("%s: did not rebalance after forced moves", s.Name())
-		}
+	v := loadvec.Vector{4, 4, 4}
+	e := NewEngine(v, rlsRule{}, rng.New(9))
+	e.ForceMove(1, 0) // destructive: stack upward
+	e.ForceMove(2, 0)
+	if e.Cfg().Load(0) != 6 {
+		t.Fatalf("load 0 = %d", e.Cfg().Load(0))
+	}
+	if e.ForcedMoves() != 2 {
+		t.Fatalf("forced = %d", e.ForcedMoves())
+	}
+	// Run on and confirm no panic / desync.
+	res := e.Run(UntilPerfect(), 100000)
+	if !res.Stopped {
+		t.Fatal("did not rebalance after forced moves")
 	}
 }
 
 func TestPostMoveHookRuns(t *testing.T) {
 	v := loadvec.AllInOne().Generate(8, 32, nil)
-	e := NewEngine(v, rlsRule{}, nil, rng.New(4))
+	e := NewEngine(v, rlsRule{}, rng.New(4))
 	calls := 0
 	e.PostMove = func(_ *Engine, src, dst int) {
 		calls++
@@ -257,7 +171,7 @@ func TestPostMoveHookRuns(t *testing.T) {
 
 func TestRunTraced(t *testing.T) {
 	v := loadvec.AllInOne().Generate(8, 64, nil)
-	e := NewEngine(v, rlsRule{}, nil, rng.New(5))
+	e := NewEngine(v, rlsRule{}, rng.New(5))
 	res, trace := e.RunTraced(UntilPerfect(), 100000, 10)
 	if !res.Stopped {
 		t.Fatal("did not stop")
@@ -284,7 +198,7 @@ func TestRunTraced(t *testing.T) {
 
 func TestStopConds(t *testing.T) {
 	v := loadvec.Vector{10, 0}
-	e := NewEngine(v, neverMove{}, nil, rng.New(6))
+	e := NewEngine(v, neverMove{}, rng.New(6))
 	if UntilPerfect()(e) {
 		t.Error("UntilPerfect on disc 5")
 	}
@@ -316,42 +230,13 @@ func TestStopConds(t *testing.T) {
 
 func TestRunRespectsActivationBudget(t *testing.T) {
 	v := loadvec.Vector{10, 0}
-	e := NewEngine(v, neverMove{}, nil, rng.New(8))
+	e := NewEngine(v, neverMove{}, rng.New(8))
 	res := e.Run(UntilPerfect(), 100)
 	if res.Stopped {
 		t.Error("neverMove cannot reach balance")
 	}
 	if res.Activations != 100 {
 		t.Errorf("activations = %d, want 100", res.Activations)
-	}
-}
-
-// Cross-validation (experiment A1 in miniature): both samplers produce
-// statistically indistinguishable balancing times.
-func TestSamplersAgreeDistributionally(t *testing.T) {
-	const n, m, reps = 32, 128, 60
-	collect := func(s func() ActivationSampler, seed uint64) []float64 {
-		root := rng.New(seed)
-		out := make([]float64, reps)
-		for i := 0; i < reps; i++ {
-			r := root.Split()
-			v := loadvec.AllInOne().Generate(n, m, nil)
-			e := NewEngine(v, rlsRule{}, s(), r)
-			res := e.Run(UntilPerfect(), 10_000_000)
-			out[i] = res.Time
-		}
-		return out
-	}
-	a := collect(func() ActivationSampler { return NewBallList() }, 100)
-	b := collect(func() ActivationSampler { return NewFenwick() }, 200)
-	var sa, sb stats.Summary
-	sa.AddAll(a)
-	sb.AddAll(b)
-	// Means must agree within combined CI (generous 3x).
-	diff := math.Abs(sa.Mean() - sb.Mean())
-	tol := 3 * (sa.CI95() + sb.CI95())
-	if diff > tol {
-		t.Fatalf("sampler means differ: %v vs %v (diff %g > tol %g)", sa.Mean(), sb.Mean(), diff, tol)
 	}
 }
 
@@ -363,7 +248,7 @@ func TestNewEnginePanics(t *testing.T) {
 				t.Error("nil RNG accepted")
 			}
 		}()
-		NewEngine(v, rlsRule{}, nil, nil)
+		NewEngine(v, rlsRule{}, nil)
 	}()
 	func() {
 		defer func() {
@@ -371,16 +256,8 @@ func TestNewEnginePanics(t *testing.T) {
 				t.Error("nil mover accepted")
 			}
 		}()
-		NewEngine(v, nil, nil, rng.New(1))
+		NewEngine(v, nil, rng.New(1))
 	}()
-}
-
-func BenchmarkEngineStepBallList(b *testing.B) {
-	benchEngineStep(b, NewBallList())
-}
-
-func BenchmarkEngineStepFenwick(b *testing.B) {
-	benchEngineStep(b, NewFenwick())
 }
 
 // stepBatch is how many engine steps one benchmark iteration times, so a
@@ -388,9 +265,9 @@ func BenchmarkEngineStepFenwick(b *testing.B) {
 // thousands of steps; ns/op is reported per step.
 const stepBatch = 4096
 
-func benchEngineStep(b *testing.B, s ActivationSampler) {
+func BenchmarkEngineStepBallList(b *testing.B) {
 	v := loadvec.OneChoice().Generate(1024, 8192, rng.New(1))
-	e := NewEngine(v, rlsRule{}, s, rng.New(2))
+	e := NewEngine(v, rlsRule{}, rng.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < stepBatch; j++ {

@@ -25,7 +25,7 @@ type Case struct {
 
 // Cases returns mode (with an unknown one) × strict × every topology
 // family — valid, with invalid parameters, and against a mismatched n —
-// × speeds (none, unit, wrong length, a zero speed) × fenwick × the signs
+// × speeds (none, unit, wrong length, a zero speed) × the signs
 // of the shard count and the shard epoch, over n = 16, n = 9 and n = 1
 // (where the torus has side 1 and the hypercube dimension 0).
 func Cases() []Case {
@@ -41,22 +41,20 @@ func Cases() []Case {
 					rls.RandomRegularTopology(0, Seed), rls.RandomRegularTopology(16, Seed),
 				} {
 					for si, speeds := range [][]float64{nil, ones(n), ones(n + 1), append(ones(n-1), 0)} {
-						for _, fenwick := range []bool{false, true} {
-							for _, sh := range []struct {
-								shards int
-								epoch  float64
-							}{{0, 0}, {2, 0}, {-1, 0}, {0, 0.5}, {0, -1}} {
-								spec := rls.Spec{
-									Mode: mode, Strict: strict, Topology: topo, Speeds: speeds,
-									Fenwick: fenwick, Shards: sh.shards, ShardEpoch: sh.epoch,
-								}
-								out = append(out, Case{
-									Name: fmt.Sprintf("n=%d mode=%d strict=%t %s%v speeds#%d fenwick=%t shards=%d epoch=%g",
-										n, mode, strict, topo.Name(), topo, si, fenwick, sh.shards, sh.epoch),
-									N:    n,
-									Spec: spec,
-								})
+						for _, sh := range []struct {
+							shards int
+							epoch  float64
+						}{{0, 0}, {2, 0}, {-1, 0}, {0, 0.5}, {0, -1}} {
+							spec := rls.Spec{
+								Mode: mode, Strict: strict, Topology: topo, Speeds: speeds,
+								Shards: sh.shards, ShardEpoch: sh.epoch,
 							}
+							out = append(out, Case{
+								Name: fmt.Sprintf("n=%d mode=%d strict=%t %s%v speeds#%d shards=%d epoch=%g",
+									n, mode, strict, topo.Name(), topo, si, sh.shards, sh.epoch),
+								N:    n,
+								Spec: spec,
+							})
 						}
 					}
 				}
@@ -75,10 +73,10 @@ func ones(n int) []float64 {
 }
 
 // SessionWant is the error a session surface must answer c with:
-// rls.ErrSessionSpec for the sharded engine, Speeds or Fenwick, else
+// rls.ErrSessionSpec for the sharded engine or Speeds, else
 // Validate's.
 func (c Case) SessionWant() error {
-	if c.Spec.Mode == rls.ShardedEngine || c.Spec.Speeds != nil || c.Spec.Fenwick {
+	if c.Spec.Mode == rls.ShardedEngine || c.Spec.Speeds != nil {
 		return rls.ErrSessionSpec
 	}
 	return c.Spec.Validate(c.N)

@@ -7,8 +7,8 @@ import (
 
 // KSStatistic returns the two-sample Kolmogorov–Smirnov statistic
 // D = sup_x |F_a(x) − F_b(x)| between the empirical CDFs of a and b.
-// The ablation experiments (same-law claims A1–A3) use it to compare
-// whole distributions rather than just means.
+// The same-law experiments (A4, A5, A7, A8) use it to compare whole
+// distributions rather than just means.
 func KSStatistic(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		panic("stats: KSStatistic with empty sample")

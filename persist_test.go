@@ -342,9 +342,9 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		})
 	}
 
-	// The Fenwick and event-heap samplers' tags (2 and 3) stay reserved,
-	// but those samplers have no snapshot codec: a direct snapshot whose
-	// sampler tag is rewritten to either fails as corrupt, naming it.
+	// The removed Fenwick and event-heap samplers' tags (2 and 3) stay
+	// reserved: a direct snapshot whose sampler tag is rewritten to either
+	// fails as corrupt, naming the sampler.
 	direct := directSnapshot(t)
 	for _, c := range []struct {
 		tag     int

@@ -202,7 +202,7 @@ const (
 	// uniform ball, a uniform destination, and the protocol's accept test.
 	// Near balance almost every activation is a rejected null move, so a
 	// run costs O(activations). This is the default and supports every
-	// protocol variant (strict rule, topologies, speeds, samplers).
+	// protocol variant (strict rule, topologies, speeds).
 	DirectEngine EngineMode = iota
 	// JumpEngine simulates only the embedded jump chain of productive
 	// moves: activations advance geometrically, time by the matching
@@ -277,11 +277,6 @@ func WithTopology(t Topology) Option { return func(r *Runner) { r.spec.Topology 
 func WithSpeeds(speeds []float64) Option {
 	return func(r *Runner) { r.spec.Speeds = append([]float64(nil), speeds...) }
 }
-
-// WithFenwickEngine selects the O(n)-memory load-proportional sampler
-// instead of the explicit ball table (identical law; better for m ≫ n).
-// It sets Spec.Fenwick.
-func WithFenwickEngine() Option { return func(r *Runner) { r.spec.Fenwick = true } }
 
 // WithEngineMode selects the execution mode (default DirectEngine). The
 // JumpEngine is rejection-free: same law, O(moves) instead of

@@ -176,16 +176,6 @@ func TestSpeedsValidation(t *testing.T) {
 	}
 }
 
-func TestFenwickEngineOption(t *testing.T) {
-	res, err := New(16, 64, WithFenwickEngine(), WithSeed(15)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reached {
-		t.Fatal("fenwick engine did not balance")
-	}
-}
-
 func TestActivationBudget(t *testing.T) {
 	res, err := New(64, 64, WithActivationBudget(5), WithSeed(17)).Run()
 	if err != nil {

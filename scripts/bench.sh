@@ -22,11 +22,13 @@
 # over p from 0.9 down to 1e-6 (BenchmarkGeometric) and one Erlang at
 # shapes 1, 4, 16 and 64 (BenchmarkErlang/k=*) — 512 uniform draws,
 # batched vs scalar (BenchmarkFillIntn), one configuration move with its tracked
-# statistics (BenchmarkConfigMove) and one direct-engine step per
-# activation sampler (BenchmarkEngineStep{BallList,Fenwick}), and the
-# jump level index's chain step, SampleMovePair + Move, and ball draw on
-# its plain, strict and ball-only shapes (BenchmarkLevelIndexMove,
-# BenchmarkLevelIndexSampleBall); all but BenchmarkFillIntn time a batch
+# statistics (BenchmarkConfigMove), one direct-engine step
+# (BenchmarkEngineStepBallList), the jump level index's chain step,
+# SampleMovePair + Move, and ball draw on its plain, strict and
+# ball-only shapes (BenchmarkLevelIndexMove,
+# BenchmarkLevelIndexSampleBall), and one AddBall or RemoveBall on its
+# plain and strict shapes (BenchmarkLevelIndexChurn); all but
+# BenchmarkFillIntn time a batch
 # of 4096 ops per iteration and report ns per op (ns/draw for the draw
 # kernel), so the default 3x
 # still averages thousands of them. Shard ratios need as
@@ -59,7 +61,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkEngineStepFenwick|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall|BenchmarkLevelIndexChurn)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

@@ -15,9 +15,8 @@ import (
 )
 
 // Spec is the shape of one simulated process: which engine simulates
-// RLS, under which tie rule, on which topology, with which bin speeds and
-// activation sampler, and — for the sharded engine — with how many
-// workers and what epoch. Runner and Session both hold one; the Runner's
+// RLS, under which tie rule, on which topology, with which bin speeds,
+// and — for the sharded engine — with how many workers and what epoch. Runner and Session both hold one; the Runner's
 // With* options set its fields, rlsim's flags, rlsd's JSON config and the
 // snapshot header all decode into one. The sharded engine is Runner-only.
 //
@@ -27,30 +26,28 @@ import (
 //     need one entry per bin, each positive and finite, and combine with
 //     neither a topology nor the strict tie rule.
 //   - JumpEngine takes the strict tie rule or a topology, not both; it
-//     rejects Speeds and Fenwick (it has no activation sampler).
+//     rejects Speeds.
 //   - ShardedEngine (Runner only) runs plain RLS on the complete topology
-//     only: no Strict, Topology, Speeds or Fenwick; Shards and ShardEpoch
+//     only: no Strict, Topology or Speeds; Shards and ShardEpoch
 //     must not be negative (0 picks the defaults).
 //   - Shards and ShardEpoch are rejected outside ShardedEngine.
 //   - The topology must fit n: see Topology.
 //
-// Sessions additionally reject ShardedEngine, Speeds and Fenwick: a
-// Session holds one sequential engine that samples activations from the
-// explicit ball list and has no speed-aware rule. Spec.NewSession returns
+// Sessions additionally reject ShardedEngine and Speeds: a Session holds
+// one sequential engine and has no speed-aware rule. Spec.NewSession returns
 // that error before it validates.
 type Spec struct {
 	Mode       EngineMode
 	Strict     bool
 	Topology   Topology
 	Speeds     []float64
-	Fenwick    bool
 	Shards     int
 	ShardEpoch float64
 }
 
 // ErrSessionSpec is Spec.NewSession's answer to a Spec naming the sharded
-// engine or carrying Speeds or Fenwick.
-var ErrSessionSpec = errors.New("rls: sessions support neither the sharded engine, nor bin speeds, nor the Fenwick sampler; use a Runner")
+// engine or carrying Speeds.
+var ErrSessionSpec = errors.New("rls: sessions support neither the sharded engine nor bin speeds; use a Runner")
 
 // Validate reports whether the spec describes a process over n bins that
 // some engine can simulate; the error names the first conflict found.
@@ -79,15 +76,9 @@ func (s Spec) Validate(n int) error {
 		if s.Speeds != nil {
 			return fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
 		}
-		if s.Fenwick {
-			return fmt.Errorf("rls: the jump engine has no activation sampler; drop WithFenwickEngine")
-		}
 	case ShardedEngine:
 		if s.Strict || topo || s.Speeds != nil {
 			return fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", s.Mode)
-		}
-		if s.Fenwick {
-			return fmt.Errorf("rls: the %s engine owns per-shard ball lists; drop WithFenwickEngine", s.Mode)
 		}
 		if s.Shards < 0 {
 			return fmt.Errorf("rls: %d shards", s.Shards)
@@ -137,17 +128,13 @@ func (s Spec) build(v loadvec.Vector, stream *rng.RNG) (*sim.Engine, error) {
 	case s.Strict:
 		mover = core.StrictRLS{}
 	}
-	var sampler sim.ActivationSampler // nil: the explicit ball list
-	if s.Fenwick {
-		sampler = sim.NewFenwick()
-	}
-	return sim.NewEngine(v, mover, sampler, stream), nil
+	return sim.NewEngine(v, mover, stream), nil
 }
 
 // validateSession is Validate for a session over n bins: ErrSessionSpec
 // first, then Validate's answer.
 func (s Spec) validateSession(n int) error {
-	if s.Mode == ShardedEngine || s.Speeds != nil || s.Fenwick {
+	if s.Mode == ShardedEngine || s.Speeds != nil {
 		return ErrSessionSpec
 	}
 	return s.Validate(n)

@@ -20,9 +20,6 @@ func runnerOptions(s rls.Spec) []rls.Option {
 	if s.Strict {
 		opts = append(opts, rls.WithStrictTieRule())
 	}
-	if s.Fenwick {
-		opts = append(opts, rls.WithFenwickEngine())
-	}
 	return opts
 }
 
@@ -31,9 +28,9 @@ func runnerOptions(s rls.Spec) []rls.Option {
 // Runner.RunTraced, Spec.NewSession, and snapshot → ResumeSession — and
 // requires each to build exactly the shapes Validate accepts and to
 // reject the rest with Validate's message. Sessions answer the sharded
-// engine, Speeds and Fenwick with ErrSessionSpec, and so does resume for
-// a header naming the sharded engine. A snapshot header records neither
-// speeds, the sampler, nor an epoch, and its decoder drops a shard count
+// engine and Speeds with ErrSessionSpec, and so does resume for a header
+// naming the sharded engine. A snapshot header records neither speeds nor
+// an epoch, and its decoder drops a shard count
 // outside the sharded engine (earlier writers recorded one), so those
 // cases skip the snapshot surface. rlsd and rlsim walk the same table in
 // their own packages.
@@ -64,7 +61,7 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 			}
 		}
 
-		if c.Spec.Speeds != nil || c.Spec.Fenwick || c.Spec.ShardEpoch != 0 ||
+		if c.Spec.Speeds != nil || c.Spec.ShardEpoch != 0 ||
 			(c.Spec.Shards != 0 && c.Spec.Mode != rls.ShardedEngine) {
 			continue
 		}
