@@ -1,71 +1,20 @@
 package rls
 
-// bench_test.go exposes every experiment registered in internal/harness
-// as a testing.B benchmark: `go test -bench=ExpT1` regenerates Theorem 1's
-// sweep, `-bench=Exp` regenerates everything. Each iteration runs the
-// full Quick-scale experiment; set RLS_BENCH_PRINT=1 to print the
-// resulting tables to stderr (cmd/rlsweep prints them with more control).
-//
-// Micro-benchmarks for the protocol itself (per-activation cost across
-// regimes) follow at the bottom.
+// bench_test.go holds the micro- and macro-benchmarks of the protocol
+// itself: whole runs of the public API across regimes and engine modes,
+// session churn, and the closed-form predictors. The experiment suite's
+// benchmarks (BenchmarkExperiment/<ID>) live in experiment_bench_test.go,
+// an external test package, because internal/harness imports this one.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
-
-// benchExperiment runs one registered experiment per b iteration and
-// reports the row count so regressions in sweep coverage are visible.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.Get(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	var rows int
-	for i := 0; i < b.N; i++ {
-		tb := e.Run(harness.RunConfig{Seed: uint64(i) + 1, Scale: harness.Quick})
-		rows = len(tb.Rows)
-		if i == 0 && os.Getenv("RLS_BENCH_PRINT") != "" {
-			tb.Render(os.Stderr)
-		}
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func BenchmarkExpF1(b *testing.B)   { benchExperiment(b, "F1") }
-func BenchmarkExpF2(b *testing.B)   { benchExperiment(b, "F2") }
-func BenchmarkExpF3(b *testing.B)   { benchExperiment(b, "F3") }
-func BenchmarkExpT1(b *testing.B)   { benchExperiment(b, "T1") }
-func BenchmarkExpT2(b *testing.B)   { benchExperiment(b, "T2") }
-func BenchmarkExpLB1(b *testing.B)  { benchExperiment(b, "LB1") }
-func BenchmarkExpLB2(b *testing.B)  { benchExperiment(b, "LB2") }
-func BenchmarkExpDML(b *testing.B)  { benchExperiment(b, "DML") }
-func BenchmarkExpP1(b *testing.B)   { benchExperiment(b, "P1") }
-func BenchmarkExpP2(b *testing.B)   { benchExperiment(b, "P2") }
-func BenchmarkExpP3(b *testing.B)   { benchExperiment(b, "P3") }
-func BenchmarkExpL8(b *testing.B)   { benchExperiment(b, "L8") }
-func BenchmarkExpL9(b *testing.B)   { benchExperiment(b, "L9") }
-func BenchmarkExpL16(b *testing.B)  { benchExperiment(b, "L16") }
-func BenchmarkExpCMP1(b *testing.B) { benchExperiment(b, "CMP1") }
-func BenchmarkExpCMP2(b *testing.B) { benchExperiment(b, "CMP2") }
-func BenchmarkExpCMP3(b *testing.B) { benchExperiment(b, "CMP3") }
-func BenchmarkExpX1(b *testing.B)   { benchExperiment(b, "X1") }
-func BenchmarkExpX2(b *testing.B)   { benchExperiment(b, "X2") }
-func BenchmarkExpX3(b *testing.B)   { benchExperiment(b, "X3") }
-func BenchmarkExpA2(b *testing.B)   { benchExperiment(b, "A2") }
-func BenchmarkExpA4(b *testing.B)   { benchExperiment(b, "A4") }
-func BenchmarkExpA5(b *testing.B)   { benchExperiment(b, "A5") }
-func BenchmarkExpA7(b *testing.B)   { benchExperiment(b, "A7") }
-func BenchmarkExpA8(b *testing.B)   { benchExperiment(b, "A8") }
-func BenchmarkExpO1(b *testing.B)   { benchExperiment(b, "O1") }
 
 // BenchmarkBalanceToPerfection measures whole-run cost of the public API
 // across (n, m) regimes; the per-activation metric is the engine's
@@ -405,27 +354,4 @@ func BenchmarkExpectedBalanceTimePredictors(b *testing.B) {
 		sink += ExpectedBalanceTime(n, 4*n) + WHPBalanceTime(n, 4*n) + HarmonicLowerBound(n, 4*n)
 	}
 	_ = sink
-}
-
-// TestBenchmarkIDsMatchRegistry pins the Benchmark list to the registry:
-// adding an experiment without a bench (or vice versa) fails here.
-func TestBenchmarkIDsMatchRegistry(t *testing.T) {
-	want := map[string]bool{}
-	for _, id := range harness.IDs() {
-		want[id] = true
-	}
-	// The list above, kept in sync by hand.
-	have := []string{
-		"F1", "F2", "F3", "T1", "T2", "LB1", "LB2", "DML",
-		"P1", "P2", "P3", "L8", "L9", "L16", "CMP1", "CMP2", "CMP3",
-		"X1", "X2", "X3", "A2", "A4", "A5", "A7", "A8", "O1",
-	}
-	if len(have) != len(want) {
-		t.Fatalf("bench list has %d, registry %d", len(have), len(want))
-	}
-	for _, id := range have {
-		if !want[id] {
-			t.Errorf("bench for unknown experiment %s", id)
-		}
-	}
 }

@@ -146,10 +146,12 @@
 // rlsim's flags, rlsd's JSON config and the snapshot header each decode
 // into one. Spec.Validate is the only place that decides which shapes
 // are legal, and every construction path — Runner.Run,
-// Runner.RunTraced, Spec.NewSession, ResumeSession — builds its direct
-// or jump engine through one private constructor after it (the Runner
-// builds the sharded engine itself), so a shape is accepted or rejected
-// with the same message everywhere.
+// Runner.RunTraced, Spec.NewSession, ResumeSession, and Spec.Engine,
+// the module-internal entry point the experiment harness builds every
+// direct and jump engine through — builds its direct or jump engine
+// through one private constructor after it (the Runner builds the
+// sharded engine itself), so a shape is accepted or rejected with the
+// same message everywhere.
 // TestSpecValidateAgreesWithConstruction walks a cross-product of
 // shapes through every surface to hold it so.
 //
@@ -185,8 +187,9 @@
 //
 // The experiment suite reproducing every figure and claim of the paper
 // lives in internal/harness and is driven by cmd/rlsweep, cmd/rlsfigs and
-// the benchmarks in bench_test.go (`go run ./cmd/rlsweep -list`
-// enumerates it; cmd/README.md documents the tools). README.md is the
+// BenchmarkExperiment/<ID> in experiment_bench_test.go (`go run
+// ./cmd/rlsweep -list` enumerates it; cmd/README.md documents the
+// tools). README.md is the
 // project front door — quickstart, the engine-mode matrix, the examples
 // tour, and the benchmark methodology. `make bench` records the tracked
 // perf trajectory into the next BENCH_PR*.json, including the `rlsweep

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	rls "repro"
 	"repro/internal/core"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -15,7 +16,7 @@ import (
 // the discrepancy at the given times.
 func discAtCheckpoints(n, m int, gen loadvec.Generator, adv core.Adversary, checkpoints []float64, r *rng.RNG) []float64 {
 	v := gen.Generate(n, m, r)
-	e := sim.NewEngine(v, core.RLS{}, r)
+	e := build(rls.Spec{}, v, r)
 	if adv != nil {
 		core.Attach(e, adv)
 	}
@@ -185,7 +186,7 @@ func init() {
 				xx := x
 				discs := Replicate(cfg.Seed+uint64(epoch), reps, func(r *rng.RNG) float64 {
 					v := loadvec.HalfSpread(xx).Generate(n, m, r)
-					e := sim.NewEngine(v, core.RLS{}, r)
+					e := build(rls.Spec{}, v, r)
 					e.Run(sim.UntilTime(epochLen), 200_000_000)
 					return e.Cfg().Disc()
 				})

@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
+	rls "repro"
 	"repro/internal/graphs"
 	"repro/internal/hetero"
 	"repro/internal/loadvec"
@@ -40,12 +40,8 @@ func init() {
 			for _, p := range profiles {
 				speeds := p.speeds
 				times, discs := Replicate2(cfg.Seed^uint64(len(p.name)), reps, func(r *rng.RNG) (float64, float64) {
-					mover, err := hetero.NewSpeedRLS(speeds)
-					if err != nil {
-						panic(err)
-					}
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, mover, r)
+					e := build(rls.Spec{Speeds: speeds}, v, r)
 					stop := func(e *sim.Engine) bool {
 						return hetero.IsSpeedNash(e.Cfg().Loads(), speeds)
 					}
@@ -126,21 +122,25 @@ func init() {
 			}
 			n := side * side
 			m := 8 * n
-			gs := []graphs.Graph{
-				graphs.Complete{Vertices: n},
-				graphs.Hypercube{Dim: dim},
-				graphs.Torus2D{Side: side},
-				graphs.Ring{Vertices: n},
+			// g labels the row and gives its mixing estimate; the run builds
+			// the same graph from topo.
+			topos := []struct {
+				topo rls.Topology
+				g    graphs.Graph
+			}{
+				{rls.CompleteTopology(), graphs.Complete{Vertices: n}},
+				{rls.HypercubeTopology(dim), graphs.Hypercube{Dim: dim}},
+				{rls.TorusTopology(side), graphs.Torus2D{Side: side}},
+				{rls.RingTopology(), graphs.Ring{Vertices: n}},
 			}
 			var completeMean float64
-			for i, g := range gs {
-				gg := g
+			for i, tp := range topos {
+				g, spec := tp.g, rls.Spec{Topology: tp.topo}
 				times := Replicate(cfg.Seed^uint64(i*17), reps, func(r *rng.RNG) float64 {
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, graphs.GraphRLS{G: gg}, r)
-					res := e.Run(sim.UntilPerfect(), 0)
+					res := build(spec, v, r).Run(sim.UntilPerfect(), 0)
 					if !res.Stopped {
-						panic(fmt.Sprintf("graph run on %s exhausted budget", gg.Name()))
+						panic(fmt.Sprintf("graph run on %s exhausted budget", g.Name()))
 					}
 					return res.Time
 				})
@@ -206,16 +206,18 @@ func init() {
 				n, m = 256, 16384
 			}
 			reps := 3 * sweepReps(cfg.Scale)
-			for _, mv := range []sim.Mover{core.RLS{}, core.StrictRLS{}} {
-				mover := mv
-				times := Replicate(cfg.Seed^uint64(len(mover.Name())), reps, func(r *rng.RNG) float64 {
+			for _, rule := range []struct {
+				name string
+				spec rls.Spec
+			}{{"rls", rls.Spec{}}, {"rls-strict", rls.Spec{Strict: true}}} {
+				spec := rule.spec
+				times := Replicate(cfg.Seed^uint64(len(rule.name)), reps, func(r *rng.RNG) float64 {
 					v := loadvec.AllInOne().Generate(n, m, r)
-					e := sim.NewEngine(v, mover, r)
-					return e.Run(sim.UntilPerfect(), 0).Time
+					return build(spec, v, r).Run(sim.UntilPerfect(), 0).Time
 				})
 				var sm stats.Summary
 				sm.AddAll(times)
-				t.Addf(mover.Name(), n, m, sm.Mean(), sm.CI95())
+				t.Addf(rule.name, n, m, sm.Mean(), sm.CI95())
 			}
 			t.Note("means agreeing within CI reproduces the §3 equivalence remark")
 			return t

@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 
+	rls "repro"
 	"repro/internal/core"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -46,9 +47,7 @@ func init() {
 					m := br.m
 					times := Replicate(cfg.Seed^uint64(n+m), reps, func(r *rng.RNG) float64 {
 						v := loadvec.AllInOne().Generate(n, m, r)
-						e := sim.NewEngine(v, core.RLS{}, r)
-						res := e.Run(sim.UntilBalanced(target), 0)
-						return res.Time
+						return build(rls.Spec{}, v, r).Run(sim.UntilBalanced(target), 0).Time
 					})
 					var s stats.Summary
 					s.AddAll(times)
@@ -80,7 +79,7 @@ func init() {
 					xx := x
 					times, potInc := Replicate2(cfg.Seed^uint64(n*3+avg), reps, func(r *rng.RNG) (float64, float64) {
 						v := loadvec.HalfSpread(xx).Generate(n, m, r)
-						e := sim.NewEngine(v, core.RLS{}, r)
+						e := build(rls.Spec{}, v, r)
 						tr := core.NewPhaseTracker(e)
 						res := e.Run(sim.UntilBalanced(1), 0)
 						return res.Time, float64(tr.PotentialIncreases)
@@ -160,7 +159,7 @@ func init() {
 					xx := x
 					timeIn, drop := Replicate2(cfg.Seed^uint64(n+avg*3), reps, func(r *rng.RNG) (float64, float64) {
 						v := loadvec.HalfSpread(xx).Generate(n, m, r)
-						e := sim.NewEngine(v, core.RLS{}, r)
+						e := build(rls.Spec{}, v, r)
 						var tIn, dPot float64
 						prevT := 0.0
 						prevPot := e.Cfg().Potential()

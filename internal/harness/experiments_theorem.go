@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	rls "repro"
 	"repro/internal/core"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -15,8 +16,7 @@ import (
 // (continuous time, activations).
 func rlsRun(n, m int, gen loadvec.Generator, r *rng.RNG) (float64, float64) {
 	v := gen.Generate(n, m, r)
-	e := sim.NewEngine(v, core.RLS{}, r)
-	res := e.Run(sim.UntilPerfect(), 0)
+	res := build(rls.Spec{}, v, r).Run(sim.UntilPerfect(), 0)
 	if !res.Stopped {
 		panic(fmt.Sprintf("harness: RLS run exhausted budget at n=%d m=%d", n, m))
 	}

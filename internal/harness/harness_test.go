@@ -197,38 +197,27 @@ func TestA5SameLaw(t *testing.T) {
 	}
 }
 
-// TestA7SameLaw gates the strict-rule jump engine's law fidelity against
-// the strict direct engine in both regimes (the builder's acceptance run
-// checks 8 further seeds by hand via rlsweep).
-func TestA7SameLaw(t *testing.T) {
+// TestJumpSameLaw gates the jump engines' law fidelity: in A4 (plain
+// RLS), A7 (the strict tie rule) and A8 (ring, torus, hypercube, and the
+// dense random-8-regular and expander rows at 48 reps per arm) every row
+// runs one spec with the direct and with the jump engine, and the KS
+// verdict must hold in each; further seeds can be checked by hand with
+// rlsweep -exp <ID>.
+func TestJumpSameLaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, _ := Get("A7")
-	tb := e.Run(RunConfig{Seed: 15, Scale: Quick})
-	sameCol := colIndex(t, tb, "same law?")
-	for _, row := range tb.Rows {
-		if row[sameCol] != "true" {
-			t.Errorf("strict-jump law mismatch: %v", row)
-		}
-	}
-}
-
-// TestA8SameLaw gates the graph jump engine's law fidelity against the
-// direct GraphRLS engine on ring, torus, and hypercube, and on the dense
-// families (random-8-regular, expander, 48 reps per arm); further seeds
-// can be checked by hand with rlsweep -exp A8.
-func TestA8SameLaw(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	e, _ := Get("A8")
-	tb := e.Run(RunConfig{Seed: 15, Scale: Quick})
-	sameCol := colIndex(t, tb, "same law?")
-	for _, row := range tb.Rows {
-		if row[sameCol] != "true" {
-			t.Errorf("graph-jump law mismatch: %v", row)
-		}
+	for _, id := range []string{"A4", "A7", "A8"} {
+		t.Run(id, func(t *testing.T) {
+			e, _ := Get(id)
+			tb := e.Run(RunConfig{Seed: 15, Scale: Quick})
+			sameCol := colIndex(t, tb, "same law?")
+			for _, row := range tb.Rows {
+				if row[sameCol] != "true" {
+					t.Errorf("jump-engine law mismatch: %v", row)
+				}
+			}
+		})
 	}
 }
 

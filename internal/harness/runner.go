@@ -1,15 +1,26 @@
 // Package harness turns the paper's claims into runnable experiments: a
 // parallel replication runner, an experiment registry with one entry per
 // figure/claim (rlsweep -list prints the index), and plain-text/CSV table
-// rendering. Every experiment is regenerated by cmd/rlsweep, and
-// bench_test.go exposes each as a testing.B benchmark.
+// rendering. Every experiment is regenerated by cmd/rlsweep, and the root
+// package's BenchmarkExperiment/<ID> runs each as a sub-benchmark.
+//
+// Every direct and jump engine a row runs is built from an rls.Spec
+// (build, through Spec.Engine), so a row names its engine, tie rule,
+// topology and speeds by Spec fields and is held to Spec.Validate;
+// TestHarnessBuildsThroughSpec keeps it so. The jump-law ablations (A4,
+// A7, A8) run each row's spec twice with only Mode flipped. Only the
+// sharded engine (A5, the scaling study) is built by sim.NewSharded.
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
+	rls "repro"
+	"repro/internal/loadvec"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 // replicate is the worker-pool core shared by Replicate and Replicate2:
@@ -69,4 +80,14 @@ func Replicate2(seed uint64, reps int, fn func(r *rng.RNG) (float64, float64)) (
 		as[i], bs[i] = p.a, p.b
 	}
 	return as, bs
+}
+
+// build returns spec's engine over v, drawing from r. The experiments fix
+// their specs, so an illegal one is a bug and panics.
+func build(spec rls.Spec, v loadvec.Vector, r *rng.RNG) *sim.Engine {
+	e, err := spec.Engine(v, r)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	return e
 }

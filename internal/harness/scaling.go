@@ -5,7 +5,7 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
+	rls "repro"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -124,13 +124,12 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		v := loadvec.OneChoice().Generate(cfg.N, cfg.N, r)
 		switch engine {
 		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, r)
-			e.Run(sim.UntilTime(horizon), 0)
+			build(rls.Spec{}, v, r).Run(sim.UntilTime(horizon), 0)
 		case "sharded":
 			s := sim.NewSharded(v, p, epoch, r)
 			s.Run(sim.ShardedUntilTime(horizon), 0)
 		case "jump":
-			e := sim.NewJumpEngine(v, r)
+			e := build(rls.Spec{Mode: rls.JumpEngine}, v, r)
 			e.SetHorizon(horizon)
 			e.Run(sim.UntilTime(horizon), 0)
 		}
@@ -148,11 +147,9 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		v := loadvec.OneChoice().Generate(en, 4*en, r)
 		switch engine {
 		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, r)
-			e.Run(sim.UntilPerfect(), 0)
+			build(rls.Spec{}, v, r).Run(sim.UntilPerfect(), 0)
 		case "jump":
-			e := sim.NewJumpEngine(v, r)
-			e.Run(sim.UntilPerfect(), 0)
+			build(rls.Spec{Mode: rls.JumpEngine}, v, r).Run(sim.UntilPerfect(), 0)
 		case "sharded":
 			s := sim.NewSharded(v, p, 0, r)
 			s.Run(sim.ShardedUntilPerfect(), 0)

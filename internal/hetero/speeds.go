@@ -96,12 +96,6 @@ func IsSpeedNash(v loadvec.Vector, speeds []float64) bool {
 	return minNext >= maxCur-1e-12
 }
 
-// SpeedNashStop adapts IsSpeedNash to a per-check function usable as an
-// engine stop condition via closure over the live configuration.
-func SpeedNashStop(speeds []float64) func(v loadvec.Vector) bool {
-	return func(v loadvec.Vector) bool { return IsSpeedNash(v, speeds) }
-}
-
 // UniformSpeeds returns n speeds all equal to 1.
 func UniformSpeeds(n int) []float64 {
 	s := make([]float64, n)

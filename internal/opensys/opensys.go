@@ -109,9 +109,6 @@ func (s *System) Jobs() int { return s.jobs }
 // Loads returns a copy of the queue-length vector.
 func (s *System) Loads() []int { return append([]int(nil), s.loads...) }
 
-// MaxQueue returns the current maximum queue length.
-func (s *System) MaxQueue() int { return s.max }
-
 // Disc returns the discrepancy max_i |ℓ_i − jobs/n|.
 func (s *System) Disc() float64 {
 	avg := float64(s.jobs) / float64(s.p.N)

@@ -97,20 +97,6 @@ func WriteHeader(w io.Writer, magic string) error {
 	return err
 }
 
-// ReadMagic consumes and returns the 4-byte artifact magic, validating
-// it against the known kinds. rlsdump uses it to dispatch.
-func ReadMagic(r io.Reader) (string, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return "", fmt.Errorf("%w: reading magic: %v", ErrTruncated, err)
-	}
-	s := string(m[:])
-	if s != MagicSnapshot && s != MagicTrace {
-		return "", fmt.Errorf("%w: %q", ErrBadMagic, s)
-	}
-	return s, nil
-}
-
 // ReadHeader consumes and validates a header, requiring the given
 // magic. A byte-oriented reader should be used for what follows;
 // SectionReader wraps one itself.

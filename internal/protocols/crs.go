@@ -60,9 +60,6 @@ func NewCRS(n, m int, r *rng.RNG) *CRS {
 // Loads returns the current load vector (shared; do not modify).
 func (c *CRS) Loads() loadvec.Vector { return c.loads }
 
-// Steps returns the number of pair-draw steps executed.
-func (c *CRS) Steps() int64 { return c.steps }
-
 // Step performs one protocol step: draw a uniform bin pair (b1, b2) and,
 // if some ball residing in b1 has b2 as its other alternative, move it to
 // the lesser loaded of the two (ties stay put, matching "least loaded

@@ -119,11 +119,6 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(hi)
 }
 
-// Int63 returns a uniform non-negative int64 (63 random bits).
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -236,16 +236,13 @@ type TracePoint struct {
 }
 
 // RunTraced behaves like Run but also samples the trajectory every
-// `every` activations (and at the initial and final states). Jump-mode
-// steps advance the activation counter by whole blocks, so there a point
-// is recorded at the first step on or past each `every` boundary.
+// `every` activations (and at the initial and final states). It is Run
+// with a stop condition that records a point before consulting stop.
+// Jump-mode steps advance the activation counter by whole blocks, so
+// there a point is recorded at the first step on or past each `every`
+// boundary.
 func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, []TracePoint) {
-	if every <= 0 {
-		every = 1
-	}
-	if maxActivations <= 0 {
-		maxActivations = DefaultActivationBudget
-	}
+	every = max(every, 1)
 	var trace []TracePoint
 	record := func() {
 		trace = append(trace, TracePoint{
@@ -259,27 +256,18 @@ func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, 
 	}
 	record()
 	nextRecord := e.activations + every
-	stopped := stop(e)
-	for !stopped && e.activations < maxActivations {
-		e.Step()
+	res := e.Run(func(e *Engine) bool {
 		if e.activations >= nextRecord {
 			record()
 			nextRecord = (e.activations/every + 1) * every
 		}
-		stopped = stop(e)
-	}
+		return stop(e)
+	}, maxActivations)
 	// Close the trace with the final state unless the last boundary point
 	// already captured it (the activation counter only moves in Step, so
 	// equal counters mean an identical state — no duplicate point).
 	if trace[len(trace)-1].Activations != e.activations {
 		record()
 	}
-	return Result{
-		Time:        e.time,
-		Activations: e.activations,
-		Moves:       e.moves,
-		ForcedMoves: e.forced,
-		Stopped:     stopped,
-		Final:       e.cfg.Snapshot(),
-	}, trace
+	return res, trace
 }

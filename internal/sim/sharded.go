@@ -348,12 +348,6 @@ func (s *Sharded) CrossProposed() int64 {
 // barriers.
 func (s *Sharded) CrossApplied() int64 { return s.crossApplied }
 
-// ShardRange returns the global bin range [lo, hi) owned by shard i under
-// the live partition (repartitioning moves the boundaries at barriers).
-func (s *Sharded) ShardRange(i int) (lo, hi int) {
-	return s.cuts[i], s.cuts[i+1]
-}
-
 // Cuts returns a copy of the live partition boundary vector: shard i owns
 // [Cuts()[i], Cuts()[i+1]).
 func (s *Sharded) Cuts() []int { return append([]int(nil), s.cuts...) }

@@ -32,9 +32,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Values returns the sorted sample (shared slice; do not modify).
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // DominanceReport describes how close sample B comes to stochastically
 // dominating sample A.
 type DominanceReport struct {

@@ -16,9 +16,12 @@ import (
 
 // Spec is the shape of one simulated process: which engine simulates
 // RLS, under which tie rule, on which topology, with which bin speeds,
-// and — for the sharded engine — with how many workers and what epoch. Runner and Session both hold one; the Runner's
-// With* options set its fields, rlsim's flags, rlsd's JSON config and the
-// snapshot header all decode into one. The sharded engine is Runner-only.
+// and — for the sharded engine — with how many workers and what epoch.
+// Runner and Session both hold one; the Runner's With* options set its
+// fields, rlsim's flags, rlsd's JSON config and the snapshot header all
+// decode into one, and the experiment harness builds every direct and
+// jump engine it runs through Spec.Engine. The sharded engine is
+// Runner-only.
 //
 // Validate is the only place that decides which shapes are legal:
 //
@@ -97,6 +100,28 @@ func (s Spec) Validate(n int) error {
 		return fmt.Errorf("rls: strict tie rule on a topology is not supported")
 	}
 	return s.Topology.check(n)
+}
+
+// Engine builds the direct or jump engine this spec names over the
+// initial loads v, drawing from stream: the construction a Runner or
+// Session makes, without a placement, target or session around it. An
+// illegal spec (Validate(len(v))'s error), the Runner-only sharded engine
+// and a nil stream are returned as errors, not panics.
+//
+// Engine is the module's internal entry point, for packages such as
+// internal/harness that drive an engine by hand: its signature names
+// internal types, so code outside this module cannot call it.
+func (s Spec) Engine(v loadvec.Vector, stream *rng.RNG) (*sim.Engine, error) {
+	if err := s.Validate(len(v)); err != nil {
+		return nil, err
+	}
+	if s.Mode == ShardedEngine {
+		return nil, fmt.Errorf("rls: the %s engine is Runner-only; Spec.Engine builds the direct and jump engines", s.Mode)
+	}
+	if stream == nil {
+		return nil, errors.New("rls: Spec.Engine needs a random stream")
+	}
+	return s.build(v, stream)
 }
 
 // build constructs the direct or jump engine over the initial loads v,

@@ -3,11 +3,15 @@ package rls_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	rls "repro"
+	"repro/internal/loadvec"
 	"repro/internal/persist"
+	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/spectest"
 )
 
@@ -25,11 +29,15 @@ func runnerOptions(s rls.Spec) []rls.Option {
 
 // TestSpecValidateAgreesWithConstruction walks the spectest cross-product
 // through the library's construction surfaces — Runner.Run,
-// Runner.RunTraced, Spec.NewSession, and snapshot → ResumeSession — and
-// requires each to build exactly the shapes Validate accepts and to
-// reject the rest with Validate's message. Sessions answer the sharded
-// engine and Speeds with ErrSessionSpec, and so does resume for a header
-// naming the sharded engine. A snapshot header records neither speeds nor
+// Runner.RunTraced, Spec.Engine, Spec.NewSession, and snapshot →
+// ResumeSession — and requires each to build exactly the shapes Validate
+// accepts and to reject the rest with Validate's message. Spec.Engine
+// also rejects the Runner-only sharded engine and a nil stream, and the
+// engine it builds from the single-bin start runs to perfect balance
+// exactly as the Runner does (same time, counts and final loads; speeds
+// excepted, where the Runner stops at a Nash state). Sessions answer the
+// sharded engine and Speeds with ErrSessionSpec, and so does resume for a
+// header naming the sharded engine. A snapshot header records neither speeds nor
 // an epoch, and its decoder drops a shard count
 // outside the sharded engine (earlier writers recorded one), so those
 // cases skip the snapshot surface. rlsd and rlsim walk the same table in
@@ -48,6 +56,27 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 		check(c, "Runner.Run", err, want)
 		_, _, err = rls.New(c.N, c.N, opts...).RunTraced(5)
 		check(c, "Runner.RunTraced", err, want)
+
+		start := loadvec.AllInOne().Generate(c.N, c.N, nil)
+		if _, err := c.Spec.Engine(start, nil); err == nil {
+			t.Errorf("%s: Spec.Engine accepted a nil stream", c.Name)
+		}
+		e, err := c.Spec.Engine(start, rng.New(spectest.Seed))
+		if want == nil && c.Spec.Mode == rls.ShardedEngine {
+			if err == nil {
+				t.Errorf("%s: Spec.Engine built the Runner-only sharded engine", c.Name)
+			}
+		} else {
+			check(c, "Spec.Engine", err, want)
+		}
+		if err == nil && c.Spec.Speeds == nil {
+			got := e.Run(sim.UntilPerfect(), 0)
+			res, err := rls.New(c.N, c.N, append(runnerOptions(c.Spec), rls.WithSeed(spectest.Seed))...).Run()
+			if err != nil || got.Time != res.Time || got.Activations != res.Activations ||
+				got.Moves != res.Moves || !slices.Equal([]int(got.Final), res.Final) {
+				t.Errorf("%s: Spec.Engine ran to %v, Runner to %+v (%v)", c.Name, got, res, err)
+			}
+		}
 
 		sessWant := c.SessionWant()
 		s, err := c.Spec.NewSession(c.N, spectest.Seed)
