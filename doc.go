@@ -33,7 +33,8 @@
 //     moves, the object the paper's analysis is phrased over (Theorem 1,
 //     Lemmas 15–16). A level index over the load histogram maintains the
 //     total move weight W = Σ_v v·count[v]·C(v−1) in O(log Δ) per move
-//     (a Fenwick tree over the per-level weights beside an O(1)-update
+//     (a 16-ary prefix-sum tree over the per-level weights, one write per
+//     tree level and an O(1) leaf read per update, beside an O(1)-update
 //     prefix-count array C); each step skips a Geometric(W/(m·n)) block
 //     of null activations, advances time by the matching Gamma(k, m)
 //     gap, and samples the productive (src, dst) pair exactly. Cost is
@@ -44,13 +45,15 @@
 //     (same index, eligible destinations two levels down; gate A7), and
 //     regular graph topologies run an exact per-source
 //     admissible-neighbor count at every degree: it makes the eventful
-//     probability W_G/(m·Δ_G), pair sampling walks a bin-indexed
-//     Fenwick tree plus one neighborhood scan, and a move updates the
-//     index incrementally — each changed bin is recounted, and each
-//     neighbor whose one slot back at that bin flipped admissibility
-//     takes ±1 — so a move costs O(Δ_G) reads of a flat slot table
-//     built once per engine plus O(flips·log n) Fenwick work, with no
-//     rejections (gate A8, on bounded-degree and dense families). The
+//     probability W_G/(m·Δ_G), pair sampling descends a bin-indexed
+//     16-ary prefix-sum tree (at most 16 sums scanned per tree level)
+//     plus one neighborhood scan, and a move updates the index
+//     incrementally — each changed bin is recounted, and each neighbor
+//     whose one slot back at that bin flipped admissibility takes ±1 —
+//     so a move costs O(Δ_G + flips·log_16 n): O(Δ_G) reads of a flat
+//     slot table built once per engine, an O(1) leaf read per flip, and
+//     one tree write per tree level per flip (three at n = 4096), with
+//     no rejections (gate A8, on bounded-degree and dense families). The
 //     configuration keeps only the ball-sampling half of the level
 //     index there, since the graph index owns the move weight.
 //   - ShardedEngine partitions the bins into WithShards contiguous
@@ -166,7 +169,7 @@
 // continues *byte-identically*: the resumed run draws the same random
 // numbers, makes the same moves, and re-snapshots to the same bytes as
 // the uninterrupted original. State whose in-memory order evolved
-// under simulation is serialized verbatim; derived structures (Fenwick
+// under simulation is serialized verbatim; derived structures (prefix-sum
 // trees, position indices) are rebuilt on decode — internal/persist
 // documents the wire format and the split, and TestResumeByteIdentical
 // gates the contract over the whole mode × strict × topology × churn

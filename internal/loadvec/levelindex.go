@@ -19,12 +19,13 @@ import (
 //     one level, min(from, to): an O(1) update, an O(1) read of the
 //     eligible-destination count C(v−gap), and a binary search over
 //     [min, v−gap] for the weighted destination level;
-//   - mvw is a Fenwick tree over the per-level move weight
-//     s[v] = v·count[v]·C(v−gap), whose total W = Σ_v s[v] is exactly
+//   - mvw is a prefix-sum tree (internal/fenwick) over the per-level
+//     move weight s[v] = v·count[v]·C(v−gap). Its leaves are the one
+//     copy of s, read in O(1), and its total W = Σ_v s[v] is exactly
 //     (m·n)·P(a uniform activation is a productive move): the activated
 //     ball sits at level v with probability v·count[v]/m and its uniform
 //     destination accepts with probability C(v−gap)/n;
-//   - bal is a Fenwick tree over v·count[v] (total weight m), giving
+//   - bal is a prefix-sum tree over v·count[v] (total weight m), giving
 //     load-proportional — i.e. uniform-ball — bin sampling. Only
 //     SampleBallBin reads it, so it is built from the lists on the first
 //     SampleBallBin and kept in step from then on; a run that never
@@ -37,28 +38,27 @@ import (
 //
 // A level transition touches count at two adjacent levels and C at one,
 // so at most three s-entries change (two for gap = 1, where the C-shift
-// lands on a level whose count also changed); each costs one O(log Δ)
-// move-weight update in the indexed level range, plus two more for the
-// ball tree once it is built. A Move is two transitions, applied to the
-// lists in order and refreshed together, so a level both touch takes one
+// lands on a level whose count also changed); each costs an O(1) leaf
+// read and one O(log_B Δ) move-weight update in the indexed level range
+// (one write per tree level, B = 16), plus two more updates for the ball
+// tree once it is built. A Move is two transitions, applied to the lists
+// in order and refreshed together, so a level both touch takes one
 // update; a neutral Move (destination one level below the source) changes
 // no count at all and touches only the lists. The index is
 // self-contained: it reads only its own lists, prefix counts and trees,
 // never the Config histogram mid-update.
 //
-// The move-weight state (cum, mvw, sval, wTotal) is nil in the
-// ball-sampling-only shape (EnableBallIndex): an engine that owns its own
-// move weight, like the graph jump engine, reads only SampleBallBin, so
-// its index keeps binsAt, pos and (once sampled) bal and nothing else.
+// The move-weight state (cum, mvw) is nil in the ball-sampling-only shape
+// (EnableBallIndex): an engine that owns its own move weight, like the
+// graph jump engine, reads only SampleBallBin, so its index keeps binsAt,
+// pos and (once sampled) bal and nothing else.
 type levelIndex struct {
 	gap    int           // tie rule: eligible destinations have load ≤ v−gap
 	binsAt [][]int32     // level -> bins at that level (unordered)
 	pos    []int32       // bin -> position within binsAt[load]
 	bal    *fenwick.Tree // v·count[v]; nil until the first SampleBallBin
 	cum    []int64       // C(v) = #{bins with load ≤ v}; nil in the ball-sampling-only shape
-	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap); nil likewise
-	sval   []int64       // current s[v] values (to derive Fenwick deltas); nil likewise
-	wTotal int64         // W = Σ_v s[v]; 0 in the ball-sampling-only shape
+	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap), total W; nil likewise
 	size   int           // number of indexed levels (levels 0..size-1)
 }
 
@@ -88,7 +88,6 @@ func emptyLevelIndex(n, size, gap int, weighted bool) *levelIndex {
 	if weighted {
 		x.mvw = new(fenwick.Tree)
 		x.cum = make([]int64, size)
-		x.sval = make([]int64, size)
 	}
 	return x
 }
@@ -106,10 +105,10 @@ func newLevelIndex(c *Config, gap int, weighted bool) *levelIndex {
 	return x
 }
 
-// rebuildTrees derives the prefix counts, the move-weight tree (with
-// sval/wTotal) and, once built, the ball tree from the binsAt lists
-// alone. Used on construction and when the level range grows or shrinks;
-// existing trees are reset in place.
+// rebuildTrees derives the prefix counts, the move-weight tree and, once
+// built, the ball tree from the binsAt lists alone. Used on construction
+// and when the level range grows or shrinks; existing trees are reset in
+// place.
 func (x *levelIndex) rebuildTrees() {
 	if x.bal != nil {
 		x.buildBall()
@@ -123,12 +122,9 @@ func (x *levelIndex) rebuildTrees() {
 		x.cum[v] = c
 	}
 	x.mvw.Reset(x.size)
-	x.wTotal = 0
-	for v := range x.sval {
-		x.sval[v] = x.weightAt(v)
-		if x.sval[v] != 0 {
-			x.mvw.Add(v, x.sval[v])
-			x.wTotal += x.sval[v]
+	for v := range x.size {
+		if w := x.weightAt(v); w != 0 {
+			x.mvw.Add(v, w)
 		}
 	}
 }
@@ -158,13 +154,13 @@ func (x *levelIndex) grow(need int) {
 }
 
 // shrink cuts the indexed level range back to the construction-rule size
-// once the top occupied level has fallen to a quarter of it, so Fenwick
-// walks cost O(log max) rather than O(log of the largest max ever seen) —
-// an all-in-one start otherwise leaves an end-game with max ≤ 2 walking
-// every tree over ~2m levels. Shrinking at a quarter while grow doubles on
-// overflow leaves a factor-4 hysteresis band: after a grow to 2S at
-// max = S, the next shrink needs max < S/2, so the O(size) rebuilds stay
-// amortized O(1) per transition.
+// once the top occupied level has fallen to a quarter of it, so tree
+// walks cost O(log_B max) rather than O(log_B of the largest max ever
+// seen) — an all-in-one start otherwise leaves an end-game with max ≤ 2
+// walking every tree over ~2m levels. Shrinking at a quarter while grow
+// doubles on overflow leaves a factor-4 hysteresis band: after a grow to
+// 2S at max = S, the next shrink needs max < S/2, so the O(size) rebuilds
+// stay amortized O(1) per transition.
 func (x *levelIndex) shrink(max int) {
 	if (max+1)*4 > x.size {
 		return
@@ -176,13 +172,12 @@ func (x *levelIndex) shrink(max int) {
 
 // resize sets the indexed level range to size levels and rebuilds the
 // prefix counts and trees in place. Levels cut off hold no bins, and
-// binsAt/sval past their length keep only empty lists and zero weights,
-// so a later grow within capacity reslices instead of allocating (cum is
-// rewritten whole by the rebuild).
+// binsAt past its length keeps only empty lists, so a later grow within
+// capacity reslices instead of allocating (cum is rewritten whole by the
+// rebuild).
 func (x *levelIndex) resize(size int) {
 	x.binsAt = resized(x.binsAt, size)
-	if x.sval != nil {
-		x.sval = resized(x.sval, size)
+	if x.cum != nil {
 		x.cum = resized(x.cum, size)
 	}
 	x.size = size
@@ -301,10 +296,8 @@ func (x *levelIndex) weightAt(v int) int64 {
 // refreshWeight recomputes s[v] and applies the difference to the
 // move-weight tree as a point update.
 func (x *levelIndex) refreshWeight(v int) {
-	if d := x.weightAt(v) - x.sval[v]; d != 0 {
+	if d := x.weightAt(v) - x.mvw.Value(v); d != 0 {
 		x.mvw.Add(v, d)
-		x.sval[v] += d
-		x.wTotal += d
 	}
 }
 
@@ -314,7 +307,6 @@ func (x *levelIndex) clone() *levelIndex {
 		gap:    x.gap,
 		binsAt: make([][]int32, len(x.binsAt)),
 		pos:    append([]int32(nil), x.pos...),
-		wTotal: x.wTotal,
 		size:   x.size,
 	}
 	if x.bal != nil {
@@ -323,7 +315,6 @@ func (x *levelIndex) clone() *levelIndex {
 	if x.mvw != nil {
 		cp.mvw = x.mvw.Clone()
 		cp.cum = append([]int64(nil), x.cum...)
-		cp.sval = append([]int64(nil), x.sval...)
 	}
 	for v, lst := range x.binsAt {
 		if len(lst) > 0 {
@@ -400,7 +391,7 @@ func (c *Config) MoveWeight() int64 {
 	if c.idx.mvw == nil {
 		panic("loadvec: MoveWeight on a ball-sampling-only level index")
 	}
-	return c.idx.wTotal
+	return c.idx.mvw.Total()
 }
 
 // SampleMovePair draws a productive move (src, dst) with the exact law
@@ -416,10 +407,11 @@ func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	if x.mvw == nil {
 		panic("loadvec: SampleMovePair on a ball-sampling-only level index")
 	}
-	if x.wTotal <= 0 {
+	w := x.mvw.Total()
+	if w <= 0 {
 		panic("loadvec: SampleMovePair with zero move weight")
 	}
-	v, _ := x.mvw.Find(r.Int63n(x.wTotal))
+	v, _ := x.mvw.Find(r.Int63n(w))
 	lst := x.binsAt[v]
 	src = int(lst[r.Intn(len(lst))])
 	// The destination is the u-th bin in level order among the C(v−gap)
@@ -496,9 +488,9 @@ func (c *Config) validateIndex() error {
 		return err
 	}
 	if x.mvw == nil {
-		if x.cum != nil || x.sval != nil || x.wTotal != 0 || x.gap != 1 {
-			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cum %v, sval %v, W %d, gap %d)",
-				x.cum != nil, x.sval != nil, x.wTotal, x.gap)
+		if x.cum != nil || x.gap != 1 {
+			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cum %v, gap %d)",
+				x.cum != nil, x.gap)
 		}
 		return nil
 	}
@@ -522,10 +514,10 @@ func (x *levelIndex) validateBall() error {
 }
 
 // validateWeights checks the full shape's move-weight state — the prefix
-// counts, the move-weight leaves, sval and W — against a recompute from
-// the lists.
+// counts, the move-weight leaves and W — against a recompute from the
+// lists.
 func (x *levelIndex) validateWeights() error {
-	if len(x.cum) != x.size || len(x.sval) != x.size || x.mvw.N() != x.size {
+	if len(x.cum) != x.size || x.mvw.N() != x.size {
 		return fmt.Errorf("loadvec: move-weight state does not cover the index's %d levels", x.size)
 	}
 	mvw := x.mvw.Leaves()
@@ -541,9 +533,6 @@ func (x *levelIndex) validateWeights() error {
 			elig = cumPrev
 		}
 		want := int64(v) * cn * elig // s[v] = v·count[v]·C(v−gap)
-		if x.sval[v] != want {
-			return fmt.Errorf("loadvec: sval[%d] = %d, want %d", v, x.sval[v], want)
-		}
 		if mvw[v] != want {
 			return fmt.Errorf("loadvec: mvw leaf %d = %d, want %d", v, mvw[v], want)
 		}
@@ -551,8 +540,8 @@ func (x *levelIndex) validateWeights() error {
 		cum += cn
 		wTotal += want
 	}
-	if x.wTotal != wTotal {
-		return fmt.Errorf("loadvec: cached W = %d, fresh %d", x.wTotal, wTotal)
+	if got := x.mvw.Total(); got != wTotal {
+		return fmt.Errorf("loadvec: cached W = %d, fresh %d", got, wTotal)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fenwick"
 	"repro/internal/persist"
 	"repro/internal/rng"
 )
@@ -113,8 +114,11 @@ func TestBallIndexValidateCatchesStrayState(t *testing.T) {
 	for name, corrupt := range map[string]func(x *levelIndex){
 		"bal leaf":  func(x *levelIndex) { x.bal.Add(2, 1) },
 		"cum array": func(x *levelIndex) { x.cum = make([]int64, x.size) },
-		"sval":      func(x *levelIndex) { x.sval = make([]int64, x.size) },
-		"W":         func(x *levelIndex) { x.wTotal = 3 },
+		"mvw tree":  func(x *levelIndex) { x.mvw = fenwick.New(x.size) },
+		"mvw leaf": func(x *levelIndex) {
+			x.mvw = fenwick.New(x.size)
+			x.mvw.Add(2, 3) // a stray W = 3
+		},
 	} {
 		c := fresh()
 		corrupt(c.idx)

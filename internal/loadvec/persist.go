@@ -14,9 +14,9 @@ import (
 // live structures use — so a decoded index is indistinguishable from one
 // that never left memory, with no rebuild-from-scratch divergence. The
 // ball tree is not rebuilt on decode: like a live index's, it is built
-// from the lists on the first SampleBallBin, and a Fenwick tree's array
-// form is a function of its leaves alone, so when it is built does not
-// change a draw.
+// from the lists on the first SampleBallBin, and a prefix-sum tree's
+// array form is a function of its leaves alone, so when it is built does
+// not change a draw.
 
 // EncodeState appends the configuration (and its level index, when
 // enabled) to the payload. Both index shapes encode alike: the shape is

@@ -56,7 +56,7 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// System is a running open system. It maintains queue lengths, a Fenwick
+// System is a running open system. It maintains queue lengths, a prefix-sum
 // tree for load-proportional migration sampling, a dynamic set of busy
 // servers for service sampling, and a load histogram with min/max for
 // O(1) discrepancy tracking — all under arrivals, departures and

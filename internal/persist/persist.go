@@ -24,7 +24,7 @@
 // format: state whose in-memory order evolved under simulation
 // (per-level bin lists, sampler slots, heap order, RNG words) is
 // serialized verbatim, while state that is a pure function of it
-// (Fenwick trees, position indices, derived stats) is rebuilt
+// (prefix-sum trees, position indices, derived stats) is rebuilt
 // deterministically on decode.
 package persist
 

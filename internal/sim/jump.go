@@ -34,13 +34,15 @@ import (
 // Cost: O(log Δ) per move instead of O(1) per activation — near balance,
 // where the direct engine wastes ~m·n/W activations per move, this is
 // the difference between O(moves) and O(activations) for a whole run.
-// Per move the level index pays one Fenwick descent over the per-level
-// move weights for the source level, an O(1) prefix-count read and a
-// binary search over [min, v−1] for the destination level (a few levels
-// once loads sit near the average), and at most four O(log Δ)
-// move-weight updates — none for a neutral move, which changes no level
-// count. It keeps no ball-sampling tree unless a session draws a random
-// ball (RandomBin).
+// Per move the level index pays one descent of its B-ary prefix-sum tree
+// (B = 16; at most B sums scanned per tree level, and a level range of up
+// to 16 is a single scan) over the per-level move weights for the source
+// level, an O(1) prefix-count read and a binary search over [min, v−1]
+// for the destination level (a few levels once loads sit near the
+// average), and at most four move-weight updates of one write per tree
+// level, each reading the old weight as an O(1) leaf — none for a
+// neutral move, which changes no level count. It keeps no ball-sampling
+// tree unless a session draws a random ball (RandomBin).
 //
 // Churn (AddBall/RemoveBall), ForceMove, and PostMove hooks work as in
 // the direct engine; there is no activation sampler because no individual
@@ -101,7 +103,7 @@ func (e *Engine) stepJump() bool {
 	var w int64
 	var denom float64
 	if e.gidx != nil {
-		w = e.gidx.total
+		w = e.gidx.wt.Total()
 		denom = float64(e.gidx.deg)
 	} else {
 		w = e.cfg.MoveWeight()

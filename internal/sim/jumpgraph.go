@@ -27,8 +27,9 @@ type Topology interface {
 //
 //	adm[i] = #{slots k : load(Neighbor(i,k)) ≤ load(i) − 1}
 //
-// and a bin-indexed Fenwick tree over the weights w_i = load(i)·adm[i],
-// whose total is the graph move weight
+// and a bin-indexed prefix-sum tree (internal/fenwick, fan-out B = 16)
+// over the weights w_i = load(i)·adm[i]. The tree's leaves are the one
+// copy of w, read in O(1), and its total is the graph move weight
 //
 //	W_G = Σ_i load(i)·adm[i].
 //
@@ -49,8 +50,9 @@ type Topology interface {
 // new, slot j→b flips only if load(j) sits at the one turning level
 // max(old, new), and adm[j] moves by ±1 without a rescan of j. Only the
 // changed bins themselves are recounted, in the same pass. An update
-// therefore costs O(Δ) reads of a flat slot table plus one Fenwick update
-// per flipped neighbor and per changed bin — O(Δ + flips·log n). The slot
+// therefore costs O(Δ) reads of a flat slot table plus one tree update
+// (one write per tree level) per flipped neighbor and per changed bin —
+// O(Δ + flips·log_B n), three writes per flip at n = 4096. The slot
 // table nbr[i·Δ+k] = Neighbor(i, k) is built once, so the hot path never
 // calls through the Topology interface; it and the previous loads are
 // derived state (rebuilt on restore, never serialized).
@@ -60,9 +62,7 @@ type graphIndex struct {
 	nbr   []int32       // flat slot table: nbr[i·Δ+k] = Neighbor(i, k)
 	loads []int32       // mirror of cfg loads as of the last update
 	adm   []int32       // admissible slot count per bin
-	wval  []int64       // current w_i = load(i)·adm[i]
-	wt    *fenwick.Tree // Fenwick over wval
-	total int64         // W_G
+	wt    *fenwick.Tree // leaves w_i = load(i)·adm[i], total W_G
 }
 
 // newGraphIndex builds the structure for the configuration's current
@@ -80,7 +80,6 @@ func newGraphIndex(cfg *loadvec.Config, g Topology) *graphIndex {
 		nbr:   make([]int32, n*deg),
 		loads: make([]int32, n),
 		adm:   make([]int32, n),
-		wval:  make([]int64, n),
 		wt:    fenwick.New(n),
 	}
 	for i := range gx.loads {
@@ -108,14 +107,11 @@ func (gx *graphIndex) slots(i int) []int32 {
 }
 
 // setAdm installs bin i's admissible count and applies the weight
-// difference as a Fenwick point update.
+// difference as a tree point update.
 func (gx *graphIndex) setAdm(i int, a int32) {
 	gx.adm[i] = a
-	w := int64(gx.loads[i]) * int64(a)
-	if d := w - gx.wval[i]; d != 0 {
+	if d := int64(gx.loads[i])*int64(a) - gx.wt.Value(i); d != 0 {
 		gx.wt.Add(i, d)
-		gx.wval[i] = w
-		gx.total += d
 	}
 }
 
@@ -170,8 +166,8 @@ func (gx *graphIndex) refresh(c, other int, old int32) {
 }
 
 // validate cross-checks the maintained state — the slot table, the loads
-// mirror, adm, wval, the Fenwick leaves and W_G — against a fresh build
-// over the topology and the configuration's live loads.
+// mirror, adm, the tree's leaves and W_G — against a fresh build over the
+// topology and the configuration's live loads.
 func (gx *graphIndex) validate(cfg *loadvec.Config) error {
 	fresh := newGraphIndex(cfg, gx.g)
 	if len(gx.nbr) != len(fresh.nbr) {
@@ -182,30 +178,27 @@ func (gx *graphIndex) validate(cfg *loadvec.Config) error {
 			return fmt.Errorf("sim: graph index slot %d of bin %d = %d, topology has %d", s%gx.deg, s/gx.deg, gx.nbr[s], j)
 		}
 	}
-	leaves := gx.wt.Leaves()
 	for i := range fresh.adm {
 		switch {
 		case gx.loads[i] != fresh.loads[i]:
 			return fmt.Errorf("sim: graph index load mirror[%d] = %d, config has %d", i, gx.loads[i], fresh.loads[i])
 		case gx.adm[i] != fresh.adm[i]:
 			return fmt.Errorf("sim: graph index adm[%d] = %d, fresh %d", i, gx.adm[i], fresh.adm[i])
-		case gx.wval[i] != fresh.wval[i]:
-			return fmt.Errorf("sim: graph index w[%d] = %d, fresh %d", i, gx.wval[i], fresh.wval[i])
-		case leaves[i] != fresh.wval[i]:
-			return fmt.Errorf("sim: graph index Fenwick leaf %d = %d, fresh %d", i, leaves[i], fresh.wval[i])
+		case gx.wt.Value(i) != fresh.wt.Value(i):
+			return fmt.Errorf("sim: graph index w[%d] = %d, fresh %d", i, gx.wt.Value(i), fresh.wt.Value(i))
 		}
 	}
-	if gx.total != fresh.total {
-		return fmt.Errorf("sim: graph index W_G = %d, fresh %d", gx.total, fresh.total)
+	if got, want := gx.wt.Total(), fresh.wt.Total(); got != want {
+		return fmt.Errorf("sim: graph index W_G = %d, fresh %d", got, want)
 	}
 	return nil
 }
 
 // sample draws one jump-chain move: src with probability ∝
 // load(src)·adm[src], then a uniform admissible slot of src. The caller
-// guarantees total > 0.
+// guarantees W_G > 0.
 func (gx *graphIndex) sample(r *rng.RNG) (src, dst int) {
-	i, rem := gx.wt.Find(r.Int63n(gx.total))
+	i, rem := gx.wt.Find(r.Int63n(gx.wt.Total()))
 	// rem is uniform over [0, load(i)·adm[i]); folding out the ball
 	// multiplicity leaves a uniform admissible-slot index.
 	j := int(rem % int64(gx.adm[i]))
@@ -249,9 +242,11 @@ func regularTopologyDegree(cfg *loadvec.Config, g Topology) int {
 // only the embedded jump chain — Geometric(W_G/(m·Δ)) null blocks, Erlang
 // time gaps — with the exact move weight W_G = Σ_i load(i)·adm[i]
 // maintained by per-source admissible-slot counts (graphIndex: O(Δ) reads
-// of a flat slot table plus O(flips·log n) Fenwick work per move, every
-// event a real move). SetHorizon's thinned-Poisson clamp conditions on
-// the same weight, so time-targeted runs stay exact. The configuration
+// of a flat slot table plus, per admissibility flip, an O(1) leaf read
+// and one write per level of a 16-ary prefix-sum tree —
+// O(Δ + flips·log_16 n) per move, every event a real move).
+// SetHorizon's thinned-Poisson clamp conditions on the same weight, so
+// time-targeted runs stay exact. The configuration
 // keeps only ball-sampling level-index state (loadvec's EnableBallIndex),
 // the part RandomBin reads; the complete-topology move weight is never
 // maintained.

@@ -91,7 +91,7 @@ func TestGraphIndexMatchesScratch(t *testing.T) {
 				return
 			}
 			loads := cfg.Snapshot()
-			if got, want := gx.total, scratchGraphWeight(loads, g); got != want {
+			if got, want := gx.wt.Total(), scratchGraphWeight(loads, g); got != want {
 				t.Fatalf("step %d: W_G = %d, want %d (loads %v)", step, got, want, loads)
 			}
 			for i := 0; i < n; i++ {
@@ -119,7 +119,7 @@ func TestGraphIndexMatchesScratch(t *testing.T) {
 					}
 				}
 			case 1: // sampled jump-chain move
-				if gx.total > 0 {
+				if gx.wt.Total() > 0 {
 					src, dst := gx.sample(r)
 					cfg.Move(src, dst)
 					gx.update(cfg, src, dst)
@@ -155,7 +155,7 @@ func TestGraphIndexSampleLaw(t *testing.T) {
 	v := loadvec.Vector{4, 1, 2, 0, 3}
 	cfg := loadvec.NewConfig(v)
 	gx := newGraphIndex(cfg, g)
-	W := float64(gx.total)
+	W := float64(gx.wt.Total())
 	if int64(W) != scratchGraphWeight(v, g) {
 		t.Fatalf("W_G = %g, want %d", W, scratchGraphWeight(v, g))
 	}
@@ -278,7 +278,7 @@ func TestGraphJumpChurn(t *testing.T) {
 			}
 		}
 		e.Step()
-		if got, want := e.gidx.total, scratchGraphWeight(e.Cfg().Snapshot(), g); got != want {
+		if got, want := e.gidx.wt.Total(), scratchGraphWeight(e.Cfg().Snapshot(), g); got != want {
 			t.Fatalf("event %d: W_G = %d, want %d", i, got, want)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // (mode, strict, topology) and then overwrites the engine's state, so
 // movers and topologies never need to be serialized. Everything whose
 // order evolved under simulation (ball-list slots, level lists, RNG
-// words) ships verbatim; everything derivable (Fenwick trees, graph
+// words) ships verbatim; everything derivable (prefix-sum trees, graph
 // index) is rebuilt through the same code paths the live engine uses.
 
 // Sampler type tags, written ahead of the sampler payload so a decode

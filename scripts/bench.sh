@@ -27,7 +27,9 @@
 # SampleMovePair + Move, and ball draw on its plain, strict and
 # ball-only shapes (BenchmarkLevelIndexMove,
 # BenchmarkLevelIndexSampleBall), and one AddBall or RemoveBall on its
-# plain and strict shapes (BenchmarkLevelIndexChurn); all but
+# plain and strict shapes (BenchmarkLevelIndexChurn), and the 16-ary
+# prefix-sum tree under both indices — one point update and one descent
+# at n = 64, 4096 and 65536 (BenchmarkTree/{add,find}/n=*); all but
 # BenchmarkFillIntn time a batch
 # of 4096 ops per iteration and report ns per op (ns/draw for the draw
 # kernel), so the default 3x
@@ -61,7 +63,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall|BenchmarkLevelIndexChurn)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall|BenchmarkLevelIndexChurn|BenchmarkTree)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)
