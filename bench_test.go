@@ -314,6 +314,46 @@ func BenchmarkSessionChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphSessionChurn is BenchmarkSessionChurn on a graph
+// topology: a jump session on the 64×64 torus holding m = 4n balls, where
+// each op is one arrival at a uniform bin, one random departure and
+// RunFor(0.001) (≈ m/1000 activations). The departures draw through the
+// configuration's level index, which the first one builds; one warm-up op
+// outside the timer takes that build. Each iteration times 4096 ops;
+// ns/op is per op.
+func BenchmarkGraphSessionChurn(b *testing.B) {
+	const side = 64
+	const n = side * side
+	s, err := Spec{Mode: JumpEngine, Topology: TorusTopology(side)}.NewSession(n, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 4*n; i++ {
+		s.AddBallRandom()
+	}
+	r := rng.New(8)
+	op := func() {
+		if err := s.AddBall(r.Intn(n)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.RemoveRandomBall(); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.RunFor(0.001); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op()
+	const batch = 4096
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			op()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
+}
+
 // BenchmarkSessionChurnRebuild replays the pre-churn-native strategy on
 // the same workload: every churn event snapshots the load vector and
 // rebuilds the engine (Config + sampler) from scratch before running.

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -30,6 +29,7 @@ import (
 
 	rls "repro"
 	"repro/internal/asciiplot"
+	"repro/internal/hetero"
 )
 
 func main() {
@@ -142,17 +142,11 @@ func specFromFlags(n int, seed uint64, engine string, shards int, strict bool, t
 	switch speeds {
 	case "":
 	case "uniform":
-		spec.Speeds = uniformSpeeds(n)
+		spec.Speeds = hetero.UniformSpeeds(n)
 	case "bimodal":
-		spec.Speeds = uniformSpeeds(n)
-		for i := 0; i < n/4; i++ {
-			spec.Speeds[i] = 4
-		}
+		spec.Speeds = hetero.BimodalSpeeds(n, 4, 0.25)
 	case "powerlaw":
-		spec.Speeds = make([]float64, n)
-		for i := range spec.Speeds {
-			spec.Speeds[i] = 1 / math.Sqrt(float64(i+1))
-		}
+		spec.Speeds = hetero.PowerLawSpeeds(n, 0.5)
 	default:
 		return spec, fmt.Errorf("unknown speed profile %q", speeds)
 	}
@@ -272,12 +266,4 @@ func report(res rls.Result, plot bool) {
 		fmt.Println()
 		asciiplot.Bars(os.Stdout, "final configuration", res.Final, avg, "average load")
 	}
-}
-
-func uniformSpeeds(n int) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	rls "repro"
+	"repro/internal/hetero"
 	"repro/internal/spectest"
 )
 
@@ -232,7 +233,7 @@ func TestSpecValidateAgreesWithConstruction(t *testing.T) {
 			speeds = "uniform"
 		}
 		if !ok || !named || c.Spec.ShardEpoch != 0 ||
-			(c.Spec.Speeds != nil && !reflect.DeepEqual(c.Spec.Speeds, uniformSpeeds(c.N))) {
+			(c.Spec.Speeds != nil && !reflect.DeepEqual(c.Spec.Speeds, hetero.UniformSpeeds(c.N))) {
 			continue
 		}
 		s := c.Spec

@@ -54,8 +54,9 @@
 //     slot table built once per engine, an O(1) leaf read per flip, and
 //     one tree write per tree level per flip (three at n = 4096), with
 //     no rejections (gate A8, on bounded-degree and dense families). The
-//     configuration keeps only the ball-sampling half of the level
-//     index there, since the graph index owns the move weight.
+//     graph index owns the move weight, so the configuration carries no
+//     level index there until a session's first random departure builds
+//     the plain one.
 //   - ShardedEngine partitions the bins into WithShards contiguous
 //     ranges, each simulated by its own goroutine worker with a private
 //     configuration, sampler, and deterministically split RNG stream —

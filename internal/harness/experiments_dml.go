@@ -56,7 +56,7 @@ func init() {
 			for i := range plainByCk {
 				plainByCk[i] = make([]float64, reps)
 			}
-			plainRows := replicateVec(cfg.Seed, reps, func(r *rng.RNG) []float64 {
+			plainRows := replicate(cfg.Seed, reps, func(r *rng.RNG) []float64 {
 				return discAtCheckpoints(n, m, gen, nil, checkpoints, r)
 			})
 			for rep, row := range plainRows {
@@ -66,7 +66,7 @@ func init() {
 			}
 			eps := 2 * stats.DKWEps(reps, 0.001)
 			for _, adv := range adversaries {
-				advRows := replicateVec(cfg.Seed^0xabc, reps, func(r *rng.RNG) []float64 {
+				advRows := replicate(cfg.Seed^0xabc, reps, func(r *rng.RNG) []float64 {
 					return discAtCheckpoints(n, m, gen, adv, checkpoints, r)
 				})
 				for i, tc := range checkpoints {
@@ -200,17 +200,6 @@ func init() {
 			return t
 		},
 	})
-}
-
-// replicateVec is Replicate for vector-valued replications (sequential;
-// the vector experiments are cheap relative to the scalar sweeps).
-func replicateVec(seed uint64, reps int, fn func(r *rng.RNG) []float64) [][]float64 {
-	root := rng.New(seed)
-	out := make([][]float64, reps)
-	for i := range out {
-		out[i] = fn(root.Split())
-	}
-	return out
 }
 
 func logf(n int) float64 { return math.Log(float64(n)) }

@@ -23,10 +23,10 @@ import (
 	"repro/internal/sim"
 )
 
-// replicate is the worker-pool core shared by Replicate and Replicate2:
-// it runs fn reps times with independent split RNG streams, in parallel
-// across GOMAXPROCS workers, and returns the reps results in replication
-// order. Splitting all streams from the root up front makes the output
+// replicate is the worker-pool core shared by Replicate, Replicate2 and
+// DML's vector rows: it runs fn reps times with independent split RNG
+// streams, in parallel across GOMAXPROCS workers, and returns the reps
+// results in replication order. Splitting all streams from the root up front makes the output
 // deterministic for a fixed seed regardless of parallelism.
 func replicate[T any](seed uint64, reps int, fn func(r *rng.RNG) T) []T {
 	root := rng.New(seed)

@@ -29,8 +29,7 @@ import (
 //     load-proportional — i.e. uniform-ball — bin sampling. Only
 //     SampleBallBin reads it, so it is built from the lists on the first
 //     SampleBallBin and kept in step from then on; a run that never
-//     samples a ball (every Runner jump run, a graph engine's sweep)
-//     never pays for it.
+//     samples a ball (every Runner jump run) never pays for it.
 //
 // gap encodes the tie rule: 1 is plain RLS (move iff ℓ_src ≥ ℓ_dst + 1,
 // destinations with load ≤ v−1 are eligible), 2 is the strict rule of
@@ -48,17 +47,16 @@ import (
 // self-contained: it reads only its own lists, prefix counts and trees,
 // never the Config histogram mid-update.
 //
-// The move-weight state (cum, mvw) is nil in the ball-sampling-only shape
-// (EnableBallIndex): an engine that owns its own move weight, like the
-// graph jump engine, reads only SampleBallBin, so its index keeps binsAt,
-// pos and (once sampled) bal and nothing else.
+// A Config either has no index or all of the above. An engine that owns
+// its move weight (the graph jump engine) enables none until a session
+// first draws a random ball, and then builds the plain one (gap 1).
 type levelIndex struct {
 	gap    int           // tie rule: eligible destinations have load ≤ v−gap
 	binsAt [][]int32     // level -> bins at that level (unordered)
 	pos    []int32       // bin -> position within binsAt[load]
 	bal    *fenwick.Tree // v·count[v]; nil until the first SampleBallBin
-	cum    []int64       // C(v) = #{bins with load ≤ v}; nil in the ball-sampling-only shape
-	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap), total W; nil likewise
+	cum    []int64       // C(v) = #{bins with load ≤ v}
+	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap), total W
 	size   int           // number of indexed levels (levels 0..size-1)
 }
 
@@ -74,29 +72,24 @@ func levelSize(max int) int {
 }
 
 // emptyLevelIndex allocates an index over n bins and size levels with
-// empty lists and unbuilt move-weight state, in the full shape when
-// weighted and the ball-sampling-only shape otherwise; the ball tree is
-// left for the first SampleBallBin. Callers fill binsAt and pos, then
-// call rebuildTrees.
-func emptyLevelIndex(n, size, gap int, weighted bool) *levelIndex {
-	x := &levelIndex{
+// empty lists and unbuilt move-weight state; the ball tree is left for
+// the first SampleBallBin. Callers fill binsAt and pos, then call
+// rebuildTrees.
+func emptyLevelIndex(n, size, gap int) *levelIndex {
+	return &levelIndex{
 		gap:    gap,
 		binsAt: make([][]int32, size),
 		pos:    make([]int32, n),
+		cum:    make([]int64, size),
+		mvw:    new(fenwick.Tree),
 		size:   size,
 	}
-	if weighted {
-		x.mvw = new(fenwick.Tree)
-		x.cum = make([]int64, size)
-	}
-	return x
 }
 
 // newLevelIndex builds the index for the configuration's current state
-// with the given tie gap (1 = plain, 2 = strict), with the move-weight
-// state when weighted.
-func newLevelIndex(c *Config, gap int, weighted bool) *levelIndex {
-	x := emptyLevelIndex(c.n, levelSize(c.max), gap, weighted)
+// with the given tie gap (1 = plain, 2 = strict).
+func newLevelIndex(c *Config, gap int) *levelIndex {
+	x := emptyLevelIndex(c.n, levelSize(c.max), gap)
 	for i, v := range c.loads {
 		x.pos[i] = int32(len(x.binsAt[v]))
 		x.binsAt[v] = append(x.binsAt[v], int32(i))
@@ -112,9 +105,6 @@ func newLevelIndex(c *Config, gap int, weighted bool) *levelIndex {
 func (x *levelIndex) rebuildTrees() {
 	if x.bal != nil {
 		x.buildBall()
-	}
-	if x.mvw == nil {
-		return
 	}
 	var c int64
 	for v, lst := range x.binsAt {
@@ -177,9 +167,7 @@ func (x *levelIndex) shrink(max int) {
 // rebuild).
 func (x *levelIndex) resize(size int) {
 	x.binsAt = resized(x.binsAt, size)
-	if x.cum != nil {
-		x.cum = resized(x.cum, size)
-	}
+	x.cum = resized(x.cum, size)
 	x.size = size
 	x.rebuildTrees()
 }
@@ -221,9 +209,8 @@ func (x *levelIndex) move(src, v, dst, w int) {
 }
 
 // shift moves bin from level `from` to level `to` (|from−to| = 1) in the
-// lists, the ball tree once built and, in the full shape, the prefix
-// counts, where only C(min(from, to)) changes. The move weight is left to
-// refreshAround.
+// lists, the ball tree once built and the prefix counts, where only
+// C(min(from, to)) changes. The move weight is left to refreshAround.
 func (x *levelIndex) shift(bin, from, to int) {
 	if to >= x.size {
 		x.grow(to)
@@ -237,12 +224,10 @@ func (x *levelIndex) shift(bin, from, to int) {
 			x.bal.Add(to, int64(to))
 		}
 	}
-	if x.cum != nil {
-		if to < from {
-			x.cum[to]++ // the bin joins level `to` from above
-		} else {
-			x.cum[from]-- // the bin leaves level `from` upward
-		}
+	if to < from {
+		x.cum[to]++ // the bin joins level `to` from above
+	} else {
+		x.cum[from]-- // the bin leaves level `from` upward
 	}
 }
 
@@ -262,11 +247,8 @@ func (x *levelIndex) relist(bin, from, to int) {
 // between `from` and `to` changes the inputs of: count at from/to, and C
 // at lo = min(from, to), which feeds s[lo+gap] — for gap = 1 that is
 // s[max(from, to)], already refreshed; for gap = 2 it is the extra level
-// lo+2. A no-op in the ball-sampling-only shape.
+// lo+2.
 func (x *levelIndex) refreshAround(from, to int) {
-	if x.mvw == nil {
-		return
-	}
 	x.refreshWeight(from)
 	x.refreshWeight(to)
 	// Levels at or past x.size hold no bins (s = 0).
@@ -307,14 +289,12 @@ func (x *levelIndex) clone() *levelIndex {
 		gap:    x.gap,
 		binsAt: make([][]int32, len(x.binsAt)),
 		pos:    append([]int32(nil), x.pos...),
+		cum:    append([]int64(nil), x.cum...),
+		mvw:    x.mvw.Clone(),
 		size:   x.size,
 	}
 	if x.bal != nil {
 		cp.bal = x.bal.Clone()
-	}
-	if x.mvw != nil {
-		cp.mvw = x.mvw.Clone()
-		cp.cum = append([]int64(nil), x.cum...)
 	}
 	for v, lst := range x.binsAt {
 		if len(lst) > 0 {
@@ -329,44 +309,27 @@ func (x *levelIndex) clone() *levelIndex {
 // maintain it incrementally in O(log Δ) (amortized over the range's grows
 // and shrinks); until enabled, Config carries no index and pays nothing.
 // Enabling twice is a no-op.
-func (c *Config) EnableLevelIndex() { c.enableLevelIndex(1, true) }
-
-// EnableBallIndex builds the level index in its ball-sampling-only shape:
-// it maintains the per-level bin lists and the ball tree that
-// SampleBallBin reads (built on its first call), with the same grow and
-// shrink, and none of the move-weight state — MoveWeight and
-// SampleMovePair panic on it. It is the shape for engines that own their
-// move weight, such as the graph jump engine. Its snapshot encoding is
-// the plain index's (tie gap 1).
-func (c *Config) EnableBallIndex() { c.enableLevelIndex(1, false) }
+func (c *Config) EnableLevelIndex() { c.enableLevelIndex(1) }
 
 // EnableStrictLevelIndex builds the level index for the strict tie rule
 // of [12]/[11] (tie gap 2): the move weight becomes
 // W' = Σ_v v·count[v]·C(v−2) and SampleMovePair draws destinations with
 // load ≤ v−2, matching the rule that forbids neutral moves. Everything
 // else — maintenance cost, churn updates, SampleBallBin — is unchanged.
-func (c *Config) EnableStrictLevelIndex() { c.enableLevelIndex(2, true) }
+func (c *Config) EnableStrictLevelIndex() { c.enableLevelIndex(2) }
 
-func (c *Config) enableLevelIndex(gap int, weighted bool) {
+func (c *Config) enableLevelIndex(gap int) {
 	if c.idx == nil {
-		c.idx = newLevelIndex(c, gap, weighted)
+		c.idx = newLevelIndex(c, gap)
 		return
 	}
 	if c.idx.gap != gap {
 		panic("loadvec: level index already enabled with a different tie rule")
 	}
-	if c.MoveWeightIndexed() != weighted {
-		panic("loadvec: level index already enabled with a different shape")
-	}
 }
 
 // LevelIndexed reports whether the level index is enabled.
 func (c *Config) LevelIndexed() bool { return c.idx != nil }
-
-// MoveWeightIndexed reports whether the level index is enabled and keeps
-// the move-weight state behind MoveWeight and SampleMovePair — false for
-// the ball-sampling-only shape of EnableBallIndex.
-func (c *Config) MoveWeightIndexed() bool { return c.idx != nil && c.idx.mvw != nil }
 
 // TieGap returns the enabled index's tie gap (1 = plain, 2 = strict), or
 // 0 when no level index is enabled.
@@ -383,13 +346,10 @@ func (c *Config) TieGap() int {
 // activation is a productive move under that rule; W = 0 iff no eligible
 // (src, dst) pair exists — for gap 1 iff every bin holds the same load,
 // for gap 2 iff max − min ≤ 1 (i.e. the configuration is perfect). It
-// panics unless the level index is enabled with its move-weight state.
+// panics unless the level index is enabled.
 func (c *Config) MoveWeight() int64 {
 	if c.idx == nil {
 		panic("loadvec: MoveWeight without EnableLevelIndex")
-	}
-	if c.idx.mvw == nil {
-		panic("loadvec: MoveWeight on a ball-sampling-only level index")
 	}
 	return c.idx.mvw.Total()
 }
@@ -397,15 +357,12 @@ func (c *Config) MoveWeight() int64 {
 // SampleMovePair draws a productive move (src, dst) with the exact law
 // of the embedded jump chain under the index's tie rule: P(src at level
 // v, dst at level w) ∝ v·count[v]·count[w] for w ≤ v−gap, uniform over
-// the bins within each level. It panics if the index is disabled or
-// ball-sampling-only, or if no productive move exists (MoveWeight 0).
+// the bins within each level. It panics if the index is disabled or if
+// no productive move exists (MoveWeight 0).
 func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	x := c.idx
 	if x == nil {
 		panic("loadvec: SampleMovePair without EnableLevelIndex")
-	}
-	if x.mvw == nil {
-		panic("loadvec: SampleMovePair on a ball-sampling-only level index")
 	}
 	w := x.mvw.Total()
 	if w <= 0 {
@@ -456,9 +413,7 @@ func (c *Config) SampleBallBin(r *rng.RNG) int {
 }
 
 // validateIndex cross-checks every piece of level-index state against a
-// from-scratch recompute; part of Validate. In the ball-sampling-only
-// shape that is the lists, pos and, once built, the bal leaves, and it
-// checks that no move-weight state is present.
+// from-scratch recompute; part of Validate.
 func (c *Config) validateIndex() error {
 	x := c.idx
 	if x == nil {
@@ -487,13 +442,6 @@ func (c *Config) validateIndex() error {
 	if err := x.validateBall(); err != nil {
 		return err
 	}
-	if x.mvw == nil {
-		if x.cum != nil || x.gap != 1 {
-			return fmt.Errorf("loadvec: ball-sampling-only index carries move-weight state (cum %v, gap %d)",
-				x.cum != nil, x.gap)
-		}
-		return nil
-	}
 	return x.validateWeights()
 }
 
@@ -513,9 +461,8 @@ func (x *levelIndex) validateBall() error {
 	return nil
 }
 
-// validateWeights checks the full shape's move-weight state — the prefix
-// counts, the move-weight leaves and W — against a recompute from the
-// lists.
+// validateWeights checks the move-weight state — the prefix counts, the
+// move-weight leaves and W — against a recompute from the lists.
 func (x *levelIndex) validateWeights() error {
 	if len(x.cum) != x.size || x.mvw.N() != x.size {
 		return fmt.Errorf("loadvec: move-weight state does not cover the index's %d levels", x.size)

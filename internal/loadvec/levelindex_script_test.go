@@ -47,19 +47,18 @@ func naiveMovePair(c *Config, r *rng.RNG) (src, dst int) {
 	return src, int(x.binsAt[w][u])
 }
 
-// indexShapes are the level index's shapes: the plain and strict jump
-// indexes and the graph engine's ball-only one.
-var indexShapes = []struct {
+// tieRules are the level index's tie rules: the plain and strict jump
+// indexes.
+var tieRules = []struct {
 	name   string
 	enable func(*Config)
 }{
 	{"plain", (*Config).EnableLevelIndex},
 	{"strict", (*Config).EnableStrictLevelIndex},
-	{"ball-only", (*Config).EnableBallIndex},
 }
 
 // TestLevelIndexScriptProperty runs random scripts of jump-chain moves,
-// churn and ball samples on every index shape, from starts that pile
+// churn and ball samples under both tie rules, from starts that pile
 // most balls on one bin so the level range grows and shrinks. Config
 // .Validate — lists, prefix counts, move weight and, once built, the ball
 // tree — runs after every op. Two clones run each script: `eager` samples
@@ -69,7 +68,7 @@ var indexShapes = []struct {
 // against naiveMovePair on an equal stream.
 func TestLevelIndexScriptProperty(t *testing.T) {
 	r := rng.New(2024)
-	for _, sh := range indexShapes {
+	for _, sh := range tieRules {
 		for trial := 0; trial < 12; trial++ {
 			n := 2 + r.Intn(24)
 			v := make(Vector, n)
@@ -98,16 +97,6 @@ func TestLevelIndexScriptProperty(t *testing.T) {
 				switch k := r.Intn(8); {
 				case k < 4:
 					op = "move"
-					if !eager.MoveWeightIndexed() {
-						// The ball-only shape's engine owns its move law;
-						// any move by one ball exercises the index.
-						src, dst := r.Intn(n), r.Intn(n)
-						if src != dst && eager.Load(src) > 0 {
-							eager.Move(src, dst)
-							lazy.Move(src, dst)
-						}
-						break
-					}
 					if eager.MoveWeight() == 0 {
 						break
 					}
@@ -168,45 +157,27 @@ func benchDenseConfig() Vector {
 }
 
 // BenchmarkLevelIndexMove times one jump-chain step of the level index —
-// SampleMovePair then Move — on each shape. The ball-only shape has no
-// move law of its own (its engine owns one), so it replays the Moves of
-// a plain chain recorded from the same start. The chain runs on from
+// SampleMovePair then Move — under each tie rule. The chain runs on from
 // iteration to iteration and restarts from the dense start (outside the
-// timer) when it balances or the recording runs out. Each iteration
-// times 4096 steps; ns/op is per step.
+// timer) when it balances. Each iteration times 4096 steps; ns/op is per
+// step.
 func BenchmarkLevelIndexMove(b *testing.B) {
-	for _, sh := range indexShapes {
+	for _, sh := range tieRules {
 		b.Run(sh.name, func(b *testing.B) {
 			start := NewConfig(benchDenseConfig())
 			sh.enable(start)
-			var pairs [][2]int
-			if !start.MoveWeightIndexed() {
-				rec, r := NewConfig(start.Loads()), rng.New(2)
-				rec.EnableLevelIndex()
-				for len(pairs) < 1<<16 && rec.MoveWeight() > 0 {
-					src, dst := rec.SampleMovePair(r)
-					rec.Move(src, dst)
-					pairs = append(pairs, [2]int{src, dst})
-				}
-			}
 			c := start.Clone()
 			r := rng.New(1)
-			next := 0
 			const batch = 4096
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < batch; j++ {
-					if pairs == nil && c.MoveWeight() == 0 || pairs != nil && next == len(pairs) {
+					if c.MoveWeight() == 0 {
 						b.StopTimer()
-						c, next = start.Clone(), 0
+						c = start.Clone()
 						b.StartTimer()
 					}
-					if pairs == nil {
-						c.Move(c.SampleMovePair(r))
-					} else {
-						c.Move(pairs[next][0], pairs[next][1])
-						next++
-					}
+					c.Move(c.SampleMovePair(r))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
@@ -214,10 +185,10 @@ func BenchmarkLevelIndexMove(b *testing.B) {
 	}
 }
 
-// BenchmarkLevelIndexSampleBall times SampleBallBin on each shape, with
+// BenchmarkLevelIndexSampleBall times SampleBallBin under each tie rule, with
 // the ball tree already built; 4096 draws per iteration, ns/op per draw.
 func BenchmarkLevelIndexSampleBall(b *testing.B) {
-	for _, sh := range indexShapes {
+	for _, sh := range tieRules {
 		b.Run(sh.name, func(b *testing.B) {
 			c := NewConfig(benchDenseConfig())
 			sh.enable(c)
@@ -245,7 +216,7 @@ func BenchmarkLevelIndexSampleBall(b *testing.B) {
 // and a departure from a uniform non-empty bin, so m stays put; each
 // iteration times 4096 ops, ns/op per op.
 func BenchmarkLevelIndexChurn(b *testing.B) {
-	for _, sh := range indexShapes[:2] {
+	for _, sh := range tieRules {
 		b.Run(sh.name, func(b *testing.B) {
 			c := NewConfig(benchDenseConfig())
 			sh.enable(c)

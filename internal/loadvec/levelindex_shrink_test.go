@@ -14,7 +14,7 @@ func allInOne(n, m, gap int) *Config {
 	v := make(Vector, n)
 	v[0] = m
 	c := NewConfig(v)
-	c.enableLevelIndex(gap, true)
+	c.enableLevelIndex(gap)
 	return c
 }
 

@@ -205,6 +205,30 @@ func TestLevelIndexCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestLevelIndexValidateCatchesCorruption checks Validate flags each
+// piece of derived index state out of step with the lists: a ball-tree
+// leaf, a move-weight leaf and a prefix count. The ball tree is built (by
+// one SampleBallBin) before corrupting, since an unbuilt one has no
+// leaves to check.
+func TestLevelIndexValidateCatchesCorruption(t *testing.T) {
+	for name, corrupt := range map[string]func(x *levelIndex){
+		"bal leaf": func(x *levelIndex) { x.bal.Add(2, 1) },
+		"mvw leaf": func(x *levelIndex) { x.mvw.Add(2, 3) },
+		"cum":      func(x *levelIndex) { x.cum[1]++ },
+	} {
+		c := NewConfig(Vector{2, 1, 4, 0})
+		c.EnableLevelIndex()
+		c.SampleBallBin(rng.New(1))
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: fresh index: %v", name, err)
+		}
+		corrupt(c.idx)
+		if c.Validate() == nil {
+			t.Errorf("%s: Validate passed a corrupted level index", name)
+		}
+	}
+}
+
 func TestLevelIndexPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"MoveWeight without index":     func() { NewConfig(Vector{1, 0}).MoveWeight() },

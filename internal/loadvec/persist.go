@@ -16,11 +16,13 @@ import (
 // ball tree is not rebuilt on decode: like a live index's, it is built
 // from the lists on the first SampleBallBin, and a prefix-sum tree's
 // array form is a function of its leaves alone, so when it is built does
-// not change a draw.
+// not change a draw. The same holds one level up: a graph jump engine's
+// Config carries no index until its first random departure builds one
+// from the loads, so a payload without an index resumes to the same
+// lists, and the same draws, as the run that never stopped.
 
 // EncodeState appends the configuration (and its level index, when
-// enabled) to the payload. Both index shapes encode alike: the shape is
-// not state, it follows from the engine that restores the payload.
+// enabled) to the payload: the tie gap, the level count and the lists.
 func (c *Config) EncodeState(e *persist.Enc) {
 	e.Ints(c.loads)
 	if c.idx == nil {
@@ -37,20 +39,9 @@ func (c *Config) EncodeState(e *persist.Enc) {
 }
 
 // DecodeConfigState reads a Config written by EncodeState. The
-// histogram and the move-weight state are rebuilt from the loads and the
-// verbatim level lists; an index comes back in the full shape.
+// histogram and the index's move-weight state are rebuilt from the loads
+// and the verbatim level lists.
 func DecodeConfigState(d *persist.Dec) (*Config, error) {
-	return decodeConfigState(d, true)
-}
-
-// DecodeBallConfigState reads the same payload as DecodeConfigState but
-// rebuilds an index in the ball-sampling-only shape of EnableBallIndex,
-// which only a plain (tie gap 1) payload can carry.
-func DecodeBallConfigState(d *persist.Dec) (*Config, error) {
-	return decodeConfigState(d, false)
-}
-
-func decodeConfigState(d *persist.Dec, weighted bool) (*Config, error) {
 	loads := d.Ints()
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -80,16 +71,13 @@ func decodeConfigState(d *persist.Dec, weighted bool) (*Config, error) {
 	if gap != 1 && gap != 2 {
 		return nil, persist.Corruptf("level index tie gap %d (want 1 or 2)", gap)
 	}
-	if gap != 1 && !weighted {
-		return nil, persist.Corruptf("level index tie gap %d where a ball-sampling-only index needs 1", gap)
-	}
 	// Every level costs at least one encoded byte (its list's length
 	// prefix), which bounds size by the remaining payload — the same
 	// guard Dec applies to slice lengths.
 	if size < 4 || size&(size-1) != 0 || size <= c.max || size > d.Remaining() {
 		return nil, persist.Corruptf("level index size %d (max level %d, %d bytes remain)", size, c.max, d.Remaining())
 	}
-	x := emptyLevelIndex(c.n, size, gap, weighted)
+	x := emptyLevelIndex(c.n, size, gap)
 	seen := 0
 	for v := 0; v < size; v++ {
 		lst := d.I32s()

@@ -190,9 +190,6 @@ type Enc struct {
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
-// Reset empties the buffer, keeping capacity.
-func (e *Enc) Reset() { e.buf = e.buf[:0] }
-
 // U64 appends an unsigned varint.
 func (e *Enc) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
@@ -239,22 +236,6 @@ func (e *Enc) I32s(s []int32) {
 	}
 }
 
-// I64s appends a length-prefixed slice of signed varints.
-func (e *Enc) I64s(s []int64) {
-	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.I64(v)
-	}
-}
-
-// Bools appends a length-prefixed slice of single bytes.
-func (e *Enc) Bools(s []bool) {
-	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.Bool(v)
-	}
-}
-
 // Dec reads a payload written by Enc. Errors are sticky: after the
 // first malformed read every subsequent call returns zero values and
 // Err() reports the failure, so decoders can read a whole structure
@@ -275,14 +256,6 @@ func (d *Dec) Err() error { return d.err }
 
 // Remaining reports the unread byte count.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
-
-// Fail marks the decoder failed with a corruption error; layer decoders
-// use it for semantic validation failures.
-func (d *Dec) Fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = Corruptf(format, args...)
-	}
-}
 
 func (d *Dec) fail(err error) {
 	if d.err == nil {
@@ -411,36 +384,10 @@ func (d *Dec) I32s() []int32 {
 	for i := range s {
 		v := d.I64()
 		if int64(int32(v)) != v {
-			d.Fail("int32 value %d overflows", v)
+			d.fail(Corruptf("int32 value %d overflows", v))
 			return nil
 		}
 		s[i] = int32(v)
-	}
-	return s
-}
-
-// I64s reads a length-prefixed []int64 (nil when empty).
-func (d *Dec) I64s() []int64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = d.I64()
-	}
-	return s
-}
-
-// Bools reads a length-prefixed []bool (nil when empty).
-func (d *Dec) Bools() []bool {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = d.Bool()
 	}
 	return s
 }

@@ -148,12 +148,16 @@ func (e *Engine) RemoveBall(bin int) {
 
 // RandomBin returns the bin of a uniformly random ball without advancing
 // the run — the draw session churn uses to pick a departure target. Both
-// modes consume one draw from the engine's RNG stream.
+// modes consume one draw from the engine's RNG stream. A graph jump
+// engine builds the plain level index on its first call.
 func (e *Engine) RandomBin() int {
-	if e.jump {
-		return e.cfg.SampleBallBin(e.r)
+	if !e.jump {
+		return e.balls.Sample(e.r)
 	}
-	return e.balls.Sample(e.r)
+	if !e.cfg.LevelIndexed() {
+		e.cfg.EnableLevelIndex()
+	}
+	return e.cfg.SampleBallBin(e.r)
 }
 
 // ForceMove applies a move outside the protocol (adversarial/destructive),

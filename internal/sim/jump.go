@@ -75,9 +75,6 @@ func NewStrictJumpEngine(initial loadvec.Vector, r *rng.RNG) *Engine {
 	return &Engine{cfg: cfg, r: r, jump: true}
 }
 
-// Jump reports whether the engine runs in rejection-free jump mode.
-func (e *Engine) Jump() bool { return e.jump }
-
 // stepJump performs one jump-chain transition: a geometric block of null
 // activations, its Erlang time gap, and the move that ends it. When no
 // productive move exists (W = 0: all loads equal under the plain rule,

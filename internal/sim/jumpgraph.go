@@ -56,6 +56,10 @@ type Topology interface {
 // table nbr[i·Δ+k] = Neighbor(i, k) is built once, so the hot path never
 // calls through the Topology interface; it and the previous loads are
 // derived state (rebuilt on restore, never serialized).
+//
+// The graph index is the engine's only move-weight structure. The
+// configuration carries no level index until the first RandomBin builds
+// the plain one to draw a departing ball.
 type graphIndex struct {
 	g     Topology      // kept so restore can rebuild nbr
 	deg   int           // uniform degree Δ
@@ -246,10 +250,10 @@ func regularTopologyDegree(cfg *loadvec.Config, g Topology) int {
 // and one write per level of a 16-ary prefix-sum tree —
 // O(Δ + flips·log_16 n) per move, every event a real move).
 // SetHorizon's thinned-Poisson clamp conditions on the same weight, so
-// time-targeted runs stay exact. The configuration
-// keeps only ball-sampling level-index state (loadvec's EnableBallIndex),
-// the part RandomBin reads; the complete-topology move weight is never
-// maintained.
+// time-targeted runs stay exact. The configuration starts with no level
+// index: a run never reads one. The first RandomBin (a session's random
+// departure) builds the plain index over the loads of that moment, and
+// moves keep it in step from then on.
 //
 // The balancing-time law is the direct engine's (experiment A8 KS-tests
 // it). The topology must be regular and its slot lists symmetric as
@@ -263,8 +267,5 @@ func NewGraphJumpEngine(initial loadvec.Vector, g Topology, r *rng.RNG) *Engine 
 		panic("sim: NewGraphJumpEngine with nil topology")
 	}
 	cfg := loadvec.NewConfig(initial)
-	// The level index serves RandomBin (session churn) as the uniform-ball
-	// sampler; the graph index owns the move weight.
-	cfg.EnableBallIndex()
 	return &Engine{cfg: cfg, r: r, jump: true, gidx: newGraphIndex(cfg, g)}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -194,7 +195,9 @@ func TestGraphIndexSampleLaw(t *testing.T) {
 
 // TestGraphJumpEngineBalances runs the graph jump engine to perfection on
 // each catalogue topology from the worst-case start and cross-checks the
-// invariants shared with the direct engine.
+// invariants shared with the direct engine. A run never draws a random
+// ball, so it must leave the configuration without a level index: the
+// graph index owns the move weight.
 func TestGraphJumpEngineBalances(t *testing.T) {
 	topos := []Topology{
 		graphs.Ring{Vertices: 16},
@@ -217,6 +220,9 @@ func TestGraphJumpEngineBalances(t *testing.T) {
 		}
 		if res.Time <= 0 {
 			t.Fatalf("%T: time %g", g, res.Time)
+		}
+		if e.Cfg().LevelIndexed() {
+			t.Fatalf("%T: a graph jump run built a level index", g)
 		}
 	}
 }
@@ -288,11 +294,14 @@ func TestGraphJumpChurn(t *testing.T) {
 // expander small enough to carry self-loops and parallel edges, and a
 // random-regular multigraph through steps, churn (AddBall, RandomBin then
 // RemoveBall), ForceMove and snapshot → restore, checking the on-demand
-// invariants after every op: the configuration with its
-// ball-sampling-only level index (Config.Validate), the graph index
-// against a fresh build (validate), and the slot table against
-// Topology.Neighbor. A restored engine must re-encode to the same bytes
-// and carry the same index shape as a fresh one.
+// invariants after every op: the configuration and its level index
+// (Config.Validate), the graph index against a fresh build (validate),
+// and the slot table against Topology.Neighbor. The configuration carries
+// no level index until the first RandomBin and the plain one (tie gap 1)
+// after it. Departures start only at op 100, so the restores at ops 24,
+// 49, 74 and 99 round-trip an engine without an index and the later ones
+// an engine with one; a restored engine must re-encode to the same bytes
+// and carry the same index as the one it was taken from.
 func TestGraphJumpEngineInvariants(t *testing.T) {
 	rr, err := graphs.NewRandomRegularSeed(24, 6, 5)
 	if err != nil {
@@ -304,15 +313,16 @@ func TestGraphJumpEngineInvariants(t *testing.T) {
 		v[0] = 3 * n
 		e := NewGraphJumpEngine(v, g, rng.New(21))
 		r := rng.New(22)
+		sampled := false // whether RandomBin has run, building the index
 		check := func(op int, what string) {
 			t.Helper()
 			cfg := e.Cfg()
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("%T op %d (%s): config: %v", g, op, what, err)
 			}
-			if !cfg.LevelIndexed() || cfg.MoveWeightIndexed() || cfg.TieGap() != 1 {
-				t.Fatalf("%T op %d (%s): index shape indexed=%v weighted=%v gap=%d, want ball-sampling-only",
-					g, op, what, cfg.LevelIndexed(), cfg.MoveWeightIndexed(), cfg.TieGap())
+			if cfg.LevelIndexed() != sampled || sampled && cfg.TieGap() != 1 {
+				t.Fatalf("%T op %d (%s): level index %v with gap %d after RandomBin %v, want gap 1 iff sampled",
+					g, op, what, cfg.LevelIndexed(), cfg.TieGap(), sampled)
 			}
 			if err := e.gidx.validate(cfg); err != nil {
 				t.Fatalf("%T op %d (%s): %v", g, op, what, err)
@@ -337,6 +347,10 @@ func TestGraphJumpEngineInvariants(t *testing.T) {
 				e.AddBall(r.Intn(n))
 			case 3:
 				what = "remove"
+				if op < 100 {
+					break
+				}
+				sampled = true
 				if bin := e.RandomBin(); e.Cfg().M() > 1 {
 					e.RemoveBall(bin)
 				}
@@ -363,6 +377,65 @@ func TestGraphJumpEngineInvariants(t *testing.T) {
 			}
 			check(op, what)
 		}
+	}
+}
+
+// TestGraphJumpResumeBeforeFirstDeparture snapshots a graph jump engine
+// that has run and taken arrivals but never drawn a random ball, so its
+// configuration has no level index. The restored engine and the original
+// then run the same departures and steps: both build the index at the
+// same RandomBin from the same loads and must agree draw for draw and
+// byte for byte.
+func TestGraphJumpResumeBeforeFirstDeparture(t *testing.T) {
+	g := graphs.Torus2D{Side: 6}
+	n := g.N()
+	v := make(loadvec.Vector, n)
+	v[0] = 4 * n
+	a := NewGraphJumpEngine(v, g, rng.New(31))
+	for i := 0; i < 40; i++ {
+		a.Step()
+		a.AddBall(i % n)
+	}
+	var enc persist.Enc
+	a.EncodeState(&enc)
+	b := NewGraphJumpEngine(make(loadvec.Vector, n), g, rng.New(0))
+	if err := b.DecodeState(persist.NewDec(enc.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if a.Cfg().LevelIndexed() || b.Cfg().LevelIndexed() {
+		t.Fatal("a level index exists before the first RandomBin")
+	}
+	for i := 0; i < 60; i++ {
+		if ba, bb := a.RandomBin(), b.RandomBin(); ba != bb {
+			t.Fatalf("departure %d: bins %d and %d", i, ba, bb)
+		} else {
+			a.RemoveBall(ba)
+			b.RemoveBall(bb)
+		}
+		a.Step()
+		b.Step()
+		var ea, eb persist.Enc
+		a.EncodeState(&ea)
+		b.EncodeState(&eb)
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			t.Fatalf("departure %d: resumed engine encodes differently", i)
+		}
+	}
+}
+
+// TestGraphJumpDecodeRejectsStrictIndex checks a graph engine refuses a
+// payload whose level index has the strict tie gap with a typed
+// ErrCorrupt: a graph engine's index, once built, is the plain one.
+func TestGraphJumpDecodeRejectsStrictIndex(t *testing.T) {
+	v := loadvec.Vector{5, 0, 3, 3, 1, 0, 2, 9}
+	g := graphs.Ring{Vertices: len(v)}
+	e := NewGraphJumpEngine(v, g, rng.New(1))
+	e.Cfg().EnableStrictLevelIndex()
+	var enc persist.Enc
+	e.EncodeState(&enc)
+	restored := NewGraphJumpEngine(make(loadvec.Vector, len(v)), g, rng.New(0))
+	if err := restored.DecodeState(persist.NewDec(enc.Bytes())); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("strict index on a graph engine: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -18,6 +18,10 @@ import (
 // order evolved under simulation (ball-list slots, level lists, RNG
 // words) ships verbatim; everything derivable (prefix-sum trees, graph
 // index) is rebuilt through the same code paths the live engine uses.
+// A graph engine's level index is built by its first random departure,
+// so its payload carries the plain index or none; one that does not
+// exist yet is built from the same loads, at the same draw, after a
+// restore as in the run that never stopped.
 
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
@@ -46,16 +50,6 @@ func encodeRNG(e *persist.Enc, r *rng.RNG) {
 	st := r.State()
 	for _, w := range st {
 		e.U64(w)
-	}
-}
-
-func decodeRNG(d *persist.Dec, r *rng.RNG) {
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	if d.Err() == nil {
-		r.Restore(st)
 	}
 }
 
@@ -133,21 +127,21 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 // (same mover, tie rule, topology, and sampler type), built by the
 // caller. On any error the engine is left unmodified.
 func (e *Engine) DecodeState(d *persist.Dec) error {
-	// A graph engine's level index is ball-sampling-only; the payload
-	// encodes both shapes alike, so the engine picks the decoder.
-	decode := loadvec.DecodeConfigState
-	if e.gidx != nil {
-		decode = loadvec.DecodeBallConfigState
-	}
-	cfg, err := decode(d)
+	cfg, err := loadvec.DecodeConfigState(d)
 	if err != nil {
 		return err
 	}
 	if cfg.N() != e.cfg.N() {
 		return persist.Corruptf("snapshot over %d bins, engine has %d", cfg.N(), e.cfg.N())
 	}
-	if cfg.LevelIndexed() != e.cfg.LevelIndexed() ||
-		(cfg.LevelIndexed() && cfg.TieGap() != e.cfg.TieGap()) {
+	// A graph engine's plain index exists once a random departure built
+	// it, so the payload may or may not carry one; other engines' index
+	// is fixed by their shape.
+	if e.gidx != nil {
+		if cfg.LevelIndexed() && cfg.TieGap() != 1 {
+			return persist.Corruptf("snapshot level index has tie gap %d, a graph engine's has 1", cfg.TieGap())
+		}
+	} else if cfg.TieGap() != e.cfg.TieGap() { // 0 when unindexed
 		return persist.Corruptf("snapshot level-index shape does not match the engine")
 	}
 	tag := d.Int()

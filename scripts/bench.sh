@@ -7,7 +7,9 @@
 # (BenchmarkGraphEndGame), and the dense-degree graph comparison direct
 # vs jump-exact (BenchmarkGraphDense, gated ≥ 5x by check_graphdense.sh),
 # the graph index's micro tier at Δ = 4, 8, 16 (BenchmarkGraphIndexUpdate,
-# BenchmarkGraphIndexSample) — live churn (BenchmarkSessionChurn), the
+# BenchmarkGraphIndexSample) — live churn (BenchmarkSessionChurn; on a
+# torus jump session, BenchmarkGraphSessionChurn: one arrival, random
+# departure and RunFor(0.001) per op, 4096 ops per iteration), the
 # direct-vs-sharded dense regime (BenchmarkShardedDense), and the parallel
 # epoch loop's
 # allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
@@ -24,10 +26,9 @@
 # batched vs scalar (BenchmarkFillIntn), one configuration move with its tracked
 # statistics (BenchmarkConfigMove), one direct-engine step
 # (BenchmarkEngineStepBallList), the jump level index's chain step,
-# SampleMovePair + Move, and ball draw on its plain, strict and
-# ball-only shapes (BenchmarkLevelIndexMove,
-# BenchmarkLevelIndexSampleBall), and one AddBall or RemoveBall on its
-# plain and strict shapes (BenchmarkLevelIndexChurn), and the 16-ary
+# SampleMovePair + Move, ball draw, and one AddBall or RemoveBall under
+# its plain and strict tie rules (BenchmarkLevelIndexMove,
+# BenchmarkLevelIndexSampleBall, BenchmarkLevelIndexChurn), and the 16-ary
 # prefix-sum tree under both indices — one point update and one descent
 # at n = 64, 4096 and 65536 (BenchmarkTree/{add,find}/n=*); all but
 # BenchmarkFillIntn time a batch
@@ -63,7 +64,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall|BenchmarkLevelIndexChurn|BenchmarkTree)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkGraphIndexUpdate|BenchmarkGraphIndexSample|BenchmarkSessionChurn|BenchmarkGraphSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkExp|BenchmarkNormFloat64|BenchmarkGeometric|BenchmarkErlang|BenchmarkFillIntn|BenchmarkConfigMove|BenchmarkEngineStepBallList|BenchmarkLevelIndexMove|BenchmarkLevelIndexSampleBall|BenchmarkLevelIndexChurn|BenchmarkTree)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)
