@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/loadvec"
 	"repro/internal/sim"
 )
 
@@ -119,34 +118,3 @@ func (a ConcentratorAdversary) Act(e *sim.Engine, _, _ int) {
 
 // Name implements Adversary.
 func (a ConcentratorAdversary) Name() string { return fmt.Sprintf("concentrate(%d)", a.Budget) }
-
-// StackAll performs the reduction used at the start of Lemmas 8–11: it
-// moves every ball into the currently fullest bin using destructive moves
-// only, returning the number of moves made. Starting from any
-// configuration this produces the all-in-one worst case, constructively
-// demonstrating that Lemma 2 lets the analysis assume it.
-func StackAll(v loadvec.Vector) (loadvec.Vector, int) {
-	w := v.Clone()
-	// The fullest bin stays fullest as we stack into it.
-	maxBin := 0
-	for i := range w {
-		if w[i] > w[maxBin] {
-			maxBin = i
-		}
-	}
-	moves := 0
-	for i := range w {
-		if i == maxBin {
-			continue
-		}
-		for w[i] > 0 {
-			if !IsDestructiveMove(w, i, maxBin) {
-				panic("core: StackAll generated a non-destructive move")
-			}
-			w[i]--
-			w[maxBin]++
-			moves++
-		}
-	}
-	return w, moves
-}

@@ -54,13 +54,6 @@ func Classify(v loadvec.Vector, src, dst int) MoveKind {
 	}
 }
 
-// IsProtocolMove reports whether moving a ball src→dst is permitted by RLS
-// (ℓ_src ≥ ℓ_dst + 1).
-func IsProtocolMove(v loadvec.Vector, src, dst int) bool {
-	k := Classify(v, src, dst)
-	return k == RLSMove || k == Neutral
-}
-
 // IsDestructiveMove reports whether moving a ball src→dst is destructive
 // (ℓ_src ≤ ℓ_dst + 1), i.e. the reversal of a valid protocol move.
 func IsDestructiveMove(v loadvec.Vector, src, dst int) bool {

@@ -135,3 +135,10 @@ func TestClassifyFigure1Staircase(t *testing.T) {
 		}
 	}
 }
+
+// IsProtocolMove reports whether moving a ball src→dst is permitted by RLS
+// (ℓ_src ≥ ℓ_dst + 1).
+func IsProtocolMove(v loadvec.Vector, src, dst int) bool {
+	k := Classify(v, src, dst)
+	return k == RLSMove || k == Neutral
+}

@@ -126,10 +126,3 @@ func (t *PhaseTracker) observe(e *sim.Engine) {
 	t.prevMax = cfg.Max()
 	t.prevPotential = cfg.Potential()
 }
-
-// MonotoneViolations returns the total count of §3-monotonicity
-// violations observed (0 under plain RLS; adversarial runs may violate
-// them freely).
-func (t *PhaseTracker) MonotoneViolations() int {
-	return t.DiscIncreases + t.MinDecreases + t.MaxIncreases
-}

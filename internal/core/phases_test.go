@@ -117,3 +117,10 @@ func TestLemma17BoundValue(t *testing.T) {
 		t.Fatalf("Lemma17Bound = %g outside (10, 10·π²/6]", got)
 	}
 }
+
+// MonotoneViolations returns the total count of §3-monotonicity
+// violations observed (0 under plain RLS; adversarial runs may violate
+// them freely).
+func (t *PhaseTracker) MonotoneViolations() int {
+	return t.DiscIncreases + t.MinDecreases + t.MaxIncreases
+}

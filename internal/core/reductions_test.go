@@ -10,6 +10,62 @@ import (
 	"repro/internal/stats"
 )
 
+// This file holds the *reduced processes* that the paper's proofs
+// construct via Lemma 2: simplified dynamics in which inconvenient moves
+// are ignored (reversible by destructive moves) and only one kind of
+// progress event is awaited. They are test oracles: each reduction's
+// hitting time has an exact distributional characterization, and the
+// tests below check it against both the paper's formulas and the full
+// protocol's measured behaviour, which Lemma 2 says it dominates.
+
+// Lemma8Reduction simulates the reduced process from the proof of
+// Lemma 8 (m ≤ n): all balls start in one bin, and we wait for each ball
+// to move to its own empty bin, ignoring every other move. With r balls
+// left in the stack there are ≥ r−1 empty bins among the other n−1 bins,
+// and the paper waits for one of the r balls to activate and hit one of
+// exactly r−1 designated empty bins: an Exp(r(r−1)/n) wait. The total is
+// Σ_{r=2..m} Exp(r(r−1)/n), with mean Σ n/(r(r−1)) = n(1−1/m) < 2n.
+//
+// It returns the sampled total time.
+func Lemma8Reduction(n, m int, r *rng.RNG) float64 {
+	if m > n {
+		panic("core: Lemma8Reduction requires m <= n")
+	}
+	total := 0.0
+	for balls := m; balls >= 2; balls-- {
+		rate := float64(balls) * float64(balls-1) / float64(n)
+		total += r.Exp(rate)
+	}
+	return total
+}
+
+// Lemma17Reduction simulates the Phase 3 reduced process: A imbalanced
+// (+1/−1) pairs; with a pairs remaining there are > ∅·a balls that fix a
+// hole with probability a/n upon activation, so the next fix waits at
+// most Exp(∅a²/n) (the paper's bound; the reduction uses exactly that
+// rate). Total: Σ_{a=1..A} Exp(∅a²/n), mean Σ n/(∅a²) ≤ (π²/6)n/∅.
+func Lemma17Reduction(n, m, pairs int, r *rng.RNG) float64 {
+	avg := float64(m) / float64(n)
+	total := 0.0
+	for a := pairs; a >= 1; a-- {
+		rate := avg * float64(a) * float64(a) / float64(n)
+		total += r.Exp(rate)
+	}
+	return total
+}
+
+// Lemma17Bound returns Σ_{A=1..n} n/(∅·A²) ≤ (π²/6)·n/∅, the Lemma 17
+// bound on the expected time of Phase 3 summed over the decreasing number
+// A of imbalanced bin pairs.
+func Lemma17Bound(n, m int) float64 {
+	avg := float64(m) / float64(n)
+	sum := 0.0
+	for a := 1; a <= n; a++ {
+		sum += float64(n) / (avg * float64(a) * float64(a))
+	}
+	return sum
+}
+
 func TestLemma8ReductionMeanMatchesFormula(t *testing.T) {
 	r := rng.New(1)
 	n, m := 200, 50
@@ -56,119 +112,6 @@ func TestLemma8ReductionPanicsOnDenseCase(t *testing.T) {
 		}
 	}()
 	Lemma8Reduction(4, 5, rng.New(3))
-}
-
-func TestLemma9ReductionMatchesMeanVar(t *testing.T) {
-	r := rng.New(4)
-	n, k, rem := 128, 4, 100
-	const reps = 30000
-	var s stats.Summary
-	for i := 0; i < reps; i++ {
-		s.Add(Lemma9Reduction(n, k, rem, r))
-	}
-	mean, variance := Lemma9ReductionMeanVar(n, k, rem)
-	if math.Abs(s.Mean()-mean) > 5*s.SE() {
-		t.Fatalf("mean = %g ± %g, want %g", s.Mean(), s.SE(), mean)
-	}
-	if math.Abs(s.Var()-variance) > 0.15*variance {
-		t.Fatalf("var = %g, want %g", s.Var(), variance)
-	}
-	// Paper: E[T'] < Σ 1/(n−i) ≤ O(ln n).
-	hBound := Harmonic(n-1) - Harmonic(n-rem-1)
-	if mean >= hBound {
-		t.Fatalf("exact mean %g should be below the harmonic bound %g", mean, hBound)
-	}
-}
-
-func TestLemma9ReductionEdges(t *testing.T) {
-	if Lemma9Reduction(8, 2, 0, rng.New(5)) != 0 {
-		t.Fatal("zero remainder should cost zero time")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for rem >= n")
-		}
-	}()
-	Lemma9Reduction(8, 2, 8, rng.New(5))
-}
-
-func TestLemma10ReductionMatchesEquations8And9(t *testing.T) {
-	r := rng.New(6)
-	n, m := 64, 64*32
-	const reps = 20000
-	var s stats.Summary
-	for i := 0; i < reps; i++ {
-		s.Add(Lemma10Reduction(n, m, r))
-	}
-	mean, variance := Lemma10ReductionMeanVar(n, m)
-	if math.Abs(s.Mean()-mean) > 5*s.SE() {
-		t.Fatalf("mean = %g ± %g, want %g", s.Mean(), s.SE(), mean)
-	}
-	if math.Abs(s.Var()-variance) > 0.2*variance {
-		t.Fatalf("var = %g, want %g", s.Var(), variance)
-	}
-	// Equation (8): E[T'] ≤ 2 ln n; equation (9): Var = O(1/∅).
-	if mean > 2*math.Log(float64(n)) {
-		t.Fatalf("mean %g exceeds 2 ln n", mean)
-	}
-	if variance > 10.0/float64(m/n) {
-		t.Fatalf("variance %g not O(1/∅)", variance)
-	}
-}
-
-func TestLemma10ReductionConcentratesPerLemma4(t *testing.T) {
-	// Lemma 4 bounds P(T' ≥ E+δ) ≤ exp(λ²Var/4 − λδ/2) with λ the
-	// smallest rate = (∅+1)(n−1)/n. Empirical tail must respect it.
-	r := rng.New(7)
-	n, m := 32, 32*16
-	mean, variance := Lemma10ReductionMeanVar(n, m)
-	lambda := float64(m/n+1) * float64(n-1) / float64(n)
-	delta := 1.0
-	bound := Lemma4Tail(lambda, variance, delta)
-	const reps = 50000
-	count := 0
-	for i := 0; i < reps; i++ {
-		if Lemma10Reduction(n, m, r) >= mean+delta {
-			count++
-		}
-	}
-	if got := float64(count) / reps; got > bound {
-		t.Fatalf("tail %g exceeds Lemma 4 bound %g", got, bound)
-	}
-}
-
-func TestLemma15ReductionMatchesMean(t *testing.T) {
-	r := rng.New(10)
-	n, m, startA, c := 32, 32*64, 500, 4.0
-	const reps = 10000
-	var s stats.Summary
-	for i := 0; i < reps; i++ {
-		s.Add(Lemma15Reduction(n, m, startA, c, r))
-	}
-	want := Lemma15ReductionMean(n, m, startA, c)
-	if math.Abs(s.Mean()-want) > 5*s.SE() {
-		t.Fatalf("mean = %g ± %g, want %g", s.Mean(), s.SE(), want)
-	}
-	// The Lemma 15 bound: O((ln n)²/∅). With the telescoping tail
-	// Σ_{a>n} a^{-2} < 1/n, the mean is below (c ln n)²/∅.
-	avg := float64(m) / float64(n)
-	logn := c * math.Log(float64(n))
-	if want > logn*logn/avg {
-		t.Fatalf("mean %g exceeds (c ln n)²/∅ = %g", want, logn*logn/avg)
-	}
-}
-
-func TestLemma15ReductionEdges(t *testing.T) {
-	// startA ≤ n: nothing to decay, zero time.
-	if Lemma15Reduction(16, 256, 16, 4, rng.New(11)) != 0 {
-		t.Fatal("startA <= n should cost zero")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-positive constant")
-		}
-	}()
-	Lemma15Reduction(16, 256, 32, 0, rng.New(11))
 }
 
 func TestLemma17ReductionMatchesLemma17Bound(t *testing.T) {

@@ -2,7 +2,8 @@
 // Search (RLS) protocol of §3, the destructive-move machinery and coupling
 // of the Destructive Majorization Lemma (Lemma 2, §4), the phase
 // decomposition of the analysis (§6), and the closed-form bounds of
-// Theorem 1 and Lemmas 3–5 as executable predictors.
+// Theorem 1, the §4 lower bounds and Lemmas 8 and 13 as executable
+// predictors.
 package core
 
 import (

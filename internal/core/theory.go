@@ -3,9 +3,7 @@ package core
 import "math"
 
 // This file provides the paper's closed-form quantities as executable
-// predictors. Experiments compare measured balancing times against these,
-// and the statistical tests check the samplers against the concentration
-// bounds of Lemmas 3–5.
+// predictors. Experiments compare measured balancing times against these.
 
 // Harmonic returns the k-th harmonic number H_k = Σ_{i=1..k} 1/i
 // (H_0 = 0). For large k it switches to the asymptotic expansion
@@ -68,46 +66,6 @@ func Lemma8Bound(n, m int) float64 {
 	return sum
 }
 
-// Lemma17Bound returns Σ_{A=1..n} n/(∅·A²) ≤ (π²/6)·n/∅, the Lemma 17
-// bound on the expected time of Phase 3 summed over the decreasing number
-// A of imbalanced bin pairs.
-func Lemma17Bound(n, m int) float64 {
-	avg := float64(m) / float64(n)
-	sum := 0.0
-	for a := 1; a <= n; a++ {
-		sum += float64(n) / (avg * float64(a) * float64(a))
-	}
-	return sum
-}
-
-// ChernoffSmallDeviation returns the Lemma 3 (Inequality (1)) bound
-// 2·exp(−ε²·np/3) on P(|Bin(n,p) − np| > ε·np), valid for ε ∈ [0, 3/2].
-func ChernoffSmallDeviation(np, eps float64) float64 {
-	return 2 * math.Exp(-eps*eps*np/3)
-}
-
-// ChernoffLargeTail returns the Lemma 3 (Inequality (2)) bound 2^(−R) on
-// P(Bin(n,p) ≥ R), valid for R ≥ 6np.
-func ChernoffLargeTail(R float64) float64 {
-	return math.Pow(2, -R)
-}
-
-// Lemma4Tail returns exp(λ²·Var/4 − λδ/2), the Lemma 4 bound on
-// P(X ≥ E[X] + δ) for X a sum of independent exponentials with all rates
-// ≥ λ and Var[X] the variance of the sum.
-func Lemma4Tail(lambda, variance, delta float64) float64 {
-	return math.Exp(lambda*lambda*variance/4 - lambda*delta/2)
-}
-
-// Lemma5Tail returns exp(V/(4M²) + (S + SL − tL)/(2M)), the Lemma 5 bound
-// on P(Σ c_i·Y_i ≥ t) for independent Geometric(p) variables Y_i with
-// coefficient bounds M = max c_i, S ≥ Σ c_i, V ≥ Σ c_i², and
-// L = −ln(1−p).
-func Lemma5Tail(p float64, M, S, V, t float64) float64 {
-	L := -math.Log1p(-p)
-	return math.Exp(V/(4*M*M) + (S+S*L-t*L)/(2*M))
-}
-
 // Lemma13Shrink returns 2·sqrt(x·ln n), the one-epoch discrepancy target
 // of Lemma 13 (valid for x ≥ 4 ln n), and Lemma13EpochLength returns the
 // epoch duration ln((∅+x)/(∅−x)) used there.
@@ -119,14 +77,4 @@ func Lemma13Shrink(x float64, n int) float64 {
 // Lemma 13 epoch that shrinks discrepancy from x to 2·sqrt(x ln n).
 func Lemma13EpochLength(avg, x float64) float64 {
 	return math.Log(avg+x) - math.Log(avg-x)
-}
-
-// Lemma12Iterations returns r = log2 log2 ∅, the number of Lemma 13
-// epochs Lemma 12 chains to reach an 8·ln(n)-balanced configuration from
-// a ∅/2-balanced one.
-func Lemma12Iterations(avg float64) int {
-	if avg < 4 {
-		return 1
-	}
-	return int(math.Ceil(math.Log2(math.Log2(avg))))
 }

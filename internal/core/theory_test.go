@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestHarmonic(t *testing.T) {
@@ -92,93 +90,6 @@ func TestLemma8Bound(t *testing.T) {
 	}
 }
 
-func TestChernoffBoundsHoldEmpirically(t *testing.T) {
-	// Sample Bin(n, p) and verify the Lemma 3 tail bounds hold (they are
-	// upper bounds, so empirical frequencies must not exceed them beyond
-	// noise).
-	r := rng.New(42)
-	const draws = 100000
-	nTrials, p := int64(2000), 0.05 // np = 100
-	np := float64(nTrials) * p
-	eps := 0.5
-	exceed := 0
-	big := 0
-	R := 6 * np
-	for i := 0; i < draws; i++ {
-		v := float64(r.Binomial(nTrials, p))
-		if math.Abs(v-np) > eps*np {
-			exceed++
-		}
-		if v >= R {
-			big++
-		}
-	}
-	empirical := float64(exceed) / draws
-	bound := ChernoffSmallDeviation(np, eps)
-	if empirical > bound+0.01 {
-		t.Errorf("deviation frequency %g exceeds Chernoff bound %g", empirical, bound)
-	}
-	if big != 0 { // P(Bin ≥ 6np) ≤ 2^{-600}: should never happen
-		t.Errorf("saw %d draws above 6np", big)
-	}
-}
-
-func TestLemma4TailHoldsEmpirically(t *testing.T) {
-	// X = sum of k exponentials with rate λ; check P(X ≥ E[X]+δ) against
-	// the Lemma 4 bound.
-	r := rng.New(43)
-	const k = 20
-	lambda := 2.0
-	meanX := float64(k) / lambda
-	varX := float64(k) / (lambda * lambda)
-	delta := 8.0
-	const draws = 200000
-	count := 0
-	for i := 0; i < draws; i++ {
-		x := 0.0
-		for j := 0; j < k; j++ {
-			x += r.Exp(lambda)
-		}
-		if x >= meanX+delta {
-			count++
-		}
-	}
-	empirical := float64(count) / draws
-	bound := Lemma4Tail(lambda, varX, delta)
-	if empirical > bound {
-		t.Errorf("empirical tail %g exceeds Lemma 4 bound %g", empirical, bound)
-	}
-	if bound > 1 {
-		t.Logf("note: bound %g is vacuous for these parameters", bound)
-	}
-}
-
-func TestLemma5TailHoldsEmpirically(t *testing.T) {
-	// Σ c_i Y_i with Y_i ~ Geometric(p), c_i = 1: compare the tail at
-	// t = 3·E against the Lemma 5 bound.
-	r := rng.New(44)
-	const k = 10
-	p := 0.5
-	M, S, V := 1.0, float64(k), float64(k)
-	tval := 3 * float64(k) / p
-	const draws = 200000
-	count := 0
-	for i := 0; i < draws; i++ {
-		sum := 0.0
-		for j := 0; j < k; j++ {
-			sum += float64(r.Geometric(p))
-		}
-		if sum >= tval {
-			count++
-		}
-	}
-	empirical := float64(count) / draws
-	bound := Lemma5Tail(p, M, S, V, tval)
-	if empirical > bound {
-		t.Errorf("empirical tail %g exceeds Lemma 5 bound %g", empirical, bound)
-	}
-}
-
 func TestLemma13Helpers(t *testing.T) {
 	n := 1024
 	x := 100.0
@@ -193,25 +104,5 @@ func TestLemma13Helpers(t *testing.T) {
 	el := Lemma13EpochLength(avg, x)
 	if el <= 0 || el > 4*x/avg+1e-9 {
 		t.Fatalf("epoch length %g outside (0, 4x/∅]", el)
-	}
-}
-
-func TestLemma12Iterations(t *testing.T) {
-	if Lemma12Iterations(2) != 1 {
-		t.Error("tiny average should give 1 iteration")
-	}
-	// log2 log2 65536 = log2 16 = 4.
-	if got := Lemma12Iterations(65536); got != 4 {
-		t.Errorf("iterations(65536) = %d, want 4", got)
-	}
-	// Monotone growth, doubly logarithmic: even for 2^64 only 6.
-	if got := Lemma12Iterations(math.Pow(2, 64)); got != 6 {
-		t.Errorf("iterations(2^64) = %d, want 6", got)
-	}
-}
-
-func TestChernoffLargeTail(t *testing.T) {
-	if got := ChernoffLargeTail(10); math.Abs(got-1.0/1024) > 1e-15 {
-		t.Fatalf("2^-10 = %g", got)
 	}
 }

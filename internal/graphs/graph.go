@@ -256,49 +256,6 @@ func (g *RandomRegular) Neighbor(i, k int) int { return int(g.adj[i*g.d+k]) }
 // Name implements Graph.
 func (g *RandomRegular) Name() string { return g.name }
 
-// RegularDegree returns the common degree of a regular graph, or
-// (0, false) if the graph is empty or has vertices of differing degree.
-// The graph jump engine needs regularity: only then is the
-// per-activation move probability the single ratio W_G/(m·Δ).
-func RegularDegree(g Graph) (int, bool) {
-	n := g.N()
-	if n == 0 {
-		return 0, false
-	}
-	d := g.Degree(0)
-	for i := 1; i < n; i++ {
-		if g.Degree(i) != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
-// IsConnected reports whether the graph is connected (BFS).
-func IsConnected(g Graph) bool {
-	n := g.N()
-	if n == 0 {
-		return false
-	}
-	seen := make([]bool, n)
-	queue := []int{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for k := 0; k < g.Degree(v); k++ {
-			w := g.Neighbor(v, k)
-			if !seen[w] {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count == n
-}
-
 // SpectralGap estimates 1 − λ₂ of the lazy random-walk transition matrix
 // P_lazy = (I + P)/2 (laziness removes periodicity, e.g. on even rings)
 // by power iteration on the space orthogonal to the uniform vector. The

@@ -177,8 +177,10 @@ func TestExpander(t *testing.T) {
 	if !IsConnected(g) {
 		t.Fatal("expander disconnected")
 	}
-	if d, ok := RegularDegree(g); !ok || d != 8 {
-		t.Fatalf("expander RegularDegree = %d, %v", d, ok)
+	for v := 0; v < g.N(); v++ {
+		if d := g.Degree(v); d != 8 {
+			t.Fatalf("expander vertex %d has degree %d, want 8", v, d)
+		}
 	}
 	// Vertex (1,2) = 7 on side 5: slot 0 is (x+2y, y) = (1+4, 2) = (0, 2).
 	if got := g.Neighbor(7, 0); got != 2 {
@@ -365,3 +367,28 @@ func (rlsLocal) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	return dst, cfg.Load(src) >= cfg.Load(dst)+1
 }
 func (rlsLocal) Name() string { return "rls-local" }
+
+// IsConnected reports whether the graph is connected (BFS).
+func IsConnected(g Graph) bool {
+	n := g.N()
+	if n == 0 {
+		return false
+	}
+	seen := make([]bool, n)
+	queue := []int{0}
+	seen[0] = true
+	count := 1
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for k := 0; k < g.Degree(v); k++ {
+			w := g.Neighbor(v, k)
+			if !seen[w] {
+				seen[w] = true
+				count++
+				queue = append(queue, w)
+			}
+		}
+	}
+	return count == n
+}

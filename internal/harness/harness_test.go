@@ -33,10 +33,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestIDsSorted(t *testing.T) {
-	ids := IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("IDs not sorted: %v", ids)
+	all := All()
+	for i := 1; i < len(all); i++ {
+		if all[i-1].ID >= all[i].ID {
+			t.Fatalf("All() not sorted by ID: %s before %s", all[i-1].ID, all[i].ID)
 		}
 	}
 }

@@ -65,13 +65,3 @@ func All() []Experiment {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// IDs returns the sorted experiment IDs.
-func IDs() []string {
-	all := All()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-	}
-	return ids
-}

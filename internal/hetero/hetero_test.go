@@ -252,3 +252,12 @@ func TestWeightedTimeAccounting(t *testing.T) {
 		t.Fatalf("time = %g, want ~%g", e.Time(), want)
 	}
 }
+
+// RandomPlacement places each of m balls in a uniform bin.
+func RandomPlacement(m, n int, r *rng.RNG) []int {
+	p := make([]int, m)
+	for i := range p {
+		p[i] = r.Intn(n)
+	}
+	return p
+}

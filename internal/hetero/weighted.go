@@ -26,7 +26,6 @@ type WeightedEngine struct {
 
 	time        float64
 	activations int64
-	moves       int64
 }
 
 // NewWeightedEngine places ball b in bins[b] with weight weights[b].
@@ -56,20 +55,11 @@ func NewWeightedEngine(n int, weights []float64, bins []int, r *rng.RNG) (*Weigh
 	return e, nil
 }
 
-// M returns the number of balls.
-func (e *WeightedEngine) M() int { return len(e.weights) }
-
 // N returns the number of bins.
 func (e *WeightedEngine) N() int { return e.n }
 
 // Time returns elapsed continuous time.
 func (e *WeightedEngine) Time() float64 { return e.time }
-
-// Activations returns the activation count.
-func (e *WeightedEngine) Activations() int64 { return e.activations }
-
-// Moves returns the move count.
-func (e *WeightedEngine) Moves() int64 { return e.moves }
 
 // Loads returns a copy of the per-bin weight totals.
 func (e *WeightedEngine) Loads() []float64 { return append([]float64(nil), e.loads...) }
@@ -112,7 +102,6 @@ func (e *WeightedEngine) Step() bool {
 	e.loads[src] -= w
 	e.loads[dst] += w
 	e.ballBin[b] = dst
-	e.moves++
 	return true
 }
 
@@ -192,15 +181,6 @@ func AllInBin(m, bin int) []int {
 	p := make([]int, m)
 	for i := range p {
 		p[i] = bin
-	}
-	return p
-}
-
-// RandomPlacement places each of m balls in a uniform bin.
-func RandomPlacement(m, n int, r *rng.RNG) []int {
-	p := make([]int, m)
-	for i := range p {
-		p[i] = r.Intn(n)
 	}
 	return p
 }

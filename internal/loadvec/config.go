@@ -129,13 +129,6 @@ func (c *Config) OverloadedBalls() float64 {
 	return float64(c.sumOver) - float64(c.h)*c.Avg()
 }
 
-// OverloadedBallsScaled returns n·A as an exact integer
-// (n·Σ max{0, ℓ_i − ∅} = n·sumOver − h·m). For n | m this is n times the
-// integer ball count; tests use it to avoid float comparisons.
-func (c *Config) OverloadedBallsScaled() int {
-	return c.n*c.sumOver - c.h*c.m
-}
-
 // Potential returns Lemma 16's potential function 3A − k − h
 // (meaningful when ∅ is an integer, where A is integral).
 func (c *Config) Potential() float64 {

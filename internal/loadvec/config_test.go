@@ -176,17 +176,11 @@ func TestConfigDiscMatchesVector(t *testing.T) {
 
 func TestConfigOverloadedScaled(t *testing.T) {
 	c := NewConfig(Vector{3, 2, 2, 1}) // avg 2, A = 1
-	if c.OverloadedBallsScaled() != 4*1 {
-		t.Errorf("scaled A = %d, want 4", c.OverloadedBallsScaled())
-	}
 	if c.OverloadedBalls() != 1 {
 		t.Errorf("A = %g, want 1", c.OverloadedBalls())
 	}
 	// Fractional average: avg 5/3, loads {3,1,1}: A = 3 - 5/3 = 4/3.
 	c2 := NewConfig(Vector{3, 1, 1})
-	if c2.OverloadedBallsScaled() != 3*3-1*5 {
-		t.Errorf("scaled A = %d, want 4", c2.OverloadedBallsScaled())
-	}
 	if math.Abs(c2.OverloadedBalls()-4.0/3) > 1e-12 {
 		t.Errorf("A = %g, want 4/3", c2.OverloadedBalls())
 	}

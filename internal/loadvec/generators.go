@@ -160,19 +160,6 @@ func HalfSpread(x int) Generator {
 	}}
 }
 
-// ZipfSkew distributes balls over bins with Zipf(s) popularity — a
-// realistic skewed workload (hot shards / hot channels).
-func ZipfSkew(s float64) Generator {
-	return genFunc{fmt.Sprintf("zipf(%.2g)", s), func(n, m int, r *rng.RNG) Vector {
-		z := rng.NewZipf(n, s)
-		v := make(Vector, n)
-		for b := 0; b < m; b++ {
-			v[z.Draw(r)-1]++
-		}
-		return v
-	}}
-}
-
 // FromVector always returns a copy of a fixed vector; n and m arguments
 // must match it.
 func FromVector(fixed Vector) Generator {

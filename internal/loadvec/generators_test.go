@@ -127,17 +127,6 @@ func TestHalfSpread(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	v := checkGen(t, ZipfSkew(1.5), 32, 3200)
-	// Bin 0 (rank 1) should be the heaviest by a clear margin.
-	for i := 5; i < 32; i++ {
-		if v[i] > v[0] {
-			t.Errorf("bin %d (%d) heavier than rank-1 bin (%d)", i, v[i], v[0])
-			break
-		}
-	}
-}
-
 func TestFromVector(t *testing.T) {
 	fixed := Vector{1, 2, 3}
 	g := FromVector(fixed)
@@ -162,7 +151,7 @@ func TestFromVector(t *testing.T) {
 func TestGeneratorNames(t *testing.T) {
 	gens := []Generator{
 		AllInOne(), OneChoice(), TwoChoice(), DChoice(3), Balanced(),
-		DeltaPair(1), ImbalancedPairs(2), HalfSpread(1), ZipfSkew(1), FromVector(Vector{1}),
+		DeltaPair(1), ImbalancedPairs(2), HalfSpread(1), FromVector(Vector{1}),
 	}
 	seen := map[string]bool{}
 	for _, g := range gens {
@@ -181,7 +170,7 @@ func TestGeneratorNames(t *testing.T) {
 }
 
 func TestGeneratorDeterminismPerSeed(t *testing.T) {
-	for _, g := range []Generator{OneChoice(), TwoChoice(), ZipfSkew(1.2)} {
+	for _, g := range []Generator{OneChoice(), TwoChoice()} {
 		a := g.Generate(16, 64, rng.New(7))
 		b := g.Generate(16, 64, rng.New(7))
 		if !a.Equal(b) {

@@ -176,3 +176,58 @@ func TestCloneIndependent(t *testing.T) {
 		t.Error("Clone shares memory")
 	}
 }
+
+// OverloadedBalls returns Σ_i max{0, ℓ_i − ∅}, the paper's "number of
+// overloaded balls" (equal to the number of holes Σ_i max{0, ∅ − ℓ_i}).
+// For n | m this is an integer.
+func (v Vector) OverloadedBalls() float64 {
+	avg := v.Avg()
+	sum := 0.0
+	for _, x := range v {
+		if f := float64(x) - avg; f > 0 {
+			sum += f
+		}
+	}
+	return sum
+}
+
+// Holes returns Σ_i max{0, ∅ − ℓ_i}. Always equals OverloadedBalls
+// because Σ (ℓ_i − ∅) = 0.
+func (v Vector) Holes() float64 {
+	avg := v.Avg()
+	sum := 0.0
+	for _, x := range v {
+		if f := avg - float64(x); f > 0 {
+			sum += f
+		}
+	}
+	return sum
+}
+
+// AboveBelow returns (h, r, k): the number of bins with load strictly
+// above, exactly at, and strictly below the average. Comparisons use the
+// exact rational test n·ℓ_i vs m, so fractional averages are handled
+// without floating-point error. These are the quantities of Lemma 16's
+// potential function 3A − k − h.
+func (v Vector) AboveBelow() (h, r, k int) {
+	n := len(v)
+	m := v.Balls()
+	for _, x := range v {
+		switch {
+		case x*n > m:
+			h++
+		case x*n < m:
+			k++
+		default:
+			r++
+		}
+	}
+	return
+}
+
+// EqualAsMultiset reports whether v and w have the same loads up to bin
+// relabeling. RLS is ignorant of bin order, so this is the natural
+// equality for configurations.
+func (v Vector) EqualAsMultiset(w Vector) bool {
+	return v.SortedDesc().Equal(w.SortedDesc())
+}

@@ -100,9 +100,6 @@ func New(p Params, r *rng.RNG) (*System, error) {
 	return s, nil
 }
 
-// Time returns the elapsed continuous time.
-func (s *System) Time() float64 { return s.time }
-
 // Jobs returns the number of jobs currently in the system.
 func (s *System) Jobs() int { return s.jobs }
 

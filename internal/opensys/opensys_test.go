@@ -63,9 +63,9 @@ func TestSystemTimeAdvances(t *testing.T) {
 	r := rng.New(2)
 	s, _ := New(Params{N: 8, Lambda: 0.5, Mu: 1, Beta: 0}, r)
 	for i := 0; i < 1000; i++ {
-		before := s.Time()
+		before := s.time
 		s.Step()
-		if s.Time() <= before {
+		if s.time <= before {
 			t.Fatal("time did not advance")
 		}
 	}

@@ -49,88 +49,6 @@ func (r *RNG) Geometric(p float64) int64 {
 	return g
 }
 
-// Binomial returns a Bin(n, p) variate.
-//
-// For small n·min(p,1-p) it uses the exact geometric-skip method (expected
-// O(np) work); for large means it uses inversion by counting exponential
-// arrivals is too slow, so it falls back to an exact BTRS-style rejection
-// sampler. Both paths are exact samplers of the binomial law.
-func (r *RNG) Binomial(n int64, p float64) int64 {
-	if n < 0 {
-		panic("rng: Binomial with negative n")
-	}
-	if n == 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	flipped := false
-	if p > 0.5 {
-		p = 1 - p
-		flipped = true
-	}
-	var k int64
-	if float64(n)*p < 30 {
-		k = r.binomialGeomSkip(n, p)
-	} else {
-		k = r.binomialBTRS(n, p)
-	}
-	if flipped {
-		k = n - k
-	}
-	return k
-}
-
-// binomialGeomSkip counts successes by jumping between them with geometric
-// gaps. Expected work is O(np + 1). The gap is compared against the
-// remaining trials before being added so a saturated Geometric draw
-// (tiny p) terminates instead of overflowing pos.
-func (r *RNG) binomialGeomSkip(n int64, p float64) int64 {
-	var count, pos int64
-	for {
-		g := r.Geometric(p)
-		if g > n-pos {
-			return count
-		}
-		pos += g
-		count++
-	}
-}
-
-// binomialBTRS is the transformed-rejection sampler of Hörmann (1993),
-// exact for np >= 10 and p <= 0.5. Constants follow the BTRS variant.
-func (r *RNG) binomialBTRS(n int64, p float64) int64 {
-	nf := float64(n)
-	q := 1 - p
-	spq := math.Sqrt(nf * p * q)
-	b := 1.15 + 2.53*spq
-	a := -0.0873 + 0.0248*b + 0.01*p
-	c := nf*p + 0.5
-	vr := 0.92 - 4.2/b
-	alpha := (2.83 + 5.1/b) * spq
-	lpq := math.Log(p / q)
-	mode := int64(math.Floor((nf + 1) * p))
-	h := lgammaInt(mode+1) + lgammaInt(n-mode+1)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		kf := math.Floor((2*a/us+b)*u + c)
-		if kf < 0 || kf > nf {
-			continue
-		}
-		k := int64(kf)
-		if us >= 0.07 && v <= vr {
-			return k
-		}
-		v = math.Log(v * alpha / (a/(us*us) + b))
-		if v <= h-lgammaInt(k+1)-lgammaInt(n-k+1)+float64(k-mode)*lpq {
-			return k
-		}
-	}
-}
-
 // lgammaInt returns ln(Γ(x)) = ln((x-1)!) for positive integer arguments.
 func lgammaInt(x int64) float64 {
 	v, _ := math.Lgamma(float64(x))
@@ -195,48 +113,4 @@ func (r *RNG) poissonPTRS(mu float64) int64 {
 			return k
 		}
 	}
-}
-
-// Zipf samples from a Zipf law on [1, n] with P(k) proportional to 1/k^s.
-// It precomputes the cumulative weights once and samples by binary search,
-// which is exact and O(log n) per draw. Used by the workload generators
-// for skewed initial placements.
-type Zipf struct {
-	cum []float64 // cum[k-1] = normalized CDF at k
-}
-
-// NewZipf builds a Zipf sampler over {1, ..., n} with exponent s > 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n < 1 {
-		panic("rng: NewZipf with n < 1")
-	}
-	if s <= 0 {
-		panic("rng: NewZipf with non-positive exponent")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for k := 1; k <= n; k++ {
-		total += math.Pow(float64(k), -s)
-		cum[k-1] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	cum[n-1] = 1 // guard against rounding
-	return &Zipf{cum: cum}
-}
-
-// Draw returns the next Zipf variate in [1, n].
-func (z *Zipf) Draw(r *RNG) int64 {
-	u := r.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int64(lo + 1)
 }

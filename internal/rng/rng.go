@@ -11,8 +11,7 @@
 // and the normal are 256-layer ziggurat samplers (ziggurat.go) whose fast
 // path evaluates no logarithm. Geometric and Erlang, the two draws the
 // jump engine takes per move, build on the ziggurat exponential (dist.go,
-// erlang.go); the other derived distributions (binomial, Poisson, Zipf)
-// are in dist.go.
+// erlang.go); Poisson, the one other derived distribution, is in dist.go.
 package rng
 
 import "math/bits"
@@ -134,9 +133,6 @@ func (r *RNG) Float64Open() float64 {
 		}
 	}
 }
-
-// Bool returns a fair coin flip.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {

@@ -266,88 +266,6 @@ func TestGeometricTinyPSaturates(t *testing.T) {
 	}
 }
 
-// TestBinomialTinyP exercises the geometric-skip path with a saturated
-// gap: it must terminate and return 0 successes instead of overflowing
-// its position counter.
-func TestBinomialTinyP(t *testing.T) {
-	r := New(16)
-	for i := 0; i < 100; i++ {
-		if v := r.Binomial(1000, 1e-300); v != 0 {
-			t.Fatalf("Bin(1000, 1e-300) = %d, want 0", v)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(13)
-	if v := r.Binomial(0, 0.5); v != 0 {
-		t.Errorf("Bin(0, .5) = %d", v)
-	}
-	if v := r.Binomial(10, 0); v != 0 {
-		t.Errorf("Bin(10, 0) = %d", v)
-	}
-	if v := r.Binomial(10, 1); v != 10 {
-		t.Errorf("Bin(10, 1) = %d", v)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	r := New(14)
-	cases := []struct {
-		n int64
-		p float64
-	}{
-		{10, 0.5},    // tiny, geometric-skip path
-		{100, 0.05},  // small mean path
-		{1000, 0.3},  // BTRS path
-		{5000, 0.77}, // BTRS via flipped p
-	}
-	for _, c := range cases {
-		const draws = 40000
-		var sum, sumsq float64
-		for i := 0; i < draws; i++ {
-			v := r.Binomial(c.n, c.p)
-			if v < 0 || v > c.n {
-				t.Fatalf("Bin(%d,%g) = %d out of range", c.n, c.p, v)
-			}
-			f := float64(v)
-			sum += f
-			sumsq += f * f
-		}
-		mean := sum / draws
-		variance := sumsq/draws - mean*mean
-		wantMean := float64(c.n) * c.p
-		wantVar := float64(c.n) * c.p * (1 - c.p)
-		seMean := math.Sqrt(wantVar / draws)
-		if math.Abs(mean-wantMean) > 5*seMean {
-			t.Errorf("Bin(%d,%g) mean = %g, want %g (±%g)", c.n, c.p, mean, wantMean, 5*seMean)
-		}
-		if math.Abs(variance-wantVar) > 0.1*wantVar {
-			t.Errorf("Bin(%d,%g) var = %g, want %g", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-func TestBinomialSmallPMF(t *testing.T) {
-	// Compare against exact PMF for n=6, p=0.4.
-	r := New(15)
-	const n = 6
-	p := 0.4
-	const draws = 300000
-	counts := make([]int, n+1)
-	for i := 0; i < draws; i++ {
-		counts[r.Binomial(n, p)]++
-	}
-	choose := []float64{1, 6, 15, 20, 15, 6, 1}
-	for k := 0; k <= n; k++ {
-		want := choose[k] * math.Pow(p, float64(k)) * math.Pow(1-p, float64(n-k))
-		got := float64(counts[k]) / draws
-		if math.Abs(got-want) > 0.005 {
-			t.Errorf("P(Bin=%d) = %g, want %g", k, got, want)
-		}
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	r := New(16)
 	for _, mean := range []float64{0.5, 5, 50, 500} {
@@ -390,45 +308,6 @@ func TestPoissonHugeMeanPanics(t *testing.T) {
 	}
 	if k := r.Poisson(1 << 61); k <= 0 {
 		t.Fatalf("Poisson(2^61) = %d", k)
-	}
-}
-
-func TestZipfSupport(t *testing.T) {
-	r := New(17)
-	z := NewZipf(50, 1.1)
-	for i := 0; i < 10000; i++ {
-		v := z.Draw(r)
-		if v < 1 || v > 50 {
-			t.Fatalf("Zipf draw %d out of [1,50]", v)
-		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	// With s=2 the first element should carry ~ 1/zeta(2) limited to n=100
-	// of the mass; check it dominates element 2 by roughly 4x.
-	r := New(18)
-	z := NewZipf(100, 2)
-	const draws = 100000
-	counts := make([]int, 101)
-	for i := 0; i < draws; i++ {
-		counts[z.Draw(r)]++
-	}
-	ratio := float64(counts[1]) / float64(counts[2])
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Fatalf("count(1)/count(2) = %g, want ~4", ratio)
-	}
-}
-
-func TestZipfExactCDF(t *testing.T) {
-	z := NewZipf(4, 1)
-	// weights 1, 1/2, 1/3, 1/4; total 25/12
-	total := 1.0 + 0.5 + 1.0/3 + 0.25
-	want := []float64{1 / total, 1.5 / total, (1.5 + 1.0/3) / total, 1}
-	for i, w := range want {
-		if math.Abs(z.cum[i]-w) > 1e-12 {
-			t.Errorf("cum[%d] = %g, want %g", i, z.cum[i], w)
-		}
 	}
 }
 
@@ -522,15 +401,6 @@ func BenchmarkIntn(b *testing.B) {
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink = r.Intn(1024)
-	}
-	_ = sink
-}
-
-func BenchmarkBinomialLarge(b *testing.B) {
-	r := New(1)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink = r.Binomial(100000, 0.3)
 	}
 	_ = sink
 }

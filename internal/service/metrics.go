@@ -76,41 +76,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// Quantile returns the q-quantile (0 < q ≤ 1) estimated from the bucket
-// counts: the upper bound of the bucket containing the q-th sample,
-// linearly interpolated within it. Zero samples yield 0.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum int64
-	lower := 0.0
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			if i < len(applyBuckets) {
-				lower = applyBuckets[i]
-			}
-			continue
-		}
-		if float64(cum+c) >= target {
-			upper := 2 * applyBuckets[len(applyBuckets)-1] // +Inf stand-in
-			if i < len(applyBuckets) {
-				upper = applyBuckets[i]
-			}
-			frac := (target - float64(cum)) / float64(c)
-			return time.Duration((lower + (upper-lower)*frac) * float64(time.Second))
-		}
-		cum += c
-		if i < len(applyBuckets) {
-			lower = applyBuckets[i]
-		}
-	}
-	return time.Duration(2 * applyBuckets[len(applyBuckets)-1] * float64(time.Second))
-}
-
 // Render writes every series in the Prometheus text format. The metric
 // catalogue is documented in cmd/rlsd/README.md — keep the two in sync.
 func (m *Metrics) Render(w io.Writer) {

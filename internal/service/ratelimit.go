@@ -25,13 +25,10 @@ type Bucket struct {
 	now    func() time.Time // injectable for deterministic tests
 }
 
-// NewBucket returns a full bucket refilling at rate tokens/sec with the
-// given capacity. A non-positive rate or burst disables limiting (every
-// Take succeeds) — the daemon's -rate 0 escape hatch.
-func NewBucket(rate, burst float64) *Bucket {
-	return newBucketAt(rate, burst, time.Now)
-}
-
+// newBucketAt returns a full bucket refilling at rate tokens/sec with the
+// given capacity, reading wall-clock time from now. A non-positive rate or
+// burst disables limiting (every Take succeeds) — the daemon's -rate 0
+// escape hatch.
 func newBucketAt(rate, burst float64, now func() time.Time) *Bucket {
 	return &Bucket{rate: rate, burst: burst, tokens: burst, last: now(), now: now}
 }

@@ -43,33 +43,10 @@ func TestBucketDeterministic(t *testing.T) {
 
 // TestBucketUnlimited pins the -rate 0 escape hatch.
 func TestBucketUnlimited(t *testing.T) {
-	b := NewBucket(0, 0)
+	b := newBucketAt(0, 0, time.Now)
 	for i := 0; i < 3; i++ {
 		if ok, retry := b.Take(1e9); !ok || retry != 0 {
 			t.Fatalf("disabled bucket rejected (retry %v)", retry)
 		}
-	}
-}
-
-// TestHistogramQuantile sanity-checks the bucket-interpolated quantiles
-// the p99 gate depends on.
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if q := h.Quantile(0.99); q != 0 {
-		t.Fatalf("empty histogram p99 = %v, want 0", q)
-	}
-	for i := 0; i < 99; i++ {
-		h.Observe(200 * time.Microsecond) // bucket (0.0001, 0.00025]
-	}
-	h.Observe(2 * time.Second) // bucket (1, 2.5]
-	if p50 := h.Quantile(0.50); p50 > 250*time.Microsecond {
-		t.Errorf("p50 = %v, want within the 250µs bucket", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 200*time.Microsecond || p99 > 250*time.Microsecond {
-		t.Errorf("p99 = %v, want within the 250µs bucket (99/100 samples below)", p99)
-	}
-	if p100 := h.Quantile(1); p100 < time.Second {
-		t.Errorf("p100 = %v, want in the seconds bucket", p100)
 	}
 }

@@ -243,7 +243,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		id:     "s-test",
 		cfg:    sessionConfig{Bins: 4},
 		sess:   rls.NewSession(4, 1),
-		bucket: NewBucket(0, 0),
+		bucket: newBucketAt(0, 0, time.Now),
 		broker: newBroker(&svc.metrics.StreamDropped),
 		queue:  make(chan batch, 2),
 		done:   make(chan struct{}),

@@ -17,11 +17,19 @@ import (
 // unknown engine mode, no speeds, no shard count or
 // epoch, and only the torus or hypercube parameter the bin count fixes)
 // answers 201 exactly when Spec.NewSession accepts it, and otherwise 400
-// with its message — ErrSessionSpec for every sharded case.
+// with its message — ErrSessionSpec for every sharded case. The cases
+// over Validate's random-regular slot ceiling go to a service whose bin
+// limit is high enough that its own slot check passes them on, so the
+// rejection they get is Validate's.
 func TestSpecValidateAgreesWithConstruction(t *testing.T) {
-	svc := New(Config{MaxSessions: 4, MaxBins: 64})
-	h := svc.Handler()
+	small := New(Config{MaxSessions: 4, MaxBins: 64})
+	big := New(Config{MaxSessions: 4, MaxBins: 1 << 22})
+	smallH, bigH := small.Handler(), big.Handler()
 	for _, c := range spectest.Cases() {
+		svc, h := small, smallH
+		if c.N > 64 {
+			svc, h = big, bigH
+		}
 		engine, ok := c.EngineName()
 		topology, named := c.TopologyName()
 		if !ok || !named || c.Spec.Speeds != nil || c.Spec.Shards != 0 || c.Spec.ShardEpoch != 0 {

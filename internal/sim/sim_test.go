@@ -208,23 +208,11 @@ func TestStopConds(t *testing.T) {
 	if UntilBalanced(4.9)(e) {
 		t.Error("UntilBalanced(4.9) should not hold at disc 5")
 	}
-	if !UntilOverloadedAtMost(5)(e) || UntilOverloadedAtMost(4.9)(e) {
-		t.Error("UntilOverloadedAtMost wrong")
-	}
 	if UntilTime(1)(e) {
 		t.Error("UntilTime(1) at t=0")
 	}
 	if !UntilActivations(0)(e) {
 		t.Error("UntilActivations(0) at start")
-	}
-	if !Any(Never(), UntilBalanced(5))(e) {
-		t.Error("Any failed")
-	}
-	if All(Never(), UntilBalanced(5))(e) {
-		t.Error("All failed")
-	}
-	if Never()(e) {
-		t.Error("Never stopped")
 	}
 }
 

@@ -29,12 +29,6 @@ func UntilBalanced(x float64) StopCond {
 	return func(e *Engine) bool { return e.Cfg().IsBalanced(x) }
 }
 
-// UntilOverloadedAtMost stops when the number of overloaded balls A drops
-// to at most a (Lemma 15's subphase boundary).
-func UntilOverloadedAtMost(a float64) StopCond {
-	return func(e *Engine) bool { return e.Cfg().OverloadedBalls() <= a }
-}
-
 // UntilTime stops once continuous time reaches t.
 func UntilTime(t float64) StopCond {
 	return func(e *Engine) bool { return e.Time() >= t }
@@ -43,33 +37,4 @@ func UntilTime(t float64) StopCond {
 // UntilActivations stops after the given number of activations.
 func UntilActivations(k int64) StopCond {
 	return func(e *Engine) bool { return e.Activations() >= k }
-}
-
-// Any stops when any of the given conditions holds.
-func Any(conds ...StopCond) StopCond {
-	return func(e *Engine) bool {
-		for _, c := range conds {
-			if c(e) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// All stops when all of the given conditions hold simultaneously.
-func All(conds ...StopCond) StopCond {
-	return func(e *Engine) bool {
-		for _, c := range conds {
-			if !c(e) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Never never stops on its own; combine with an activation budget.
-func Never() StopCond {
-	return func(*Engine) bool { return false }
 }

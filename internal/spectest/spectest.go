@@ -27,7 +27,10 @@ type Case struct {
 // family — valid, with invalid parameters, and against a mismatched n —
 // × speeds (none, unit, wrong length, a zero speed) × the signs
 // of the shard count and the shard epoch, over n = 16, n = 9 and n = 1
-// (where the torus has side 1 and the hypercube dimension 0).
+// (where the torus has side 1 and the hypercube dimension 0). Two more
+// cases, direct and jump, name a random-regular degree whose n·d
+// neighbor slots exceed Validate's ceiling (n = 8192, d = 8190), which
+// every surface must reject before it builds the graph.
 func Cases() []Case {
 	var out []Case
 	for _, n := range []int{16, 9, 1} {
@@ -60,6 +63,15 @@ func Cases() []Case {
 				}
 			}
 		}
+	}
+	const n = 1 << 13
+	topo := rls.RandomRegularTopology(n-2, Seed)
+	for _, mode := range []rls.EngineMode{rls.DirectEngine, rls.JumpEngine} {
+		out = append(out, Case{
+			Name: fmt.Sprintf("n=%d mode=%d %s over the slot ceiling", n, mode, topo.Name()),
+			N:    n,
+			Spec: rls.Spec{Mode: mode, Topology: topo},
+		})
 	}
 	return out
 }

@@ -14,10 +14,8 @@ import (
 // Summary holds streaming moments of a sample. The zero value is an empty
 // summary ready for use.
 type Summary struct {
-	n          int
-	mean, m2   float64 // Welford running mean and sum of squared deviations
-	min, max   float64
-	hasExtrema bool
+	n        int
+	mean, m2 float64 // Welford running mean and sum of squared deviations
 }
 
 // Add incorporates one observation.
@@ -26,13 +24,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-	if !s.hasExtrema || x < s.min {
-		s.min = x
-	}
-	if !s.hasExtrema || x > s.max {
-		s.max = x
-	}
-	s.hasExtrema = true
 }
 
 // AddAll incorporates every observation in xs.
@@ -58,12 +49,6 @@ func (s *Summary) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // SE returns the standard error of the mean.
 func (s *Summary) SE() float64 {

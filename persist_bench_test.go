@@ -78,9 +78,10 @@ func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); re
 
 // BenchmarkTraceAppend measures the per-record cost of streaming a trace
 // archive (no embedded snapshots), with the record size as bytes/record.
-// The writer buffers until Close, so sizes are read off closed archives:
-// the same session's empty archive (header, meta, initial snapshot, end
-// section) is the baseline subtracted from the full one.
+// Each iteration appends 4096 records; ns/op is per record. The writer
+// buffers until Close, so sizes are read off closed archives: the same
+// session's empty archive (header, meta, initial snapshot, end section)
+// is the baseline subtracted from the full one.
 func BenchmarkTraceAppend(b *testing.B) {
 	s := benchSession(b, 1024, Spec{Mode: JumpEngine})
 	var empty, cw countingWriter
@@ -95,15 +96,20 @@ func BenchmarkTraceAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const batch = 4096
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tw.Point(); err != nil {
-			b.Fatal(err)
+		for j := 0; j < batch; j++ {
+			if err := tw.Point(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()
 	if err := tw.Close(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(cw.n-empty.n)/float64(b.N), "bytes/record")
+	records := float64(b.N * batch)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/op")
+	b.ReportMetric(float64(cw.n-empty.n)/records, "bytes/record")
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -380,6 +381,25 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		})
 	}
 
+	// Every CRC of this header holds and its engine section covers the
+	// bin count, but it names a random-8190-regular graph over 8192 bins:
+	// 6.7·10⁷ neighbor slots, over Validate's ceiling. It must fail as
+	// corrupt before the graph is built; it used to build it, and a
+	// 2¹⁶-bin header of the same shape asked for 2³² slots.
+	t.Run("random-regular-over-slot-ceiling", func(t *testing.T) {
+		art := overCeilingSnapshot()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ResumeSession(bytes.NewReader(art))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "neighbor slots") {
+			t.Fatalf("got %v, want ErrCorrupt naming the neighbor-slot ceiling", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("rejecting the header allocated %d bytes", grew)
+		}
+	})
+
 	t.Run("wrong-magic", func(t *testing.T) {
 		mut := append([]byte(nil), good...)
 		copy(mut, persist.MagicTrace)
@@ -665,6 +685,13 @@ func readTestdata(t testing.TB, name string) []byte {
 // largest square an int holds.
 var hugeExpanderBins = []int{math.MaxInt, 3037000499 * 3037000499}
 
+// overCeilingSnapshot is a well-framed snapshot whose header names a
+// random-8190-regular jump session over 8192 bins, past the neighbor-slot
+// ceiling, above an engine section of 8192 zero bytes.
+func overCeilingSnapshot() []byte {
+	return ForgeSnapshot(8192, Spec{Mode: JumpEngine, Topology: RandomRegularTopology(8190, 1)})
+}
+
 // forgeHeader frames an artifact with magic whose meta section records an
 // expander over n bins, then engine (a sequential engine section, when
 // non-nil), then the end section; every CRC is valid.
@@ -867,6 +894,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, n := range hugeExpanderBins {
 		f.Add(forgeHeader(f, persist.MagicSnapshot, n, []byte{0}))
 	}
+	f.Add(overCeilingSnapshot())
 	// The sampler tags without a codec, behind valid CRCs.
 	direct := directSnapshot(f)
 	f.Add(withSamplerTag(f, direct, 2))

@@ -7,9 +7,10 @@
 # (BenchmarkGraphEndGame), and the dense-degree graph comparison direct
 # vs jump-exact (BenchmarkGraphDense, gated ≥ 5x by check_graphdense.sh),
 # the graph index's micro tier at Δ = 4, 8, 16 (BenchmarkGraphIndexUpdate,
-# BenchmarkGraphIndexSample) — live churn (BenchmarkSessionChurn; on a
-# torus jump session, BenchmarkGraphSessionChurn: one arrival, random
-# departure and RunFor(0.001) per op, 4096 ops per iteration), the
+# BenchmarkGraphIndexSample) — live churn (BenchmarkSessionChurn, n = 1024
+# and m = 10⁵ with RunFor(0.0001) per op; on a torus jump session,
+# BenchmarkGraphSessionChurn with RunFor(0.001) per op; each op is one
+# arrival and one random departure, 4096 ops per iteration), the
 # direct-vs-sharded dense regime (BenchmarkShardedDense), and the parallel
 # epoch loop's
 # allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
@@ -18,7 +19,9 @@
 # ServiceLoad* cells (event→apply p50/p99 and applied throughput of the
 # multi-tenant rlsd service). The persistence layer rides along as
 # BenchmarkSnapshot/BenchmarkRestore/BenchmarkTraceAppend — ns/op plus
-# artifact compactness in bytes/ball and bytes/record. The micro tier
+# artifact compactness in bytes/ball and bytes/record (the trace cell
+# appends 4096 records per iteration). The churn and trace cells report
+# ns/op per op or record, not per iteration. The micro tier
 # times the layers under the engines: the draw kernel — one ziggurat
 # Exp and normal draw (BenchmarkExp, BenchmarkNormFloat64), one Geometric
 # over p from 0.9 down to 1e-6 (BenchmarkGeometric) and one Erlang at

@@ -257,6 +257,8 @@ var topologyFamilies = [...]struct {
 				return fmt.Errorf("rls: random-regular degree %d, want at least 1", d)
 			case d >= n:
 				return fmt.Errorf("rls: random-regular degree %d does not fit n=%d", d, n)
+			case d > maxRandomRegularSlots/n:
+				return fmt.Errorf("rls: random-regular degree %d on n=%d needs more than %d neighbor slots", d, n, maxRandomRegularSlots)
 			case n*d%2 != 0:
 				return fmt.Errorf("rls: random-regular degree %d needs an even n·d, n=%d", d, n)
 			}
@@ -267,6 +269,13 @@ var topologyFamilies = [...]struct {
 		},
 	},
 }
+
+// maxRandomRegularSlots caps a random-regular topology's n·d neighbor
+// slots: its graph holds two int32 arrays of n·d entries, built by an
+// O(n·d) shuffle, so a degree near n would size them by n² (a snapshot
+// header naming n = 2¹⁶ asked for 2³² slots each). The cap is rlsd's
+// default one, 16 slots per bin over its 2²⁰-bin session limit.
+const maxRandomRegularSlots = 1 << 24
 
 // ceilSqrt returns the least side ≥ 1 with side² ≥ n. It compares by
 // division, so no square overflows even for n near MaxInt.
