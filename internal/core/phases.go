@@ -14,115 +14,124 @@ type PhaseTimes struct {
 	// (Lemmas 10 and 12 both land at O(ln n)-balancedness; 96 ln n is the
 	// explicit constant of Lemma 10).
 	LogBalanced float64
-	// HalfAvgBalanced is the first time disc ≤ ∅/2 (Lemma 11's target,
-	// only meaningful for large ∅).
-	HalfAvgBalanced float64
-	// OverloadedAtMostN is the first time the number of overloaded balls
-	// drops to ≤ n (Lemma 15's subphase boundary).
-	OverloadedAtMostN float64
 	// OneBalanced is the first time disc ≤ 1 (Phase 2 target, Lemma 14).
 	OneBalanced float64
 	// Perfect is the first time disc < 1 (Phase 3 target, Theorem 1's T).
 	Perfect float64
 }
 
-// LogBalancedTarget returns the Phase 1 discrepancy target 96·ln n (the
-// explicit constant of Lemma 10). Both the direct-engine PhaseTracker and
-// the sharded engine's phase observer read the threshold from here.
-func LogBalancedTarget(n int) float64 { return 96 * math.Log(float64(n)) }
-
-// PhaseTracker watches an engine run and fills in PhaseTimes. It also
-// verifies, move by move, the §3 monotonicity observations (discrepancy
-// never increases, the minimum load never decreases, the maximum never
-// increases) and Lemma 16's claim that the potential 3A − k − h never
-// increases; any violation is counted.
+// PhaseTracker fills in PhaseTimes as a run goes. It reads only the
+// discrepancy and the perfect-balance test, both O(1), so every Runner
+// run attaches one. The §3 monotonicity checks live in MonotoneWatch.
 type PhaseTracker struct {
 	Times PhaseTimes
 
 	logTarget float64 // 96 ln n
-	halfAvg   float64 // ∅/2
-	n         int
+}
 
-	prevDisc      float64
-	prevMin       int
-	prevMax       int
-	prevPotential float64
+// NewPhaseTracker builds a tracker for an engine about to run and attaches
+// itself to the engine's PostMove hook (chaining any existing hook).
+// Discrepancy only changes on moves, so crossing times are move-exact.
+func NewPhaseTracker(e *sim.Engine) *PhaseTracker {
+	t := newPhaseTracker(e.Cfg().N())
+	observe := func(e *sim.Engine) { t.observe(e.Time(), e.Cfg().Disc(), e.Cfg().IsPerfect()) }
+	observe(e) // the initial configuration may already satisfy targets
+	chainPostMove(e, observe)
+	return t
+}
 
+// NewShardedPhaseTracker attaches a tracker to the sharded engine's
+// PostCheck: with P > 1 crossings are observed at epoch barriers (the
+// mode's granularity), with P = 1 at every activation — matching the
+// direct engine's move-exact times.
+func NewShardedPhaseTracker(e *sim.Sharded) *PhaseTracker {
+	t := newPhaseTracker(e.N())
+	observe := func(s *sim.Sharded) { t.observe(s.Time(), s.Disc(), s.IsPerfect()) }
+	observe(e)
+	e.PostCheck = observe
+	return t
+}
+
+func newPhaseTracker(n int) *PhaseTracker {
+	return &PhaseTracker{
+		Times:     PhaseTimes{LogBalanced: -1, OneBalanced: -1, Perfect: -1},
+		logTarget: 96 * math.Log(float64(n)),
+	}
+}
+
+// observe records every boundary the state (disc, perfect) at time now
+// crosses for the first time — the one crossing rule of both engines.
+func (t *PhaseTracker) observe(now, disc float64, perfect bool) {
+	if t.Times.LogBalanced < 0 && disc <= t.logTarget {
+		t.Times.LogBalanced = now
+	}
+	if t.Times.OneBalanced < 0 && disc <= 1 {
+		t.Times.OneBalanced = now
+	}
+	if t.Times.Perfect < 0 && perfect {
+		t.Times.Perfect = now
+	}
+}
+
+// MonotoneWatch verifies, move by move, the §3 monotonicity observations
+// (discrepancy never increases, the minimum load never decreases, the
+// maximum never increases) and Lemma 16's claim that the potential
+// 3A − k − h never increases; any violation is counted. Its potential
+// read scans the load histogram, O(max − min) per move, so only analysis
+// runs attach it — never a Runner or Session.
+type MonotoneWatch struct {
 	// Violation counters (expected to stay zero under plain RLS).
 	DiscIncreases      int
 	MinDecreases       int
 	MaxIncreases       int
 	PotentialIncreases int
+
+	prevDisc, prevPotential float64
+	prevMin, prevMax        int
 }
 
-// NewPhaseTracker builds a tracker for an engine about to run and attaches
-// itself to the engine's PostMove hook (chaining any existing hook).
-func NewPhaseTracker(e *sim.Engine) *PhaseTracker {
-	n := e.Cfg().N()
-	t := &PhaseTracker{
-		Times: PhaseTimes{
-			LogBalanced:       -1,
-			HalfAvgBalanced:   -1,
-			OverloadedAtMostN: -1,
-			OneBalanced:       -1,
-			Perfect:           -1,
-		},
-		logTarget:     LogBalancedTarget(n),
-		halfAvg:       e.Cfg().Avg() / 2,
-		n:             n,
-		prevDisc:      e.Cfg().Disc(),
-		prevMin:       e.Cfg().Min(),
-		prevMax:       e.Cfg().Max(),
-		prevPotential: e.Cfg().Potential(),
+// WatchMonotone attaches a MonotoneWatch to the engine's PostMove hook
+// (chaining any existing hook); the configuration at attach time is the
+// baseline of the first comparison.
+func WatchMonotone(e *sim.Engine) *MonotoneWatch {
+	cfg := e.Cfg()
+	w := &MonotoneWatch{
+		prevDisc:      cfg.Disc(),
+		prevPotential: cfg.Potential(),
+		prevMin:       cfg.Min(),
+		prevMax:       cfg.Max(),
 	}
-	t.observe(e) // the initial configuration may already satisfy targets
+	chainPostMove(e, w.observe)
+	return w
+}
+
+func (w *MonotoneWatch) observe(e *sim.Engine) {
+	cfg := e.Cfg()
+	disc, pot := cfg.Disc(), cfg.Potential()
+	if disc > w.prevDisc+1e-9 {
+		w.DiscIncreases++
+	}
+	if cfg.Min() < w.prevMin {
+		w.MinDecreases++
+	}
+	if cfg.Max() > w.prevMax {
+		w.MaxIncreases++
+	}
+	if pot > w.prevPotential+1e-9 {
+		w.PotentialIncreases++
+	}
+	w.prevDisc, w.prevPotential = disc, pot
+	w.prevMin, w.prevMax = cfg.Min(), cfg.Max()
+}
+
+// chainPostMove runs observe after the engine's existing PostMove hook,
+// if any, on every protocol move.
+func chainPostMove(e *sim.Engine, observe func(*sim.Engine)) {
 	prev := e.PostMove
 	e.PostMove = func(e *sim.Engine, src, dst int) {
 		if prev != nil {
 			prev(e, src, dst)
 		}
-		t.observe(e)
+		observe(e)
 	}
-	return t
-}
-
-// observe updates crossing times and monotonicity counters from the
-// current engine state. Discrepancy only changes on moves, so observing
-// from the PostMove hook captures crossing times exactly.
-func (t *PhaseTracker) observe(e *sim.Engine) {
-	cfg := e.Cfg()
-	now := e.Time()
-	disc := cfg.Disc()
-	if t.Times.LogBalanced < 0 && disc <= t.logTarget {
-		t.Times.LogBalanced = now
-	}
-	if t.Times.HalfAvgBalanced < 0 && disc <= t.halfAvg {
-		t.Times.HalfAvgBalanced = now
-	}
-	if t.Times.OverloadedAtMostN < 0 && cfg.OverloadedBalls() <= float64(t.n) {
-		t.Times.OverloadedAtMostN = now
-	}
-	if t.Times.OneBalanced < 0 && disc <= 1 {
-		t.Times.OneBalanced = now
-	}
-	if t.Times.Perfect < 0 && cfg.IsPerfect() {
-		t.Times.Perfect = now
-	}
-
-	if disc > t.prevDisc+1e-9 {
-		t.DiscIncreases++
-	}
-	if cfg.Min() < t.prevMin {
-		t.MinDecreases++
-	}
-	if cfg.Max() > t.prevMax {
-		t.MaxIncreases++
-	}
-	if cfg.Potential() > t.prevPotential+1e-9 {
-		t.PotentialIncreases++
-	}
-	t.prevDisc = disc
-	t.prevMin = cfg.Min()
-	t.prevMax = cfg.Max()
-	t.prevPotential = cfg.Potential()
 }

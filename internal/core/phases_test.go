@@ -26,19 +26,16 @@ func TestPhaseTrackerOrdering(t *testing.T) {
 	if !(ts.LogBalanced <= ts.OneBalanced && ts.OneBalanced <= ts.Perfect) {
 		t.Fatalf("phases out of order: %+v", ts)
 	}
-	if ts.OverloadedAtMostN < 0 || ts.OverloadedAtMostN > ts.OneBalanced {
-		t.Fatalf("overloaded boundary out of order: %+v", ts)
-	}
 }
 
 func TestPhaseTrackerMonotonicityCleanUnderRLS(t *testing.T) {
 	v := loadvec.OneChoice().Generate(16, 160, rng.New(2))
 	e := sim.NewEngine(v, RLS{}, rng.New(3))
-	tr := NewPhaseTracker(e)
+	w := WatchMonotone(e)
 	e.Run(sim.UntilPerfect(), 10_000_000)
-	if tr.MonotoneViolations() != 0 {
+	if w.MonotoneViolations() != 0 {
 		t.Fatalf("monotonicity violations under plain RLS: disc+%d min-%d max+%d",
-			tr.DiscIncreases, tr.MinDecreases, tr.MaxIncreases)
+			w.DiscIncreases, w.MinDecreases, w.MaxIncreases)
 	}
 }
 
@@ -48,10 +45,10 @@ func TestPotentialNonIncreasingUnderRLS(t *testing.T) {
 		r := rng.New(seed)
 		v := loadvec.OneChoice().Generate(16, 16*8, r)
 		e := sim.NewEngine(v, RLS{}, r)
-		tr := NewPhaseTracker(e)
+		w := WatchMonotone(e)
 		e.Run(sim.UntilPerfect(), 10_000_000)
-		if tr.PotentialIncreases != 0 {
-			t.Fatalf("seed %d: potential increased %d times", seed, tr.PotentialIncreases)
+		if w.PotentialIncreases != 0 {
+			t.Fatalf("seed %d: potential increased %d times", seed, w.PotentialIncreases)
 		}
 	}
 }
@@ -59,15 +56,15 @@ func TestPotentialNonIncreasingUnderRLS(t *testing.T) {
 func TestPhaseTrackerDetectsAdversarialViolations(t *testing.T) {
 	// The concentrator adversary pushes balls back into the fullest bin,
 	// so the observed (post-adversary) process violates the §3
-	// monotonicity properties — the tracker must notice. The adversary is
-	// attached first so the tracker observes post-adversary states.
+	// monotonicity properties — the watch must notice. The adversary is
+	// attached first so the watch observes post-adversary states.
 	v := loadvec.AllInOne().Generate(8, 64, nil)
 	e := sim.NewEngine(v, RLS{}, rng.New(4))
 	Attach(e, ConcentratorAdversary{Budget: 2})
-	tr := NewPhaseTracker(e)
+	w := WatchMonotone(e)
 	e.Run(sim.UntilActivations(5000), 0)
-	if tr.MonotoneViolations() == 0 {
-		t.Fatal("tracker failed to notice adversarial violations")
+	if w.MonotoneViolations() == 0 {
+		t.Fatal("watch failed to notice adversarial violations")
 	}
 }
 
@@ -121,6 +118,6 @@ func TestLemma17BoundValue(t *testing.T) {
 // MonotoneViolations returns the total count of §3-monotonicity
 // violations observed (0 under plain RLS; adversarial runs may violate
 // them freely).
-func (t *PhaseTracker) MonotoneViolations() int {
-	return t.DiscIncreases + t.MinDecreases + t.MaxIncreases
+func (w *MonotoneWatch) MonotoneViolations() int {
+	return w.DiscIncreases + w.MinDecreases + w.MaxIncreases
 }

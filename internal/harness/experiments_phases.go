@@ -80,9 +80,9 @@ func init() {
 					times, potInc := Replicate2(cfg.Seed^uint64(n*3+avg), reps, func(r *rng.RNG) (float64, float64) {
 						v := loadvec.HalfSpread(xx).Generate(n, m, r)
 						e := build(rls.Spec{}, v, r)
-						tr := core.NewPhaseTracker(e)
+						w := core.WatchMonotone(e)
 						res := e.Run(sim.UntilBalanced(1), 0)
-						return res.Time, float64(tr.PotentialIncreases)
+						return res.Time, float64(w.PotentialIncreases)
 					})
 					var s stats.Summary
 					s.AddAll(times)

@@ -2,14 +2,17 @@ package loadvec
 
 import "fmt"
 
-// Config is a load configuration with O(1) per-move incremental tracking
-// of the statistics the experiments sample constantly: min/max load
-// (hence discrepancy and perfect balance), the above/at/below-average bin
-// counts h/r/k, and the number of overloaded balls A.
+// Config is a load configuration that keeps, in O(1) per move or churn
+// event, what every run reads: the loads, the load histogram and the
+// min/max load (hence discrepancy and perfect balance), plus the jump
+// engine's level index when enabled. Moves change one bin by −1 and
+// another by +1, so each of these is updated by inspecting only the two
+// touched bins.
 //
-// Moves change one bin by −1 and another by +1, so every tracked quantity
-// can be updated by inspecting only the two touched bins. A run of n²
-// activations therefore costs O(n²) total bookkeeping instead of O(n³).
+// The statistics only the analysis reads — the above/at/below-average
+// bin counts h/r/k, the overloaded balls A and Lemma 16's potential — are
+// not kept: AboveBelow, OverloadedBalls and Potential scan the histogram
+// between min and max on each call.
 //
 // Config supports arbitrary moves, including the destructive moves of
 // Lemma 2 (which can push loads above the initial maximum); the internal
@@ -20,12 +23,6 @@ type Config struct {
 
 	count    []int // count[v] = number of bins with load v
 	min, max int
-
-	// Classification vs the average, using the exact test n·ℓ_i vs m.
-	h, k int // bins strictly above / strictly below average
-	// sumOver = Σ_{i: ℓ_i > ∅} ℓ_i, to derive overloaded balls without a
-	// scan: A = sumOver − h·∅ (exactly (n·sumOver − h·m)/n).
-	sumOver int
 
 	// idx is the opt-in level index for the rejection-free jump engine
 	// (see levelindex.go); nil unless EnableLevelIndex was called.
@@ -61,15 +58,6 @@ func NewConfig(v Vector) *Config {
 		}
 		if x > c.max {
 			c.max = x
-		}
-	}
-	for _, x := range v {
-		switch {
-		case x*c.n > c.m:
-			c.h++
-			c.sumOver += x
-		case x*c.n < c.m:
-			c.k++
 		}
 	}
 	return c
@@ -118,21 +106,47 @@ func (c *Config) IsPerfect() bool { return c.max-c.min <= 1 }
 // IsBalanced reports x-balancedness.
 func (c *Config) IsBalanced(x float64) bool { return c.Disc() <= x }
 
-// AboveBelow returns (h, r, k): bins strictly above / at / strictly below
-// the average.
-func (c *Config) AboveBelow() (h, r, k int) {
-	return c.h, c.n - c.h - c.k, c.k
+// classify scans the histogram over [min, max] and returns the bins
+// strictly above and strictly below the average (the exact test n·ℓ vs
+// m) and sumOver = Σ_{i: ℓ_i > ∅} ℓ_i. It costs O(max − min), so only
+// the analysis reads that call it belong off the hot path.
+func (c *Config) classify() (h, k, sumOver int) {
+	for v := c.min; v <= c.max; v++ {
+		switch cnt := c.count[v]; {
+		case v*c.n > c.m:
+			h += cnt
+			sumOver += v * cnt
+		case v*c.n < c.m:
+			k += cnt
+		}
+	}
+	return h, k, sumOver
 }
 
-// OverloadedBalls returns A = Σ_i max{0, ℓ_i − ∅}.
+// AboveBelow returns (h, r, k): bins strictly above / at / strictly below
+// the average. It is an analysis read, O(max − min).
+func (c *Config) AboveBelow() (h, r, k int) {
+	h, k, _ = c.classify()
+	return h, c.n - h - k, k
+}
+
+// OverloadedBalls returns A = Σ_i max{0, ℓ_i − ∅}, computed as
+// sumOver − h·∅. It is an analysis read, O(max − min).
 func (c *Config) OverloadedBalls() float64 {
-	return float64(c.sumOver) - float64(c.h)*c.Avg()
+	h, _, sumOver := c.classify()
+	return c.overloaded(h, sumOver)
+}
+
+func (c *Config) overloaded(h, sumOver int) float64 {
+	return float64(sumOver) - float64(h)*c.Avg()
 }
 
 // Potential returns Lemma 16's potential function 3A − k − h
-// (meaningful when ∅ is an integer, where A is integral).
+// (meaningful when ∅ is an integer, where A is integral). It is an
+// analysis read, O(max − min).
 func (c *Config) Potential() float64 {
-	return 3*c.OverloadedBalls() - float64(c.k) - float64(c.h)
+	h, k, sumOver := c.classify()
+	return 3*c.overloaded(h, sumOver) - float64(k) - float64(h)
 }
 
 // CountAt returns the number of bins currently holding exactly load v.
@@ -143,11 +157,12 @@ func (c *Config) CountAt(v int) int {
 	return c.count[v]
 }
 
-// Move transfers one ball from bin src to bin dst, updating all tracked
-// statistics in O(1). It panics if src has no ball or src == dst.
-// Move performs no legality check — protocol rules (RLS, destructive,
-// baseline) are enforced by the callers — so it can express both protocol
-// moves and the adversarial destructive moves of Lemma 2.
+// Move transfers one ball from bin src to bin dst, updating the loads,
+// histogram, extremes and level index in O(1). It panics if src has no
+// ball or src == dst. Move performs no legality check — protocol rules
+// (RLS, destructive, baseline) are enforced by the callers — so it can
+// express both protocol moves and the adversarial destructive moves of
+// Lemma 2.
 func (c *Config) Move(src, dst int) {
 	if src == dst {
 		panic("loadvec: Move with src == dst")
@@ -157,9 +172,6 @@ func (c *Config) Move(src, dst int) {
 		panic("loadvec: Move from empty bin")
 	}
 	w := c.loads[dst]
-
-	c.declassify(v)
-	c.declassify(w)
 
 	// Histogram and loads.
 	c.count[v]--
@@ -171,9 +183,6 @@ func (c *Config) Move(src, dst int) {
 	c.count[w]--
 	c.count[w+1]++
 	c.loads[dst] = w + 1
-
-	c.classify(v - 1)
-	c.classify(w + 1)
 
 	// Min/max maintenance. Loads move by ±1, and the bin leaving an
 	// extreme level lands on the adjacent level, so each extreme moves by
@@ -195,36 +204,17 @@ func (c *Config) Move(src, dst int) {
 	}
 }
 
-// AddBall inserts one ball into bin (a dynamic arrival), updating every
-// tracked statistic in O(1). Changing m shifts the average by 1/n, so
-// besides the touched bin only the bins sitting exactly on the old or new
-// average can change classification; their counts are read off the load
-// histogram instead of rescanning the vector.
+// AddBall inserts one ball into bin (a dynamic arrival), updating the
+// loads, histogram, extremes and level index in O(1).
 func (c *Config) AddBall(bin int) {
 	v := c.loads[bin]
-	// Take the touched bin out of the histogram and classification so the
-	// average-crossing adjustment below covers exactly the other n−1 bins.
-	c.count[v]--
-	c.declassify(v)
-	// m → m+1: a level w flips above→at iff w·n == m+1 and at→below iff
-	// w·n == m, i.e. only when n divides m+1 resp. m.
-	if (c.m+1)%c.n == 0 {
-		w := (c.m + 1) / c.n
-		if cnt := c.CountAt(w); cnt > 0 {
-			c.h -= cnt
-			c.sumOver -= w * cnt
-		}
-	}
-	if c.m%c.n == 0 {
-		c.k += c.CountAt(c.m / c.n)
-	}
 	c.m++
 	if v+2 >= len(c.count) {
 		c.growCount(v + 2)
 	}
+	c.count[v]--
 	c.count[v+1]++
 	c.loads[bin] = v + 1
-	c.classify(v + 1)
 	if v+1 > c.max {
 		c.max = v + 1
 	}
@@ -237,31 +227,17 @@ func (c *Config) AddBall(bin int) {
 }
 
 // RemoveBall removes one ball from bin (a dynamic departure), updating
-// every tracked statistic in O(1) by the same histogram-crossing argument
-// as AddBall. It panics if the bin is empty.
+// the loads, histogram, extremes and level index in O(1). It panics if the
+// bin is empty.
 func (c *Config) RemoveBall(bin int) {
 	v := c.loads[bin]
 	if v == 0 {
 		panic("loadvec: RemoveBall from empty bin")
 	}
-	c.count[v]--
-	c.declassify(v)
-	// m → m−1: a level w flips at→above iff w·n == m and below→at iff
-	// w·n == m−1.
-	if c.m%c.n == 0 {
-		w := c.m / c.n
-		if cnt := c.CountAt(w); cnt > 0 {
-			c.h += cnt
-			c.sumOver += w * cnt
-		}
-	}
-	if (c.m-1)%c.n == 0 {
-		c.k -= c.CountAt((c.m - 1) / c.n)
-	}
 	c.m--
+	c.count[v]--
 	c.count[v-1]++
 	c.loads[bin] = v - 1
-	c.classify(v - 1)
 	if v-1 < c.min {
 		c.min = v - 1
 	}
@@ -271,28 +247,6 @@ func (c *Config) RemoveBall(bin int) {
 	if c.idx != nil {
 		c.idx.transition(bin, v, v-1)
 		c.idx.shrink(c.max)
-	}
-}
-
-// declassify removes one bin at load v from the h/k/sumOver accounting.
-func (c *Config) declassify(v int) {
-	switch {
-	case v*c.n > c.m:
-		c.h--
-		c.sumOver -= v
-	case v*c.n < c.m:
-		c.k--
-	}
-}
-
-// classify adds one bin at load v to the h/k/sumOver accounting.
-func (c *Config) classify(v int) {
-	switch {
-	case v*c.n > c.m:
-		c.h++
-		c.sumOver += v
-	case v*c.n < c.m:
-		c.k++
 	}
 }
 
@@ -306,9 +260,9 @@ func (c *Config) growCount(need int) {
 	c.count = nc
 }
 
-// Validate recomputes every tracked statistic from scratch and returns an
-// error if any cached value disagrees. Tests call this after randomized
-// move sequences.
+// Validate recomputes the cached state — min/max, the load histogram and
+// the level index — from scratch and returns an error if any of it
+// disagrees. Tests call this after randomized move sequences.
 func (c *Config) Validate() error {
 	if err := c.loads.Validate(c.m); err != nil {
 		return err
@@ -317,10 +271,6 @@ func (c *Config) Validate() error {
 	if fresh.min != c.min || fresh.max != c.max {
 		return fmt.Errorf("loadvec: cached min/max (%d,%d) != fresh (%d,%d)",
 			c.min, c.max, fresh.min, fresh.max)
-	}
-	if fresh.h != c.h || fresh.k != c.k || fresh.sumOver != c.sumOver {
-		return fmt.Errorf("loadvec: cached h/k/sumOver (%d,%d,%d) != fresh (%d,%d,%d)",
-			c.h, c.k, c.sumOver, fresh.h, fresh.k, fresh.sumOver)
 	}
 	for v := 0; v < len(c.count) || v < len(fresh.count); v++ {
 		var a, b int

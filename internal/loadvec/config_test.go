@@ -1,6 +1,7 @@
 package loadvec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -117,19 +118,16 @@ func TestConfigCountAt(t *testing.T) {
 	}
 }
 
-// The central property test: after any random legal move sequence
-// (including destructive ones), all incrementally tracked statistics match
-// a from-scratch recomputation.
+// The central property test: after every move of a random sequence
+// (including destructive ones), the cached state matches a from-scratch
+// recomputation and the analysis reads match the Vector oracles.
 func TestConfigIncrementalMatchesFresh(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(12)
-		v := make(Vector, n)
-		for i := range v {
-			v[i] = r.Intn(6)
-		}
+		v := randomStart(n, r)
 		if v.Balls() == 0 {
-			v[0] = 1
+			v[0] = n
 		}
 		c := NewConfig(v)
 		for step := 0; step < 200; step++ {
@@ -138,16 +136,70 @@ func TestConfigIncrementalMatchesFresh(t *testing.T) {
 				continue
 			}
 			dst := r.Intn(n)
+			if r.Intn(4) == 0 {
+				dst = maxBin(c) // destructive: raises max unless src is a max bin
+			}
 			if dst == src {
 				continue
 			}
 			c.Move(src, dst)
+			if err := validateAll(c); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
+				return false
+			}
 		}
-		return c.Validate() == nil
+		return true
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomStart returns n random loads in [0, 6); half the time bin 0 is
+// topped up so that n divides m (an integral average, where Lemma 16's
+// potential is meaningful and bins can sit exactly on the average).
+func randomStart(n int, r *rng.RNG) Vector {
+	v := make(Vector, n)
+	for i := range v {
+		v[i] = r.Intn(6)
+	}
+	if r.Intn(2) == 0 {
+		v[0] += (n - v.Balls()%n) % n
+	}
+	return v
+}
+
+// maxBin returns a bin holding the maximum load.
+func maxBin(c *Config) int {
+	for i, x := range c.Loads() {
+		if x == c.Max() {
+			return i
+		}
+	}
+	panic("no bin at the maximum load")
+}
+
+// validateAll runs Validate and then compares the analysis reads
+// AboveBelow, OverloadedBalls and Potential with the Vector oracles
+// recomputed from the loads.
+func validateAll(c *Config) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	v := c.Loads()
+	h, r, k := c.AboveBelow()
+	wh, wr, wk := v.AboveBelow()
+	if h != wh || r != wr || k != wk {
+		return fmt.Errorf("h/r/k = %d/%d/%d, oracle %d/%d/%d on %v", h, r, k, wh, wr, wk, v)
+	}
+	a, wa := c.OverloadedBalls(), v.OverloadedBalls()
+	if math.Abs(a-wa) > 1e-9 {
+		return fmt.Errorf("A = %g, oracle %g on %v", a, wa, v)
+	}
+	if p, wp := c.Potential(), 3*wa-float64(wk)-float64(wh); math.Abs(p-wp) > 1e-9 {
+		return fmt.Errorf("potential = %g, oracle %g on %v", p, wp, v)
+	}
+	return nil
 }
 
 // Discrepancy from Config must equal the Vector computation at all times.
@@ -281,20 +333,16 @@ func TestConfigRemoveToZeroBalls(t *testing.T) {
 	}
 }
 
-// Interleaved churn and moves must keep every cached statistic identical
-// to a freshly built Config — the invariant the churn-native engine
-// depends on.
+// Interleaved churn and moves must keep the cached state identical to a
+// freshly built Config — the invariant the churn-native engine depends
+// on — and the analysis reads equal to the Vector oracles.
 func TestConfigChurnProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(12)
-		v := make(Vector, n)
-		for i := range v {
-			v[i] = r.Intn(6)
-		}
-		c := NewConfig(v)
+		c := NewConfig(randomStart(n, r))
 		for op := 0; op < 200; op++ {
-			switch r.Intn(3) {
+			switch r.Intn(4) {
 			case 0:
 				c.AddBall(r.Intn(n))
 			case 1:
@@ -307,8 +355,14 @@ func TestConfigChurnProperty(t *testing.T) {
 				if src >= 0 && dst != src {
 					c.Move(src, dst)
 				}
+			case 3: // destructive: onto a max bin, raising max
+				src := randNonEmpty(c, r)
+				dst := maxBin(c)
+				if src >= 0 && dst != src {
+					c.Move(src, dst)
+				}
 			}
-			if err := c.Validate(); err != nil {
+			if err := validateAll(c); err != nil {
 				t.Logf("seed %d op %d: %v", seed, op, err)
 				return false
 			}

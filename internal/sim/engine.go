@@ -229,12 +229,13 @@ func (e *Engine) Advance(stop StopCond, maxActivations int64) bool {
 	return stopped
 }
 
-// TracePoint is one sample of a run's trajectory.
+// TracePoint is one sample of a run's trajectory. It holds only O(1)
+// reads (clock, counters, discrepancy and extremes), so tracing adds no
+// per-point scan of the configuration.
 type TracePoint struct {
 	Time        float64
 	Activations int64
 	Disc        float64
-	Overloaded  float64
 	MinLoad     int
 	MaxLoad     int
 }
@@ -253,7 +254,6 @@ func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, 
 			Time:        e.time,
 			Activations: e.activations,
 			Disc:        e.cfg.Disc(),
-			Overloaded:  e.cfg.OverloadedBalls(),
 			MinLoad:     e.cfg.Min(),
 			MaxLoad:     e.cfg.Max(),
 		})

@@ -15,6 +15,11 @@ package sim
 //   - sharded (Sharded, which takes a ShardedStop rather than a
 //     StopCond): at epoch barriers for P > 1, after every activation for
 //     P = 1.
+//
+// The conditions below read only O(1) state (the configuration's min and
+// max, the clock, the counters). A condition that reads an analysis
+// statistic (Config.AboveBelow, OverloadedBalls, Potential) pays a scan
+// of the load histogram, O(max − min), at every check.
 type StopCond func(e *Engine) bool
 
 // UntilPerfect stops at perfect balance (disc < 1), the paper's balancing

@@ -390,31 +390,6 @@ func (r *Runner) shardedStop() sim.ShardedStop {
 	}
 }
 
-// attachShardedPhases hooks phase-crossing tracking into the sharded
-// engine's PostCheck: with P > 1 crossings are observed at epoch
-// barriers (the mode's granularity), with P = 1 at every activation —
-// matching the direct engine's move-exact times.
-func (r *Runner) attachShardedPhases(e *sim.Sharded) *PhaseTimes {
-	ph := &PhaseTimes{LogBalanced: -1, OneBalanced: -1, Perfect: -1}
-	logTarget := core.LogBalancedTarget(r.n)
-	observe := func(s *sim.Sharded) {
-		disc := s.Disc()
-		now := s.Time()
-		if ph.LogBalanced < 0 && disc <= logTarget {
-			ph.LogBalanced = now
-		}
-		if ph.OneBalanced < 0 && disc <= 1 {
-			ph.OneBalanced = now
-		}
-		if ph.Perfect < 0 && s.IsPerfect() {
-			ph.Perfect = now
-		}
-	}
-	e.PostCheck = observe
-	observe(e) // the initial configuration may already satisfy targets
-	return ph
-}
-
 // stop returns the effective stop condition, adapting UntilPerfect to the
 // Nash condition when speeds are configured.
 func (r *Runner) stop() func(e *sim.Engine) bool {
@@ -459,16 +434,15 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 	v := r.placement.gen.Generate(r.n, r.m, stream)
 	var res sim.Result
 	var raw []sim.TracePoint
-	var phases PhaseTimes
+	var tr *core.PhaseTracker
 	if r.spec.Mode == ShardedEngine {
 		e := sim.NewSharded(v, r.spec.Shards, r.spec.ShardEpoch, stream)
-		ph := r.attachShardedPhases(e)
+		tr = core.NewShardedPhaseTracker(e)
 		if every > 0 {
 			res, raw = e.RunTraced(r.shardedStop(), r.budget, every)
 		} else {
 			res = e.Run(r.shardedStop(), r.budget)
 		}
-		phases = *ph
 	} else {
 		e, err := r.spec.build(v, stream)
 		if err != nil {
@@ -480,16 +454,11 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 			// by up to a whole block (direct engines ignore the horizon).
 			e.SetHorizon(r.target.arg)
 		}
-		tr := core.NewPhaseTracker(e)
+		tr = core.NewPhaseTracker(e)
 		if every > 0 {
 			res, raw = e.RunTraced(r.stop(), r.budget, every)
 		} else {
 			res = e.Run(r.stop(), r.budget)
-		}
-		phases = PhaseTimes{
-			LogBalanced: tr.Times.LogBalanced,
-			OneBalanced: tr.Times.OneBalanced,
-			Perfect:     tr.Times.Perfect,
 		}
 	}
 	return Result{
@@ -499,7 +468,7 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 		Reached:     res.Stopped,
 		Final:       res.Final,
 		Disc:        res.Final.Disc(),
-		Phases:      phases,
+		Phases:      PhaseTimes(tr.Times),
 	}, toTracePoints(raw), nil
 }
 
