@@ -24,9 +24,6 @@ func (RLS) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	return dst, cfg.Load(src) >= cfg.Load(dst)+1
 }
 
-// Name implements sim.Mover.
-func (RLS) Name() string { return "rls" }
-
 // StrictRLS is the [12]/[11] variant discussed in §3: movement from i to
 // i′ only if ℓ_i > ℓ_{i′} + 1 (improvement by at least 2, i.e. neutral
 // moves are forbidden). The paper remarks that, bins and balls being
@@ -39,6 +36,3 @@ func (StrictRLS) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	dst := r.Intn(cfg.N())
 	return dst, cfg.Load(src) > cfg.Load(dst)+1
 }
-
-// Name implements sim.Mover.
-func (StrictRLS) Name() string { return "rls-strict" }

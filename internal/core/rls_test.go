@@ -45,14 +45,6 @@ func TestStrictRLSForbidsNeutral(t *testing.T) {
 	}
 }
 
-func TestRLSMoverNames(t *testing.T) {
-	rlsName := RLS{}.Name()
-	strictName := StrictRLS{}.Name()
-	if rlsName == "" || strictName == "" || rlsName == strictName {
-		t.Fatal("bad mover names")
-	}
-}
-
 // §3: under RLS the discrepancy never increases, the minimum load never
 // decreases, and the maximum load never increases. Property test over
 // random starts and full trajectories.
@@ -104,12 +96,12 @@ func TestRLSPerfectBalanceAbsorbing(t *testing.T) {
 // Both tie-rule variants balance; strict RLS cannot perform neutral moves
 // but reaches perfect balance all the same (§3 remark, ablation A2).
 func TestStrictAndPaperVariantsBothBalance(t *testing.T) {
-	for _, mover := range []sim.Mover{RLS{}, StrictRLS{}} {
+	for name, mover := range map[string]sim.Mover{"rls": RLS{}, "rls-strict": StrictRLS{}} {
 		v := loadvec.AllInOne().Generate(16, 64, nil)
 		e := sim.NewEngine(v, mover, rng.New(11))
 		res := e.Run(sim.UntilPerfect(), 2_000_000)
 		if !res.Stopped {
-			t.Fatalf("%s did not balance", mover.Name())
+			t.Fatalf("%s did not balance", name)
 		}
 	}
 }

@@ -333,6 +333,3 @@ func (g GraphRLS) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	dst := g.G.Neighbor(src, r.Intn(g.G.Degree(src)))
 	return dst, cfg.Load(src) >= cfg.Load(dst)+1
 }
-
-// Name implements sim.Mover.
-func (g GraphRLS) Name() string { return "rls@" + g.G.Name() }

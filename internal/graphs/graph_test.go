@@ -366,7 +366,6 @@ func (rlsLocal) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	dst := r.Intn(cfg.N())
 	return dst, cfg.Load(src) >= cfg.Load(dst)+1
 }
-func (rlsLocal) Name() string { return "rls-local" }
 
 // IsConnected reports whether the graph is connected (BFS).
 func IsConnected(g Graph) bool {

@@ -146,7 +146,7 @@ func TestWeightedEngineConservation(t *testing.T) {
 		e.Step()
 	}
 	sum := 0.0
-	for _, l := range e.Loads() {
+	for _, l := range e.loads {
 		sum += l
 	}
 	if math.Abs(sum-total) > 1e-6 {
@@ -166,7 +166,7 @@ func TestWeightedUnitWeightsReachPerfectBalance(t *testing.T) {
 	if !e.RunUntilNash(5_000_000, 16) {
 		t.Fatal("unit-weight engine did not reach Nash")
 	}
-	loads := e.Loads()
+	loads := e.loads
 	min, max := loads[0], loads[0]
 	for _, l := range loads {
 		if l < min {

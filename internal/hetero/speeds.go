@@ -53,9 +53,6 @@ func (s SpeedRLS) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	return dst, next < cur
 }
 
-// Name implements sim.Mover.
-func (s SpeedRLS) Name() string { return "rls-speeds" }
-
 // SpeedDisc returns the speed-normalized discrepancy
 // max_i |ℓ_i/s_i − m/S| with S = Σ s_j — the natural generalization of
 // disc(ℓ) (to which it reduces when all speeds are 1).

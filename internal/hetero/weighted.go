@@ -55,14 +55,8 @@ func NewWeightedEngine(n int, weights []float64, bins []int, r *rng.RNG) (*Weigh
 	return e, nil
 }
 
-// N returns the number of bins.
-func (e *WeightedEngine) N() int { return e.n }
-
 // Time returns elapsed continuous time.
 func (e *WeightedEngine) Time() float64 { return e.time }
-
-// Loads returns a copy of the per-bin weight totals.
-func (e *WeightedEngine) Loads() []float64 { return append([]float64(nil), e.loads...) }
 
 // TotalWeight returns Σ w_b.
 func (e *WeightedEngine) TotalWeight() float64 {

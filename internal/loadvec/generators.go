@@ -13,40 +13,34 @@ import (
 type Generator interface {
 	// Generate returns a fresh load vector with n bins and m balls.
 	Generate(n, m int, r *rng.RNG) Vector
-	// Name identifies the generator in tables and logs.
-	Name() string
 }
 
 // genFunc adapts a function to the Generator interface.
-type genFunc struct {
-	name string
-	fn   func(n, m int, r *rng.RNG) Vector
-}
+type genFunc func(n, m int, r *rng.RNG) Vector
 
-func (g genFunc) Generate(n, m int, r *rng.RNG) Vector { return g.fn(n, m, r) }
-func (g genFunc) Name() string                         { return g.name }
+func (g genFunc) Generate(n, m int, r *rng.RNG) Vector { return g(n, m, r) }
 
 // AllInOne places every ball in bin 0 — the paper's worst case, used for
 // the Ω(ln n) lower bound and as the canonical Phase-1 start (Lemma 2
 // reduces arbitrary configurations to this one).
 func AllInOne() Generator {
-	return genFunc{"all-in-one", func(n, m int, _ *rng.RNG) Vector {
+	return genFunc(func(n, m int, _ *rng.RNG) Vector {
 		v := make(Vector, n)
 		v[0] = m
 		return v
-	}}
+	})
 }
 
 // OneChoice throws each ball into a uniformly random bin — the classical
 // one-choice placement with Θ(ln n / ln ln n) discrepancy at m = n.
 func OneChoice() Generator {
-	return genFunc{"one-choice", func(n, m int, r *rng.RNG) Vector {
+	return genFunc(func(n, m int, r *rng.RNG) Vector {
 		v := make(Vector, n)
 		for b := 0; b < m; b++ {
 			v[r.Intn(n)]++
 		}
 		return v
-	}}
+	})
 }
 
 // TwoChoice places each ball greedily in the lesser loaded of two uniform
@@ -60,7 +54,7 @@ func DChoice(d int) Generator {
 	if d < 1 {
 		panic("loadvec: DChoice with d < 1")
 	}
-	return genFunc{fmt.Sprintf("%d-choice", d), func(n, m int, r *rng.RNG) Vector {
+	return genFunc(func(n, m int, r *rng.RNG) Vector {
 		v := make(Vector, n)
 		for b := 0; b < m; b++ {
 			best := r.Intn(n)
@@ -73,13 +67,13 @@ func DChoice(d int) Generator {
 			v[best]++
 		}
 		return v
-	}}
+	})
 }
 
 // Balanced spreads balls as evenly as possible: every bin gets ⌊m/n⌋ and
 // the first m mod n bins one extra. The result is perfectly balanced.
 func Balanced() Generator {
-	return genFunc{"balanced", func(n, m int, _ *rng.RNG) Vector {
+	return genFunc(func(n, m int, _ *rng.RNG) Vector {
 		v := make(Vector, n)
 		q, rem := m/n, m%n
 		for i := range v {
@@ -89,7 +83,7 @@ func Balanced() Generator {
 			}
 		}
 		return v
-	}}
+	})
 }
 
 // DeltaPair starts from the balanced configuration and moves delta balls
@@ -100,7 +94,7 @@ func DeltaPair(delta int) Generator {
 	if delta < 1 {
 		panic("loadvec: DeltaPair with delta < 1")
 	}
-	return genFunc{fmt.Sprintf("delta-pair(%d)", delta), func(n, m int, r *rng.RNG) Vector {
+	return genFunc(func(n, m int, r *rng.RNG) Vector {
 		if n < 2 {
 			panic("loadvec: DeltaPair needs n >= 2")
 		}
@@ -111,7 +105,7 @@ func DeltaPair(delta int) Generator {
 		v[0] += delta
 		v[1] -= delta
 		return v
-	}}
+	})
 }
 
 // ImbalancedPairs starts balanced, then creates `pairs` disjoint (+1, −1)
@@ -121,7 +115,7 @@ func ImbalancedPairs(pairs int) Generator {
 	if pairs < 1 {
 		panic("loadvec: ImbalancedPairs with pairs < 1")
 	}
-	return genFunc{fmt.Sprintf("pairs(%d)", pairs), func(n, m int, r *rng.RNG) Vector {
+	return genFunc(func(n, m int, r *rng.RNG) Vector {
 		if n < 2*pairs {
 			panic("loadvec: ImbalancedPairs needs n >= 2*pairs")
 		}
@@ -135,7 +129,7 @@ func ImbalancedPairs(pairs int) Generator {
 			v[lo]--
 		}
 		return v
-	}}
+	})
 }
 
 // HalfSpread produces the Lemma 13 shape: the first ⌊n/2⌋ bins at ∅+x,
@@ -145,7 +139,7 @@ func HalfSpread(x int) Generator {
 	if x < 0 {
 		panic("loadvec: HalfSpread with negative x")
 	}
-	return genFunc{fmt.Sprintf("half-spread(%d)", x), func(n, m int, r *rng.RNG) Vector {
+	return genFunc(func(n, m int, r *rng.RNG) Vector {
 		v := Balanced().Generate(n, m, r)
 		half := n / 2
 		for i := 0; i < half; i++ {
@@ -157,16 +151,16 @@ func HalfSpread(x int) Generator {
 			v[light] -= x
 		}
 		return v
-	}}
+	})
 }
 
 // FromVector always returns a copy of a fixed vector; n and m arguments
 // must match it.
 func FromVector(fixed Vector) Generator {
-	return genFunc{"fixed", func(n, m int, _ *rng.RNG) Vector {
+	return genFunc(func(n, m int, _ *rng.RNG) Vector {
 		if n != len(fixed) || m != fixed.Balls() {
 			panic("loadvec: FromVector with mismatched n or m")
 		}
 		return fixed.Clone()
-	}}
+	})
 }

@@ -1,7 +1,6 @@
 package loadvec
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -14,10 +13,10 @@ func checkGen(t *testing.T, g Generator, n, m int) Vector {
 	r := rng.New(123)
 	v := g.Generate(n, m, r)
 	if len(v) != n {
-		t.Fatalf("%s: got %d bins, want %d", g.Name(), len(v), n)
+		t.Fatalf("got %d bins, want %d", len(v), n)
 	}
 	if err := v.Validate(m); err != nil {
-		t.Fatalf("%s: %v", g.Name(), err)
+		t.Fatal(err)
 	}
 	return v
 }
@@ -148,33 +147,12 @@ func TestFromVector(t *testing.T) {
 	}()
 }
 
-func TestGeneratorNames(t *testing.T) {
-	gens := []Generator{
-		AllInOne(), OneChoice(), TwoChoice(), DChoice(3), Balanced(),
-		DeltaPair(1), ImbalancedPairs(2), HalfSpread(1), FromVector(Vector{1}),
-	}
-	seen := map[string]bool{}
-	for _, g := range gens {
-		name := g.Name()
-		if name == "" {
-			t.Error("empty generator name")
-		}
-		if seen[name] {
-			t.Errorf("duplicate generator name %q", name)
-		}
-		seen[name] = true
-	}
-	if !strings.Contains(DChoice(3).Name(), "3") {
-		t.Error("DChoice name should mention d")
-	}
-}
-
 func TestGeneratorDeterminismPerSeed(t *testing.T) {
-	for _, g := range []Generator{OneChoice(), TwoChoice()} {
+	for name, g := range map[string]Generator{"one-choice": OneChoice(), "two-choice": TwoChoice()} {
 		a := g.Generate(16, 64, rng.New(7))
 		b := g.Generate(16, 64, rng.New(7))
 		if !a.Equal(b) {
-			t.Errorf("%s: same seed produced different configurations", g.Name())
+			t.Errorf("%s: same seed produced different configurations", name)
 		}
 	}
 }

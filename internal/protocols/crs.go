@@ -121,9 +121,6 @@ func (c *CRS) RunUntilPerfect(r *rng.RNG, maxSteps int64) (int64, bool) {
 	return c.steps - start, c.loads.IsPerfect()
 }
 
-// Name identifies the protocol.
-func (c *CRS) Name() string { return "crs" }
-
 // Validate checks internal consistency (loads vs ball lists).
 func (c *CRS) Validate() error {
 	fresh := make(loadvec.Vector, c.n)

@@ -24,8 +24,6 @@ import (
 type RoundProtocol interface {
 	// Round executes one synchronous round, mutating cfg.
 	Round(cfg *loadvec.Config, r *rng.RNG)
-	// Name identifies the protocol.
-	Name() string
 }
 
 // RunRounds drives a synchronous protocol until stop returns true or

@@ -198,16 +198,6 @@ func TestThresholdReachesConstantFactorButNotPerfect(t *testing.T) {
 	}
 }
 
-func TestThresholdNames(t *testing.T) {
-	names := map[string]bool{}
-	for _, p := range []RoundProtocol{EvenDarMansour{}, DistributedSelfish{}, Threshold{Factor: 2, MoveProb: 0.5}} {
-		if p.Name() == "" || names[p.Name()] {
-			t.Fatalf("bad name %q", p.Name())
-		}
-		names[p.Name()] = true
-	}
-}
-
 func TestRunRoundsBudget(t *testing.T) {
 	cfg := loadvec.NewConfig(loadvec.Vector{150, 50, 100, 100})
 	p := Threshold{Factor: 2, MoveProb: 0.5}

@@ -49,9 +49,6 @@ func (EvenDarMansour) Round(cfg *loadvec.Config, r *rng.RNG) {
 	}
 }
 
-// Name implements RoundProtocol.
-func (EvenDarMansour) Name() string { return "even-dar-mansour" }
-
 // DistributedSelfish is the class-2 baseline without global knowledge
 // ([4], §2: "balls move to a randomly sampled bin with a probability
 // depending on the load difference", expected balancing time
@@ -77,9 +74,6 @@ func (DistributedSelfish) Round(cfg *loadvec.Config, r *rng.RNG) {
 		}
 	}
 }
-
-// Name implements RoundProtocol.
-func (DistributedSelfish) Name() string { return "distributed-selfish" }
 
 // Threshold is the class-3 baseline ([1], §2: "each ball has a threshold
 // and moves with a certain probability to a random bin whenever its
@@ -118,6 +112,3 @@ func (t Threshold) Round(cfg *loadvec.Config, r *rng.RNG) {
 		}
 	}
 }
-
-// Name implements RoundProtocol.
-func (t Threshold) Name() string { return "threshold" }

@@ -16,8 +16,6 @@ type Mover interface {
 	// Decide returns the destination bin and whether the ball moves.
 	// If move is false, dst is ignored.
 	Decide(cfg *loadvec.Config, src int, r *rng.RNG) (dst int, move bool)
-	// Name identifies the protocol.
-	Name() string
 }
 
 // Engine drives one continuous-time run. In the direct mode it repeatedly

@@ -15,7 +15,6 @@ import (
 type brokenMover struct{ dst int }
 
 func (b brokenMover) Decide(*loadvec.Config, int, *rng.RNG) (int, bool) { return b.dst, true }
-func (b brokenMover) Name() string                                      { return "broken" }
 
 func TestEngineSurvivesOrPanicsOnOutOfRangeMover(t *testing.T) {
 	// A mover returning an out-of-range destination must panic (index out
@@ -64,7 +63,6 @@ func TestForceMoveSelfLoopPanics(t *testing.T) {
 type selfMover struct{}
 
 func (selfMover) Decide(_ *loadvec.Config, src int, _ *rng.RNG) (int, bool) { return src, true }
-func (selfMover) Name() string                                              { return "self" }
 
 func TestEngineIgnoresSelfMoves(t *testing.T) {
 	v := loadvec.Vector{5, 3}

@@ -16,13 +16,11 @@ func (rlsRule) Decide(cfg *loadvec.Config, src int, r *rng.RNG) (int, bool) {
 	dst := r.Intn(cfg.N())
 	return dst, cfg.Load(src) >= cfg.Load(dst)+1
 }
-func (rlsRule) Name() string { return "rls-test" }
 
 // neverMove is a protocol that never moves, for time-accounting tests.
 type neverMove struct{}
 
 func (neverMove) Decide(*loadvec.Config, int, *rng.RNG) (int, bool) { return 0, false }
-func (neverMove) Name() string                                      { return "never" }
 
 func TestSamplerLoadsMatchVector(t *testing.T) {
 	v := loadvec.Vector{3, 0, 5, 1}

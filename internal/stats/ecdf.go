@@ -16,9 +16,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // At returns F(x) = P(X <= x) under the empirical measure.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {

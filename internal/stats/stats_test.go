@@ -10,12 +10,12 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Var() != 0 {
+	if s.n != 0 || s.Mean() != 0 || s.Var() != 0 {
 		t.Fatal("zero Summary not empty")
 	}
 	s.AddAll([]float64{1, 2, 3, 4, 5})
-	if s.N() != 5 {
-		t.Errorf("N = %d", s.N())
+	if s.n != 5 {
+		t.Errorf("n = %d", s.n)
 	}
 	if s.Mean() != 3 {
 		t.Errorf("Mean = %g", s.Mean())
@@ -120,7 +120,7 @@ func TestECDFAt(t *testing.T) {
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.At(0) != 0 || e.N() != 0 {
+	if e.At(0) != 0 || len(e.sorted) != 0 {
 		t.Fatal("empty ECDF misbehaves")
 	}
 }

@@ -33,9 +33,6 @@ func (s *Summary) AddAll(xs []float64) {
 	}
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the sample mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 

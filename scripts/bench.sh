@@ -26,8 +26,9 @@
 # Exp and normal draw (BenchmarkExp, BenchmarkNormFloat64), one Geometric
 # over p from 0.9 down to 1e-6 (BenchmarkGeometric) and one Erlang at
 # shapes 1, 4, 16 and 64 (BenchmarkErlang/k=*) — 512 uniform draws,
-# batched vs scalar (BenchmarkFillIntn), one configuration move with its tracked
-# statistics (BenchmarkConfigMove), one direct-engine step
+# batched vs scalar (BenchmarkFillIntn), one configuration move — loads,
+# histogram and min/max, the state every run reads (BenchmarkConfigMove),
+# one direct-engine step
 # (BenchmarkEngineStepBallList), the jump level index's chain step,
 # SampleMovePair + Move, ball draw, and one AddBall or RemoveBall under
 # its plain and strict tie rules (BenchmarkLevelIndexMove,
