@@ -108,8 +108,8 @@ func (c *Config) IsBalanced(x float64) bool { return c.Disc() <= x }
 
 // classify scans the histogram over [min, max] and returns the bins
 // strictly above and strictly below the average (the exact test n·ℓ vs
-// m) and sumOver = Σ_{i: ℓ_i > ∅} ℓ_i. It costs O(max − min), so only
-// the analysis reads that call it belong off the hot path.
+// m) and sumOver = Σ_{i: ℓ_i > ∅} ℓ_i. It costs O(max − min); nothing
+// on an engine's per-move path calls it.
 func (c *Config) classify() (h, k, sumOver int) {
 	for v := c.min; v <= c.max; v++ {
 		switch cnt := c.count[v]; {

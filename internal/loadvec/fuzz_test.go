@@ -3,8 +3,8 @@ package loadvec
 import "testing"
 
 // FuzzConfigMoveSequence drives a Config through an arbitrary move
-// sequence decoded from fuzz bytes and cross-checks every incrementally
-// tracked statistic against a from-scratch recomputation.
+// sequence decoded from fuzz bytes and cross-checks its cached state and
+// analysis reads against a from-scratch recomputation.
 func FuzzConfigMoveSequence(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1}, []byte{0x01, 0x23, 0x10})
 	f.Add([]byte{9, 0, 0, 0, 0}, []byte{0x01, 0x02, 0x03, 0x04})
@@ -32,7 +32,7 @@ func FuzzConfigMoveSequence(f *testing.F) {
 			}
 			c.Move(src, dst)
 		}
-		if err := c.Validate(); err != nil {
+		if err := validateAll(c); err != nil {
 			t.Fatalf("incremental state diverged: %v", err)
 		}
 		if c.M() != total {
