@@ -17,8 +17,12 @@ import (
 )
 
 // BenchmarkBalanceToPerfection measures whole-run cost of the public API
-// across (n, m) regimes; the per-activation metric is the engine's
-// throughput figure.
+// across (n, m) regimes, direct against jump on each cell: the direct arm
+// keeps the cell's name and the jump arm appends ",jump". Both report
+// ns/activation and ns/move beside the per-run counts; the unit of work
+// is an activation for direct and a move for jump, so compare ns per
+// unit across the arms, not ns/op, which carries the random balancing
+// time.
 func BenchmarkBalanceToPerfection(b *testing.B) {
 	cases := []struct {
 		name string
@@ -30,20 +34,31 @@ func BenchmarkBalanceToPerfection(b *testing.B) {
 		{"n=64,m=65536", 64, 65536},
 	}
 	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var totalActs int64
-			for i := 0; i < b.N; i++ {
-				res, err := New(c.n, c.m, WithSeed(uint64(i)+1)).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Reached {
-					b.Fatal("did not balance")
-				}
-				totalActs += res.Activations
+		for _, mode := range []EngineMode{DirectEngine, JumpEngine} {
+			name := c.name
+			if mode == JumpEngine {
+				name += ",jump"
 			}
-			b.ReportMetric(float64(totalActs)/float64(b.N), "activations/run")
-		})
+			b.Run(name, func(b *testing.B) {
+				var totalActs, totalMoves int64
+				for i := 0; i < b.N; i++ {
+					res, err := New(c.n, c.m, WithSeed(uint64(i)+1), WithEngineMode(mode)).Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.Reached {
+						b.Fatal("did not balance")
+					}
+					totalActs += res.Activations
+					totalMoves += res.Moves
+				}
+				ns := float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(float64(totalActs)/float64(b.N), "activations/run")
+				b.ReportMetric(float64(totalMoves)/float64(b.N), "moves/run")
+				b.ReportMetric(ns/float64(totalActs), "ns/activation")
+				b.ReportMetric(ns/float64(totalMoves), "ns/move")
+			})
+		}
 	}
 }
 

@@ -35,9 +35,11 @@
 //     total move weight W = Σ_v v·count[v]·C(v−1) in O(log Δ) per move
 //     (a 16-ary prefix-sum tree over the per-level weights, one write per
 //     tree level and an O(1) leaf read per update, beside an O(1)-update
-//     prefix-count array C); each step skips a Geometric(W/(m·n)) block
-//     of null activations, advances time by the matching Gamma(k, m)
-//     gap, and samples the productive (src, dst) pair exactly. Cost is
+//     prefix-count array C); each step advances time by one Exp(W/n) gap
+//     to the next move and samples the productive (src, dst) pair
+//     exactly. The null activations between moves form an independent
+//     Poisson stream of rate m − W/n (thinning), so the engine only adds
+//     up its mean and tallies it with one Poisson draw per run. Cost is
 //     O(log Δ) per move, ~215–385 ns on perfbench's sweep-complete jump
 //     cells (2 cores).
 //     Two protocol variants ride the same machinery: the strict (>) tie
@@ -83,9 +85,12 @@
 // graph variants; run `go test -bench ExpA4`). They are not
 // byte-identical streams: the jump engine draws different random numbers.
 // The only observable difference is granularity between moves: direct
-// runs can trace or stop at any activation, jump runs only at moves, so
-// per-activation traces coarsen to per-move blocks and time- or
-// activation-targeted stops may overshoot by one block.
+// runs can trace or stop at any activation, jump runs only at moves. A
+// jump run's activation count is exact in law at the end of every run
+// (Runner run or Session run); mid-run it reads the moves plus the
+// integer part of the untallied null mass, so activation targets and
+// trace points fire at the first move on or past them, and time targets
+// may overshoot by one gap.
 //
 // The sharded engine's law matches the sequential process up to its
 // epoch granularity: cross-shard moves land at barriers rather than
@@ -122,9 +127,8 @@
 //
 // Time targets: DirectEngine stops at the first activation on or past
 // the target (a ~Exp(m) overshoot); the jump engine clamps its final
-// block so UntilTime runs report exactly the target time, with the
-// truncated block's null activations tallied by an exact thinned Poisson
-// draw.
+// gap so UntilTime runs report exactly the target time, with the null
+// activations of the window up to it in the run's Poisson tally.
 //
 // Choosing a mode by regime:
 //

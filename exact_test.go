@@ -96,6 +96,13 @@ func TestExactMeanBalanceTimeValues(t *testing.T) {
 // two-sided z-test at α = 0.001 per cell (|z| ≤ 3.2905), over 20 000 runs
 // each from the all-in-one start. Each engine draws its seeds from its
 // own salted sequence so no two engines share a stream.
+//
+// The same runs gate the mean activation count against m·E[T]. The m
+// activation clocks tick at total rate m, so by Wald's identity the
+// activations up to the stopping time T have mean m·E[T] — for the
+// direct engine, which draws each one, and for the jump engines, whose
+// count is their moves plus a Poisson tally of the null mass. This anchors
+// the jump engines' tally, which the time gate cannot see.
 func TestExactMeanBalanceTimeGate(t *testing.T) {
 	const (
 		reps  = 20000
@@ -114,6 +121,7 @@ func TestExactMeanBalanceTimeGate(t *testing.T) {
 		want := exactMeanBalanceTime(cell.n, cell.m)
 		for _, eng := range engines {
 			var sum, sumSq float64
+			var acts, actsSq float64
 			for i := 0; i < reps; i++ {
 				seed := (1 + uint64(i)*0x5851f42d4c957f2d) ^ eng.salt
 				opts := append([]Option{WithSeed(seed)}, eng.opts...)
@@ -126,6 +134,9 @@ func TestExactMeanBalanceTimeGate(t *testing.T) {
 				}
 				sum += res.Time
 				sumSq += res.Time * res.Time
+				a := float64(res.Activations)
+				acts += a
+				actsSq += a * a
 			}
 			mean := sum / reps
 			sd := math.Sqrt((sumSq - reps*mean*mean) / (reps - 1))
@@ -135,6 +146,16 @@ func TestExactMeanBalanceTimeGate(t *testing.T) {
 					eng.name, cell.n, cell.m, mean, want, z, zCrit)
 			} else {
 				t.Logf("%s n=%d m=%d: mean T %.5f vs exact %.5f (z = %+.2f)", eng.name, cell.n, cell.m, mean, want, z)
+			}
+			wantActs := float64(cell.m) * want
+			meanActs := acts / reps
+			sdActs := math.Sqrt((actsSq - reps*meanActs*meanActs) / (reps - 1))
+			zActs := (meanActs - wantActs) / (sdActs / math.Sqrt(reps))
+			if math.Abs(zActs) > zCrit {
+				t.Errorf("%s n=%d m=%d: mean activations %.3f vs m·E[T] %.3f (z = %.2f, |z| > %.4f)",
+					eng.name, cell.n, cell.m, meanActs, wantActs, zActs, zCrit)
+			} else {
+				t.Logf("%s n=%d m=%d: mean activations %.3f vs m·E[T] %.3f (z = %+.2f)", eng.name, cell.n, cell.m, meanActs, wantActs, zActs)
 			}
 		}
 	}

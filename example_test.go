@@ -41,8 +41,9 @@ func Example_quickstart() {
 // all-in-one start. The trajectories differ (the jump engine draws
 // different random numbers) but follow the same law; the difference is
 // that the direct engine simulates its hundreds of thousands of
-// activations one by one, while the jump engine tallies all the null ones
-// in geometric blocks and only ever executes its ~5300 moves.
+// activations one by one, while the jump engine only ever executes its
+// few thousand moves, one Exp gap each, and tallies all the null
+// activations in one Poisson draw at the end of the run.
 func ExampleWithEngineMode() {
 	direct, err := rls.New(512, 512, rls.WithSeed(7)).Run()
 	if err != nil {
@@ -58,7 +59,7 @@ func ExampleWithEngineMode() {
 		jump.Reached, jump.Activations, jump.Moves)
 	// Output:
 	// direct: balanced=true after 129727 activations, 4653 moves
-	// jump:   balanced=true after 305770 activations, 5284 moves
+	// jump:   balanced=true after 89179 activations, 3572 moves
 }
 
 // A Session is the long-running form: balls join and leave (churn) between
@@ -95,8 +96,8 @@ func ExampleSession() {
 }
 
 // Targets other than perfect balance: UntilTime stops at a continuous-time
-// horizon — and in the jump modes the final geometric block is clamped so
-// the reported time is exactly the horizon, never past it.
+// horizon — and in the jump modes the final gap is clamped so the
+// reported time is exactly the horizon, never past it.
 func ExampleWithTarget() {
 	res, err := rls.New(64, 640,
 		rls.WithSeed(3),
@@ -110,7 +111,7 @@ func ExampleWithTarget() {
 	fmt.Printf("discrepancy after 2 time units: %.2f\n", res.Disc)
 	// Output:
 	// stopped at exactly t=2: true
-	// discrepancy after 2 time units: 87.00
+	// discrepancy after 2 time units: 83.00
 }
 
 // The service form: cmd/rlsd hosts many concurrent Sessions as tenants

@@ -127,9 +127,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 256, WithSeed(42), WithEngineMode(JumpEngine), WithStrictTieRule()).Run()
 			},
-			time:    "401480382683d51d",
-			acts:    1333,
-			moves:   326,
+			time:    "401d3c7fbd4a3bb6",
+			acts:    1830,
+			moves:   320,
 			loadSum: 0x79c21ec9e9d0c725,
 		},
 		{
@@ -137,9 +137,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine)).Run()
 			},
-			time:    "4014c36c5df2003b",
-			acts:    21203,
-			moves:   8118,
+			time:    "4016179e3e5c9d43",
+			acts:    22466,
+			moves:   8055,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -147,9 +147,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(21), WithEngineMode(JumpEngine), WithPlacement(Random())).Run()
 			},
-			time:    "3ff420b6ad527c01",
-			acts:    5073,
-			moves:   809,
+			time:    "3ff67f89e56d8ce3",
+			acts:    5771,
+			moves:   765,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -157,9 +157,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(64, 4096, WithSeed(23), WithEngineMode(JumpEngine), WithStrictTieRule()).Run()
 			},
-			time:    "4011aa4465cae973",
-			acts:    18236,
-			moves:   5161,
+			time:    "40164dedc151afa8",
+			acts:    23149,
+			moves:   5123,
 			loadSum: 0xf21978e6eba74b25,
 		},
 		{
@@ -167,9 +167,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 64, WithSeed(5), WithEngineMode(JumpEngine), WithTopology(RingTopology())).Run()
 			},
-			time:    "4060a08afbec8cba",
-			acts:    8518,
-			moves:   2092,
+			time:    "4060249b9c73c573",
+			acts:    8182,
+			moves:   2000,
 			loadSum: 0x40789c74d104fb25,
 		},
 		{
@@ -177,9 +177,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(16, 64, WithSeed(13), WithEngineMode(JumpEngine), WithTopology(TorusTopology(4))).Run()
 			},
-			time:    "40203c17cf4cc6d9",
-			acts:    503,
-			moves:   182,
+			time:    "4025f15c25282577",
+			acts:    692,
+			moves:   242,
 			loadSum: 0x0b0c357ea927a925,
 		},
 		{
@@ -187,9 +187,9 @@ func TestGoldenJumpVariants(t *testing.T) {
 			run: func() (Result, error) {
 				return New(32, 128, WithSeed(9), WithEngineMode(JumpEngine), WithTopology(HypercubeTopology(5))).Run()
 			},
-			time:    "402331760e08e9db",
-			acts:    1273,
-			moves:   496,
+			time:    "40312cf178c4c7ab",
+			acts:    2209,
+			moves:   552,
 			loadSum: 0x072f1a1fb8392f25,
 		},
 	}
@@ -298,10 +298,10 @@ func TestGoldenJumpSessionChurn(t *testing.T) {
 		}
 	}
 	const (
-		wantTime  = "403b4a39353f94c0"
-		wantActs  = int64(5572)
-		wantMoves = int64(1333)
-		wantHash  = uint64(0x0c09cc2c8b307a45)
+		wantTime  = "40387ec2f52207b9"
+		wantActs  = int64(5319)
+		wantMoves = int64(1373)
+		wantHash  = uint64(0x66a8355a347bdc25)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())

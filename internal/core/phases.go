@@ -20,13 +20,50 @@ type PhaseTimes struct {
 	Perfect float64
 }
 
+// Phase is the furthest §6 boundary a configuration has crossed. The
+// boundaries nest — 96·ln n ≥ 1 once n ≥ 2, and one bin always has
+// disc 0 — so a later phase implies every earlier one.
+type Phase uint8
+
+const (
+	Unbalanced  Phase = iota // disc > 96·ln n
+	LogBalanced              // disc ≤ 96·ln n, the Phase 1 target
+	OneBalanced              // disc ≤ 1, the Phase 2 target
+	Perfect                  // disc < 1, the Phase 3 target (Theorem 1's T)
+)
+
+var phaseNames = [...]string{"unbalanced", "log-balanced", "one-balanced", "perfect"}
+
+func (p Phase) String() string { return phaseNames[p] }
+
+// LogBalancedTarget is the Phase 1 boundary 96·ln n over n bins, the
+// explicit constant of Lemma 10.
+func LogBalancedTarget(n int) float64 { return 96 * math.Log(float64(n)) }
+
+// PhaseOf places a discrepancy over n bins against the §6 boundaries.
+func PhaseOf(n int, disc float64) Phase { return phaseAt(disc, LogBalancedTarget(n)) }
+
+// phaseAt is PhaseOf with the Phase 1 boundary already computed, so a
+// tracker pays no logarithm per move.
+func phaseAt(disc, logTarget float64) Phase {
+	switch {
+	case disc < 1:
+		return Perfect
+	case disc <= 1:
+		return OneBalanced
+	case disc <= logTarget:
+		return LogBalanced
+	}
+	return Unbalanced
+}
+
 // PhaseTracker fills in PhaseTimes as a run goes. It reads only the
-// discrepancy and the perfect-balance test, both O(1), so every Runner
-// run attaches one. The §3 monotonicity checks live in MonotoneWatch.
+// discrepancy, O(1), so every Runner run attaches one. The §3
+// monotonicity checks live in MonotoneWatch.
 type PhaseTracker struct {
 	Times PhaseTimes
 
-	logTarget float64 // 96 ln n
+	logTarget float64 // LogBalancedTarget(n)
 }
 
 // NewPhaseTracker builds a tracker for an engine about to run and attaches
@@ -34,7 +71,7 @@ type PhaseTracker struct {
 // Discrepancy only changes on moves, so crossing times are move-exact.
 func NewPhaseTracker(e *sim.Engine) *PhaseTracker {
 	t := newPhaseTracker(e.Cfg().N())
-	observe := func(e *sim.Engine) { t.observe(e.Time(), e.Cfg().Disc(), e.Cfg().IsPerfect()) }
+	observe := func(e *sim.Engine) { t.observe(e.Time(), e.Cfg().Disc()) }
 	observe(e) // the initial configuration may already satisfy targets
 	chainPostMove(e, observe)
 	return t
@@ -46,7 +83,7 @@ func NewPhaseTracker(e *sim.Engine) *PhaseTracker {
 // direct engine's move-exact times.
 func NewShardedPhaseTracker(e *sim.Sharded) *PhaseTracker {
 	t := newPhaseTracker(e.N())
-	observe := func(s *sim.Sharded) { t.observe(s.Time(), s.Disc(), s.IsPerfect()) }
+	observe := func(s *sim.Sharded) { t.observe(s.Time(), s.Disc()) }
 	observe(e)
 	e.PostCheck = observe
 	return t
@@ -55,20 +92,21 @@ func NewShardedPhaseTracker(e *sim.Sharded) *PhaseTracker {
 func newPhaseTracker(n int) *PhaseTracker {
 	return &PhaseTracker{
 		Times:     PhaseTimes{LogBalanced: -1, OneBalanced: -1, Perfect: -1},
-		logTarget: 96 * math.Log(float64(n)),
+		logTarget: LogBalancedTarget(n),
 	}
 }
 
-// observe records every boundary the state (disc, perfect) at time now
+// observe records every boundary the discrepancy disc at time now
 // crosses for the first time — the one crossing rule of both engines.
-func (t *PhaseTracker) observe(now, disc float64, perfect bool) {
-	if t.Times.LogBalanced < 0 && disc <= t.logTarget {
+func (t *PhaseTracker) observe(now, disc float64) {
+	p := phaseAt(disc, t.logTarget)
+	if t.Times.LogBalanced < 0 && p >= LogBalanced {
 		t.Times.LogBalanced = now
 	}
-	if t.Times.OneBalanced < 0 && disc <= 1 {
+	if t.Times.OneBalanced < 0 && p >= OneBalanced {
 		t.Times.OneBalanced = now
 	}
-	if t.Times.Perfect < 0 && perfect {
+	if t.Times.Perfect < 0 && p == Perfect {
 		t.Times.Perfect = now
 	}
 }

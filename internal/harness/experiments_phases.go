@@ -43,7 +43,7 @@ func init() {
 					{"∅ > 16 ln n", 32 * n * int(math.Ceil(logf(n)))},
 				}
 				for _, br := range branches {
-					target := 96 * logf(n)
+					target := core.LogBalancedTarget(n)
 					m := br.m
 					times := Replicate(cfg.Seed^uint64(n+m), reps, func(r *rng.RNG) float64 {
 						v := loadvec.AllInOne().Generate(n, m, r)

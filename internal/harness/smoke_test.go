@@ -54,10 +54,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 // statistic behind that table changed its output.
 var tablePins = map[string]uint64{
 	"A2":   0xe08da1b88942f56c,
-	"A4":   0xc307b6eb2e8b130f,
+	"A4":   0x86b7227ccdeb0629,
 	"A5":   0x00804c617b3e4227,
-	"A7":   0xa3ef6b003f323df1,
-	"A8":   0xb6cc4e8bb6f86978,
+	"A7":   0x9184563c73df1faa,
+	"A8":   0x45a7b1e8a81ee6ac,
 	"CMP1": 0x9a35063769f1ac5d,
 	"CMP2": 0xa130f1473eb7a3ca,
 	"CMP3": 0x32d76039913a6e39,

@@ -23,14 +23,16 @@ func (r *RNG) Exp(lambda float64) float64 {
 
 // Geometric returns a geometric variate with success probability p,
 // counting the number of trials up to and including the first success
-// (support {1, 2, ...}, mean 1/p). It panics unless 0 < p <= 1.
+// (support {1, 2, ...}, mean 1/p). It panics unless 0 < p <= 1. No
+// engine calls it since the jump engine draws one Exp gap per move; it
+// stays for perfbench's per-draw probes, which time it.
 //
 // Sampling is ⌈E / −ln(1−p)⌉ with E a ziggurat Exp(1) draw, which is
 // exact (P(⌈E/c⌉ > k) = e^{−kc} = (1−p)^k) and O(1) regardless of p: one
 // math.Log1p and no math.Log. For tiny p the quotient can exceed the
 // int64 range; the result saturates at math.MaxInt64 rather than relying
 // on Go's platform-defined out-of-range float-to-int conversion (which on
-// amd64 yields MinInt64 — the opposite extreme of the correct huge block).
+// amd64 yields MinInt64 — the opposite extreme of the correct huge value).
 func (r *RNG) Geometric(p float64) int64 {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric with p outside (0,1]")

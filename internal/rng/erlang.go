@@ -11,9 +11,10 @@ import "math"
 const erlangSumCutoff = 3
 
 // Erlang returns a Gamma(k, rate) variate for integer shape k ≥ 1 — the
-// law of the sum of k independent Exp(rate) gaps. The jump engine uses it
-// to advance continuous time over a geometrically distributed block of
-// null activations in O(1) instead of drawing the k gaps one by one.
+// law of the sum of k independent Exp(rate) gaps — in O(1). No engine
+// calls it: the jump engine draws one Exp gap per move and tallies the
+// null activations with a Poisson draw. It stays for perfbench's
+// per-draw probes, which time it.
 //
 // Both paths are exact samplers: shapes up to erlangSumCutoff sum
 // ziggurat exponentials, larger shapes use the Marsaglia–Tsang rejection

@@ -18,12 +18,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	rls "repro"
+	"repro/internal/core"
 )
 
 // Config sizes the service's admission control. The zero value gets
@@ -438,19 +438,11 @@ func (t *tenant) telemetryFrame() []byte {
 	return frame
 }
 
-// phaseOf classifies the discrepancy against the paper's §6 phase
-// boundaries: perfect (disc < 1), one-balanced (≤ 1), log-balanced
-// (≤ 96 ln n), else unbalanced; an empty session is its own phase.
+// phaseOf names the §6 phase of the discrepancy (core.PhaseOf); an
+// empty session is its own phase.
 func phaseOf(balls, bins int, disc float64) string {
-	switch {
-	case balls == 0:
+	if balls == 0 {
 		return "empty"
-	case disc < 1:
-		return "perfect"
-	case disc <= 1:
-		return "one-balanced"
-	case disc <= 96*math.Log(float64(bins)):
-		return "log-balanced"
 	}
-	return "unbalanced"
+	return core.PhaseOf(bins, disc).String()
 }

@@ -20,9 +20,10 @@ type Mover interface {
 
 // Engine drives one continuous-time run. In the direct mode it repeatedly
 // advances time by an Exp(m) gap, activates a uniformly random ball, and
-// applies the Mover's decision; in jump mode (NewJumpEngine) it advances
-// one whole block of null activations plus the move that ends it per
-// Step. Adversaries (Lemma 2) may inject extra moves through ForceMove
+// applies the Mover's decision; in jump mode (NewJumpEngine) each Step
+// advances time to the next move by one Exp gap and applies that move,
+// leaving the null activations in between to a Poisson tally drawn once
+// at the end of each run (Advance). Adversaries (Lemma 2) may inject extra moves through ForceMove
 // from a PostMove hook.
 type Engine struct {
 	cfg   *loadvec.Config
@@ -37,12 +38,19 @@ type Engine struct {
 	moves       int64
 	forced      int64
 
+	// null is the jump engine's pending null-activation mass Λ: the mean
+	// number of null activations since the last tally, accumulated as
+	// (m − R)·gap per move at move rate R. Advance ends every run by
+	// adding one Poisson(Λ) draw to activations and zeroing it, so it is 0
+	// between runs; the direct engine never touches it.
+	null float64
+
 	// horizon, when positive, is the continuous-time target of the current
-	// run. Only jump mode consults it: stepJump clamps the geometric block
-	// that would land past the horizon, so time-targeted jump runs stop at
-	// exactly the horizon instead of overshooting by up to a whole block
-	// (~m·n/W activations near balance). Direct mode keeps its
-	// per-activation granularity and ignores it.
+	// run. Only jump mode consults it: stepJump discards the gap that
+	// would land past the horizon, so time-targeted jump runs stop at
+	// exactly the horizon instead of overshooting by up to a whole gap
+	// (~n/R near balance). Direct mode keeps its per-activation
+	// granularity and ignores it.
 	horizon float64
 
 	// PostMove, if non-nil, runs after every protocol move with the move's
@@ -71,8 +79,14 @@ func (e *Engine) Cfg() *loadvec.Config { return e.cfg }
 // Time returns the elapsed continuous time.
 func (e *Engine) Time() float64 { return e.time }
 
-// Activations returns the number of ball activations so far.
-func (e *Engine) Activations() int64 { return e.activations }
+// Activations returns the number of ball activations so far. Between runs
+// it is exact. During a jump run it reads the moves and earlier tallies
+// plus ⌊Λ⌋, the integer part of the pending null mass: a deterministic,
+// move-granular count that draws nothing, so budgets, UntilActivations
+// and trace boundaries still fire. The next tally (the end of the run, or
+// a RunTraced point) replaces ⌊Λ⌋ with a Poisson(Λ) draw, which may land
+// below it.
+func (e *Engine) Activations() int64 { return e.activations + int64(e.null) }
 
 // Moves returns the number of protocol moves so far.
 func (e *Engine) Moves() int64 { return e.moves }
@@ -84,16 +98,18 @@ func (e *Engine) ForcedMoves() int64 { return e.forced }
 func (e *Engine) RNG() *rng.RNG { return e.r }
 
 // SetHorizon declares the continuous-time target of the next run (0
-// clears it). Jump mode clamps its final geometric block there — the move
-// that would land beyond the horizon is not applied, the null activations
-// before it are tallied in one conditioned Poisson draw, and the clock
+// clears it). Jump mode clamps its final gap there — the move that would
+// land beyond the horizon is not applied, the null mass (m − R)·(T − t)
+// of the remaining window joins the run's Poisson tally, and the clock
 // lands on the horizon exactly — so UntilTime runs never report a time
 // past the target. Callers driving a persistent engine (Session) must
 // clear the horizon before non-time-targeted runs.
 func (e *Engine) SetHorizon(t float64) { e.horizon = t }
 
-// Step performs one activation (direct mode) or one jump-chain block
-// (jump mode) and returns whether a ball moved. A direct activation
+// Step performs one activation (direct mode) or one jump-chain move
+// (jump mode) and returns whether a ball moved. A caller that drives a
+// jump engine by Step alone sees move-granular Activations (see there)
+// until its next Advance tallies the null mass. A direct activation
 // advances time by Exp(m), the gap of the superposition of m rate-1
 // clocks, and activates a uniformly random ball.
 func (e *Engine) Step() bool {
@@ -199,6 +215,8 @@ const DefaultActivationBudget = 1_000_000_000
 
 // Run advances the engine until stop returns true or maxActivations is
 // exhausted (pass maxActivations <= 0 for DefaultActivationBudget).
+// Both the stop condition and the budget read Activations, so on a jump
+// engine they fire at move granularity.
 func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
 	stopped := e.Advance(stop, maxActivations)
 	return Result{
@@ -220,11 +238,24 @@ func (e *Engine) Advance(stop StopCond, maxActivations int64) bool {
 		maxActivations = DefaultActivationBudget
 	}
 	stopped := stop(e)
-	for !stopped && e.activations < maxActivations {
+	for !stopped && e.Activations() < maxActivations {
 		e.Step()
 		stopped = stop(e)
 	}
+	e.tallyNull()
 	return stopped
+}
+
+// tallyNull adds one Poisson(Λ) draw for the pending null mass to the
+// activation count and zeroes it. By Poisson thinning the null
+// activations form a Poisson process independent of the moves, so one
+// draw per run (or several over a split of Λ) is exact in law. It draws
+// nothing when Λ = 0, which keeps the direct engine's stream untouched.
+func (e *Engine) tallyNull() {
+	if e.null > 0 {
+		e.activations += e.r.Poisson(e.null)
+		e.null = 0
+	}
 }
 
 // TracePoint is one sample of a run's trajectory. It holds only O(1)
@@ -241,13 +272,17 @@ type TracePoint struct {
 // RunTraced behaves like Run but also samples the trajectory every
 // `every` activations (and at the initial and final states). It is Run
 // with a stop condition that records a point before consulting stop.
-// Jump-mode steps advance the activation counter by whole blocks, so
-// there a point is recorded at the first step on or past each `every`
-// boundary.
+// A jump engine's activation count is move-granular, so there a point is
+// recorded at the first move on or past each `every` boundary, and each
+// point first tallies the pending null mass: the activation column is
+// then an exact, non-decreasing count that ends at Result.Activations.
+// The extra Poisson draws make a traced jump run follow another
+// trajectory than an untraced one of the same seed, with the same law.
 func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, []TracePoint) {
 	every = max(every, 1)
 	var trace []TracePoint
 	record := func() {
+		e.tallyNull()
 		trace = append(trace, TracePoint{
 			Time:        e.time,
 			Activations: e.activations,
@@ -259,16 +294,20 @@ func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, 
 	record()
 	nextRecord := e.activations + every
 	res := e.Run(func(e *Engine) bool {
-		if e.activations >= nextRecord {
+		// The boundary is the one crossed before the point's tally, which
+		// may land below it.
+		if acts := e.Activations(); acts >= nextRecord {
 			record()
-			nextRecord = (e.activations/every + 1) * every
+			nextRecord = (acts/every + 1) * every
 		}
 		return stop(e)
 	}, maxActivations)
 	// Close the trace with the final state unless the last boundary point
-	// already captured it (the activation counter only moves in Step, so
-	// equal counters mean an identical state — no duplicate point).
-	if trace[len(trace)-1].Activations != e.activations {
+	// already captured it (no duplicate point). Every direct activation
+	// and every jump move bumps the counter, so an equal counter and clock
+	// mean an identical state; a jump run's clamped final gap moves only
+	// the clock.
+	if last := trace[len(trace)-1]; last.Activations != e.activations || last.Time != e.time {
 		record()
 	}
 	return res, trace

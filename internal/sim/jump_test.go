@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/loadvec"
@@ -104,6 +105,62 @@ func TestJumpEngineFlatHorizon(t *testing.T) {
 	}
 }
 
+// TestJumpActivationTargetsAndTrace pins the move-granular activation
+// reads of jump runs over several seeds: UntilActivations(k) stops near k
+// instead of running on until k moves, a traced run's activation column
+// is non-decreasing and ends at Result.Activations, and both repeat
+// exactly for a fixed seed.
+func TestJumpActivationTargetsAndTrace(t *testing.T) {
+	// m/n is not an integer, so the configuration never goes flat and a
+	// move near balance closes only a few null activations.
+	const n, m, k, every = 64, 520, 20000, 1000
+	run := func(seed uint64) (Result, Result, []TracePoint) {
+		e := NewJumpEngine(loadvec.AllInOne().Generate(n, m, nil), rng.New(seed))
+		res := e.Run(UntilActivations(k), 0)
+		e = NewJumpEngine(loadvec.AllInOne().Generate(n, m, nil), rng.New(seed))
+		tres, trace := e.RunTraced(UntilActivations(k), 0, every)
+		return res, tres, trace
+	}
+	// The closing tally swaps ⌊Λ⌋ (Λ < k) for Poisson(Λ), and the final
+	// move adds its own nulls.
+	slack := 6*math.Sqrt(k) + 20*n
+	for seed := uint64(1); seed <= 8; seed++ {
+		res, tres, trace := run(seed)
+		for _, r := range []Result{res, tres} {
+			if !r.Stopped {
+				t.Fatalf("seed %d: UntilActivations(%d) did not stop: %v", seed, k, r)
+			}
+			if d := math.Abs(float64(r.Activations - k)); d > slack {
+				t.Fatalf("seed %d: stopped at %d activations, want %d ± %.0f", seed, r.Activations, k, slack)
+			}
+		}
+		// One point per boundary crossed, each tallied exactly, between
+		// the initial and final points.
+		if len(trace) < k/every || len(trace) > k/every+2 {
+			t.Fatalf("seed %d: %d trace points for %d activations every %d", seed, len(trace), k, every)
+		}
+		for i := 1; i < len(trace)-1; i++ {
+			if d := math.Abs(float64(trace[i].Activations - int64(i)*every)); d > slack {
+				t.Fatalf("seed %d: trace point %d at %d activations, want %d ± %.0f", seed, i, trace[i].Activations, i*every, slack)
+			}
+		}
+		for i := 1; i < len(trace); i++ {
+			if trace[i].Activations < trace[i-1].Activations || trace[i].Time < trace[i-1].Time {
+				t.Fatalf("seed %d: trace point %d (%d, %v) after (%d, %v)", seed, i,
+					trace[i].Activations, trace[i].Time, trace[i-1].Activations, trace[i-1].Time)
+			}
+		}
+		if last := trace[len(trace)-1]; last.Activations != tres.Activations || last.Time != tres.Time {
+			t.Fatalf("seed %d: trace ends at (%d, %v), run at (%d, %v)", seed,
+				last.Activations, last.Time, tres.Activations, tres.Time)
+		}
+		res2, tres2, trace2 := run(seed)
+		if !reflect.DeepEqual(res, res2) || !reflect.DeepEqual(tres, tres2) || !reflect.DeepEqual(trace, trace2) {
+			t.Fatalf("seed %d: runs do not repeat", seed)
+		}
+	}
+}
+
 // TestJumpHorizonMatchesDirectLaw is the regression gate for the
 // truncated final block: at a fixed horizon the direct and jump engines
 // must agree on the law of the activation and move counts (the truncated
@@ -193,8 +250,8 @@ func TestJumpEngineForceMoveAndHook(t *testing.T) {
 
 // TestJumpMatchesDirectLaw is the law-equivalence gate at unit scale: the
 // balancing-time samples of the two engines must pass a two-sample KS
-// test, and the mean activation counts must agree (the geometric blocks
-// count exactly the skipped nulls). Experiment A4 runs the full-size
+// test, and the mean activation counts must agree (the Poisson tally
+// counts the skipped nulls exactly in law). Experiment A4 runs the full-size
 // version.
 func TestJumpMatchesDirectLaw(t *testing.T) {
 	const n, m, reps = 16, 64, 400

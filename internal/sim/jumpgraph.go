@@ -243,14 +243,14 @@ func regularTopologyDegree(cfg *loadvec.Config, g Topology) int {
 // restricted to a regular graph topology (the §7 extension simulated by
 // graphs.GraphRLS): a ball in bin i samples a uniform neighbor slot and
 // moves iff the neighbor's load is lower. Like NewJumpEngine it simulates
-// only the embedded jump chain — Geometric(W_G/(m·Δ)) null blocks, Erlang
-// time gaps — with the exact move weight W_G = Σ_i load(i)·adm[i]
+// only the embedded jump chain — one Exp(W_G/Δ) gap per move and a
+// Poisson tally of the nulls — with the exact move weight W_G = Σ_i load(i)·adm[i]
 // maintained by per-source admissible-slot counts (graphIndex: O(Δ) reads
 // of a flat slot table plus, per admissibility flip, an O(1) leaf read
 // and one write per level of a 16-ary prefix-sum tree —
 // O(Δ + flips·log_16 n) per move, every event a real move).
-// SetHorizon's thinned-Poisson clamp conditions on the same weight, so
-// time-targeted runs stay exact. The configuration starts with no level
+// SetHorizon's clamp reads the same weight, so time-targeted runs stay
+// exact. The configuration starts with no level
 // index: a run never reads one. The first RandomBin (a session's random
 // departure) builds the plain index over the loads of that moment, and
 // moves keep it in step from then on.

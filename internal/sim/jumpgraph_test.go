@@ -362,6 +362,9 @@ func TestGraphJumpEngineInvariants(t *testing.T) {
 			}
 			if op%25 == 24 {
 				what = "restore"
+				// Snapshots are taken between runs: close the hand-driven
+				// steps with the null tally Advance would draw.
+				e.tallyNull()
 				var enc persist.Enc
 				e.EncodeState(&enc)
 				restored := NewGraphJumpEngine(make(loadvec.Vector, n), g, rng.New(0))
@@ -396,6 +399,9 @@ func TestGraphJumpResumeBeforeFirstDeparture(t *testing.T) {
 		a.Step()
 		a.AddBall(i % n)
 	}
+	// Snapshots are taken between runs: close the hand-driven steps with
+	// the null tally Advance would draw, here and before every encode below.
+	a.tallyNull()
 	var enc persist.Enc
 	a.EncodeState(&enc)
 	b := NewGraphJumpEngine(make(loadvec.Vector, n), g, rng.New(0))
@@ -414,6 +420,8 @@ func TestGraphJumpResumeBeforeFirstDeparture(t *testing.T) {
 		}
 		a.Step()
 		b.Step()
+		a.tallyNull()
+		b.tallyNull()
 		var ea, eb persist.Enc
 		a.EncodeState(&ea)
 		b.EncodeState(&eb)

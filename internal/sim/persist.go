@@ -101,8 +101,13 @@ func (b *BallList) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
 // EncodeState appends the engine's full state: configuration (+ level
 // index), sampler, RNG words, clocks, and counters. The mover, graph
 // topology, and PostMove hook are shape, not state — the decoder's
-// engine supplies them.
+// engine supplies them. Snapshots are taken between runs, where a jump
+// engine's pending null mass is 0; the format has no field for it, so
+// encoding mid-run (from a PostMove hook or a stop condition) panics.
 func (e *Engine) EncodeState(enc *persist.Enc) {
+	if e.null != 0 {
+		panic("sim: EncodeState with untallied null activations (mid-run)")
+	}
 	e.cfg.EncodeState(enc)
 	if e.balls == nil {
 		enc.Int(samplerNone)

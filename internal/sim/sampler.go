@@ -12,8 +12,8 @@
 //
 // NewJumpEngine (jump.go) is the rejection-free alternative: it needs no
 // ball list because it simulates only the embedded jump chain of
-// productive moves, with null-activation blocks skipped geometrically
-// (experiment A4 cross-validates the two modes).
+// productive moves, with the null activations between them tallied by a
+// Poisson draw (experiment A4 cross-validates the two modes).
 package sim
 
 import (

@@ -27,8 +27,8 @@ import (
 //     the count of a rate-m_s Poisson stream over the window, with the
 //     per-activation Exp gaps integrated out — and runs the K activations
 //     locally with batched uniform draws (rng.FillIntn into flat scratch
-//     arrays, the dense-phase analogue of the jump engine's geometric
-//     block draws). A move whose sampled destination lands in the same
+//     arrays, the dense-phase analogue of the jump engine's Poisson
+//     null tally). A move whose sampled destination lands in the same
 //     shard is decided and applied immediately, exactly as in the direct
 //     engine;
 //   - cross-shard moves: a destination owned by another shard cannot be

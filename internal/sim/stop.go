@@ -6,12 +6,14 @@ package sim
 //
 //   - direct: after every activation — the finest granularity, and the
 //     only mode where activation-exact conditions are meaningful;
-//   - jump (NewJumpEngine): after every jump-chain step, i.e. one whole
-//     geometric block of null activations plus the move closing it.
-//     Configuration conditions (UntilPerfect, UntilBalanced) see exactly
-//     the move-time law; time or activation targets may overshoot by one
-//     block — except UntilTime runs with Engine.SetHorizon set, whose
-//     final block is clamped exactly at the horizon;
+//   - jump (NewJumpEngine): after every jump-chain step, i.e. one Exp
+//     gap and the move closing it. Configuration conditions
+//     (UntilPerfect, UntilBalanced) see exactly the move-time law; a time
+//     target may overshoot by one gap — except UntilTime runs with
+//     Engine.SetHorizon set, whose final gap is clamped exactly at the
+//     horizon — and activation targets read the move-granular count of
+//     Engine.Activations, which holds the untallied null mass as its
+//     integer part until the run's closing Poisson draw;
 //   - sharded (Sharded, which takes a ShardedStop rather than a
 //     StopCond): at epoch barriers for P > 1, after every activation for
 //     P = 1.

@@ -617,9 +617,11 @@ func TestRemovedModeTrace(t *testing.T) {
 // words) is exactly what those versions wrote. Then it replays the
 // continuation script those sessions ran and requires
 // `<name>.final.snap`. The continuations were re-recorded when the draw
-// kernel changed (the ziggurat Exp/normal kernel in internal/rng): the
-// same RNG words now yield a new sample of the same law, while the
-// resumed bytes still pin the artifacts themselves. The jump-torus
+// kernel changed (the ziggurat Exp/normal kernel in internal/rng), and
+// the jump ones again when a jump move's time became one Exp gap with a
+// per-run Poisson tally of the null activations: the same RNG words now
+// yield a new sample of the same law, while the resumed bytes still pin
+// the artifacts themselves. The jump-torus
 // artifact also resumes with its meta rewritten to the forced-exact
 // sampler code 1. jump-stray-shards was written by `rlsim -n 16 -m 64
 // -engine jump -shards 4 -snapshot`, which recorded a shard count its

@@ -205,9 +205,10 @@ const (
 	// protocol variant (strict rule, topologies, speeds).
 	DirectEngine EngineMode = iota
 	// JumpEngine simulates only the embedded jump chain of productive
-	// moves: activations advance geometrically, time by the matching
-	// Gamma(k, m) gap, and the move is sampled exactly from the live move
-	// weight (see internal/sim.NewJumpEngine). The balancing-time law is
+	// moves: time advances by one Exp(R) gap per move at the live move
+	// rate R, the move is sampled exactly from the live move weight, and
+	// the null activations in between are tallied by one Poisson draw per
+	// run (see internal/sim.NewJumpEngine). The balancing-time law is
 	// identical to DirectEngine (experiments A4/A7/A8 KS-test it); cost
 	// drops from O(activations) to O(moves·log Δ). Three rule/topology
 	// variants compose: plain and strict tie rules on the complete
@@ -215,7 +216,7 @@ const (
 	// destinations), and the plain rule on any regular graph topology
 	// (per-source admissible-slot counts, O(Δ + flips·log n) per move at
 	// any degree); Spec lists what it rejects. Per-activation traces
-	// coarsen to per-move blocks.
+	// and activation targets coarsen to moves.
 	JumpEngine
 	// ShardedEngine partitions the bins into WithShards contiguous ranges
 	// simulated by concurrent goroutine workers, each with its own
@@ -449,9 +450,9 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 			return Result{}, nil, err
 		}
 		if r.target.kind == targetTime {
-			// Clamp the final jump block at the horizon so time-targeted
+			// Clamp the final jump gap at the horizon so time-targeted
 			// jump runs stop at exactly the target instead of overshooting
-			// by up to a whole block (direct engines ignore the horizon).
+			// by up to a whole gap (direct engines ignore the horizon).
 			e.SetHorizon(r.target.arg)
 		}
 		tr = core.NewPhaseTracker(e)

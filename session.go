@@ -236,8 +236,9 @@ func (s *Session) RunFor(d float64) error {
 	if err := checkHorizon(d, s.engine.Cfg().M(), s.engine.Activations()); err != nil {
 		return err
 	}
-	// The horizon clamps jump-mode blocks exactly at the end (direct mode
-	// ignores it); clear it afterwards — the engine persists across runs.
+	// The horizon clamps the jump engine's final gap exactly at the end
+	// (direct mode ignores it); clear it afterwards — the engine persists
+	// across runs.
 	end := s.engine.Time() + d
 	s.engine.SetHorizon(end)
 	s.engine.Advance(sim.UntilTime(end), s.budgetLocked(sim.DefaultActivationBudget))
