@@ -40,7 +40,7 @@
 //     exactly. The null activations between moves form an independent
 //     Poisson stream of rate m − W/n (thinning), so the engine only adds
 //     up its mean and tallies it with one Poisson draw per run. Cost is
-//     O(log Δ) per move, ~215–385 ns on perfbench's sweep-complete jump
+//     O(log Δ) per move, ~135–270 ns on perfbench's sweep-complete jump
 //     cells (2 cores).
 //     Two protocol variants ride the same machinery: the strict (>) tie
 //     rule swaps in the shifted move weight W′ = Σ_v v·count[v]·C(v−2)

@@ -23,8 +23,8 @@ type Mover interface {
 // applies the Mover's decision; in jump mode (NewJumpEngine) each Step
 // advances time to the next move by one Exp gap and applies that move,
 // leaving the null activations in between to a Poisson tally drawn once
-// at the end of each run (Advance). Adversaries (Lemma 2) may inject extra moves through ForceMove
-// from a PostMove hook.
+// at the end of each run (Advance). Adversaries (Lemma 2) may inject
+// extra moves through ForceMove from a PostMove hook.
 type Engine struct {
 	cfg   *loadvec.Config
 	balls *BallList // the activation sampler; nil in jump mode
@@ -215,8 +215,8 @@ const DefaultActivationBudget = 1_000_000_000
 
 // Run advances the engine until stop returns true or maxActivations is
 // exhausted (pass maxActivations <= 0 for DefaultActivationBudget).
-// Both the stop condition and the budget read Activations, so on a jump
-// engine they fire at move granularity.
+// The budget reads Activations, so on a jump engine it fires at move
+// granularity.
 func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
 	stopped := e.Advance(stop, maxActivations)
 	return Result{

@@ -63,10 +63,10 @@ func NewJumpEngine(initial loadvec.Vector, r *rng.RNG) *Engine {
 // NewStrictJumpEngine builds a rejection-free engine for strict-tie RLS
 // on the complete topology: a ball moves only if the destination is at
 // least two below its source (§7's ">" rule, after [11, 12]). The Exp
-// gap and the null tally are those of NewJumpEngine; only the move weight
-// changes to W' = Σ_v v·count[v]·C(v−2) — the strict level index shifts the
-// eligible-destination prefix by one level, and pair sampling and churn
-// updates shift with it. W' = 0 exactly when max−min ≤ 1, i.e. at
+// gap and the null tally are those of NewJumpEngine; only the move
+// weight changes to W' = Σ_v v·count[v]·C(v−2) — the strict level index
+// shifts the eligible-destination prefix by one level, and pair sampling
+// and churn updates shift with it. W' = 0 exactly when max−min ≤ 1, i.e. at
 // perfect balance, so UntilPerfect never stalls on a flat-weight state.
 // Experiment A7 KS-tests the balancing-time law against the strict
 // direct engine.

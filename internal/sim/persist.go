@@ -213,5 +213,6 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	e.gidx = gidx
 	e.r.Restore(st)
 	e.time, e.activations, e.moves, e.forced, e.horizon = time, acts, moves, forced, horizon
+	e.null = 0
 	return nil
 }

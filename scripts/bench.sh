@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh runs the perf-trajectory benchmark suite and writes the results
 # as JSON so successive PRs can track the hot paths: whole-run balancing
-# cost (BenchmarkBalanceToPerfection), the direct-vs-jump end-game
+# cost, direct against jump on each cell (BenchmarkBalanceToPerfection,
+# whose jump arms append ",jump" to the cell name), the direct-vs-jump end-game
 # comparisons — plain (BenchmarkEndGame), strict tie rule
 # (BenchmarkStrictEndGame), ring/torus/hypercube/expander topologies
 # (BenchmarkGraphEndGame), and the dense-degree graph comparison direct
