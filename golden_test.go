@@ -14,7 +14,11 @@ package rls
 // kernel's own law tests (internal/rng), the exact-E[T] gate
 // (exact_test.go) and the engine-vs-engine KS gates all passed unchanged
 // across it, and internal/rng's TestKernelStreamPin now catches kernel
-// drift before these goldens do.
+// drift before these goldens do. The jump goldens alone were re-pinned a
+// second time when a jump move's time became one Exp gap and the null
+// activations one Poisson tally per run, in place of a Geometric block
+// length and an Erlang gap per move: again a new stream of the same
+// law, with every direct golden unchanged.
 
 import (
 	"fmt"

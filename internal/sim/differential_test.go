@@ -11,8 +11,8 @@ import (
 
 // The differential harness instantiated at the sim layer for the graph
 // jump engine: it and the direct engine running graphs.GraphRLS consume
-// randomness differently (the jump chain skips null activations in one
-// Geometric draw), so only their balancing-time laws are comparable.
+// randomness differently (the jump chain tallies null activations in one
+// Poisson draw per run), so only their balancing-time laws are comparable.
 
 // graphArm builds a fingerprint arm: a fresh engine over the topology —
 // the graph jump engine, or with jump false the direct engine running

@@ -62,10 +62,10 @@ func TestJumpEngineFlatAdvancesTime(t *testing.T) {
 }
 
 // TestJumpEngineHorizonClampsExactly pins the time-target fix: with a
-// horizon set, the block whose move would land past it is truncated, the
+// horizon set, the gap whose move would land past it is discarded, the
 // clock lands bit-exactly on the horizon, and no move past the horizon is
-// applied — where the unclamped engine overshoots by up to a whole
-// geometric block (~m·n/W activations near balance).
+// applied — where the unclamped engine overshoots by up to a whole gap
+// (~n/R near balance).
 func TestJumpEngineHorizonClampsExactly(t *testing.T) {
 	const horizon = 4.0
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -162,9 +162,9 @@ func TestJumpActivationTargetsAndTrace(t *testing.T) {
 }
 
 // TestJumpHorizonMatchesDirectLaw is the regression gate for the
-// truncated final block: at a fixed horizon the direct and jump engines
-// must agree on the law of the activation and move counts (the truncated
-// Poisson tally is exact by thinning), while their reported times bracket
+// clamped final gap: at a fixed horizon the direct and jump engines
+// must agree on the law of the activation and move counts (the Poisson
+// tally is exact by thinning), while their reported times bracket
 // the horizon from opposite sides by construction.
 func TestJumpHorizonMatchesDirectLaw(t *testing.T) {
 	const n, m, horizon, reps = 16, 64, 3.0, 400
