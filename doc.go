@@ -35,9 +35,11 @@
 //     total move weight W = Σ_v v·count[v]·C(v−1) in O(log Δ) per move
 //     (a 16-ary prefix-sum tree over the per-level weights, one write per
 //     tree level and an O(1) leaf read per update, beside an O(1)-update
-//     prefix-count array C); each step advances time by one Exp(W/n) gap
-//     to the next move and samples the productive (src, dst) pair
-//     exactly. The null activations between moves form an independent
+//     prefix-count array C that also bounds each level's segment of one
+//     level-sorted bin permutation, so a uniform bin of a level, or of
+//     all levels ≤ v−1, is one slot read); each step advances time by
+//     one Exp(W/n) gap to the next move and samples the productive
+//     (src, dst) pair exactly. The null activations between moves form an independent
 //     Poisson stream of rate m − W/n (thinning), so the engine only adds
 //     up its mean and tallies it with one Poisson draw per run. Cost is
 //     O(log Δ) per move, ~135–270 ns on perfbench's sweep-complete jump

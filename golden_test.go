@@ -302,10 +302,10 @@ func TestGoldenJumpSessionChurn(t *testing.T) {
 		}
 	}
 	const (
-		wantTime  = "40387ec2f52207b9"
-		wantActs  = int64(5319)
-		wantMoves = int64(1373)
-		wantHash  = uint64(0x66a8355a347bdc25)
+		wantTime  = "4037eadd3b37c715"
+		wantActs  = int64(5063)
+		wantMoves = int64(1330)
+		wantHash  = uint64(0x347135f0df1135c5)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())

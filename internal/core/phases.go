@@ -69,9 +69,20 @@ type PhaseTracker struct {
 // NewPhaseTracker builds a tracker for an engine about to run and attaches
 // itself to the engine's PostMove hook (chaining any existing hook).
 // Discrepancy only changes on moves, so crossing times are move-exact.
+// It reads only min, max and m, so a move that changes none of them (most
+// moves of an end-game) cannot cross a boundary and is skipped before
+// Disc is recomputed.
 func NewPhaseTracker(e *sim.Engine) *PhaseTracker {
 	t := newPhaseTracker(e.Cfg().N())
-	observe := func(e *sim.Engine) { t.observe(e.Time(), e.Cfg().Disc()) }
+	lo, hi, m := -1, -1, -1
+	observe := func(e *sim.Engine) {
+		c := e.Cfg()
+		if c.Min() == lo && c.Max() == hi && c.M() == m {
+			return
+		}
+		lo, hi, m = c.Min(), c.Max(), c.M()
+		t.observe(e.Time(), c.Disc())
+	}
 	observe(e) // the initial configuration may already satisfy targets
 	chainPostMove(e, observe)
 	return t

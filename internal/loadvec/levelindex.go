@@ -2,6 +2,7 @@ package loadvec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fenwick"
 	"repro/internal/rng"
@@ -12,13 +13,16 @@ import (
 // same single-bin level transitions that drive the histogram, everything
 // the jump chain needs to sample a *productive* RLS move exactly:
 //
-//   - binsAt[v] lists the bins currently at load v (swap-delete, O(1)),
-//     so a uniform bin within a level is one array index;
-//   - cum[v] is the prefix bin count C(v) = #{bins with load ≤ v}. A
-//     transition moves one bin by one level, so it changes C at exactly
-//     one level, min(from, to): an O(1) update, an O(1) read of the
-//     eligible-destination count C(v−gap), and a binary search over
-//     [min, v−gap] for the weighted destination level;
+//   - order is one permutation of the bins sorted by level, and pos maps
+//     each bin to its slot. Level v occupies the segment
+//     order[C(v−1):C(v)], so a uniform bin within a level is one array
+//     index, and the u-th bin in level order is order[u];
+//   - cum[v] is the prefix bin count C(v) = #{bins with load ≤ v}, which
+//     doubles as the segment bounds. A transition moves one bin by one
+//     level, so it changes C at exactly one level, min(from, to): an O(1)
+//     update, and an O(1) read of the eligible-destination count
+//     C(v−gap), whose first C(v−gap) slots of order are exactly the
+//     eligible destinations;
 //   - mvw is a prefix-sum tree (internal/fenwick) over the per-level
 //     move weight s[v] = v·count[v]·C(v−gap). Its leaves are the one
 //     copy of s, read in O(1), and its total W = Σ_v s[v] is exactly
@@ -27,37 +31,41 @@ import (
 //     destination accepts with probability C(v−gap)/n;
 //   - bal is a prefix-sum tree over v·count[v] (total weight m), giving
 //     load-proportional — i.e. uniform-ball — bin sampling. Only
-//     SampleBallBin reads it, so it is built from the lists on the first
-//     SampleBallBin and kept in step from then on; a run that never
-//     samples a ball (every Runner jump run) never pays for it.
+//     SampleBallBin reads it, so it is built from the prefix counts on
+//     the first SampleBallBin and kept in step from then on; a run that
+//     never samples a ball (every Runner jump run) never pays for it.
 //
 // gap encodes the tie rule: 1 is plain RLS (move iff ℓ_src ≥ ℓ_dst + 1,
 // destinations with load ≤ v−1 are eligible), 2 is the strict rule of
 // [12]/[11] (move iff ℓ_src > ℓ_dst + 1, destinations with load ≤ v−2).
 //
-// A level transition touches count at two adjacent levels and C at one,
-// so at most three s-entries change (two for gap = 1, where the C-shift
-// lands on a level whose count also changed); each costs an O(1) leaf
-// read and one O(log_B Δ) move-weight update in the indexed level range
-// (one write per tree level, B = 16), plus two more updates for the ball
-// tree once it is built. A Move is two transitions, applied to the lists
-// in order and refreshed together, so a level both touch takes one
-// update; a neutral Move (destination one level below the source) changes
-// no count at all and touches only the lists. The index is
-// self-contained: it reads only its own lists, prefix counts and trees,
-// never the Config histogram mid-update.
+// A one-level shift swaps the bin into its level's boundary slot and
+// moves that boundary by one: down, the bin takes its level's first slot
+// and C(to)++ hands the slot to the level below; up, C(from)−− first, and
+// the bin takes the slot that falls to the level above. A transition
+// therefore touches count at two adjacent levels and C at one, so at
+// most three s-entries change (two for gap = 1, where the C-shift lands
+// on a level whose count also changed); each costs an O(1) leaf read and
+// one O(log_B Δ) move-weight update in the indexed level range (one
+// write per tree level, B = 16), plus two more updates for the ball tree
+// once it is built. A Move is two shifts, applied in order and refreshed
+// together, so a level both touch takes one update; a neutral Move
+// (destination one level below the source) changes no count at all and
+// only swaps the two bins' slots. Nothing is allocated per move. The
+// index is self-contained: it reads only its own permutation, prefix
+// counts and trees, never the Config histogram mid-update.
 //
 // A Config either has no index or all of the above. An engine that owns
 // its move weight (the graph jump engine) enables none until a session
 // first draws a random ball, and then builds the plain one (gap 1).
 type levelIndex struct {
-	gap    int           // tie rule: eligible destinations have load ≤ v−gap
-	binsAt [][]int32     // level -> bins at that level (unordered)
-	pos    []int32       // bin -> position within binsAt[load]
-	bal    *fenwick.Tree // v·count[v]; nil until the first SampleBallBin
-	cum    []int64       // C(v) = #{bins with load ≤ v}
-	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−gap), total W
-	size   int           // number of indexed levels (levels 0..size-1)
+	gap   int           // tie rule: eligible destinations have load ≤ v−gap
+	order []int32       // bins sorted by level: level v is order[C(v−1):C(v)]
+	pos   []int32       // bin -> slot in order
+	bal   *fenwick.Tree // v·count[v]; nil until the first SampleBallBin
+	cum   []int64       // C(v) = #{bins with load ≤ v}
+	mvw   *fenwick.Tree // s[v] = v·count[v]·C(v−gap), total W
+	size  int           // number of indexed levels (levels 0..size-1)
 }
 
 // levelSize is the construction rule for the indexed level range: the
@@ -72,44 +80,59 @@ func levelSize(max int) int {
 }
 
 // emptyLevelIndex allocates an index over n bins and size levels with
-// empty lists and unbuilt move-weight state; the ball tree is left for
-// the first SampleBallBin. Callers fill binsAt and pos, then call
+// zero prefix counts and unbuilt move-weight state; the ball tree is left
+// for the first SampleBallBin. Callers fill order, pos and cum, then call
 // rebuildTrees.
 func emptyLevelIndex(n, size, gap int) *levelIndex {
 	return &levelIndex{
-		gap:    gap,
-		binsAt: make([][]int32, size),
-		pos:    make([]int32, n),
-		cum:    make([]int64, size),
-		mvw:    new(fenwick.Tree),
-		size:   size,
+		gap:   gap,
+		order: make([]int32, n),
+		pos:   make([]int32, n),
+		cum:   make([]int64, size),
+		mvw:   new(fenwick.Tree),
+		size:  size,
 	}
 }
 
 // newLevelIndex builds the index for the configuration's current state
-// with the given tie gap (1 = plain, 2 = strict).
+// with the given tie gap (1 = plain, 2 = strict). A counting sort lays
+// the bins out by level, ascending bin number within a level: cum first
+// holds each level's first slot as a write cursor, and each placed bin
+// advances its level's cursor, which ends at C(v).
 func newLevelIndex(c *Config, gap int) *levelIndex {
 	x := emptyLevelIndex(c.n, levelSize(c.max), gap)
+	var start int64
+	for v := range x.size {
+		x.cum[v] = start
+		start += int64(c.CountAt(v))
+	}
 	for i, v := range c.loads {
-		x.pos[i] = int32(len(x.binsAt[v]))
-		x.binsAt[v] = append(x.binsAt[v], int32(i))
+		p := x.cum[v]
+		x.order[p] = int32(i)
+		x.pos[i] = int32(p)
+		x.cum[v]++
 	}
 	x.rebuildTrees()
 	return x
 }
 
-// rebuildTrees derives the prefix counts, the move-weight tree and, once
-// built, the ball tree from the binsAt lists alone. Used on construction
-// and when the level range grows or shrinks; existing trees are reset in
-// place.
+// first returns C(v−1), the first slot of level v.
+func (x *levelIndex) first(v int) int64 {
+	if v > 0 {
+		return x.cum[v-1]
+	}
+	return 0
+}
+
+// count returns the number of bins at level v.
+func (x *levelIndex) count(v int) int64 { return x.cum[v] - x.first(v) }
+
+// rebuildTrees derives the move-weight tree and, once built, the ball
+// tree from the prefix counts alone. Used on construction and when the
+// level range grows or shrinks; existing trees are reset in place.
 func (x *levelIndex) rebuildTrees() {
 	if x.bal != nil {
 		x.buildBall()
-	}
-	var c int64
-	for v, lst := range x.binsAt {
-		c += int64(len(lst))
-		x.cum[v] = c
 	}
 	x.mvw.Reset(x.size)
 	for v := range x.size {
@@ -119,22 +142,22 @@ func (x *levelIndex) rebuildTrees() {
 	}
 }
 
-// buildBall (re)builds the ball tree from the lists, allocating it on
-// first use.
+// buildBall (re)builds the ball tree from the prefix counts, allocating
+// it on first use.
 func (x *levelIndex) buildBall() {
 	if x.bal == nil {
 		x.bal = new(fenwick.Tree)
 	}
 	x.bal.Reset(x.size)
-	for v, lst := range x.binsAt {
-		if v > 0 && len(lst) > 0 {
-			x.bal.Add(v, int64(v)*int64(len(lst)))
+	for v := 1; v < x.size; v++ {
+		if cn := x.count(v); cn > 0 {
+			x.bal.Add(v, int64(v)*cn)
 		}
 	}
 }
 
 // grow extends the indexed level range to cover `need` and rebuilds the
-// trees from the lists (amortized O(1) per transition by doubling).
+// trees (amortized O(1) per transition by doubling).
 func (x *levelIndex) grow(need int) {
 	size := x.size
 	for size <= need {
@@ -161,13 +184,15 @@ func (x *levelIndex) shrink(max int) {
 }
 
 // resize sets the indexed level range to size levels and rebuilds the
-// prefix counts and trees in place. Levels cut off hold no bins, and
-// binsAt past its length keeps only empty lists, so a later grow within
-// capacity reslices instead of allocating (cum is rewritten whole by the
-// rebuild).
+// trees in place. Levels cut off hold no bins; levels added hold none
+// either, so their prefix count is n. The permutation does not depend on
+// the range and stays as it is.
 func (x *levelIndex) resize(size int) {
-	x.binsAt = resized(x.binsAt, size)
+	old := x.size
 	x.cum = resized(x.cum, size)
+	for v := old; v < size; v++ {
+		x.cum[v] = int64(len(x.order))
+	}
 	x.size = size
 	x.rebuildTrees()
 }
@@ -190,16 +215,17 @@ func (x *levelIndex) transition(bin, from, to int) {
 }
 
 // move records a Move of one ball from src (at level v) to dst (at level
-// w): src shifts down, then dst shifts up, in that order, since the list
+// w): src shifts down, then dst shifts up, in that order, since the slot
 // order is simulation state. A neutral move (w = v−1) trades two bins
 // between adjacent levels and leaves every count — hence the ball tree,
-// the prefix counts and the move weight — unchanged, so only the lists
-// move. Otherwise the move weight is refreshed once both shifts are in,
-// so a level both shifts touch takes one tree update, not two.
+// the prefix counts and the move weight — unchanged, so the two bins only
+// swap slots. Otherwise the move weight is refreshed once both shifts are
+// in, so a level both shifts touch takes one tree update, not two.
 func (x *levelIndex) move(src, v, dst, w int) {
 	if w == v-1 {
-		x.relist(src, v, v-1)
-		x.relist(dst, w, w+1)
+		ps, pd := x.pos[src], x.pos[dst]
+		x.order[ps], x.order[pd] = int32(dst), int32(src)
+		x.pos[src], x.pos[dst] = pd, ps
 		return
 	}
 	x.shift(src, v, v-1)
@@ -209,13 +235,21 @@ func (x *levelIndex) move(src, v, dst, w int) {
 }
 
 // shift moves bin from level `from` to level `to` (|from−to| = 1) in the
-// lists, the ball tree once built and the prefix counts, where only
-// C(min(from, to)) changes. The move weight is left to refreshAround.
+// permutation, the prefix counts, where only C(min(from, to)) changes,
+// and the ball tree once built. The move weight is left to refreshAround.
 func (x *levelIndex) shift(bin, from, to int) {
 	if to >= x.size {
 		x.grow(to)
 	}
-	x.relist(bin, from, to)
+	if to < from {
+		// The bin takes level from's first slot, which then joins `to`.
+		x.place(bin, x.cum[to])
+		x.cum[to]++
+	} else {
+		// Level from's last slot joins `to`, and the bin takes it.
+		x.cum[from]--
+		x.place(bin, x.cum[from])
+	}
 	if x.bal != nil {
 		if from > 0 {
 			x.bal.Add(from, int64(-from))
@@ -224,23 +258,13 @@ func (x *levelIndex) shift(bin, from, to int) {
 			x.bal.Add(to, int64(to))
 		}
 	}
-	if to < from {
-		x.cum[to]++ // the bin joins level `to` from above
-	} else {
-		x.cum[from]-- // the bin leaves level `from` upward
-	}
 }
 
-// relist swap-deletes bin from binsAt[from] and appends it to binsAt[to].
-func (x *levelIndex) relist(bin, from, to int) {
-	lst := x.binsAt[from]
-	p := x.pos[bin]
-	last := lst[len(lst)-1]
-	lst[p] = last
-	x.pos[last] = p
-	x.binsAt[from] = lst[:len(lst)-1]
-	x.pos[bin] = int32(len(x.binsAt[to]))
-	x.binsAt[to] = append(x.binsAt[to], int32(bin))
+// place swaps bin into slot, moving the slot's bin to bin's old slot.
+func (x *levelIndex) place(bin int, slot int64) {
+	p, other := x.pos[bin], x.order[slot]
+	x.order[p], x.pos[other] = other, p
+	x.order[slot], x.pos[bin] = int32(bin), int32(slot)
 }
 
 // refreshAround refreshes the move weight at exactly the levels a shift
@@ -266,10 +290,9 @@ func (x *levelIndex) below(v int) int64 {
 	return 0
 }
 
-// weightAt computes s[v] = v·count[v]·C(v−gap) from the lists and the
-// prefix counts.
+// weightAt computes s[v] = v·count[v]·C(v−gap) from the prefix counts.
 func (x *levelIndex) weightAt(v int) int64 {
-	if cn := int64(len(x.binsAt[v])); v > 0 && cn > 0 {
+	if cn := x.count(v); v > 0 && cn > 0 {
 		return int64(v) * cn * x.below(v)
 	}
 	return 0
@@ -286,20 +309,15 @@ func (x *levelIndex) refreshWeight(v int) {
 // clone returns an independent deep copy of the index.
 func (x *levelIndex) clone() *levelIndex {
 	cp := &levelIndex{
-		gap:    x.gap,
-		binsAt: make([][]int32, len(x.binsAt)),
-		pos:    append([]int32(nil), x.pos...),
-		cum:    append([]int64(nil), x.cum...),
-		mvw:    x.mvw.Clone(),
-		size:   x.size,
+		gap:   x.gap,
+		order: slices.Clone(x.order),
+		pos:   slices.Clone(x.pos),
+		cum:   slices.Clone(x.cum),
+		mvw:   x.mvw.Clone(),
+		size:  x.size,
 	}
 	if x.bal != nil {
 		cp.bal = x.bal.Clone()
-	}
-	for v, lst := range x.binsAt {
-		if len(lst) > 0 {
-			cp.binsAt[v] = append([]int32(nil), lst...)
-		}
 	}
 	return cp
 }
@@ -369,25 +387,12 @@ func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 		panic("loadvec: SampleMovePair with zero move weight")
 	}
 	v, _ := x.mvw.Find(r.Int63n(w))
-	lst := x.binsAt[v]
-	src = int(lst[r.Intn(len(lst))])
+	lo := x.first(v)
+	src = int(x.order[lo+int64(r.Intn(int(x.cum[v]-lo)))])
 	// The destination is the u-th bin in level order among the C(v−gap)
-	// eligible ones (≥ 1: s[v] > 0 requires an eligible level): its level
-	// is the first w with C(w) > u, which lies in [min, v−gap] since
-	// C(min−1) = 0 ≤ u < C(v−gap).
-	u := r.Int63n(x.below(v))
-	lo, hi := c.min, v-x.gap
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); x.cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo > 0 {
-		u -= x.cum[lo-1]
-	}
-	dst = int(x.binsAt[lo][u])
+	// eligible ones (≥ 1: s[v] > 0 requires an eligible level), which
+	// the permutation holds in its first C(v−gap) slots.
+	dst = int(x.order[r.Int63n(x.below(v))])
 	return src, dst
 }
 
@@ -409,11 +414,12 @@ func (c *Config) SampleBallBin(r *rng.RNG) int {
 		x.buildBall()
 	}
 	v, rem := x.bal.Find(r.Int63n(int64(c.m)))
-	return int(x.binsAt[v][rem/int64(v)])
+	return int(x.order[x.first(v)+rem/int64(v)])
 }
 
 // validateIndex cross-checks every piece of level-index state against a
-// from-scratch recompute; part of Validate.
+// from-scratch recompute from the Config's histogram and loads; part of
+// Validate, which checks the histogram first.
 func (c *Config) validateIndex() error {
 	x := c.idx
 	if x == nil {
@@ -422,22 +428,28 @@ func (c *Config) validateIndex() error {
 	if c.max >= x.size {
 		return fmt.Errorf("loadvec: index covers %d levels, max load is %d", x.size, c.max)
 	}
-	for i, v := range c.loads {
-		p := int(x.pos[i])
-		if v >= len(x.binsAt) || p >= len(x.binsAt[v]) || x.binsAt[v][p] != int32(i) {
-			return fmt.Errorf("loadvec: bin %d (load %d) not at binsAt[%d][%d]", i, v, v, p)
+	if len(x.cum) != x.size || len(x.order) != c.n || len(x.pos) != c.n {
+		return fmt.Errorf("loadvec: index arrays (%d prefix counts, %d slots, %d positions) do not fit %d levels over %d bins",
+			len(x.cum), len(x.order), len(x.pos), x.size, c.n)
+	}
+	var cum int64
+	for v := range x.size {
+		cum += int64(c.CountAt(v))
+		if x.cum[v] != cum {
+			return fmt.Errorf("loadvec: cum[%d] = %d, want %d", v, x.cum[v], cum)
 		}
 	}
-	total := 0
-	for v := 0; v < x.size; v++ {
-		cn := len(x.binsAt[v])
-		total += cn
-		if cn != c.CountAt(v) {
-			return fmt.Errorf("loadvec: binsAt[%d] has %d bins, histogram says %d", v, cn, c.CountAt(v))
+	v := 0
+	for slot, bin := range x.order {
+		for int64(slot) >= x.cum[v] {
+			v++
 		}
-	}
-	if total != c.n {
-		return fmt.Errorf("loadvec: index holds %d bins, want %d", total, c.n)
+		if bin < 0 || int(bin) >= c.n || x.pos[bin] != int32(slot) {
+			return fmt.Errorf("loadvec: order[%d] = bin %d, whose pos is not %d", slot, bin, slot)
+		}
+		if c.loads[bin] != v {
+			return fmt.Errorf("loadvec: bin %d (load %d) in level %d's segment at slot %d", bin, c.loads[bin], v, slot)
+		}
 	}
 	if err := x.validateBall(); err != nil {
 		return err
@@ -445,7 +457,8 @@ func (c *Config) validateIndex() error {
 	return x.validateWeights()
 }
 
-// validateBall checks the ball tree, when built, against the lists.
+// validateBall checks the ball tree, when built, against the prefix
+// counts.
 func (x *levelIndex) validateBall() error {
 	if x.bal == nil {
 		return nil
@@ -454,37 +467,26 @@ func (x *levelIndex) validateBall() error {
 		return fmt.Errorf("loadvec: bal tree covers %d levels, index %d", x.bal.N(), x.size)
 	}
 	for v, got := range x.bal.Leaves() {
-		if want := int64(v) * int64(len(x.binsAt[v])); got != want {
+		if want := int64(v) * x.count(v); got != want {
 			return fmt.Errorf("loadvec: bal leaf %d = %d, want %d", v, got, want)
 		}
 	}
 	return nil
 }
 
-// validateWeights checks the move-weight state — the prefix counts, the
-// move-weight leaves and W — against a recompute from the lists.
+// validateWeights checks the move-weight leaves and W against a
+// recompute from the prefix counts.
 func (x *levelIndex) validateWeights() error {
-	if len(x.cum) != x.size || x.mvw.N() != x.size {
-		return fmt.Errorf("loadvec: move-weight state does not cover the index's %d levels", x.size)
+	if x.mvw.N() != x.size {
+		return fmt.Errorf("loadvec: move-weight tree covers %d levels, index %d", x.mvw.N(), x.size)
 	}
 	mvw := x.mvw.Leaves()
 	var wTotal int64
-	var cum, cumPrev int64 // C(v−1) and C(v−2), tracked independently
-	for v := 0; v < x.size; v++ {
-		cn := int64(len(x.binsAt[v]))
-		if x.cum[v] != cum+cn {
-			return fmt.Errorf("loadvec: cum[%d] = %d, want %d", v, x.cum[v], cum+cn)
-		}
-		elig := cum // C(v−1) for plain, C(v−2) for strict
-		if x.gap == 2 {
-			elig = cumPrev
-		}
-		want := int64(v) * cn * elig // s[v] = v·count[v]·C(v−gap)
+	for v := range x.size {
+		want := x.weightAt(v) // s[v] = v·count[v]·C(v−gap)
 		if mvw[v] != want {
 			return fmt.Errorf("loadvec: mvw leaf %d = %d, want %d", v, mvw[v], want)
 		}
-		cumPrev = cum
-		cum += cn
 		wTotal += want
 	}
 	if got := x.mvw.Total(); got != wTotal {

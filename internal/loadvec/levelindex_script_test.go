@@ -8,16 +8,24 @@ import (
 )
 
 // naiveMovePair redraws SampleMovePair's pair from a plain scan of the
-// index's lists, consuming the same three draws in the same order: the
-// source level by linear search over s[v] = v·count[v]·C(v−gap), a
-// uniform bin within it, then the destination as the u-th eligible bin
-// in level order. Equal streams must give equal pairs.
+// index's level segments, consuming the same three draws in the same
+// order: the source level by linear search over s[v] =
+// v·count[v]·C(v−gap), a uniform bin within it, then the destination as
+// the u-th eligible bin in level order. The segments are cut from the
+// permutation by the histogram of the loads, not by the index's own
+// prefix counts. Equal streams must give equal pairs.
 func naiveMovePair(c *Config, r *rng.RNG) (src, dst int) {
 	x := c.idx
+	count := make([]int64, x.size)
+	for _, l := range c.Loads() {
+		count[l]++
+	}
+	segs := make([][]int32, x.size)
 	cum := make([]int64, x.size)
-	var total, acc int64
-	for v, lst := range x.binsAt {
-		acc += int64(len(lst))
+	var acc int64
+	for v, cn := range count {
+		segs[v] = x.order[acc : acc+cn]
+		acc += cn
 		cum[v] = acc
 	}
 	elig := func(v int) int64 {
@@ -26,25 +34,26 @@ func naiveMovePair(c *Config, r *rng.RNG) (src, dst int) {
 		}
 		return cum[v-x.gap]
 	}
-	for v, lst := range x.binsAt {
-		total += int64(v) * int64(len(lst)) * elig(v)
+	var total int64
+	for v, seg := range segs {
+		total += int64(v) * int64(len(seg)) * elig(v)
 	}
 	u := r.Int63n(total)
 	v := 0
 	for ; ; v++ {
-		s := int64(v) * int64(len(x.binsAt[v])) * elig(v)
+		s := int64(v) * int64(len(segs[v])) * elig(v)
 		if u < s {
 			break
 		}
 		u -= s
 	}
-	src = int(x.binsAt[v][r.Intn(len(x.binsAt[v]))])
+	src = int(segs[v][r.Intn(len(segs[v]))])
 	u = r.Int63n(elig(v))
 	w := 0
-	for ; u >= int64(len(x.binsAt[w])); w++ {
-		u -= int64(len(x.binsAt[w]))
+	for ; u >= int64(len(segs[w])); w++ {
+		u -= int64(len(segs[w]))
 	}
-	return src, int(x.binsAt[w][u])
+	return src, int(segs[w][u])
 }
 
 // tieRules are the level index's tie rules: the plain and strict jump
@@ -59,9 +68,11 @@ var tieRules = []struct {
 
 // TestLevelIndexScriptProperty runs random scripts of jump-chain moves,
 // churn and ball samples under both tie rules, from starts that pile
-// most balls on one bin so the level range grows and shrinks. Config
-// .Validate — lists, prefix counts, move weight and, once built, the ball
-// tree — runs after every op. Two clones run each script: `eager` samples
+// most balls on one bin so the level range grows and shrinks; midway, a
+// spike pushes one bin through three size classes of the range and
+// drains it again. Config.Validate — the permutation and its segments,
+// prefix counts, move weight and, once built, the ball tree — runs after
+// every op. Two clones run each script: `eager` samples
 // a ball up front and at every ball-sample op, `lazy` only after the
 // script; both must then draw identical SampleBallBin sequences and
 // encode to identical bytes. Every SampleMovePair is also checked
@@ -91,25 +102,64 @@ func TestLevelIndexScriptProperty(t *testing.T) {
 					t.Fatalf("%s trial %d step %d (%s): clones diverged", sh.name, trial, step, op)
 				}
 			}
+			move := func(step int) {
+				t.Helper()
+				if eager.MoveWeight() == 0 {
+					return
+				}
+				seed := r.Uint64()
+				src, dst := eager.SampleMovePair(rng.New(seed))
+				ls, ld := lazy.SampleMovePair(rng.New(seed))
+				ns, nd := naiveMovePair(eager, rng.New(seed))
+				if src != ls || dst != ld || src != ns || dst != nd {
+					t.Fatalf("%s trial %d step %d: pairs eager (%d,%d) lazy (%d,%d) naive (%d,%d)",
+						sh.name, trial, step, src, dst, ls, ld, ns, nd)
+				}
+				eager.Move(src, dst)
+				lazy.Move(src, dst)
+			}
+			// spike pushes one bin to twice the level range it starts
+			// in, so the range grows through three size classes, then
+			// drains it by alternating jump moves and departures from it
+			// until the bin is back at its start load and the range has
+			// shrunk again, checking after every op.
+			spike := func(step int) {
+				t.Helper()
+				bin := r.Intn(n)
+				start, top := eager.Load(bin), 2*eager.idx.size
+				sizes := map[int]bool{eager.idx.size: true}
+				for eager.Load(bin) < top {
+					eager.AddBall(bin)
+					lazy.AddBall(bin)
+					sizes[eager.idx.size] = true
+					check(step, "spike push")
+				}
+				peak := eager.idx.size
+				for i := 0; eager.Load(bin) > start; i++ {
+					if i%2 == 0 {
+						move(step)
+						check(step, "spike move")
+						continue
+					}
+					eager.RemoveBall(bin)
+					lazy.RemoveBall(bin)
+					check(step, "spike drain")
+				}
+				if len(sizes) < 3 || eager.idx.size >= peak {
+					t.Fatalf("%s trial %d step %d: spike visited sizes %v and ended at %d (peak %d)",
+						sh.name, trial, step, sizes, eager.idx.size, peak)
+				}
+			}
 			check(-1, "start")
 			for step := 0; step < 500; step++ {
+				if step == 250 {
+					spike(step)
+				}
 				var op string
 				switch k := r.Intn(8); {
 				case k < 4:
 					op = "move"
-					if eager.MoveWeight() == 0 {
-						break
-					}
-					seed := r.Uint64()
-					src, dst := eager.SampleMovePair(rng.New(seed))
-					ls, ld := lazy.SampleMovePair(rng.New(seed))
-					ns, nd := naiveMovePair(eager, rng.New(seed))
-					if src != ls || dst != ld || src != ns || dst != nd {
-						t.Fatalf("%s trial %d step %d: pairs eager (%d,%d) lazy (%d,%d) naive (%d,%d)",
-							sh.name, trial, step, src, dst, ls, ld, ns, nd)
-					}
-					eager.Move(src, dst)
-					lazy.Move(src, dst)
+					move(step)
 				case k < 5:
 					op = "add"
 					bin := r.Intn(n)

@@ -2,6 +2,8 @@ package loadvec
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
@@ -176,5 +178,41 @@ func TestLevelIndexResumeAcrossShrink(t *testing.T) {
 			t.Fatalf("gap %d: resumed run consumed a different number of draws", gap)
 		}
 		checkShrunk(t, b, "resumed past shrink")
+	}
+}
+
+// TestDecodeConfigStateRejectsRepeatedBin feeds the decoder level lists
+// for loads [1 1 0 2] that name one level-1 bin twice, once in place of
+// the other bin at that level and once on top of it. A repeat either
+// leaves another bin out of the permutation or would write past its last
+// slot, so both are ErrCorrupt, while the honest lists decode to a valid
+// index.
+func TestDecodeConfigStateRejectsRepeatedBin(t *testing.T) {
+	payload := func(lists ...[]int32) []byte {
+		var e persist.Enc
+		e.Ints([]int{1, 1, 0, 2})
+		e.Bool(true)
+		e.Int(1) // tie gap
+		e.Int(4) // levels
+		for _, l := range lists {
+			e.I32s(l)
+		}
+		return e.Bytes()
+	}
+	c, err := DecodeConfigState(persist.NewDec(payload([]int32{2}, []int32{0, 1}, []int32{3}, nil)))
+	if err != nil {
+		t.Fatalf("honest lists: %v", err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("honest lists: %v", err)
+	}
+	for name, lists := range map[string][][]int32{
+		"in place": {{2}, {0, 0}, {3}, nil},
+		"on top":   {{2}, {0, 1, 0}, {3}, nil},
+	} {
+		_, err := DecodeConfigState(persist.NewDec(payload(lists...)))
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "bin 0 listed twice") {
+			t.Errorf("%s: got %v, want ErrCorrupt naming the repeated bin", name, err)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package loadvec
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -206,15 +208,27 @@ func TestLevelIndexCloneIndependent(t *testing.T) {
 }
 
 // TestLevelIndexValidateCatchesCorruption checks Validate flags each
-// piece of derived index state out of step with the lists: a ball-tree
-// leaf, a move-weight leaf and a prefix count. The ball tree is built (by
-// one SampleBallBin) before corrupting, since an unbuilt one has no
-// leaves to check.
+// piece of index state out of step with the loads: a ball-tree leaf, a
+// move-weight leaf, a prefix count, the top segment bound, a bin swapped
+// (with its position) into another level's segment, and a position that
+// is not the inverse of the permutation. The ball tree is built (by one
+// SampleBallBin) before corrupting, since an unbuilt one has no leaves to
+// check. Loads {2, 1, 4, 0} lay out as order [3 1 0 2]: level 0 in slot
+// 0, level 1 in slot 1, level 2 in slot 2, level 4 in slot 3.
 func TestLevelIndexValidateCatchesCorruption(t *testing.T) {
-	for name, corrupt := range map[string]func(x *levelIndex){
-		"bal leaf": func(x *levelIndex) { x.bal.Add(2, 1) },
-		"mvw leaf": func(x *levelIndex) { x.mvw.Add(2, 3) },
-		"cum":      func(x *levelIndex) { x.cum[1]++ },
+	for name, tc := range map[string]struct {
+		corrupt func(x *levelIndex)
+		want    string // a fragment of Validate's message
+	}{
+		"bal leaf":  {func(x *levelIndex) { x.bal.Add(2, 1) }, "bal leaf 2"},
+		"mvw leaf":  {func(x *levelIndex) { x.mvw.Add(2, 3) }, "mvw leaf 2"},
+		"cum":       {func(x *levelIndex) { x.cum[1]++ }, "cum[1]"},
+		"cum bound": {func(x *levelIndex) { x.cum[x.size-1]-- }, "cum[7]"},
+		"segment": {func(x *levelIndex) {
+			x.order[0], x.order[3] = x.order[3], x.order[0]
+			x.pos[x.order[0]], x.pos[x.order[3]] = 0, 3
+		}, "bin 2 (load 4) in level 0's segment"},
+		"pos inverse": {func(x *levelIndex) { x.pos[0], x.pos[1] = x.pos[1], x.pos[0] }, "whose pos is not"},
 	} {
 		c := NewConfig(Vector{2, 1, 4, 0})
 		c.EnableLevelIndex()
@@ -222,9 +236,39 @@ func TestLevelIndexValidateCatchesCorruption(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s: fresh index: %v", name, err)
 		}
-		corrupt(c.idx)
-		if c.Validate() == nil {
-			t.Errorf("%s: Validate passed a corrupted level index", name)
+		if got := c.idx.order; !slices.Equal(got, []int32{3, 1, 0, 2}) {
+			t.Fatalf("%s: fresh order %v, want [3 1 0 2]", name, got)
+		}
+		tc.corrupt(c.idx)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestLevelIndexMoveAllocates0 pins that a steady-state Config.Move on an
+// indexed config (with the ball tree built, so every tree is live)
+// allocates nothing: shifts only swap slots and adjust counts, and the
+// dense start below never leaves its level range in the window timed.
+func TestLevelIndexMoveAllocates0(t *testing.T) {
+	for _, sh := range tieRules {
+		c := NewConfig(OneChoice().Generate(256, 16*256, rng.New(3)))
+		sh.enable(c)
+		r := rng.New(4)
+		c.SampleBallBin(r)
+		for range 100 {
+			c.Move(c.SampleMovePair(r))
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if c.MoveWeight() > 0 {
+				c.Move(c.SampleMovePair(r))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Move allocates %.2f times per call, want 0", sh.name, allocs)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 // unexported state and documents its own payload layout. What makes
 // the round trip byte-identical is a layering rule, not the wire
 // format: state whose in-memory order evolved under simulation
-// (per-level bin lists, sampler slots, heap order, RNG words) is
+// (the level index's bin permutation, sampler slots, RNG words) is
 // serialized verbatim, while state that is a pure function of it
 // (prefix-sum trees, position indices, derived stats) is rebuilt
 // deterministically on decode.

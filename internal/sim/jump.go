@@ -41,12 +41,16 @@ import (
 // Per move the level index pays one descent of its B-ary prefix-sum tree
 // (B = 16; at most B sums scanned per tree level, and a level range of up
 // to 16 is a single scan) over the per-level move weights for the source
-// level, an O(1) prefix-count read and a binary search over [min, v−1]
-// for the destination level (a few levels once loads sit near the
-// average), and at most four move-weight updates of one write per tree
-// level, each reading the old weight as an O(1) leaf — none for a
-// neutral move, which changes no level count. It keeps no ball-sampling
-// tree unless a session draws a random ball (RandomBin).
+// level, then two O(1) reads of its level-sorted bin permutation: the
+// source is a uniform slot of its level's segment and the destination a
+// uniform slot among the first C(v−1), with no search over levels. A
+// move then swaps each bin into its level's boundary slot and makes at
+// most four move-weight updates of one write per tree level, each
+// reading the old weight as an O(1) leaf — none for a neutral move,
+// which changes no level count and only swaps the two bins' slots. The
+// index holds one n-slot permutation and one prefix count per level, and
+// allocates nothing per move; it keeps no ball-sampling tree unless a
+// session draws a random ball (RandomBin).
 //
 // Churn (AddBall/RemoveBall), ForceMove, and PostMove hooks work as in
 // the direct engine; there is no activation sampler because no individual

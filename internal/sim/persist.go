@@ -15,8 +15,8 @@ import (
 // package's ResumeSession rebuilds the shape from the snapshot header
 // (mode, strict, topology) and then overwrites the engine's state, so
 // movers and topologies never need to be serialized. Everything whose
-// order evolved under simulation (ball-list slots, level lists, RNG
-// words) ships verbatim; everything derivable (prefix-sum trees, graph
+// order evolved under simulation (ball-list slots, the level index's bin
+// permutation, RNG words) ships verbatim; everything derivable (prefix-sum trees, graph
 // index) is rebuilt through the same code paths the live engine uses.
 // A graph engine's level index is built by its first random departure,
 // so its payload carries the plain index or none; one that does not

@@ -357,6 +357,15 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		})
 	}
 
+	// A jump snapshot whose level lists name one bin twice in place of
+	// another bin at the same level fails as corrupt, naming the bin.
+	t.Run("repeated-bin", func(t *testing.T) {
+		_, err := ResumeSession(bytes.NewReader(repeatedBinSnapshot(t)))
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "bin 0 listed twice") {
+			t.Fatalf("got %v, want ErrCorrupt naming the repeated bin", err)
+		}
+	})
+
 	// Every CRC of huge-bins.snap holds, but its header claims 2^31 bins
 	// over a one-byte engine section: it must fail as corrupt before
 	// anything is sized by the bin count (it used to allocate 16 GiB).
@@ -806,6 +815,41 @@ func directSnapshot(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// repeatedBinSnapshot is a jump session's snapshot over loads [1 1 0 2]
+// whose level-1 list names bin 0 twice in place of bins 0 and 1, behind
+// valid CRCs.
+func repeatedBinSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	s := newSession(tb, Spec{Mode: JumpEngine}, 4, 1)
+	for _, bin := range []int{0, 1, 3, 3} {
+		if err := s.AddBall(bin); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return rewriteSnapshot(tb, buf.Bytes(), nil, func(payload []byte) {
+		d := persist.NewDec(payload)
+		if _, err := loadvec.DecodeConfigState(d); err != nil {
+			tb.Fatal(err)
+		}
+		var e persist.Enc
+		e.Ints([]int{1, 1, 0, 2})
+		e.Bool(true)
+		e.Int(1) // tie gap
+		e.Int(4) // levels
+		for _, l := range [][]int32{{2}, {0, 0}, {3}, nil} {
+			e.I32s(l)
+		}
+		if off := len(payload) - d.Remaining(); len(e.Bytes()) != off {
+			tb.Fatalf("forged config state is %d bytes, the session's %d", len(e.Bytes()), off)
+		}
+		copy(payload, e.Bytes())
+	})
+}
+
 // withSamplerTag rewrites a direct snapshot's sampler tag, which follows
 // the configuration state in the engine payload, to tag.
 func withSamplerTag(tb testing.TB, art []byte, tag int) []byte {
@@ -901,6 +945,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	direct := directSnapshot(f)
 	f.Add(withSamplerTag(f, direct, 2))
 	f.Add(withSamplerTag(f, direct, 3))
+	f.Add(repeatedBinSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {
